@@ -107,6 +107,8 @@ def _cmd_train(args):
     rows = D.read_raw_csv(
         args.data, D.ColumnSpec([], [], args.duration_col, args.event_col)
     )
+    if not rows:
+        raise ValueError(f"{args.data}: no data rows")
     columns = _infer_columns(rows, args.duration_col, args.event_col, args.numerical, args.categorical)
     train_rows, val_rows, _ = D.split(rows, fractions, config.seed)
     schema = D.fit_schema(train_rows, columns)

@@ -120,21 +120,12 @@ def km_censoring(durations, events):
     events = np.asarray(events)
     if durations.size == 0:
         raise ValueError("empty training set")
-    censor = events == 0
-    order = np.argsort(durations, kind="stable")
-    t_sorted = durations[order]
-    c_sorted = censor[order]
-    distinct = np.unique(t_sorted[c_sorted])
+    distinct, d = np.unique(durations[events == 0], return_counts=True)
     if distinct.size == 0:
         return CensoringEstimate(np.empty(0), np.empty(0))
-    values = np.empty(distinct.size)
-    g = 1.0
-    for i, u in enumerate(distinct):
-        at_risk = int(np.sum(t_sorted >= u))
-        d = int(np.sum(t_sorted[c_sorted] == u))
-        g *= 1.0 - d / at_risk
-        values[i] = g
-    return CensoringEstimate(distinct, values)
+    # records still under observation at u: durations >= u
+    at_risk = durations.size - np.searchsorted(np.sort(durations), distinct, side="left")
+    return CensoringEstimate(distinct, np.cumprod(1.0 - d / at_risk))
 
 
 def quantile_horizons(event_durations, quantiles):

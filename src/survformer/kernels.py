@@ -1,44 +1,19 @@
-"""Hot numeric kernels with numba acceleration and a pure-numpy fallback.
+"""Numeric kernels outside the training tape.
 
-Two loops dominate runtime outside the training tape: concordance pair
-enumeration (quadratic in the number of records) and batched evaluation of
-piecewise-constant-hazard loss terms. Both are provided in two variants:
-
-* a numba ``@njit`` version, compiled lazily on first call, and
-* a pure-numpy version with identical semantics.
-
-Set the environment variable ``SURVFORMER_DISABLE_NUMBA=1`` before import to
-force the numpy path (useful on platforms without numba, and for the
-benchmark in ``benchmarks/bench_kernels.py``). Results of the two paths agree
-up to floating-point summation order.
+``pch_terms`` evaluates piecewise-constant-hazard loss terms for a batch of
+records. ``ctd_pair_stats`` sums weighted concordance over comparable pairs
+without enumerating them: it sorts records by time and counts score ranks
+over time-ordered prefixes the way a Fenwick tree does, in O(n log^2 n) time
+and O(n) memory.
 """
-
-import os
 
 import numpy as np
 
-_DISABLED = os.environ.get("SURVFORMER_DISABLE_NUMBA", "") not in ("", "0")
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# There is no compiled kernel path; the flag stays for callers that record it.
+USE_NUMBA = False
 
 
-USE_NUMBA = HAS_NUMBA and not _DISABLED
-
-
-def pch_terms_numpy(hazards, kappa0, rho, events):
+def pch_terms(hazards, kappa0, rho, events):
     """Per-record piecewise-constant-hazard loss terms.
 
     Arguments:
@@ -51,39 +26,18 @@ def pch_terms_numpy(hazards, kappa0, rho, events):
     Returns:
         (n,) array: -e*log(h[kappa]) + h[kappa]*rho + sum of earlier bins.
     """
-    n = hazards.shape[0]
-    rows = np.arange(n)
+    hazards = np.asarray(hazards, dtype=np.float64)
+    kappa0 = np.asarray(kappa0, dtype=np.int64)
+    rho = np.asarray(rho, dtype=np.float64)
+    events = np.asarray(events, dtype=np.float64)
+    rows = np.arange(hazards.shape[0])
     h_at = hazards[rows, kappa0]
     cum = np.cumsum(hazards, axis=1)
     prior = np.where(kappa0 > 0, cum[rows, np.maximum(kappa0 - 1, 0)], 0.0)
     return -events * np.log(h_at) + h_at * rho + prior
 
 
-@njit(cache=True)
-def _pch_terms_nb(hazards, kappa0, rho, events):  # pragma: no cover - jit
-    n = hazards.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        k = kappa0[i]
-        acc = 0.0
-        for j in range(k):
-            acc += hazards[i, j]
-        h = hazards[i, k]
-        out[i] = -events[i] * np.log(h) + h * rho[i] + acc
-    return out
-
-
-def pch_terms(hazards, kappa0, rho, events):
-    hazards = np.ascontiguousarray(hazards, dtype=np.float64)
-    kappa0 = np.ascontiguousarray(kappa0, dtype=np.int64)
-    rho = np.ascontiguousarray(rho, dtype=np.float64)
-    events = np.ascontiguousarray(events, dtype=np.float64)
-    if USE_NUMBA:
-        return _pch_terms_nb(hazards, kappa0, rho, events)
-    return pch_terms_numpy(hazards, kappa0, rho, events)
-
-
-def ctd_pair_stats_numpy(times, eligible, scores, weights):
+def ctd_pair_stats(times, eligible, scores, weights):
     """Weighted concordance statistics over comparable pairs.
 
     A pair (i, j) is comparable when ``eligible[i]`` (record i has the event
@@ -92,46 +46,48 @@ def ctd_pair_stats_numpy(times, eligible, scores, weights):
     earlier, has the strictly lower predicted survival; equal predictions
     count one half.
 
+    Records are put in decreasing time order (stable, so the result is
+    deterministic). Record i's partners are then the records before the first
+    one sharing its time, so tied times are never comparable, and they split
+    by score rank into greater, equal and lower.
+
     Returns:
         (concordant_weight, total_weight, pair_count)
     """
-    i_mask = eligible
-    dt = times[:, None] < times[None, :]
-    pair = dt & i_mask[:, None]
-    lower = scores[:, None] < scores[None, :]
-    tied = scores[:, None] == scores[None, :]
-    w = np.broadcast_to(weights[:, None], pair.shape)
-    num = np.sum(w * pair * (lower + 0.5 * tied))
-    den = np.sum(w * pair)
-    return num, den, int(np.sum(pair))
+    times = np.asarray(times, dtype=np.float64)
+    order = np.argsort(-times, kind="stable")
+    neg_times = -times[order]  # ascending
+    later = np.searchsorted(neg_times, neg_times)  # records with a strictly later time
+    _, ranks = np.unique(np.asarray(scores, dtype=np.float64), return_inverse=True)
+    ranks = ranks[order]
+    chosen = np.asarray(eligible, dtype=np.bool_)[order]
+    later, rank = later[chosen], ranks[chosen]
+    weight = np.asarray(weights, dtype=np.float64)[order][chosen]
+    at_most, below = _prefix_rank_counts(ranks, later, rank)
+    num = np.sum(weight * ((later - at_most) + 0.5 * (at_most - below)))
+    den = np.sum(weight * later)
+    return float(num), float(den), int(later.sum())
 
 
-@njit(cache=True)
-def _ctd_pair_stats_nb(times, eligible, scores, weights):  # pragma: no cover
-    n = times.shape[0]
-    num = 0.0
-    den = 0.0
-    pairs = 0
-    for i in range(n):
-        if not eligible[i]:
-            continue
-        w = weights[i]
-        for j in range(n):
-            if times[i] < times[j]:
-                pairs += 1
-                den += w
-                if scores[i] < scores[j]:
-                    num += w
-                elif scores[i] == scores[j]:
-                    num += 0.5 * w
-    return num, den, pairs
+def _prefix_rank_counts(ranks, stops, query_ranks):
+    """For each query q, count the entries of ``ranks[:stops[q]]`` that are
+    at most ``query_ranks[q]`` and those below it.
 
-def ctd_pair_stats(times, eligible, scores, weights):
-    times = np.ascontiguousarray(times, dtype=np.float64)
-    eligible = np.ascontiguousarray(eligible, dtype=np.bool_)
-    scores = np.ascontiguousarray(scores, dtype=np.float64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    if USE_NUMBA:
-        num, den, pairs = _ctd_pair_stats_nb(times, eligible, scores, weights)
-        return num, den, int(pairs)
-    return ctd_pair_stats_numpy(times, eligible, scores, weights)
+    As in a Fenwick tree (Fenwick 1994), the prefix [0, stop) is the union of
+    one aligned block of 2**level entries per set bit of ``stop``. Sorting
+    every block of one level by rank answers that level's part of every query
+    with two binary searches, so all queries take O(n log^2 n) time and O(n)
+    memory.
+    """
+    span = int(ranks.max()) + 1 if ranks.size else 1
+    positions = np.arange(ranks.size, dtype=np.int64)
+    at_most = np.zeros(stops.size, dtype=np.int64)
+    below = np.zeros(stops.size, dtype=np.int64)
+    for level in range(ranks.size.bit_length()):
+        keys = np.sort((positions >> level) * span + ranks)  # block-major, then rank
+        hit = (stops >> level) & 1 == 1
+        block_start = ((stops[hit] >> (level + 1)) << 1) * span
+        first = np.searchsorted(keys, block_start)
+        at_most[hit] += np.searchsorted(keys, block_start + query_ranks[hit], side="right") - first
+        below[hit] += np.searchsorted(keys, block_start + query_ranks[hit], side="left") - first
+    return at_most, below

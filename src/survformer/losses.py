@@ -3,7 +3,7 @@ inverse-propensity-weighted competing-events loss, auxiliary task losses,
 and the annealed total.
 
 Two parallel forms exist for the survival terms: plain array functions used
-for evaluation and analysis (dispatching to the numba kernels), and tape
+for evaluation and analysis (built on ``kernels.pch_terms``), and tape
 builders used in training so gradients flow back through the hazard heads.
 The indicator-weighted losses implement the printed estimators exactly; the
 censored cause-specific contributions that every record owes to the heads of

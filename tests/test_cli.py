@@ -198,3 +198,12 @@ class TestErrorPaths:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and "event" in err
+
+    def test_train_on_header_only_csv_reports_no_data_rows(self, tmp_path, capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text("x0,x1,duration,event\n")
+        code = run(["train", "--data", str(data), "--checkpoint", str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "no data rows" in err[0]

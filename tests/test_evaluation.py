@@ -1,6 +1,7 @@
-"""Survival curves, censoring estimation, concordance, and kernel parity."""
+"""Survival curves, censoring estimation, and concordance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,16 @@ class TestKmCensoring:
                 want_left = censoring_left_oracle(durations, events, t)
                 assert est.evaluate_left(t) == pytest.approx(want_left, rel=1e-12)
 
+    def test_matches_oracle_with_many_records_per_tied_time(self):
+        rng = np.random.default_rng(10)
+        durations = rng.integers(1, 5, size=300).astype(float)
+        events = rng.choice([0, 0, 0, 1, 2], size=300)
+        est = E.km_censoring(durations, events)
+        assert est.times.tolist() == [1.0, 2.0, 3.0, 4.0]
+        for t in np.linspace(0.0, 5.0, 21):
+            want_left = censoring_left_oracle(durations, events, t)
+            assert est.evaluate_left(t) == pytest.approx(want_left, rel=1e-12)
+
     def test_starts_at_one_and_never_increases(self):
         rng = np.random.default_rng(4)
         durations = rng.uniform(0.5, 10.0, size=40)
@@ -241,33 +252,46 @@ class TestCtd:
         assert a == b == c
 
 
-class TestKernelPaths:
-    """The jit and numpy variants must agree (up to summation order)."""
+class TestCtdPairStats:
+    """The sort-based pair count against exhaustive enumeration, and its memory."""
 
-    def test_pch_terms_paths_agree(self):
-        rng = np.random.default_rng(8)
-        hazards = rng.uniform(0.05, 3.0, size=(64, 7))
-        kappa0 = rng.integers(0, 7, size=64)
-        rho = rng.uniform(size=64)
-        events = rng.integers(0, 2, size=64).astype(float)
-        a = kernels.pch_terms_numpy(hazards, kappa0, rho, events)
-        b = kernels._pch_terms_nb(hazards, kappa0, rho, events)
-        np.testing.assert_allclose(a, b, rtol=1e-12)
+    @given(
+        st.lists(st.tuples(st.integers(1, 5), st.integers(0, 2), st.integers(0, 4)), min_size=1, max_size=40),
+        st.lists(st.tuples(st.integers(1, 5), st.integers(0, 2)), max_size=40),
+        st.integers(1, 5),
+        st.integers(1, 2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tied_data_matches_exhaustive_oracle(self, test, train, tau, k):
+        durations = np.array([float(t) for t, _, _ in test])
+        events = np.array([e for _, e, _ in test])
+        scores = np.array([(0.1, 0.3, 0.5, 0.7, 0.9)[s] for _, _, s in test])
+        # a final observed event keeps the censoring survival above zero
+        train_t = np.array([float(t) for t, _ in train] + [6.0])
+        train_e = np.array([e for _, e in train] + [1])
+        est = E.km_censoring(train_t, train_e)
+        want, want_pairs = ctd_oracle(scores, durations, events, tau, k, train_t, train_e)
+        if want is None:
+            with pytest.raises(E.UndefinedMetricError):
+                E.ctd(scores, durations, events, tau, k, est)
+            return
+        value, pairs = E.ctd(scores, durations, events, tau, k, est)
+        assert pairs == want_pairs
+        assert value == pytest.approx(want, rel=1e-12)
 
-    def test_ctd_pair_stats_paths_agree(self):
+    def test_memory_stays_linear_in_records(self):
         rng = np.random.default_rng(9)
-        n = 80
+        n = 5000
         times = rng.uniform(0.5, 10.0, size=n)
         eligible = rng.uniform(size=n) > 0.5
         scores = rng.uniform(size=n)
-        weights = rng.uniform(0.5, 4.0, size=n)
-        a = kernels.ctd_pair_stats_numpy(times, eligible, scores, weights)
-        b = kernels._ctd_pair_stats_nb(times, eligible.astype(bool), scores, weights)
-        np.testing.assert_allclose(a[0], b[0], rtol=1e-10)
-        np.testing.assert_allclose(a[1], b[1], rtol=1e-10)
-        assert a[2] == b[2]
-
-    def test_dispatcher_flags(self):
-        # the env flag is read at import; here just confirm the wiring exists
-        assert isinstance(kernels.USE_NUMBA, bool)
-        assert kernels.HAS_NUMBA in (True, False)
+        weights = np.where(eligible, rng.uniform(0.5, 4.0, size=n), 0.0)
+        tracemalloc.start()
+        try:
+            _, _, pairs = kernels.ctd_pair_stats(times, eligible, scores, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pairs > 0
+        # one n x n float64 array alone would take 200 MB
+        assert peak < 5 * 2**20
