@@ -106,7 +106,9 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def _node(data, parents, backward_fn):
+def node(data, parents, backward_fn):
+    """A tape node holding ``data``; ``backward_fn(g)`` receives the gradient
+    of the loss with respect to ``data`` and accumulates into ``parents``."""
     out = Tensor(data)
     out.requires_grad = any(p.requires_grad for p in parents)
     if out.requires_grad:
@@ -125,7 +127,7 @@ def add(a, b):
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.data.shape))
 
-    return _node(a.data + b.data, (a, b), back)
+    return node(a.data + b.data, (a, b), back)
 
 
 def neg(a):
@@ -133,7 +135,7 @@ def neg(a):
         if a.requires_grad:
             a._accumulate(-g)
 
-    return _node(-a.data, (a,), back)
+    return node(-a.data, (a,), back)
 
 
 def mul(a, b):
@@ -143,7 +145,7 @@ def mul(a, b):
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    return _node(a.data * b.data, (a, b), back)
+    return node(a.data * b.data, (a, b), back)
 
 
 def matmul(a, b):
@@ -161,7 +163,7 @@ def matmul(a, b):
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b._accumulate(_unbroadcast(gb, b.data.shape))
 
-    return _node(np.matmul(a.data, b.data), (a, b), back)
+    return node(np.matmul(a.data, b.data), (a, b), back)
 
 
 def transpose_last(a):
@@ -169,7 +171,7 @@ def transpose_last(a):
         if a.requires_grad:
             a._accumulate(np.swapaxes(g, -1, -2))
 
-    return _node(np.swapaxes(a.data, -1, -2), (a,), back)
+    return node(np.swapaxes(a.data, -1, -2), (a,), back)
 
 
 def reshape(a, shape):
@@ -179,7 +181,7 @@ def reshape(a, shape):
         if a.requires_grad:
             a._accumulate(g.reshape(old))
 
-    return _node(a.data.reshape(shape), (a,), back)
+    return node(a.data.reshape(shape), (a,), back)
 
 
 def concat(tensors, axis):
@@ -193,7 +195,7 @@ def concat(tensors, axis):
             if t.requires_grad:
                 t._accumulate(piece)
 
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, back)
+    return node(np.concatenate([t.data for t in tensors], axis=axis), tensors, back)
 
 
 def take_rows(table, indices):
@@ -208,7 +210,7 @@ def take_rows(table, indices):
             np.add.at(acc, idx, g)
             table._accumulate(acc)
 
-    return _node(table.data[idx], (table,), back)
+    return node(table.data[idx], (table,), back)
 
 
 def tsum(a, axis=None):
@@ -220,7 +222,7 @@ def tsum(a, axis=None):
         else:
             a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
 
-    return _node(a.data.sum(axis=axis), (a,), back)
+    return node(a.data.sum(axis=axis), (a,), back)
 
 
 def tmean(a, axis=None):
@@ -236,7 +238,7 @@ def log(a):
         if a.requires_grad:
             a._accumulate(g / a.data)
 
-    return _node(np.log(a.data), (a,), back)
+    return node(np.log(a.data), (a,), back)
 
 
 def exp(a):
@@ -246,7 +248,7 @@ def exp(a):
         if a.requires_grad:
             a._accumulate(g * out_data)
 
-    return _node(out_data, (a,), back)
+    return node(out_data, (a,), back)
 
 
 def relu(a):
@@ -254,7 +256,7 @@ def relu(a):
         if a.requires_grad:
             a._accumulate(g * (a.data > 0))
 
-    return _node(np.maximum(a.data, 0.0), (a,), back)
+    return node(np.maximum(a.data, 0.0), (a,), back)
 
 
 def selu(a):
@@ -268,23 +270,24 @@ def selu(a):
         if a.requires_grad:
             a._accumulate(g * deriv)
 
-    return _node(out_data, (a,), back)
+    return node(out_data, (a,), back)
 
 
 def softplus(a):
     """log(1 + exp(x)) with the overflow-safe split; strictly positive."""
     x = a.data
     out_data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    sig = _sigmoid_stable(x)
+    sig = logistic(x)
 
     def back(g, a=a, sig=sig):
         if a.requires_grad:
             a._accumulate(g * sig)
 
-    return _node(out_data, (a,), back)
+    return node(out_data, (a,), back)
 
 
-def _sigmoid_stable(x):
+def logistic(x):
+    """Elementwise 1 / (1 + exp(-x)) of an array, without overflow."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -294,13 +297,13 @@ def _sigmoid_stable(x):
 
 
 def sigmoid(a):
-    out_data = _sigmoid_stable(a.data)
+    out_data = logistic(a.data)
 
     def back(g, a=a, out_data=out_data):
         if a.requires_grad:
             a._accumulate(g * out_data * (1.0 - out_data))
 
-    return _node(out_data, (a,), back)
+    return node(out_data, (a,), back)
 
 
 def softmax_rows(a):
@@ -316,7 +319,7 @@ def softmax_rows(a):
             dot = (g * out_data).sum(axis=1, keepdims=True)
             a._accumulate(out_data * (g - dot))
 
-    return _node(out_data, (a,), back)
+    return node(out_data, (a,), back)
 
 
 # --- backward sweep -------------------------------------------------------

@@ -9,7 +9,7 @@ should split raw rows first and fit on the training rows.
 """
 
 import csv
-import warnings
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +20,18 @@ class SchemaError(ValueError):
 
 
 MISSING = ""
+
+
+def _parse_finite(raw, where):
+    """The number a cell holds; text that is not a finite number raises
+    ``ValueError`` naming the cell's value and ``where``."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"non-numeric or non-finite value {raw!r} in {where}")
+    return value
 
 
 @dataclass
@@ -88,7 +100,7 @@ class CovariateSchema:
             if raw == MISSING:
                 value = f.mean
             else:
-                value = float(raw)
+                value = _parse_finite(raw, f"numerical column {f.name!r}")
             num[j] = (value - f.mean) / f.std
         return cat, num
 
@@ -138,10 +150,6 @@ def records_as_arrays(records):
     t = np.array([r.duration for r in records], dtype=np.float64)
     e = np.array([r.event for r in records], dtype=np.intp)
     return cat, num, t, e
-
-
-def n_event_types(records):
-    return int(max(r.event for r in records))
 
 
 # --- column declaration and CSV ingestion ---------------------------------
@@ -195,11 +203,9 @@ def fit_schema(rows, columns):
             if raw == MISSING:
                 continue
             try:
-                values.append(float(raw))
-            except ValueError:
-                raise SchemaError(
-                    f"non-numeric value {raw!r} in numerical column {name!r} at line {line_no}"
-                ) from None
+                values.append(_parse_finite(raw, f"numerical column {name!r}"))
+            except ValueError as err:
+                raise SchemaError(f"{err} at line {line_no}") from None
         if not values:
             raise SchemaError(f"numerical column {name!r} has no observed values")
         arr = np.asarray(values)
@@ -218,15 +224,18 @@ def transform_rows(schema, rows, columns, require_labels=True):
             raise SchemaError(f"bad covariate value at line {line_no}: {err}") from None
         if require_labels or (columns.duration in row and columns.event in row):
             try:
-                t = float(row[columns.duration])
-            except (KeyError, ValueError):
+                t = _parse_finite(row[columns.duration], f"duration column {columns.duration!r}")
+                e = _parse_finite(row[columns.event], f"event column {columns.event!r}")
+            except KeyError as err:
+                raise SchemaError(f"missing label column {err} at line {line_no}") from None
+            except ValueError as err:
+                raise SchemaError(f"bad label at line {line_no}: {err}") from None
+            if not e.is_integer():
                 raise SchemaError(
-                    f"bad or missing duration at line {line_no}"
-                ) from None
-            try:
-                e = int(float(row[columns.event]))
-            except (KeyError, ValueError):
-                raise SchemaError(f"bad or missing event label at line {line_no}") from None
+                    f"bad label at line {line_no}: non-integral value "
+                    f"{row[columns.event]!r} in event column {columns.event!r}"
+                )
+            e = int(e)
         else:
             t, e = 0.0, 0
         records.append(SurvivalRecord(cat, num, t, e))
@@ -313,30 +322,6 @@ def build_time_grid(durations, m, scheme="quantile"):
     else:
         raise ValueError(f"unknown grid scheme {scheme!r}")
     return TimeGrid(cuts)
-
-
-def kappa(grid, t):
-    """One-based index of the interval containing t; kappa(0) = 1.
-
-    Durations beyond the last cut are clamped to the final interval with a
-    warning, since evaluation-time durations may exceed the training range.
-    """
-    t = float(t)
-    if t < 0:
-        raise ValueError("duration must be nonnegative")
-    if t > grid.cuts[-1]:
-        warnings.warn(f"duration {t} beyond grid end {grid.cuts[-1]}; clamped", stacklevel=2)
-        return grid.m
-    return int(grid.interval_index(max(t, 0.0))) + 1
-
-
-def rho(grid, t):
-    """Proportion of interval kappa(t) elapsed at t, in [0, 1]."""
-    t = float(t)
-    j = kappa(grid, t)
-    left = 0.0 if j == 1 else float(grid.cuts[j - 2])
-    right = float(grid.cuts[j - 1])
-    return (min(t, right) - left) / (right - left)
 
 
 # --- splits ----------------------------------------------------------------

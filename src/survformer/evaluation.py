@@ -3,8 +3,7 @@ concordance with inverse-probability-of-censoring weights.
 
 The survival curve uses the piecewise-constant form consistent with the
 training loss: S(t) = exp(-(sum of fully elapsed bin hazards plus the
-current bin's hazard scaled by its elapsed fraction)). The discrete product
-recursion is also provided for cross-checking. Concordance follows the
+current bin's hazard scaled by its elapsed fraction)). Concordance follows the
 weighted pairwise estimator: among pairs where the earlier record has the
 event of interest within the horizon, count how often it also has the lower
 predicted survival, weighting each pair by the inverse squared censoring
@@ -39,12 +38,6 @@ def survival_from_hazards(hazards, grid, t):
     chaz = cum[k0] + hazards[k0] * r
     # t = 0 accrues nothing: index 0 with fraction 0
     return np.exp(-chaz)
-
-
-def survival_discrete_product(hazards, grid):
-    """Discrete recursion S(tau_j) = (1 - h_j) S(tau_{j-1}), for cross-checks."""
-    hazards = np.asarray(hazards, dtype=np.float64)
-    return np.cumprod(1.0 - hazards)
 
 
 @dataclass

@@ -1,40 +1,15 @@
-"""Numeric kernels outside the training tape.
+"""Concordance pair counting.
 
-``pch_terms`` evaluates piecewise-constant-hazard loss terms for a batch of
-records. ``ctd_pair_stats`` sums weighted concordance over comparable pairs
-without enumerating them: it sorts records by time and counts score ranks
-over time-ordered prefixes the way a Fenwick tree does, in O(n log^2 n) time
-and O(n) memory.
+``ctd_pair_stats`` sums weighted concordance over comparable pairs without
+enumerating them: it sorts records by time and counts score ranks over
+time-ordered prefixes the way a Fenwick tree does, in O(n log^2 n) time and
+O(n) memory.
 """
 
 import numpy as np
 
 # There is no compiled kernel path; the flag stays for callers that record it.
 USE_NUMBA = False
-
-
-def pch_terms(hazards, kappa0, rho, events):
-    """Per-record piecewise-constant-hazard loss terms.
-
-    Arguments:
-        hazards: (n, m) positive hazard values per time bin.
-        kappa0: (n,) zero-based bin index of each record's duration.
-        rho: (n,) elapsed proportion of that bin, in [0, 1].
-        events: (n,) 1.0 where the record's event is observed for this head,
-            0.0 for a censored contribution.
-
-    Returns:
-        (n,) array: -e*log(h[kappa]) + h[kappa]*rho + sum of earlier bins.
-    """
-    hazards = np.asarray(hazards, dtype=np.float64)
-    kappa0 = np.asarray(kappa0, dtype=np.int64)
-    rho = np.asarray(rho, dtype=np.float64)
-    events = np.asarray(events, dtype=np.float64)
-    rows = np.arange(hazards.shape[0])
-    h_at = hazards[rows, kappa0]
-    cum = np.cumsum(hazards, axis=1)
-    prior = np.where(kappa0 > 0, cum[rows, np.maximum(kappa0 - 1, 0)], 0.0)
-    return -events * np.log(h_at) + h_at * rho + prior
 
 
 def ctd_pair_stats(times, eligible, scores, weights):

@@ -2,12 +2,13 @@
 inverse-propensity-weighted competing-events loss, auxiliary task losses,
 and the annealed total.
 
-Two parallel forms exist for the survival terms: plain array functions used
-for evaluation and analysis (built on ``kernels.pch_terms``), and tape
-builders used in training so gradients flow back through the hazard heads.
-The indicator-weighted losses implement the printed estimators exactly; the
+``pch_terms`` is the one implementation of the hazard likelihood term: a tape
+op with a closed-form gradient. Training builds ``competing_survival_loss``
+on it; the array estimators (``pch_loss``, ``event_loss_matrix``,
+``ips_loss``, ``naive_competing_loss``) read its values. The
+indicator-weighted estimators implement the printed formulas exactly; the
 censored cause-specific contributions that every record owes to the heads of
-unobserved events are added separately by ``competing_survival_loss``.
+unobserved events are added only by ``competing_survival_loss``.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import kernels
 
 
 @dataclass
@@ -55,13 +55,48 @@ class AnnealSchedule:
         return (self.initial[0] * frac, self.initial[1] * frac)
 
 
-# --- single-record / array-level losses ------------------------------------
+# --- the piecewise-constant-hazard term -------------------------------------
+
+
+def pch_terms(hazards, grid, durations, events):
+    """Per-record piecewise-constant-hazard loss terms, as one tape op.
+
+    ``hazards`` is a (B, m) Tensor of positive per-bin hazards; ``events`` is
+    (B,), 1.0 where the record's event is observed for this head and 0.0 for
+    a censored contribution. Returns a (B,) Tensor of
+    -e*log(h[kappa]) + h[kappa]*rho + sum of the bins before kappa, with kappa
+    the bin holding the duration and rho its elapsed fraction (durations past
+    the last cut fall in the last bin). The gradient is g on every earlier bin
+    and g*rho - e*g/h[kappa] on bin kappa.
+    """
+    h = hazards.data
+    kappa = grid.interval_index(durations, clip=True)
+    rho = grid.interval_fraction(durations, clip=True)
+    events = np.asarray(events, dtype=np.float64)
+    rows = np.arange(h.shape[0])
+    h_at = h[rows, kappa]
+    if np.any(h_at <= 0):
+        raise ValueError("log requires strictly positive input")
+    cum = np.cumsum(h, axis=1)
+    prior = np.where(kappa > 0, cum[rows, np.maximum(kappa - 1, 0)], 0.0)
+
+    def back(g, hazards=hazards):
+        if hazards.requires_grad:
+            grad = (np.arange(h.shape[1])[None, :] < kappa[:, None]) * g[:, None]
+            grad[rows, kappa] = g * rho - events * g / h_at
+            hazards._accumulate(grad)
+
+    return ad.node(-events * np.log(h_at) + h_at * rho + prior, (hazards,), back)
+
+
+# --- array-level estimators -------------------------------------------------
 
 
 def pch_loss(hazards, t, e, grid):
     """Piecewise-constant-hazard negative log likelihood for one record.
 
-    -e*log(hated bin) + hazard*fraction elapsed + sum of fully elapsed bins.
+    -e*log(hazard of t's bin) + that hazard*fraction elapsed + sum of fully
+    elapsed bins.
     """
     hazards = np.asarray(hazards, dtype=np.float64)
     if hazards.ndim != 1 or hazards.size != grid.m:
@@ -70,11 +105,8 @@ def pch_loss(hazards, t, e, grid):
         raise ValueError("hazards must be strictly positive")
     if e not in (0, 1):
         raise ValueError("event indicator must be 0 or 1")
-    k0 = int(grid.interval_index(t, clip=True))
-    r = float(grid.interval_fraction(t, clip=True))
-    return float(
-        kernels.pch_terms(hazards[None, :], np.array([k0]), np.array([r]), np.array([float(e)]))[0]
-    )
+    terms = pch_terms(ad.Tensor(hazards[None, :]), grid, np.array([t]), np.array([e]))
+    return float(terms.data[0])
 
 
 def event_loss_matrix(hazards, durations, grid):
@@ -85,24 +117,10 @@ def event_loss_matrix(hazards, durations, grid):
     oracle risk that ignores which event actually occurred.
     """
     hazards = np.asarray(hazards, dtype=np.float64)
-    n, K, m = hazards.shape
-    k0 = grid.interval_index(durations, clip=True)
-    r = grid.interval_fraction(durations, clip=True)
+    n, K, _ = hazards.shape
     out = np.empty((n, K))
     for k in range(K):
-        out[:, k] = kernels.pch_terms(hazards[:, k, :], k0, r, np.ones(n))
-    return out
-
-
-def censored_loss_matrix(hazards, durations, grid):
-    """Cumulative-hazard contribution of surviving event k to time t_i."""
-    hazards = np.asarray(hazards, dtype=np.float64)
-    n, K, m = hazards.shape
-    k0 = grid.interval_index(durations, clip=True)
-    r = grid.interval_fraction(durations, clip=True)
-    out = np.empty((n, K))
-    for k in range(K):
-        out[:, k] = kernels.pch_terms(hazards[:, k, :], k0, r, np.zeros(n))
+        out[:, k] = pch_terms(ad.Tensor(hazards[:, k, :]), grid, durations, np.ones(n)).data
     return out
 
 
@@ -138,61 +156,7 @@ def ips_loss(hazards, durations, events, propensities, grid, floor=0.05):
     return float((losses[mask] / pi[mask]).sum() / (n * K))
 
 
-def mp_loss(predictions, labels):
-    """Mean binary cross-entropy of the any-event head."""
-    y = np.asarray(predictions, dtype=np.float64)
-    d = np.asarray(labels, dtype=np.float64)
-    if np.any((y <= 0) | (y >= 1)):
-        raise ValueError("predicted probabilities must lie strictly in (0, 1)")
-    return float(np.mean(-d * np.log(y) - (1.0 - d) * np.log(1.0 - y)))
-
-
-def ls_loss(predicted_times, observed_times):
-    """Mean squared error of the follow-up-time head over all records."""
-    diff = np.asarray(predicted_times, dtype=np.float64) - np.asarray(observed_times, dtype=np.float64)
-    if diff.size == 0:
-        raise ValueError("empty batch")
-    return float(np.mean(diff * diff))
-
-
-def total_loss(survival, mp, ls, schedule, epoch):
-    g1, g2 = schedule.gammas(epoch)
-    return LossBreakdown(
-        total=survival + g1 * mp + g2 * ls,
-        survival=survival,
-        mp=mp,
-        ls=ls,
-        gamma1=g1,
-        gamma2=g2,
-    )
-
-
-# --- tape builders (training path) -----------------------------------------
-
-
-def _bin_masks(grid, durations, m):
-    k0 = grid.interval_index(durations, clip=True)
-    r = grid.interval_fraction(durations, clip=True)
-    n = durations.shape[0]
-    sel = np.zeros((n, m))
-    sel[np.arange(n), k0] = 1.0
-    prior = (np.arange(m)[None, :] < k0[:, None]).astype(np.float64)
-    return sel, prior, r
-
-
-def pch_terms_tensor(hazards, grid, durations, event_mask):
-    """Per-record loss terms on the tape; ``event_mask`` switches the log term.
-
-    hazards: Tensor (B, m). Returns a (B,) tensor of
-    -mask*log(h[kappa]) + h[kappa]*rho + prior-bin sum.
-    """
-    B, m = hazards.data.shape
-    sel, prior, r = _bin_masks(grid, np.asarray(durations, dtype=np.float64), m)
-    h_at = ad.tsum(ad.mul(hazards, ad.Tensor(sel)), axis=1)
-    log_term = ad.mul(ad.Tensor(-np.asarray(event_mask, dtype=np.float64)), ad.log(h_at))
-    lin_term = ad.mul(ad.Tensor(r), h_at)
-    prior_term = ad.tsum(ad.mul(hazards, ad.Tensor(prior)), axis=1)
-    return ad.add(ad.add(log_term, lin_term), prior_term)
+# --- tape losses (training path) --------------------------------------------
 
 
 def competing_survival_loss(hazard_tensors, grid, durations, events, propensities=None, floor=0.05):
@@ -200,9 +164,11 @@ def competing_survival_loss(hazard_tensors, grid, durations, events, propensitie
     cumulative-hazard terms every record owes to its unobserved heads,
     normalized together by records times events.
 
-    With one event type and unit propensities this is exactly the batch mean
-    of the single-event loss. ``propensities`` is (n, K) or None for unit
-    weights.
+    For head k the indicator ind marks records whose event is k. Because ind
+    is 0 or 1, one ``pch_terms`` call with events=ind, weighted by
+    ind/pi + (1 - ind), holds both the event and the censored parts. With one
+    event type and unit propensities this is exactly the batch mean of the
+    single-event loss. ``propensities`` is (n, K) or None for unit weights.
     """
     K = len(hazard_tensors)
     events = np.asarray(events)
@@ -217,18 +183,14 @@ def competing_survival_loss(hazard_tensors, grid, durations, events, propensitie
     total = None
     for k in range(K):
         ind = (events == k + 1).astype(np.float64)
-        weights = ind / pi[:, k]
-        terms_event = pch_terms_tensor(hazard_tensors[k], grid, durations, np.ones(n))
-        terms_cens = pch_terms_tensor(hazard_tensors[k], grid, durations, np.zeros(n))
-        part = ad.add(
-            ad.tsum(ad.mul(ad.Tensor(weights), terms_event)),
-            ad.tsum(ad.mul(ad.Tensor(1.0 - ind), terms_cens)),
-        )
+        terms = pch_terms(hazard_tensors[k], grid, durations, ind)
+        part = ad.tsum(ad.mul(ad.Tensor(ind / pi[:, k] + (1.0 - ind)), terms))
         total = part if total is None else ad.add(total, part)
     return ad.mul(total, ad.Tensor(1.0 / (n * K)))
 
 
 def mp_loss_tensor(prob, labels):
+    """Mean binary cross-entropy of the any-event head."""
     d = np.asarray(labels, dtype=np.float64)
     pos = ad.mul(ad.Tensor(-d), ad.log(prob))
     neg = ad.mul(ad.Tensor(-(1.0 - d)), ad.log(ad.add(ad.Tensor(np.ones_like(d)), ad.neg(prob))))
@@ -236,6 +198,7 @@ def mp_loss_tensor(prob, labels):
 
 
 def ls_loss_tensor(pred, observed):
+    """Mean squared error of the follow-up-time head over all records."""
     diff = ad.add(pred, ad.Tensor(-np.asarray(observed, dtype=np.float64)))
     return ad.tmean(ad.mul(diff, diff))
 

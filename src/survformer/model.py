@@ -236,26 +236,6 @@ class SurvivalTransformer:
                 out.append(AttentionMap(layer, h, labels, arr[idx].copy()))
         return out
 
-    def shared_representation(self, encoded_flat, raw_flat):
-        """Alignment of encoder output with raw embeddings (SELU projection)."""
-        joined = np.concatenate([np.asarray(encoded_flat), np.asarray(raw_flat)]).reshape(1, -1)
-        return ad.selu(ad.matmul(ad.Tensor(joined), self.params["sr.w"])).data[0]
-
-    def hazard_head(self, t_sr, k):
-        """Per-bin hazards of event k (1-based) from a shared representation."""
-        if not 1 <= k <= self.config.n_events:
-            raise ValueError(f"event index {k} out of range 1..{self.config.n_events}")
-        z = ad.Tensor(np.asarray(t_sr).reshape(1, -1))
-        return ad.softplus(self._head(f"cs{k - 1}", z)).data[0]
-
-    def mp_head(self, t_sr):
-        z = ad.Tensor(np.asarray(t_sr).reshape(1, -1))
-        return float(ad.sigmoid(self._head("mp", z)).data[0, 0])
-
-    def ls_head(self, t_sr):
-        z = ad.Tensor(np.asarray(t_sr).reshape(1, -1))
-        return float(self._head("ls", z).data[0, 0])
-
     def predict_hazards(self, records):
         """Forward a record list; returns (n, n_events, m) hazard values."""
         cat, num, _, _ = records_as_arrays(records)
@@ -298,16 +278,30 @@ def save_checkpoint(path, model, extra=None):
 
 
 def load_checkpoint(path):
-    """Rebuild a model from ``save_checkpoint`` output; returns (model, extra)."""
+    """Rebuild a model from ``save_checkpoint`` output; returns (model, extra).
+
+    The payload must hold ``config``, ``schema``, ``grid`` and exactly the
+    rebuilt model's parameters, each with its shape.
+    """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unrecognized checkpoint format {payload.get('format')!r}")
-    config = ModelConfig(**payload["config"])
-    schema = CovariateSchema.from_dict(payload["schema"])
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"unrecognized checkpoint format in {path}")
+    missing = [key for key in ("config", "schema", "grid", "params") if key not in payload]
+    if missing:
+        raise ValueError(f"checkpoint {path} lacks {', '.join(missing)}")
+    try:
+        config = ModelConfig(**payload["config"])
+        schema = CovariateSchema.from_dict(payload["schema"])
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"checkpoint {path} has a malformed config or schema: {err!r}") from None
     grid = TimeGrid(np.asarray(payload["grid"]))
     model = SurvivalTransformer(config, schema, grid, seed=0)
-    for name, values in payload["params"].items():
+    params = payload["params"]
+    absent = [name for name in model.params if name not in params]
+    if absent:
+        raise ValueError(f"checkpoint {path} lacks parameters {', '.join(absent)}")
+    for name, values in params.items():
         arr = np.asarray(values, dtype=np.float64)
         if name not in model.params or model.params[name].data.shape != arr.shape:
             raise ValueError(f"checkpoint parameter {name!r} does not fit the rebuilt model")

@@ -45,11 +45,3 @@ class Adam:
         for p in self.params:
             p.grad = None
 
-
-def adam_step(state, gradients=None):
-    """Apply one update; ``gradients`` optionally overrides each ``.grad``."""
-    if gradients is not None:
-        for p, g in zip(state.params, gradients):
-            p.grad = np.asarray(g, dtype=np.float64)
-    state.step()
-    return state.params

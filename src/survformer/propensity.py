@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+from .autodiff import logistic
 
 
 @dataclass
@@ -45,7 +38,7 @@ class PropensityModel:
             raise ValueError(
                 f"covariate dimension {x.shape[1]} does not match fitted dimension {self.weights.shape[1]}"
             )
-        probs = _sigmoid(x @ self.weights.T + self.offsets)
+        probs = logistic(x @ self.weights.T + self.offsets)
         if self.renormalize:
             probs = probs / probs.sum(axis=1, keepdims=True)
         probs = np.clip(probs, self.floor, 1.0)
@@ -93,7 +86,7 @@ def _fit_binary(x, y, config):
 
     def loss_and_grad(w, b):
         z = x @ w + b
-        p = _sigmoid(z)
+        p = logistic(z)
         eps = 1e-12
         ll = -np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps))
         ll += 0.5 * config.l2 * float(w @ w)

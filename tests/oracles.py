@@ -5,6 +5,8 @@ loops, direct formulas) and shares no code with the package internals it
 verifies.
 """
 
+import math
+
 import numpy as np
 
 SELU_LAMBDA = 1.0507009873554804934193349852946
@@ -34,6 +36,23 @@ def assert_grads_match(analytic, numeric, rtol=1e-4, atol=1e-8):
     """Relative 1e-4 agreement; atol absorbs finite-difference roundoff."""
     for a, f in zip(analytic, numeric):
         np.testing.assert_allclose(a, f, rtol=rtol, atol=atol)
+
+
+def pch_oracle(hazards, cuts, t, e):
+    """Piecewise-constant-hazard loss of one record by walking the bins.
+
+    Bin j covers (cuts[j-1], cuts[j]] with an implicit cut 0 before the
+    first; t = 0 lies in the first bin and a time past the last cut lies in
+    the last bin, fully elapsed.
+    """
+    left = 0.0
+    elapsed = 0.0
+    for j, right in enumerate(cuts):
+        if t <= right or j == len(cuts) - 1:
+            fraction = (min(t, right) - left) / (right - left)
+            return -e * math.log(hazards[j]) + hazards[j] * fraction + elapsed
+        elapsed += hazards[j]
+        left = right
 
 
 def selu_ref(x):

@@ -31,6 +31,12 @@ def tiny_config(tmp_path):
     return path
 
 
+def one_error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
 class TestSynth:
     def test_deterministic_byte_identical(self, tmp_path):
         out1, args1 = synth_args(tmp_path, "a.csv")
@@ -156,6 +162,22 @@ class TestPipeline:
         assert code == 1
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("drop, named", [
+        (lambda p: p.pop("config"), "lacks config"),
+        (lambda p: p["params"].pop("cs0.w1"), "lacks parameters cs0.w1"),
+    ], ids=["config", "parameter"])
+    def test_eval_rejects_incomplete_checkpoint(self, trained, capsys, drop, named):
+        tmp_path, data, ckpt = trained
+        payload = json.loads(ckpt.read_text())
+        drop(payload)
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert named in one_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestErrorPaths:
     def test_missing_required_flag_exits_nonzero_with_usage(self, capsys):
@@ -207,3 +229,30 @@ class TestErrorPaths:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and "no data rows" in err[0]
+
+
+class TestCorruptInput:
+    @pytest.mark.parametrize("column, value, named", [
+        ("x1", "nan", "numerical column 'x1'"),
+        ("x3", "inf", "numerical column 'x3'"),
+        ("duration", "nan", "duration column 'duration'"),
+        ("duration", "inf", "duration column 'duration'"),
+        ("event", "1.9", "non-integral value '1.9' in event column 'event'"),
+    ])
+    def test_train_names_the_bad_cell(self, tmp_path, capsys, column, value, named):
+        data, args = synth_args(tmp_path)
+        assert run(args) == 0
+        with open(data, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows[::5]:
+            row[column] = value
+        with open(data, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        capsys.readouterr()
+        code = run(["train", "--data", str(data), "--config", str(tiny_config(tmp_path)),
+                    "--checkpoint", str(tmp_path / "m.json")])
+        assert code == 1
+        line = one_error_line(capsys)
+        assert named in line and "line " in line

@@ -80,6 +80,42 @@ class TestLoadCsv:
         with pytest.raises(D.SchemaError, match="line 3"):
             D.load_csv(path, D.ColumnSpec(["x"], []))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_numerical_value_reports_line_and_column(self, tmp_path, bad):
+        path = write_csv(tmp_path / "d.csv", ["x", "duration", "event"],
+                         [[1.5, 1, 1], [bad, 2, 0]])
+        with pytest.raises(D.SchemaError, match=r"non-finite value .* column 'x' at line 3"):
+            D.load_csv(path, D.ColumnSpec(["x"], []))
+
+    def test_non_finite_value_in_transformed_rows_reports_line_and_column(self, tmp_path):
+        columns = D.ColumnSpec(["x"], [])
+        fit = D.read_raw_csv(write_csv(tmp_path / "a.csv", ["x", "duration", "event"],
+                                       [[1.5, 1, 1], [2.5, 2, 0]]), columns)
+        rows = D.read_raw_csv(write_csv(tmp_path / "b.csv", ["x", "duration", "event"],
+                                        [[1.0, 1, 1], ["inf", 2, 0]]), columns)
+        with pytest.raises(D.SchemaError, match=r"line 3: .*'inf' in numerical column 'x'"):
+            D.transform_rows(D.fit_schema(fit, columns), rows, columns)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_duration_rejected(self, tmp_path, bad):
+        path = write_csv(tmp_path / "d.csv", ["x", "duration", "event"],
+                         [[1.5, 1, 1], [2.5, bad, 0]])
+        with pytest.raises(D.SchemaError, match=r"line 3: .* duration column 'duration'"):
+            D.load_csv(path, D.ColumnSpec(["x"], []))
+
+    @pytest.mark.parametrize("bad", ["1.9", "nan"])
+    def test_non_integral_event_label_rejected(self, tmp_path, bad):
+        path = write_csv(tmp_path / "d.csv", ["x", "duration", "event"],
+                         [[1.5, 1, 1], [2.5, 2, bad]])
+        with pytest.raises(D.SchemaError, match=r"line 3: .* event column 'event'"):
+            D.load_csv(path, D.ColumnSpec(["x"], []))
+
+    def test_integral_event_label_written_as_float_accepted(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["x", "duration", "event"],
+                         [[1.5, 1, "2.0"], [2.5, 2, 0]])
+        _, records = D.load_csv(path, D.ColumnSpec(["x"], []))
+        assert records[0].event == 2
+
     def test_unseen_category_maps_to_reserved_index(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["c", "duration", "event"],
                          [["a", 1, 1], ["b", 2, 0]])
@@ -130,42 +166,47 @@ class TestTimeGrid:
 
 
 class TestKappaRho:
+    """Zero-based bin index (kappa - 1) and elapsed fraction (rho)."""
+
     def grid(self):
         return D.TimeGrid(np.array([10.0, 20.0, 30.0]))
 
     def test_interior_point(self):
-        assert D.kappa(self.grid(), 15.0) == 2
+        assert self.grid().interval_index(15.0) == 1
 
     def test_boundary_belongs_to_earlier_interval(self):
-        assert D.kappa(self.grid(), 10.0) == 1
+        assert self.grid().interval_index(10.0) == 0
 
     def test_upper_boundary(self):
-        assert D.kappa(self.grid(), 30.0) == 3
+        assert self.grid().interval_index(30.0) == 2
 
     def test_zero_maps_to_first_interval(self):
-        assert D.kappa(self.grid(), 0.0) == 1
+        assert self.grid().interval_index(0.0) == 0
 
-    def test_beyond_grid_clamps_with_warning(self):
-        with pytest.warns(UserWarning, match="clamped"):
-            assert D.kappa(self.grid(), 35.0) == 3
+    def test_beyond_grid_clamps_only_when_asked(self):
+        grid = self.grid()
+        assert grid.interval_index(35.0, clip=True) == 2
+        assert grid.interval_fraction(35.0, clip=True) == 1.0
+        with pytest.raises(ValueError, match="beyond"):
+            grid.interval_index(35.0)
 
     def test_rho_midpoint(self):
-        assert D.rho(self.grid(), 15.0) == 0.5
+        assert self.grid().interval_fraction(15.0) == 0.5
 
     def test_rho_right_endpoint(self):
-        assert D.rho(self.grid(), 20.0) == 1.0
+        assert self.grid().interval_fraction(20.0) == 1.0
 
     def test_rho_left_endpoint_limit(self):
-        assert D.rho(self.grid(), 10.0 + 1e-9) < 1e-6
+        assert self.grid().interval_fraction(10.0 + 1e-9) < 1e-6
 
     @given(st.floats(0.001, 30.0))
     @settings(max_examples=100, deadline=None)
     def test_interval_membership(self, t):
         grid = self.grid()
-        j = D.kappa(grid, t)
-        left = 0.0 if j == 1 else grid.cuts[j - 2]
-        assert left < t <= grid.cuts[j - 1]
-        r = D.rho(grid, t)
+        j = int(grid.interval_index(t))
+        left = 0.0 if j == 0 else grid.cuts[j - 1]
+        assert left < t <= grid.cuts[j]
+        r = grid.interval_fraction(t)
         assert 0.0 < r <= 1.0
 
     @given(st.floats(10.0001, 19.9999), st.floats(10.0001, 19.9999))
@@ -175,7 +216,7 @@ class TestKappaRho:
         if a == b:
             return
         lo, hi = min(a, b), max(a, b)
-        assert D.rho(grid, lo) < D.rho(grid, hi)
+        assert grid.interval_fraction(lo) < grid.interval_fraction(hi)
 
 
 class TestSplit:

@@ -67,13 +67,6 @@ class TestSurvivalFromHazards:
                     hazards, grid, t
                 ) + 1e-15
 
-    def test_discrete_recursion_agrees_to_first_order(self):
-        grid = grid123()
-        hazards = np.full(3, 1e-4)
-        product = E.survival_discrete_product(hazards, grid)
-        at_cuts = np.array([E.survival_from_hazards(hazards, grid, c) for c in grid.cuts])
-        np.testing.assert_allclose(product, at_cuts, atol=1e-7)
-
     def test_curve_object_agrees_with_function_form(self):
         rng = np.random.default_rng(11)
         grid = grid123()

@@ -1,13 +1,18 @@
 """Hazard likelihood terms, debiased competing-events losses, auxiliaries."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survformer import autodiff as ad
 from survformer import losses as L
 from survformer.data import TimeGrid
+
+from oracles import assert_grads_match, fd_gradients, pch_oracle
 
 
 def grid123():
@@ -56,6 +61,57 @@ class TestPchLoss:
             hazards = rng.uniform(1e-6, 5.0, size=3)
             t = rng.uniform(0.0, 3.0)
             assert L.pch_loss(hazards, t, 0, grid) >= 0.0
+
+
+@st.composite
+def pch_cases(draw):
+    """Hazards, grid, and durations at 0, on cut points, inside bins and
+    past the last cut, with event indicators and a cotangent per record."""
+    m = draw(st.integers(1, 4))
+    cuts = np.cumsum(draw(st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m)))
+    B = draw(st.integers(1, 4))
+    hazards = np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=B * m, max_size=B * m)))
+    duration = st.one_of(
+        st.just(0.0),
+        st.sampled_from(cuts.tolist()),
+        st.floats(0.0, float(cuts[-1])),
+        st.floats(float(cuts[-1]) * 1.001, float(cuts[-1]) * 3.0),
+    )
+    t = np.array(draw(st.lists(duration, min_size=B, max_size=B)))
+    e = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=B, max_size=B)))
+    g = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=B, max_size=B)))
+    g *= np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=B, max_size=B)))
+    return TimeGrid(cuts), hazards.reshape(B, m), t, e, g
+
+
+class TestPchTerms:
+    @given(pch_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_value_and_gradient_match_oracles(self, case):
+        grid, hazards, t, e, g = case
+        h = ad.Tensor(hazards.copy(), requires_grad=True)
+        got = L.pch_terms(h, grid, t, e).data
+        for i in range(len(t)):
+            want = pch_oracle(hazards[i], grid.cuts, t[i], e[i])
+            assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+        def build():
+            return ad.tsum(ad.mul(ad.Tensor(g), L.pch_terms(h, grid, t, e)))
+
+        ad.backward(build())
+        fd = fd_gradients(lambda: float(build().data), [h])
+        # atol covers the roundoff of a loss near 100 divided by the 1e-6 step
+        assert_grads_match([h.grad], fd, atol=1e-7)
+
+    def test_nonpositive_hazard_in_duration_bin_raises_before_log(self):
+        grid = grid123()
+        hazards = ad.Tensor(np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive"):
+                L.pch_terms(hazards, grid, np.array([1.5, 0.5]), np.zeros(2))
+            # a zero hazard after the duration's bin never enters the term
+            L.pch_terms(hazards, grid, np.array([0.5, 1.5]), np.ones(2))
 
 
 def hand_naive(losses_matrix, events):
@@ -192,41 +248,53 @@ class TestIpsLoss:
         assert total / draws == pytest.approx(oracle, rel=0.02)
 
 
+def tape_mp(y, d):
+    return float(L.mp_loss_tensor(ad.Tensor(y), d).data)
+
+
+def tape_ls(pred, obs):
+    return float(L.ls_loss_tensor(ad.Tensor(pred), obs).data)
+
+
 class TestAuxiliaryLosses:
     def test_uninformative_prediction_costs_log_two(self):
-        assert L.mp_loss(np.full(8, 0.5), np.array([1, 0, 1, 0, 1, 0, 1, 0])) == pytest.approx(
+        assert tape_mp(np.full(8, 0.5), np.array([1, 0, 1, 0, 1, 0, 1, 0])) == pytest.approx(
             math.log(2.0), rel=1e-12
         )
 
     def test_confident_correct_predictions_vanish(self):
         y = np.array([1 - 1e-12, 1e-12])
         d = np.array([1.0, 0.0])
-        assert L.mp_loss(y, d) < 1e-10
+        assert tape_mp(y, d) < 1e-10
 
     def test_hand_value(self):
-        assert L.mp_loss(np.array([0.8]), np.array([1.0])) == pytest.approx(
+        assert tape_mp(np.array([0.8]), np.array([1.0])) == pytest.approx(
             -math.log(0.8), rel=1e-12
         )
         assert -math.log(0.8) == pytest.approx(0.2231, abs=1e-4)
 
     def test_mp_rejects_boundary_predictions(self):
         with pytest.raises(ValueError, match="strictly"):
-            L.mp_loss(np.array([1.0]), np.array([1.0]))
+            tape_mp(np.array([1.0]), np.array([1.0]))
 
     def test_ls_exact_prediction_is_zero(self):
-        assert L.ls_loss(np.array([3.0, 4.0]), np.array([3.0, 4.0])) == 0.0
+        assert tape_ls(np.array([3.0, 4.0]), np.array([3.0, 4.0])) == 0.0
 
     def test_ls_squares_residual(self):
-        assert L.ls_loss(np.array([5.0]), np.array([2.0])) == 9.0
+        assert tape_ls(np.array([5.0]), np.array([2.0])) == 9.0
 
     def test_ls_mean_of_squares(self):
-        assert L.ls_loss(np.array([1.0, -1.0]), np.array([0.0, 0.0])) == 1.0
+        assert tape_ls(np.array([1.0, -1.0]), np.array([0.0, 0.0])) == 1.0
+
+
+def scalars(*values):
+    return [ad.Tensor(np.array(v)) for v in values]
 
 
 class TestTotalLoss:
     def test_zero_gammas_leave_survival_term(self):
         sched = L.AnnealSchedule(initial=(0.0, 0.0), mode="constant")
-        bd = L.total_loss(1.7, 0.4, 0.9, sched, 0)
+        _, bd = L.total_loss_tensor(*scalars(1.7, 0.4, 0.9), sched, 0)
         assert bd.total == 1.7
 
     def test_initial_gammas_are_one(self):
@@ -249,14 +317,13 @@ class TestTotalLoss:
         rng = np.random.default_rng(6)
         sched = L.AnnealSchedule(horizon=9)
         for epoch in range(12):
-            s, m, l = rng.uniform(0.1, 3.0, size=3)
-            bd = L.total_loss(s, m, l, sched, epoch)
+            _, bd = L.total_loss_tensor(*scalars(*rng.uniform(0.1, 3.0, size=3)), sched, epoch)
             assert abs(bd.total - (bd.survival + bd.gamma1 * bd.mp + bd.gamma2 * bd.ls)) < 1e-10
 
 
 class TestTapeBuilders:
     def test_tape_survival_matches_numeric_assembly(self):
-        """IPS indicator part plus censored terms, cross-checked in numpy."""
+        """IPS indicator part plus censored terms, cross-checked by the oracle."""
         grid = grid123()
         rng = np.random.default_rng(7)
         n, K = 6, 2
@@ -268,10 +335,13 @@ class TestTapeBuilders:
         tensors = [ad.Tensor(hazards[:, k, :], requires_grad=True) for k in range(K)]
         got = L.competing_survival_loss(tensors, grid, t, e, propensities=pi)
 
-        event_m = L.event_loss_matrix(hazards, t, grid)
-        cens_m = L.censored_loss_matrix(hazards, t, grid)
-        mask = e[:, None] == np.arange(1, K + 1)[None, :]
-        want = (event_m[mask] / pi[mask]).sum() + cens_m[~mask].sum()
+        want = 0.0
+        for i in range(n):
+            for k in range(K):
+                if e[i] == k + 1:
+                    want += pch_oracle(hazards[i, k], grid.cuts, t[i], 1) / pi[i, k]
+                else:
+                    want += pch_oracle(hazards[i, k], grid.cuts, t[i], 0)
         want /= n * K
         assert float(got.data) == pytest.approx(want, rel=1e-12)
 
@@ -284,12 +354,10 @@ class TestTapeBuilders:
         e = np.array([1, 0, 1, 0, 1])
         tensors = [ad.Tensor(hazards[:, 0, :], requires_grad=True)]
         got = float(L.competing_survival_loss(tensors, grid, t, e).data)
-        want = np.mean([L.pch_loss(hazards[i, 0], t[i], int(e[i]), grid) for i in range(n)])
+        want = np.mean([pch_oracle(hazards[i, 0], grid.cuts, t[i], e[i]) for i in range(n)])
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_tape_gradients_match_finite_differences(self):
-        from oracles import assert_grads_match, fd_gradients
-
         grid = grid123()
         rng = np.random.default_rng(9)
         n, K = 4, 2
@@ -311,12 +379,11 @@ class TestTapeBuilders:
         rng = np.random.default_rng(10)
         y = rng.uniform(0.05, 0.95, size=7)
         d = (rng.uniform(size=7) > 0.5).astype(float)
-        got = float(L.mp_loss_tensor(ad.Tensor(y), d).data)
-        assert got == pytest.approx(L.mp_loss(y, d), rel=1e-12)
+        want = np.mean(-d * np.log(y) - (1.0 - d) * np.log(1.0 - y))
+        assert tape_mp(y, d) == pytest.approx(want, rel=1e-12)
         pred = rng.standard_normal(7)
         obs = rng.standard_normal(7)
-        got = float(L.ls_loss_tensor(ad.Tensor(pred), obs).data)
-        assert got == pytest.approx(L.ls_loss(pred, obs), rel=1e-12)
+        assert tape_ls(pred, obs) == pytest.approx(np.mean((pred - obs) ** 2), rel=1e-12)
 
     def test_total_tensor_breakdown_identity(self):
         sched = L.AnnealSchedule(horizon=4)

@@ -1,5 +1,6 @@
 """Embeddings, attention, encoder stack, heads, and checkpointing."""
 
+import json
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from survformer.model import (
     save_checkpoint,
 )
 
-from oracles import assert_grads_match, fd_gradients, naive_attention, naive_encode
+from oracles import assert_grads_match, fd_gradients, naive_attention, naive_encode, selu_ref
 
 
 def small_schema():
@@ -183,31 +184,36 @@ class TestEncode:
         assert_grads_match(analytic, fd)
 
 
+def random_batch(rng, size):
+    """Covariates for ``size`` records of ``small_schema``, unseen categories
+    included, numericals well outside the standardized range."""
+    cat = np.stack([rng.integers(0, 3, size=size), rng.integers(0, 4, size=size)], axis=1)
+    return cat, rng.normal(0.0, 3.0, size=(size, 2))
+
+
 class TestSharedRepresentation:
     def test_zero_weight_gives_zero_vector(self):
         model = make_model()
         model.params["sr.w"].data[:] = 0.0
         rec = record()
-        flat, _ = model.encode(rec)
-        t_sr = model.shared_representation(flat, model.embed(rec).reshape(-1))
-        np.testing.assert_array_equal(t_sr, np.zeros(16))
+        fp = model.forward_batch(rec.categorical[None, :], rec.numerical[None, :])
+        np.testing.assert_array_equal(fp.shared.data, np.zeros((1, 16)))
 
     def test_width_is_hidden_size(self):
         model = make_model(hidden_size=16)
-        rec = record()
-        flat, _ = model.encode(rec)
-        t_sr = model.shared_representation(flat, model.embed(rec).reshape(-1))
-        assert t_sr.shape == (16,)
+        fp = model.forward_batch(*random_batch(np.random.default_rng(0), 3))
+        assert fp.shared.data.shape == (3, 16)
 
     def test_argument_order_matters_for_random_weights(self):
         model = make_model(seed=13)
-        rec = record()
-        flat, _ = model.encode(rec)
-        raw = model.embed(rec).reshape(-1)
-        assert not np.allclose(
-            model.shared_representation(flat, raw),
-            model.shared_representation(raw, flat),
-        )
+        fp = model.forward_batch(*random_batch(np.random.default_rng(1), 4))
+        encoded = fp.encoded.data.reshape(4, -1)
+        raw = fp.raw.data.reshape(4, -1)
+        w = model.params["sr.w"].data
+        want = selu_ref(np.concatenate([encoded, raw], axis=1) @ w)
+        np.testing.assert_allclose(fp.shared.data, want, rtol=1e-12, atol=1e-15)
+        swapped = selu_ref(np.concatenate([raw, encoded], axis=1) @ w)
+        assert not np.allclose(fp.shared.data, swapped)
 
 
 class TestHeads:
@@ -220,38 +226,37 @@ class TestHeads:
 
     def test_zero_head_hazards_are_log_two(self):
         model = self.zeroed_model()
-        t_sr = np.random.default_rng(0).standard_normal(16)
-        np.testing.assert_allclose(model.hazard_head(t_sr, 1), math.log(2.0), rtol=1e-12)
+        fp = model.forward_batch(*random_batch(np.random.default_rng(0), 6))
+        for h in fp.hazards:
+            np.testing.assert_allclose(h.data, math.log(2.0), rtol=1e-12)
 
     def test_hazard_length_is_bin_count(self):
         model = make_model()
-        t_sr = np.random.default_rng(1).standard_normal(16)
-        assert model.hazard_head(t_sr, 2).shape == (5,)
+        fp = model.forward_batch(*random_batch(np.random.default_rng(1), 3))
+        assert fp.hazards[1].data.shape == (3, 5)
 
     def test_hazards_positive_on_random_inputs(self):
         model = make_model(seed=8)
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            h = model.hazard_head(rng.standard_normal(16), 1)
-            assert np.all(h > 0)
+        fp = model.forward_batch(*random_batch(np.random.default_rng(2), 100))
+        for h in fp.hazards:
+            assert np.all(h.data > 0)
 
-    def test_event_index_out_of_range(self):
-        model = make_model()
-        with pytest.raises(ValueError, match="out of range"):
-            model.hazard_head(np.zeros(16), 3)
+    def test_one_hazard_head_per_event(self):
+        for n_events in (1, 3):
+            model = make_model(n_events=n_events)
+            fp = model.forward_batch(*random_batch(np.random.default_rng(5), 2))
+            assert len(fp.hazards) == n_events
 
     def test_zero_weights_give_neutral_task_outputs(self):
         model = self.zeroed_model()
-        t_sr = np.random.default_rng(3).standard_normal(16)
-        assert model.mp_head(t_sr) == 0.5
-        assert model.ls_head(t_sr) == 0.0
+        fp = model.forward_batch(*random_batch(np.random.default_rng(3), 6))
+        np.testing.assert_array_equal(fp.event_prob.data, 0.5)
+        np.testing.assert_array_equal(fp.time_pred.data, 0.0)
 
     def test_event_probability_strictly_inside_unit_interval(self):
         model = make_model(seed=6)
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            y = model.mp_head(rng.standard_normal(16))
-            assert 0.0 < y < 1.0
+        fp = model.forward_batch(*random_batch(np.random.default_rng(4), 50))
+        assert np.all((fp.event_prob.data > 0.0) & (fp.event_prob.data < 1.0))
 
 
 class TestExportAttention:
@@ -270,8 +275,6 @@ class TestExportAttention:
         assert [(m.layer, m.head) for m in maps] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_payload_is_json_ready(self):
-        import json
-
         model = make_model()
         payload = attention_payload(model.export_attention(record()))
         text = json.dumps(payload)
@@ -296,6 +299,36 @@ class TestCheckpoint:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="format"):
+            load_checkpoint(path)
+
+    def test_non_object_payload_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="format"):
+            load_checkpoint(path)
+
+    def edited_checkpoint(self, tmp_path, edit):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, make_model())
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize("section", ["config", "schema", "grid", "params"])
+    def test_missing_section_named(self, tmp_path, section):
+        path = self.edited_checkpoint(tmp_path, lambda p: p.pop(section))
+        with pytest.raises(ValueError, match=f"lacks {section}"):
+            load_checkpoint(path)
+
+    def test_missing_parameter_named(self, tmp_path):
+        path = self.edited_checkpoint(tmp_path, lambda p: p["params"].pop("cs1.b0"))
+        with pytest.raises(ValueError, match="lacks parameters cs1.b0"):
+            load_checkpoint(path)
+
+    def test_malformed_config_rejected(self, tmp_path):
+        path = self.edited_checkpoint(tmp_path, lambda p: p["config"].update(no_such_field=1))
+        with pytest.raises(ValueError, match="malformed config"):
             load_checkpoint(path)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from survformer.autodiff import Tensor
-from survformer.optim import Adam, adam_step
+from survformer.optim import Adam
 
 
 def test_first_step_with_unit_gradient_moves_by_learning_rate():
@@ -48,13 +48,6 @@ def test_step_counter_strictly_increases():
         p.grad = np.ones(2)
         opt.step()
         assert opt.step_count == expected
-
-
-def test_adam_step_accepts_explicit_gradients():
-    p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = Adam([p], lr=1e-3)
-    adam_step(opt, [np.array([1.0])])
-    np.testing.assert_allclose(p.data, 1.0 - 1e-3 / (1.0 + 1e-8), rtol=1e-15)
 
 
 def test_moments_track_parameter_shapes():
