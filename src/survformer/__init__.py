@@ -5,7 +5,7 @@ censoring-weighted time-dependent concordance."""
 
 __version__ = "0.1.0"
 
-from .autodiff import Tensor, backward, matmul, selu, softmax_rows, softplus
+from .autodiff import Tensor, backward, matmul, selu, softplus
 from .data import (
     ColumnSpec,
     CovariateSchema,
@@ -61,7 +61,6 @@ __all__ = [
     "quantile_horizons",
     "save_checkpoint",
     "selu",
-    "softmax_rows",
     "softplus",
     "split",
     "survival_from_hazards",

@@ -6,6 +6,11 @@ topological sweep (``backward``). All arithmetic is 64-bit; gradient checks
 against central finite differences at 1e-4 relative tolerance are not
 reliable in 32-bit.
 
+Operations are module functions over Tensors; ``Tensor`` itself carries no
+operator sugar. ``matmul`` multiplies 2-d operands only, so callers flatten
+leading axes first. A fused operation with a closed-form vector-Jacobian
+product is built on ``node``.
+
 The graph is rebuilt on every forward pass and never reused across batches.
 Tensors are immutable by convention: only an optimizer mutates ``.data`` of
 parameters, and only between tapes.
@@ -48,51 +53,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
-
-    # --- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_lift(other)))
-
-    def __rsub__(self, other):
-        return add(_lift(other), neg(self))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None):
-        return tsum(self, axis=axis)
-
-    def mean(self, axis=None):
-        return tmean(self, axis=axis)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose_last(self):
-        return transpose_last(self)
-
-    def backward(self):
-        backward(self)
-
-
-def _lift(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _unbroadcast(grad, shape):
@@ -149,29 +109,19 @@ def mul(a, b):
 
 
 def matmul(a, b):
-    """Matrix product; trailing two axes contract, leading axes broadcast."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionError(f"matmul needs 2-d or higher operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
+    """Product of two 2-d tensors."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise DimensionError(f"matmul needs 2-d operands, got {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
 
     def back(g, a=a, b=b):
         if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.data.shape))
+            a._accumulate(g @ b.data.T)
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.data.shape))
+            b._accumulate(a.data.T @ g)
 
-    return node(np.matmul(a.data, b.data), (a, b), back)
-
-
-def transpose_last(a):
-    def back(g, a=a):
-        if a.requires_grad:
-            a._accumulate(np.swapaxes(g, -1, -2))
-
-    return node(np.swapaxes(a.data, -1, -2), (a,), back)
+    return node(a.data @ b.data, (a, b), back)
 
 
 def reshape(a, shape):
@@ -185,7 +135,6 @@ def reshape(a, shape):
 
 
 def concat(tensors, axis):
-    tensors = [_lift(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
@@ -302,22 +251,6 @@ def sigmoid(a):
     def back(g, a=a, out_data=out_data):
         if a.requires_grad:
             a._accumulate(g * out_data * (1.0 - out_data))
-
-    return node(out_data, (a,), back)
-
-
-def softmax_rows(a):
-    """Row-wise softmax of a 2-d tensor, stabilized by row-max subtraction."""
-    if a.data.ndim != 2:
-        raise DimensionError(f"softmax_rows expects a 2-d tensor, got {a.data.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
-
-    def back(g, a=a, out_data=out_data):
-        if a.requires_grad:
-            dot = (g * out_data).sum(axis=1, keepdims=True)
-            a._accumulate(out_data * (g - dot))
 
     return node(out_data, (a,), back)
 

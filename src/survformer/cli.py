@@ -143,21 +143,38 @@ def _cmd_train(args):
     return 0
 
 
-def _load_fold(args, extra, fold):
+def _load_model(path, required=("columns",)):
+    """Load a checkpoint and the column spec it was trained with; its
+    ``extra`` record must hold every key in ``required``."""
+    model, extra = load_checkpoint(path)
+    for key in required:
+        if not isinstance(extra, dict) or key not in extra:
+            raise ValueError(f"checkpoint {path} lacks extra.{key}")
     cols = extra["columns"]
+    for key in ("numerical", "categorical", "duration", "event"):
+        if not isinstance(cols, dict) or key not in cols:
+            raise ValueError(f"checkpoint {path} lacks extra.columns.{key}")
     columns = D.ColumnSpec(cols["numerical"], cols["categorical"], cols["duration"], cols["event"])
+    return model, extra, columns
+
+
+def _load_fold(args, extra, columns, fold):
     rows = D.read_raw_csv(args.data, columns)
     if fold == "all":
-        return columns, rows
+        return rows
     fractions = extra["split"]["fractions"]
     seed = extra["split"]["seed"]
     train_rows, val_rows, test_rows = D.split(rows, fractions, seed)
-    return columns, {"train": train_rows, "validation": val_rows, "test": test_rows}[fold]
+    return {"train": train_rows, "validation": val_rows, "test": test_rows}[fold]
+
+
+def _read_covariates(path, columns):
+    return D.read_raw_csv(path, D.ColumnSpec(columns.numerical, columns.categorical, None, None))
 
 
 def _cmd_eval(args):
-    model, extra = load_checkpoint(args.checkpoint)
-    columns, rows = _load_fold(args, extra, args.fold)
+    model, extra, columns = _load_model(args.checkpoint, ("columns", "split", "censoring"))
+    rows = _load_fold(args, extra, columns, args.fold)
     records = D.transform_rows(model.schema, rows, columns)
     censoring = CensoringEstimate.from_dict(extra["censoring"])
     quantiles = _parse_floats(args.quantiles)
@@ -175,12 +192,8 @@ def _cmd_eval(args):
 
 
 def _cmd_predict(args):
-    model, extra = load_checkpoint(args.checkpoint)
-    cols = extra["columns"]
-    columns = D.ColumnSpec(cols["numerical"], cols["categorical"], cols["duration"], cols["event"])
-    rows = D.read_raw_csv(
-        args.data, D.ColumnSpec(cols["numerical"], cols["categorical"], None, None)
-    )
+    model, _, columns = _load_model(args.checkpoint)
+    rows = _read_covariates(args.data, columns)
     records = D.transform_rows(model.schema, rows, columns, require_labels=False)
     times = np.asarray(_parse_floats(args.times))
     curves = T.predict(model, records, times)  # (n, K, T)
@@ -197,12 +210,8 @@ def _cmd_predict(args):
 
 
 def _cmd_attention(args):
-    model, extra = load_checkpoint(args.checkpoint)
-    cols = extra["columns"]
-    columns = D.ColumnSpec(cols["numerical"], cols["categorical"], cols["duration"], cols["event"])
-    rows = D.read_raw_csv(
-        args.data, D.ColumnSpec(cols["numerical"], cols["categorical"], None, None)
-    )
+    model, _, columns = _load_model(args.checkpoint)
+    rows = _read_covariates(args.data, columns)
     if not 0 <= args.row < len(rows):
         raise ValueError(f"--row {args.row} out of range for {len(rows)} records")
     records = D.transform_rows(model.schema, [rows[args.row]], columns, require_labels=False)

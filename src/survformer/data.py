@@ -166,10 +166,11 @@ class ColumnSpec:
 
 
 def read_raw_csv(path, columns):
-    """Parse a CSV into raw string rows, validating the declared columns."""
+    """Parse a CSV into raw string rows, validating the declared columns and
+    that every row has one cell per header column."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         required = list(columns.numerical) + list(columns.categorical)
         if columns.duration is not None:
             required.append(columns.duration)
@@ -178,7 +179,16 @@ def read_raw_csv(path, columns):
         for col in required:
             if col not in header:
                 raise SchemaError(f"column {col!r} not found in {path}")
-        return list(reader)
+        rows = []
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise SchemaError(
+                    f"{path}: line {reader.line_num} has {len(cells)} cells, the header has {len(header)}"
+                )
+            rows.append(dict(zip(header, cells)))
+        return rows
 
 
 def fit_schema(rows, columns):

@@ -3,12 +3,15 @@
 Each covariate becomes one embedding vector: categorical fields look up a
 per-field table (one extra row reserved for unseen values), numerical fields
 scale a learned direction by the standardized value. Stacked self-attention
-layers mix the field embeddings; per layer the attended output passes a
-residual projection and a small feed-forward stack, both under SELU. The
-flattened encoder output, concatenated with the raw embeddings, is aligned
-into a shared representation consumed by every head: one hazard head per
-event type (softplus keeps rates positive), a binary any-event head, and a
-follow-up-time regression head.
+layers mix the field embeddings; per layer one tape op,
+``multi_head_attention``, attends with all heads at once, and the attended
+output passes a residual projection and a small feed-forward stack, both
+under SELU. Between the embedding and the final flatten the encoder keeps
+its activations as (B·D, d_e) rows, so every parameter product is a 2-d
+matmul. The flattened encoder output, concatenated with the raw
+embeddings, is aligned into a shared representation consumed by every
+head: one hazard head per event type (softplus keeps rates positive), a
+binary any-event head, and a follow-up-time regression head.
 """
 
 import json
@@ -60,12 +63,50 @@ class ForwardPass:
     """Tape tensors of one batched forward run, plus attention snapshots."""
 
     raw: ad.Tensor  # (B, D, d_e) field embeddings
-    encoded: ad.Tensor  # (B, D, d_e) after the encoder stack
+    encoded: ad.Tensor  # (B, D·d_e) encoder output, flattened per record
     shared: ad.Tensor  # (B, hidden)
     hazards: list  # per event: (B, m), positive
     event_prob: ad.Tensor  # (B,), in (0, 1)
     time_pred: ad.Tensor  # (B,)
-    attention: list  # per layer: list per head of (B, D, D) arrays
+    attention: list  # per layer: (B, H, D, D) weights
+
+
+def multi_head_attention(x, D, wq, wk, wv):
+    """All heads of one self-attention layer as one tape op.
+
+    ``x`` is (B·D, d_e) with each record's D field rows contiguous; ``wq``,
+    ``wk`` and ``wv`` list one (d_e, d_h) weight per head. Logits are
+    unscaled. Returns the (B·D, H·d_h) head-concatenated output Tensor and
+    the (B, H, D, D) weight array, whose rows lie on the probability simplex.
+    """
+    BD, de = x.data.shape
+    B = BD // D
+    weights = [*wq, *wk, *wv]
+    xb = x.data.reshape(B, 1, D, de)
+    W = [np.stack([w.data for w in ws]) for ws in (wq, wk, wv)]  # (H, d_e, d_h)
+    q, k, v = (np.matmul(xb, w) for w in W)  # (B, H, D, d_h)
+    logits = np.matmul(q, np.swapaxes(k, -1, -2))
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    out = np.matmul(alpha, v).transpose(0, 2, 1, 3).reshape(BD, -1)
+
+    def back(g):
+        g = g.reshape(B, D, len(wq), -1).transpose(0, 2, 1, 3)
+        d_alpha = np.matmul(g, np.swapaxes(v, -1, -2))
+        d_logits = alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True))
+        dq = np.matmul(d_logits, k)
+        dk = np.matmul(np.swapaxes(d_logits, -1, -2), q)
+        dv = np.matmul(np.swapaxes(alpha, -1, -2), g)
+        xt = np.swapaxes(xb, -1, -2)
+        d_w = np.concatenate([np.matmul(xt, d).sum(axis=0) for d in (dq, dk, dv)])
+        for w, dw in zip(weights, d_w):
+            if w.requires_grad:
+                w._accumulate(dw)
+        if x.requires_grad:
+            dx = sum(np.matmul(d, np.swapaxes(w, -1, -2)) for d, w in zip((dq, dk, dv), W))
+            x._accumulate(dx.sum(axis=1).reshape(BD, de))
+
+    return ad.node(out, (x, *weights), back), alpha
 
 
 class SurvivalTransformer:
@@ -136,28 +177,11 @@ class SurvivalTransformer:
             parts.append(ad.mul(scale, self.params["embed.num"]))
         return parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
 
-    def attention_layer(self, layer, x):
-        """One multi-head mixing step over a (B, D, d_e) embedding tensor.
-
-        Returns the head-concatenated output and the per-head weight arrays,
-        each (B, D, D) with rows on the probability simplex.
-        """
-        B, D, de = x.data.shape
-        head_outs = []
-        maps = []
-        for h in range(self.config.heads):
-            q = ad.matmul(x, self.params[f"enc{layer}.h{h}.wq"])
-            k = ad.matmul(x, self.params[f"enc{layer}.h{h}.wk"])
-            v = ad.matmul(x, self.params[f"enc{layer}.h{h}.wv"])
-            logits = ad.matmul(q, ad.transpose_last(k))
-            alpha = ad.reshape(ad.softmax_rows(ad.reshape(logits, (B * D, D))), (B, D, D))
-            maps.append(alpha.data)
-            head_outs.append(ad.matmul(alpha, v))
-        mixed = head_outs[0] if len(head_outs) == 1 else ad.concat(head_outs, axis=2)
-        return mixed, maps
-
-    def _encoder_layer(self, layer, x):
-        mixed, maps = self.attention_layer(layer, x)
+    def _encoder_layer(self, layer, x, D):
+        """One attention-plus-FFN step over (B·D, d_e) field embeddings."""
+        prefixes = [f"enc{layer}.h{h}" for h in range(self.config.heads)]
+        wq, wk, wv = ([self.params[f"{p}.{w}"] for p in prefixes] for w in ("wq", "wk", "wv"))
+        mixed, alpha = multi_head_attention(x, D, wq, wk, wv)
         t_res = ad.selu(ad.add(ad.matmul(mixed, self.params[f"enc{layer}.wres"]), x))
         z = x
         n_ffn = len(self._ffn_dims()) - 1
@@ -165,7 +189,7 @@ class SurvivalTransformer:
             z = ad.matmul(z, self.params[f"enc{layer}.ffn{i}"])
             if i < n_ffn - 1:
                 z = ad.selu(z)
-        return ad.selu(ad.add(z, t_res)), maps
+        return ad.selu(ad.add(z, t_res)), alpha
 
     def _head(self, prefix, t_sr):
         z = t_sr
@@ -181,21 +205,21 @@ class SurvivalTransformer:
         num_vals = np.asarray(num_vals, dtype=np.float64)
         B = num_vals.shape[0] if num_vals.ndim == 2 else cat_idx.shape[0]
         t0 = self._embed_batch(cat_idx, num_vals)
-        x = t0
+        D, de = self.schema.d, self.config.embed_dim
+        x = ad.reshape(t0, (B * D, de))
         attention = []
         for layer in range(self.config.layers):
-            x, maps = self._encoder_layer(layer, x)
-            attention.append(maps)
-        width = self.schema.d * self.config.embed_dim
-        flat_hat = ad.reshape(x, (B, width))
-        flat_raw = ad.reshape(t0, (B, width))
+            x, alpha = self._encoder_layer(layer, x, D)
+            attention.append(alpha)
+        flat_hat = ad.reshape(x, (B, D * de))
+        flat_raw = ad.reshape(t0, (B, D * de))
         t_sr = ad.selu(ad.matmul(ad.concat([flat_hat, flat_raw], axis=1), self.params["sr.w"]))
         hazards = [
             ad.softplus(self._head(f"cs{k}", t_sr)) for k in range(self.config.n_events)
         ]
         mp = ad.reshape(ad.sigmoid(self._head("mp", t_sr)), (B,))
         ls = ad.reshape(self._head("ls", t_sr), (B,))
-        return ForwardPass(t0, x, t_sr, hazards, mp, ls, attention)
+        return ForwardPass(t0, flat_hat, t_sr, hazards, mp, ls, attention)
 
     # --- per-record views ---------------------------------------------------
 
@@ -225,15 +249,14 @@ class SurvivalTransformer:
     def encode(self, record):
         """Flattened encoder output plus labeled attention maps."""
         fp = self._single(record)
-        flat = fp.encoded.data[0].reshape(-1)
-        return flat, self._maps_for(fp, 0)
+        return fp.encoded.data[0], self._maps_for(fp, 0)
 
     def _maps_for(self, fp, idx):
         labels = self.schema.field_names
         out = []
-        for layer, per_head in enumerate(fp.attention):
-            for h, arr in enumerate(per_head):
-                out.append(AttentionMap(layer, h, labels, arr[idx].copy()))
+        for layer, alpha in enumerate(fp.attention):
+            for h in range(alpha.shape[1]):
+                out.append(AttentionMap(layer, h, labels, alpha[idx, h].copy()))
         return out
 
     def predict_hazards(self, records):

@@ -243,6 +243,10 @@ def predict(model, records, times):
 def evaluate(model, test_records, censoring, quantiles=(0.25, 0.5, 0.75)):
     """Concordance per event at quantile horizons of the test event times."""
     _, _, t, e = records_as_arrays(test_records)
+    if e.max() > model.config.n_events:
+        raise ValueError(
+            f"event label {int(e.max())} exceeds the model's K={model.config.n_events} event types"
+        )
     hazards = model.predict_hazards(test_records)
     report = {"quantiles": list(quantiles), "events": []}
     for k in range(1, model.config.n_events + 1):

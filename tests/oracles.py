@@ -63,7 +63,7 @@ def selu_ref(x):
 def naive_attention(embeddings, wq, wk, wv):
     """Single-head attention by explicit loops over field pairs."""
     D = len(embeddings)
-    de = embeddings[0].shape[0]
+    dh = wv.shape[1]
     outputs = []
     alphas = np.zeros((D, D))
     for j in range(D):
@@ -71,7 +71,7 @@ def naive_attention(embeddings, wq, wk, wv):
         e = np.exp(psi - psi.max())
         alpha = e / e.sum()
         alphas[j] = alpha
-        out = np.zeros(de)
+        out = np.zeros(dh)
         for k in range(D):
             out += alpha[k] * (embeddings[k] @ wv)
         outputs.append(out)

@@ -31,6 +31,15 @@ def tiny_config(tmp_path):
     return path
 
 
+def rewrite_row(path, index, edit):
+    """Replace data row ``index`` (CSV line index + 2) by ``edit(row)``."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[index + 1] = edit(rows[index + 1])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def one_error_line(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
@@ -165,7 +174,12 @@ class TestPipeline:
     @pytest.mark.parametrize("drop, named", [
         (lambda p: p.pop("config"), "lacks config"),
         (lambda p: p["params"].pop("cs0.w1"), "lacks parameters cs0.w1"),
-    ], ids=["config", "parameter"])
+        (lambda p: p["extra"].pop("columns"), "lacks extra.columns"),
+        (lambda p: p["extra"].pop("censoring"), "lacks extra.censoring"),
+        (lambda p: p["extra"]["columns"].pop("event"), "lacks extra.columns.event"),
+        (lambda p: p.update(extra=None), "lacks extra.columns"),
+    ], ids=["config", "parameter", "extra-columns", "extra-censoring", "extra-event-column",
+            "extra-null"])
     def test_eval_rejects_incomplete_checkpoint(self, trained, capsys, drop, named):
         tmp_path, data, ckpt = trained
         payload = json.loads(ckpt.read_text())
@@ -176,6 +190,38 @@ class TestPipeline:
                     "--out", str(tmp_path / "m.json")])
         assert code == 1
         assert named in one_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
+
+    def test_predict_rejects_checkpoint_without_columns(self, trained, capsys):
+        tmp_path, data, ckpt = trained
+        payload = json.loads(ckpt.read_text())
+        del payload["extra"]["columns"]
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run(["predict", "--data", str(data), "--checkpoint", str(ckpt),
+                    "--times", "1", "--out", str(tmp_path / "c.csv")])
+        assert code == 1
+        assert "lacks extra.columns" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("width", [2, 6], ids=["short", "long"])
+    def test_predict_rejects_row_with_wrong_cell_count(self, trained, capsys, width):
+        tmp_path, data, ckpt = trained
+        rewrite_row(data, 5, lambda row: (row + ["1"])[:width])
+        capsys.readouterr()
+        code = run(["predict", "--data", str(data), "--checkpoint", str(ckpt),
+                    "--times", "1", "--out", str(tmp_path / "c.csv")])
+        assert code == 1
+        line = one_error_line(capsys)
+        assert f"line 7 has {width} cells, the header has 5" in line and str(data) in line
+
+    def test_eval_rejects_label_above_the_model_event_count(self, trained, capsys):
+        tmp_path, data, ckpt = trained
+        rewrite_row(data, 5, lambda row: row[:-1] + ["3"])
+        capsys.readouterr()
+        code = run(["eval", "--data", str(data), "--checkpoint", str(ckpt), "--fold", "all",
+                    "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "event label 3 exceeds the model's K=2" in one_error_line(capsys)
         assert not (tmp_path / "m.json").exists()
 
 
@@ -256,3 +302,15 @@ class TestCorruptInput:
         assert code == 1
         line = one_error_line(capsys)
         assert named in line and "line " in line
+
+    @pytest.mark.parametrize("width", [2, 6], ids=["short", "long"])
+    def test_train_rejects_row_with_wrong_cell_count(self, tmp_path, capsys, width):
+        data, args = synth_args(tmp_path)
+        assert run(args) == 0
+        rewrite_row(data, 5, lambda row: (row + ["1"])[:width])
+        capsys.readouterr()
+        code = run(["train", "--data", str(data), "--config", str(tiny_config(tmp_path)),
+                    "--checkpoint", str(tmp_path / "m.json")])
+        assert code == 1
+        line = one_error_line(capsys)
+        assert f"line 7 has {width} cells, the header has 5" in line and str(data) in line

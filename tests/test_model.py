@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survformer import autodiff as ad
 from survformer import losses as L
@@ -20,6 +22,7 @@ from survformer.model import (
     SurvivalTransformer,
     attention_payload,
     load_checkpoint,
+    multi_head_attention,
     save_checkpoint,
 )
 
@@ -81,18 +84,34 @@ class TestEmbed:
         assert emb.shape == (4, 8)
 
 
+def layer_weights(model, layer=0):
+    """Per-head (wq, wk, wv) parameter lists of one encoder layer."""
+    heads = range(model.config.heads)
+    return [[model.params[f"enc{layer}.h{h}.{w}"] for h in heads] for w in ("wq", "wk", "wv")]
+
+
+def attend(model, rec, layer=0):
+    """The layer's attention op on one record's embeddings."""
+    t0 = model.embed(rec)
+    return multi_head_attention(ad.Tensor(t0), t0.shape[0], *layer_weights(model, layer))
+
+
+def random_heads(rng, H, de=4, dh=2, scale=1.0):
+    return [[ad.Tensor(scale * rng.standard_normal((de, dh)), requires_grad=True) for _ in range(H)]
+            for _ in range(3)]
+
+
 class TestAttention:
     def test_zero_query_key_gives_uniform_weights_and_mean_output(self):
         model = make_model(heads=1, layers=1)
         model.params["enc0.h0.wq"].data[:] = 0.0
         model.params["enc0.h0.wk"].data[:] = 0.0
         rec = record()
-        t0 = model.embed(rec)
-        mixed, maps = model.attention_layer(0, ad.Tensor(t0[None, :, :]))
-        np.testing.assert_allclose(maps[0][0], 0.25, atol=1e-15)
-        expected = np.mean(t0 @ model.params["enc0.h0.wv"].data, axis=0)
+        mixed, alpha = attend(model, rec)
+        np.testing.assert_allclose(alpha[0, 0], 0.25, atol=1e-15)
+        expected = np.mean(model.embed(rec) @ model.params["enc0.h0.wv"].data, axis=0)
         for j in range(4):
-            np.testing.assert_allclose(mixed.data[0, j], expected, rtol=1e-12)
+            np.testing.assert_allclose(mixed.data[j], expected, rtol=1e-12)
 
     def test_single_field_attends_to_itself(self):
         schema = CovariateSchema([], [NumericalField("only")])
@@ -100,26 +119,23 @@ class TestAttention:
                           hidden_size=8, head_layers=1, time_bins=5, n_events=1)
         model = SurvivalTransformer(cfg, schema, small_grid(), seed=3)
         rec = SurvivalRecord(np.empty(0, dtype=np.intp), np.array([1.3]), 1.0, 1)
-        t0 = model.embed(rec)
-        mixed, maps = model.attention_layer(0, ad.Tensor(t0[None, :, :]))
-        np.testing.assert_allclose(maps[0][0], [[1.0]], atol=1e-15)
+        mixed, alpha = attend(model, rec)
+        np.testing.assert_allclose(alpha[0, 0], [[1.0]], atol=1e-15)
         np.testing.assert_allclose(
-            mixed.data[0, 0], t0[0] @ model.params["enc0.h0.wv"].data, rtol=1e-12
+            mixed.data[0], model.embed(rec)[0] @ model.params["enc0.h0.wv"].data, rtol=1e-12
         )
 
     def test_matches_naive_loop_on_random_instance(self):
-        model = make_model(heads=1, layers=1, seed=5)
+        model = make_model(heads=2, layers=1, seed=5)
         rec = record(cat=(0, 1), num=(0.9, -1.2))
-        t0 = model.embed(rec)
-        mixed, maps = model.attention_layer(0, ad.Tensor(t0[None, :, :]))
-        want_out, want_alpha = naive_attention(
-            list(t0),
-            model.params["enc0.h0.wq"].data,
-            model.params["enc0.h0.wk"].data,
-            model.params["enc0.h0.wv"].data,
-        )
-        np.testing.assert_allclose(maps[0][0], want_alpha, atol=1e-12)
-        np.testing.assert_allclose(mixed.data[0], np.stack(want_out), atol=1e-12)
+        mixed, alpha = attend(model, rec)
+        t0 = list(model.embed(rec))
+        outs = []
+        for h, (wq, wk, wv) in enumerate(zip(*layer_weights(model))):
+            want_out, want_alpha = naive_attention(t0, wq.data, wk.data, wv.data)
+            np.testing.assert_allclose(alpha[0, h], want_alpha, atol=1e-12)
+            outs.append(np.stack(want_out))
+        np.testing.assert_allclose(mixed.data, np.concatenate(outs, axis=1), atol=1e-12)
 
     def test_rows_sum_to_one_on_random_records(self):
         model = make_model(seed=2)
@@ -130,6 +146,69 @@ class TestAttention:
             for m in model.export_attention(rec):
                 np.testing.assert_allclose(m.weights.sum(axis=1), 1.0, atol=1e-6)
                 assert np.all(m.weights >= 0) and np.all(m.weights <= 1)
+
+
+class TestMultiHeadAttentionOp:
+    @given(st.integers(1, 5), st.integers(1, 5), st.sampled_from([1, 2, 4]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_head_naive_loops(self, B, D, H, seed):
+        rng = np.random.default_rng(seed)
+        de = 8
+        x = rng.standard_normal((B * D, de))
+        wq, wk, wv = random_heads(rng, H, de=de, dh=de // H)
+        out, alpha = multi_head_attention(ad.Tensor(x), D, wq, wk, wv)
+        assert out.data.shape == (B * D, de) and alpha.shape == (B, H, D, D)
+        for b in range(B):
+            rows = list(x[b * D:(b + 1) * D])
+            outs = []
+            for h in range(H):
+                want_out, want_alpha = naive_attention(rows, wq[h].data, wk[h].data, wv[h].data)
+                np.testing.assert_allclose(alpha[b, h], want_alpha, rtol=1e-12, atol=1e-12)
+                outs.append(np.stack(want_out))
+            np.testing.assert_allclose(
+                out.data[b * D:(b + 1) * D], np.concatenate(outs, axis=1), rtol=1e-12, atol=1e-12
+            )
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(31)
+        B, D, H = 2, 3, 2
+        x = ad.Tensor(rng.standard_normal((B * D, 4)), requires_grad=True)
+        wq, wk, wv = random_heads(rng, H)
+        c = ad.Tensor(rng.standard_normal((B * D, 2 * H)))
+
+        def build():
+            return ad.tsum(ad.mul(multi_head_attention(x, D, wq, wk, wv)[0], c))
+
+        params = [x, *wq, *wk, *wv]
+        ad.backward(build())
+        analytic = [p.grad for p in params]
+        assert_grads_match(analytic, fd_gradients(lambda: float(build().data), params))
+
+    def test_maps_rows_lie_on_simplex(self):
+        rng = np.random.default_rng(1)
+        x = ad.Tensor(rng.uniform(-5, 5, size=(4 * 7, 4)))
+        _, alpha = multi_head_attention(x, 7, *random_heads(rng, 4, scale=3.0))
+        np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-12)
+        assert np.all(alpha >= 0) and np.all(alpha <= 1)
+
+    def test_no_overflow_for_large_query_key_weights(self):
+        rng = np.random.default_rng(2)
+        x = ad.Tensor(rng.standard_normal((3 * 4, 4)))
+        wq, wk, wv = random_heads(rng, 2)
+        for w in wq + wk:
+            w.data *= 1e3
+        out, alpha = multi_head_attention(x, 4, wq, wk, wv)
+        assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(alpha))
+        np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_hand_value_at_two_fields(self):
+        # logits of field 0 are (1, 1 + log 3), so its weights are (1/4, 3/4)
+        one = [ad.Tensor([[1.0]])]
+        x = ad.Tensor([[1.0], [1.0 + math.log(3.0)]])
+        out, alpha = multi_head_attention(x, 2, one, one, one)
+        np.testing.assert_allclose(alpha[0, 0, 0], [0.25, 0.75], atol=1e-14)
+        np.testing.assert_allclose(out.data[0, 0], 0.25 + 0.75 * (1.0 + math.log(3.0)), rtol=1e-14)
 
 
 class TestEncode:
