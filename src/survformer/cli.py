@@ -5,6 +5,7 @@ byte-identical under a fixed seed.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -17,6 +18,17 @@ from .model import attention_payload, load_checkpoint, save_checkpoint
 
 def _parse_floats(text):
     return [float(x) for x in text.split(",") if x.strip() != ""]
+
+
+def _parse_times(text):
+    """``predict --times``: a non-empty list of finite, nonnegative times."""
+    try:
+        times = _parse_floats(text)
+    except ValueError:
+        times = []
+    if not times or not all(math.isfinite(t) and t >= 0 for t in times):
+        raise ValueError(f"--times must list finite nonnegative query times, got {text!r}")
+    return np.asarray(times)
 
 
 def _build_parser():
@@ -195,16 +207,18 @@ def _cmd_predict(args):
     model, _, columns = _load_model(args.checkpoint)
     rows = _read_covariates(args.data, columns)
     records = D.transform_rows(model.schema, rows, columns, require_labels=False)
-    times = np.asarray(_parse_floats(args.times))
+    times = _parse_times(args.times)
     curves = T.predict(model, records, times)  # (n, K, T)
     n, K, nt = curves.shape
+    # one row per (record, time), the K events as columns, every cell a Python float's repr
+    time_cells = [repr(t) for t in times.tolist()]
+    cells = iter(map(repr, curves.transpose(0, 2, 1).ravel().tolist()))
+    values = map(",".join, zip(*[cells] * K))
+    keys = (f"{i},{t}," for i in range(n) for t in time_cells)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         header = ["record", "time"] + [f"survival_event_{k + 1}" for k in range(K)]
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            for ti in range(nt):
-                values = [repr(float(curves[i, k, ti])) for k in range(K)]
-                fh.write(",".join([str(i), repr(float(times[ti]))] + values) + "\n")
+        fh.writelines(key + row + "\n" for key, row in zip(keys, values))
     print(f"wrote {args.out} ({n} records x {nt} times x {K} events)")
     return 0
 

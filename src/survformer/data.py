@@ -155,6 +155,13 @@ def records_as_arrays(records):
 # --- column declaration and CSV ingestion ---------------------------------
 
 
+class RawRow(dict):
+    """One CSV data row, cell text by column name; ``line`` is its line in the
+    CSV, so errors name it after the rows are split and shuffled."""
+
+    __slots__ = ("line",)
+
+
 @dataclass
 class ColumnSpec:
     """Which CSV columns are covariates and which carry the labels."""
@@ -166,7 +173,7 @@ class ColumnSpec:
 
 
 def read_raw_csv(path, columns):
-    """Parse a CSV into raw string rows, validating the declared columns and
+    """Parse a CSV into ``RawRow``s, validating the declared columns and
     that every row has one cell per header column."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -187,7 +194,9 @@ def read_raw_csv(path, columns):
                 raise SchemaError(
                     f"{path}: line {reader.line_num} has {len(cells)} cells, the header has {len(header)}"
                 )
-            rows.append(dict(zip(header, cells)))
+            row = RawRow(zip(header, cells))
+            row.line = reader.line_num
+            rows.append(row)
         return rows
 
 
@@ -208,14 +217,14 @@ def fit_schema(rows, columns):
     nums = []
     for name in columns.numerical:
         values = []
-        for line_no, r in enumerate(rows, start=2):
+        for r in rows:
             raw = r[name]
             if raw == MISSING:
                 continue
             try:
                 values.append(_parse_finite(raw, f"numerical column {name!r}"))
             except ValueError as err:
-                raise SchemaError(f"{err} at line {line_no}") from None
+                raise SchemaError(f"{err} at line {r.line}") from None
         if not values:
             raise SchemaError(f"numerical column {name!r} has no observed values")
         arr = np.asarray(values)
@@ -227,22 +236,22 @@ def fit_schema(rows, columns):
 def transform_rows(schema, rows, columns, require_labels=True):
     """Apply a fitted schema; labels are read when present or required."""
     records = []
-    for line_no, row in enumerate(rows, start=2):
+    for row in rows:
         try:
             cat, num = schema.transform_row(row)
         except ValueError as err:
-            raise SchemaError(f"bad covariate value at line {line_no}: {err}") from None
+            raise SchemaError(f"bad covariate value at line {row.line}: {err}") from None
         if require_labels or (columns.duration in row and columns.event in row):
             try:
                 t = _parse_finite(row[columns.duration], f"duration column {columns.duration!r}")
                 e = _parse_finite(row[columns.event], f"event column {columns.event!r}")
             except KeyError as err:
-                raise SchemaError(f"missing label column {err} at line {line_no}") from None
+                raise SchemaError(f"missing label column {err} at line {row.line}") from None
             except ValueError as err:
-                raise SchemaError(f"bad label at line {line_no}: {err}") from None
+                raise SchemaError(f"bad label at line {row.line}: {err}") from None
             if not e.is_integer():
                 raise SchemaError(
-                    f"bad label at line {line_no}: non-integral value "
+                    f"bad label at line {row.line}: non-integral value "
                     f"{row[columns.event]!r} in event column {columns.event!r}"
                 )
             e = int(e)

@@ -24,6 +24,10 @@ from .data import CovariateSchema, TimeGrid, records_as_arrays
 
 CHECKPOINT_FORMAT = "survformer-checkpoint-v1"
 
+# Records per inference forward. Each chunk's tape is freed before the next
+# is built, so inference memory does not grow with the number of records.
+INFER_CHUNK = 256
+
 
 @dataclass
 class ModelConfig:
@@ -260,12 +264,17 @@ class SurvivalTransformer:
         return out
 
     def predict_hazards(self, records):
-        """Forward a record list; returns (n, n_events, m) hazard values."""
+        """Forward a record list in chunks of ``INFER_CHUNK`` records; returns
+        (n, n_events, m) hazard values."""
         cat, num, _, _ = records_as_arrays(records)
         for r in records:
             self._check_record(r)
-        fp = self.forward_batch(cat, num)
-        return np.stack([h.data for h in fp.hazards], axis=1)
+        chunks = []
+        for s in range(0, len(records), INFER_CHUNK):
+            fp = self.forward_batch(cat[s : s + INFER_CHUNK], num[s : s + INFER_CHUNK])
+            chunks.append(np.stack([h.data for h in fp.hazards], axis=1))
+            del fp  # free this chunk's tape before the next one is built
+        return np.concatenate(chunks)
 
     def export_attention(self, record):
         """Labeled attention maps for one record, layer then head order."""

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
+from survformer import data as D
+from survformer import training as T
 from survformer.cli import run
+from survformer.model import load_checkpoint
 
 
 def read_bytes(path):
@@ -224,6 +228,55 @@ class TestPipeline:
         assert "event label 3 exceeds the model's K=2" in one_error_line(capsys)
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("times", ["nan,2", "-1", "inf", "", "1,abc"],
+                             ids=["nan", "negative", "inf", "empty", "text"])
+    def test_predict_rejects_bad_query_times(self, trained, capsys, times):
+        tmp_path, data, ckpt = trained
+        capsys.readouterr()
+        code = run(["predict", "--data", str(data), "--checkpoint", str(ckpt),
+                    f"--times={times}", "--out", str(tmp_path / "c.csv")])
+        assert code == 1
+        assert "--times" in one_error_line(capsys)
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_eval_names_the_csv_line_of_a_bad_test_fold_cell(self, trained, capsys):
+        tmp_path, data, ckpt = trained
+        _, _, test_rows = D.split(list(range(150)), (0.6, 0.1, 0.3), 5)
+        assert test_rows.index(5) != 5  # the fold position would name another line
+        rewrite_row(data, 5, lambda row: [row[0], "inf", *row[2:]])
+        capsys.readouterr()
+        code = run(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        line = one_error_line(capsys)
+        assert re.search(r"\bline 7\b", line) and "numerical column 'x2'" in line, line
+
+
+class TestCurvesFile:
+    @pytest.mark.parametrize("events", [1, 2])
+    def test_bytes_equal_per_cell_repr_of_predict(self, tmp_path, events):
+        data, args = synth_args(tmp_path, n=60)
+        args[args.index("--events") + 1] = str(events)
+        assert run(args) == 0
+        ckpt, curves = tmp_path / "model.json", tmp_path / "curves.csv"
+        assert run(["train", "--data", str(data), "--config", str(tiny_config(tmp_path)),
+                    "--checkpoint", str(ckpt)]) == 0
+        assert run(["predict", "--data", str(data), "--checkpoint", str(ckpt),
+                    "--times", "0,0.37,1.5,1e3", "--out", str(curves)]) == 0
+
+        model, extra = load_checkpoint(ckpt)
+        columns = D.ColumnSpec(extra["columns"]["numerical"], extra["columns"]["categorical"], None, None)
+        records = D.transform_rows(model.schema, D.read_raw_csv(data, columns), columns,
+                                   require_labels=False)
+        times = np.array([0.0, 0.37, 1.5, 1e3])
+        values = T.predict(model, records, times)
+        lines = ["record,time," + ",".join(f"survival_event_{k + 1}" for k in range(events))]
+        for i in range(len(records)):
+            for ti in range(times.size):
+                cells = [repr(float(values[i, k, ti])) for k in range(events)]
+                lines.append(",".join([str(i), repr(float(times[ti]))] + cells))
+        assert read_bytes(curves) == ("\n".join(lines) + "\n").encode()
+
 
 class TestErrorPaths:
     def test_missing_required_flag_exits_nonzero_with_usage(self, capsys):
@@ -302,6 +355,20 @@ class TestCorruptInput:
         assert code == 1
         line = one_error_line(capsys)
         assert named in line and "line " in line
+
+    @pytest.mark.parametrize("index, fold", [(9, 0), (2, 1)], ids=["train-fold", "validation-fold"])
+    def test_train_names_the_csv_line_of_a_bad_cell(self, tmp_path, capsys, index, fold):
+        data, args = synth_args(tmp_path)
+        assert run(args) == 0
+        rows = D.split(list(range(150)), (0.6, 0.1, 0.3), 5)[fold]  # tiny_config's seed
+        assert index in rows and rows.index(index) != index
+        rewrite_row(data, index, lambda row: ["nan", *row[1:]])
+        capsys.readouterr()
+        code = run(["train", "--data", str(data), "--config", str(tiny_config(tmp_path)),
+                    "--checkpoint", str(tmp_path / "m.json")])
+        assert code == 1
+        line = one_error_line(capsys)
+        assert re.search(rf"\bline {index + 2}\b", line) and "numerical column 'x1'" in line, line
 
     @pytest.mark.parametrize("width", [2, 6], ids=["short", "long"])
     def test_train_rejects_row_with_wrong_cell_count(self, tmp_path, capsys, width):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from survformer.data import (
     TimeGrid,
 )
 from survformer.model import (
+    INFER_CHUNK,
     ModelConfig,
     SurvivalTransformer,
     attention_payload,
@@ -336,6 +338,38 @@ class TestHeads:
         model = make_model(seed=6)
         fp = model.forward_batch(*random_batch(np.random.default_rng(4), 50))
         assert np.all((fp.event_prob.data > 0.0) & (fp.event_prob.data < 1.0))
+
+
+def random_records(rng, size):
+    cat, num = random_batch(rng, size)
+    return [SurvivalRecord(c, x, 1.0, 0) for c, x in zip(cat, num)]
+
+
+class TestPredictHazards:
+    @pytest.mark.parametrize("n", [1, INFER_CHUNK - 1, INFER_CHUNK, INFER_CHUNK + 1, 3 * INFER_CHUNK + 5])
+    def test_chunked_forward_matches_one_whole_batch(self, n):
+        model = make_model(seed=17)
+        recs = random_records(np.random.default_rng(n), n)
+        fp = model.forward_batch(np.stack([r.categorical for r in recs]), np.stack([r.numerical for r in recs]))
+        want = np.stack([h.data for h in fp.hazards], axis=1)
+        got = model.predict_hazards(recs)
+        assert got.shape == (n, 2, 5)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_peak_memory_does_not_grow_with_record_count(self):
+        model = make_model()
+        peaks = []
+        for n in (INFER_CHUNK, 8 * INFER_CHUNK):
+            recs = random_records(np.random.default_rng(0), n)
+            tracemalloc.start()
+            try:
+                model.predict_hazards(recs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        # one whole-batch forward would grow the peak about eightfold
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestExportAttention:
