@@ -9,21 +9,17 @@ from .autodiff import Tensor, backward, matmul, selu, softplus
 from .data import (
     ColumnSpec,
     CovariateSchema,
-    SurvivalRecord,
+    Records,
     SyntheticSpec,
     TimeGrid,
     build_time_grid,
-    load_csv,
+    fit_schema,
+    read_raw_csv,
     split,
     synthesize,
+    transform_rows,
 )
-from .evaluation import (
-    SurvivalCurve,
-    ctd,
-    km_censoring,
-    quantile_horizons,
-    survival_from_hazards,
-)
+from .evaluation import ctd, km_censoring, quantile_horizons, survival_matrix
 from .losses import AnnealSchedule, LossBreakdown, ips_loss, naive_competing_loss, pch_loss
 from .model import ModelConfig, SurvivalTransformer, load_checkpoint, save_checkpoint
 from .optim import Adam
@@ -38,8 +34,7 @@ __all__ = [
     "LossBreakdown",
     "ModelConfig",
     "PropensityModel",
-    "SurvivalCurve",
-    "SurvivalRecord",
+    "Records",
     "SurvivalTransformer",
     "SyntheticSpec",
     "Tensor",
@@ -50,20 +45,22 @@ __all__ = [
     "build_time_grid",
     "ctd",
     "evaluate",
+    "fit_schema",
     "ips_loss",
     "km_censoring",
     "load_checkpoint",
-    "load_csv",
     "matmul",
     "naive_competing_loss",
     "pch_loss",
     "predict",
     "quantile_horizons",
+    "read_raw_csv",
     "save_checkpoint",
     "selu",
     "softplus",
     "split",
-    "survival_from_hazards",
+    "survival_matrix",
     "synthesize",
     "train",
+    "transform_rows",
 ]

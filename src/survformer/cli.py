@@ -16,19 +16,16 @@ from .evaluation import CensoringEstimate
 from .model import attention_payload, load_checkpoint, save_checkpoint
 
 
-def _parse_floats(text):
-    return [float(x) for x in text.split(",") if x.strip() != ""]
-
-
-def _parse_times(text):
-    """``predict --times``: a non-empty list of finite, nonnegative times."""
+def _parse_list(flag, text, what, valid, count=None):
+    """A comma-separated list of floats for ``flag``: non-empty (``count``
+    long if given) and each ``valid``; otherwise one error naming ``flag``."""
     try:
-        times = _parse_floats(text)
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        times = []
-    if not times or not all(math.isfinite(t) and t >= 0 for t in times):
-        raise ValueError(f"--times must list finite nonnegative query times, got {text!r}")
-    return np.asarray(times)
+        values = []
+    if not values or count not in (None, len(values)) or not all(valid(v) for v in values):
+        raise ValueError(f"{flag} must list {what}, got {text!r}")
+    return values
 
 
 def _build_parser():
@@ -80,27 +77,30 @@ def _build_parser():
     return parser
 
 
-def _infer_columns(rows, duration_col, event_col, numerical, categorical):
+def _infer_columns(table, duration_col, event_col, numerical, categorical):
+    """Declared columns, or else every covariate column whose present cells
+    all parse under ``float()`` is numerical and the rest categorical."""
     if numerical is not None or categorical is not None:
         nums = [c for c in (numerical or "").split(",") if c]
         cats = [c for c in (categorical or "").split(",") if c]
         return D.ColumnSpec(nums, cats, duration_col, event_col)
-    header = list(rows[0].keys())
     nums, cats = [], []
-    for name in header:
+    for name in table.header:
         if name in (duration_col, event_col):
             continue
-        values = [r[name] for r in rows if r[name] != D.MISSING]
-        try:
-            for v in values:
-                float(v)
-            nums.append(name)
-        except ValueError:
-            cats.append(name)
+        _, bad = D.parse_floats(table.column(name), table.line, valid=None)
+        (nums if bad is None else cats).append(name)
     return D.ColumnSpec(nums, cats, duration_col, event_col)
 
 
+def _folds(table, fractions, seed):
+    """The table's rows split into folds, each in ``split``'s order."""
+    return tuple(table.take(idx) for idx in D.split(range(len(table)), fractions, seed))
+
+
 def _cmd_synth(args):
+    if args.n < 1:
+        raise ValueError(f"--n must be a positive record count, got {args.n}")
     spec = D.default_synthetic_spec(
         args.n, dim=args.dim, n_events=args.events, censoring_rate=args.censoring, seed=args.seed
     )
@@ -115,20 +115,19 @@ def _cmd_train(args):
     config = T.TrainConfig.from_json(args.config) if args.config else T.TrainConfig()
     if args.seed is not None:
         config.seed = args.seed
-    fractions = _parse_floats(args.fractions)
-    rows = D.read_raw_csv(
+    fractions = _parse_list("--fractions", args.fractions, "three finite train,validation,test fractions",
+                            math.isfinite, count=3)
+    table = D.read_raw_csv(
         args.data, D.ColumnSpec([], [], args.duration_col, args.event_col)
     )
-    if not rows:
+    if not len(table):
         raise ValueError(f"{args.data}: no data rows")
-    columns = _infer_columns(rows, args.duration_col, args.event_col, args.numerical, args.categorical)
-    train_rows, val_rows, _ = D.split(rows, fractions, config.seed)
-    schema = D.fit_schema(train_rows, columns)
-    train_records = D.transform_rows(schema, train_rows, columns)
-    val_records = D.transform_rows(schema, val_rows, columns)
-    grid = D.build_time_grid(
-        [r.duration for r in train_records], config.time_bins, config.grid_scheme
-    )
+    columns = _infer_columns(table, args.duration_col, args.event_col, args.numerical, args.categorical)
+    train_table, val_table, _ = _folds(table, fractions, config.seed)
+    schema = D.fit_schema(train_table, columns)
+    train_records = D.transform_rows(schema, train_table, columns)
+    val_records = D.transform_rows(schema, val_table, columns)
+    grid = D.build_time_grid(train_records.t, config.time_bins, config.grid_scheme)
     model, history, propensity_model = T.train(config, train_records, val_records, schema, grid)
     censoring = T.fit_censoring(train_records)
     extra = {
@@ -171,13 +170,11 @@ def _load_model(path, required=("columns",)):
 
 
 def _load_fold(args, extra, columns, fold):
-    rows = D.read_raw_csv(args.data, columns)
+    table = D.read_raw_csv(args.data, columns)
     if fold == "all":
-        return rows
-    fractions = extra["split"]["fractions"]
-    seed = extra["split"]["seed"]
-    train_rows, val_rows, test_rows = D.split(rows, fractions, seed)
-    return {"train": train_rows, "validation": val_rows, "test": test_rows}[fold]
+        return table
+    train, validation, test = _folds(table, extra["split"]["fractions"], extra["split"]["seed"])
+    return {"train": train, "validation": validation, "test": test}[fold]
 
 
 def _read_covariates(path, columns):
@@ -186,10 +183,9 @@ def _read_covariates(path, columns):
 
 def _cmd_eval(args):
     model, extra, columns = _load_model(args.checkpoint, ("columns", "split", "censoring"))
-    rows = _load_fold(args, extra, columns, args.fold)
-    records = D.transform_rows(model.schema, rows, columns)
+    quantiles = _parse_list("--quantiles", args.quantiles, "quantiles in [0, 1]", lambda q: 0 <= q <= 1)
+    records = D.transform_rows(model.schema, _load_fold(args, extra, columns, args.fold), columns)
     censoring = CensoringEstimate.from_dict(extra["censoring"])
-    quantiles = _parse_floats(args.quantiles)
     report = T.evaluate(model, records, censoring, quantiles)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
@@ -205,9 +201,10 @@ def _cmd_eval(args):
 
 def _cmd_predict(args):
     model, _, columns = _load_model(args.checkpoint)
-    rows = _read_covariates(args.data, columns)
-    records = D.transform_rows(model.schema, rows, columns, require_labels=False)
-    times = _parse_times(args.times)
+    times = np.asarray(_parse_list("--times", args.times, "finite nonnegative query times",
+                                   lambda t: math.isfinite(t) and t >= 0))
+    table = _read_covariates(args.data, columns)
+    records = D.transform_rows(model.schema, table, columns, require_labels=False)
     curves = T.predict(model, records, times)  # (n, K, T)
     n, K, nt = curves.shape
     # one row per (record, time), the K events as columns, every cell a Python float's repr
@@ -225,11 +222,11 @@ def _cmd_predict(args):
 
 def _cmd_attention(args):
     model, _, columns = _load_model(args.checkpoint)
-    rows = _read_covariates(args.data, columns)
-    if not 0 <= args.row < len(rows):
-        raise ValueError(f"--row {args.row} out of range for {len(rows)} records")
-    records = D.transform_rows(model.schema, [rows[args.row]], columns, require_labels=False)
-    maps = model.export_attention(records[0])
+    table = _read_covariates(args.data, columns)
+    if not 0 <= args.row < len(table):
+        raise ValueError(f"--row {args.row} out of range for {len(table)} records")
+    records = D.transform_rows(model.schema, table.take([args.row]), columns, require_labels=False)
+    maps = model.export_attention(records.cat[0], records.num[0])
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"row": args.row, "maps": attention_payload(maps)}, fh, indent=2)
     print(f"wrote {args.out} ({len(maps)} maps)")

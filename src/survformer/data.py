@@ -5,7 +5,12 @@ the fitted mean and standardized to zero mean, unit (population) std;
 categorical fields are imputed with the fitted mode and mapped to dense
 vocabulary indices, with one reserved index for values unseen at fit time.
 Fitting statistics must come from the training fold only; callers that split
-should split raw rows first and fit on the training rows.
+should split the raw table first and fit on the training rows.
+
+A cohort is columnar from ingestion on: ``read_raw_csv`` returns a
+``RawTable`` of cell text, and ``transform_rows`` turns it into ``Records``,
+one array per covariate block and label. A bad cell raises ``SchemaError``
+naming the earliest CSV line among the rows being read, whatever their order.
 """
 
 import csv
@@ -22,16 +27,43 @@ class SchemaError(ValueError):
 MISSING = ""
 
 
-def _parse_finite(raw, where):
-    """The number a cell holds; text that is not a finite number raises
-    ``ValueError`` naming the cell's value and ``where``."""
+def _earliest(line, mask):
+    """Index of the True entry of ``mask`` on the earliest CSV line, or None."""
+    idx = np.flatnonzero(mask)
+    return idx[np.argmin(line[idx])] if idx.size else None
+
+
+def parse_floats(cells, line, valid=np.isfinite, missing=True):
+    """``float()`` of every cell of a text column, NaN where a cell is missing.
+
+    Also returns the index of the bad cell on the earliest CSV line, or None:
+    a cell that ``float()`` rejects, a missing one unless ``missing`` allows
+    it, or one whose value fails the vectorized test ``valid`` (None for no
+    test).
+    """
+    present = cells != MISSING if missing else np.ones(len(cells), dtype=bool)
+    values = np.full(len(cells), np.nan)
     try:
-        value = float(raw)
+        values[present] = cells[present].astype(np.float64)
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"non-numeric or non-finite value {raw!r} in {where}")
-    return value
+        for i in np.argsort(line):
+            if present[i]:
+                try:
+                    values[i] = float(cells[i])
+                except ValueError:
+                    return values, i
+                if valid is not None and not valid(values[i]):
+                    return values, i
+    return values, None if valid is None else _earliest(line, present & ~valid(values))
+
+
+def _factorize(cells):
+    """The sorted distinct values of a text column and each cell's index into
+    them. Hashing first leaves ``np.unique`` only the distinct values to sort."""
+    first = {}
+    seen = np.fromiter((first.setdefault(v, len(first)) for v in cells), np.intp, len(cells))
+    values, rank = np.unique(np.array(list(first), dtype=object), return_inverse=True)
+    return values, rank[seen]
 
 
 @dataclass
@@ -86,24 +118,6 @@ class CovariateSchema:
     def field_names(self):
         return [f.name for f in self.categorical] + [f.name for f in self.numerical]
 
-    def transform_row(self, row):
-        """Map one raw row (dict of strings) to (cat indices, num values)."""
-        cat = np.empty(self.d_c, dtype=np.intp)
-        for i, f in enumerate(self.categorical):
-            raw = row.get(f.name, MISSING)
-            if raw == MISSING:
-                raw = f.mode
-            cat[i] = f.vocabulary.get(raw, f.unknown_index)
-        num = np.empty(self.d_n, dtype=np.float64)
-        for j, f in enumerate(self.numerical):
-            raw = row.get(f.name, MISSING)
-            if raw == MISSING:
-                value = f.mean
-            else:
-                value = _parse_finite(raw, f"numerical column {f.name!r}")
-            num[j] = (value - f.mean) / f.std
-        return cat, num
-
     def to_dict(self):
         return {
             "categorical": [
@@ -126,40 +140,46 @@ class CovariateSchema:
 
 
 @dataclass
-class SurvivalRecord:
-    """One subject: covariates, follow-up duration, event label (0 = censored)."""
+class Records:
+    """A cohort as columns, one row per subject."""
 
-    categorical: np.ndarray
-    numerical: np.ndarray
-    duration: float
-    event: int
+    cat: np.ndarray  # (n, d_c) vocabulary indices
+    num: np.ndarray  # (n, d_n) standardized values
+    t: np.ndarray  # (n,) follow-up durations
+    e: np.ndarray  # (n,) event labels, 0 = censored
+    line: np.ndarray  # (n,) CSV line of each record
 
-    def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError(f"duration must be nonnegative, got {self.duration}")
-        if self.event < 0:
-            raise ValueError(f"event label must be nonnegative, got {self.event}")
+    def __len__(self):
+        return len(self.t)
 
-
-def records_as_arrays(records):
-    """Stack a record list into (cat, num, durations, events) arrays."""
-    if not records:
-        raise ValueError("no records")
-    cat = np.stack([r.categorical for r in records]) if records[0].categorical.size else np.zeros((len(records), 0), dtype=np.intp)
-    num = np.stack([r.numerical for r in records]) if records[0].numerical.size else np.zeros((len(records), 0))
-    t = np.array([r.duration for r in records], dtype=np.float64)
-    e = np.array([r.event for r in records], dtype=np.intp)
-    return cat, num, t, e
+    def take(self, idx):
+        return Records(self.cat[idx], self.num[idx], self.t[idx], self.e[idx], self.line[idx])
 
 
 # --- column declaration and CSV ingestion ---------------------------------
 
 
-class RawRow(dict):
-    """One CSV data row, cell text by column name; ``line`` is its line in the
-    CSV, so errors name it after the rows are split and shuffled."""
+@dataclass
+class RawTable:
+    """A CSV's data rows as text. ``line`` holds each row's line in the CSV,
+    so errors name it after the rows are split and shuffled."""
 
-    __slots__ = ("line",)
+    header: list
+    cells: np.ndarray  # (rows, header columns) object array of cell text
+    line: np.ndarray
+
+    def __len__(self):
+        return len(self.line)
+
+    def take(self, idx):
+        return RawTable(self.header, self.cells[idx], self.line[idx])
+
+    def column(self, name):
+        # the last column of that name, as a dict of the row would hold
+        where = {h: k for k, h in enumerate(self.header)}
+        if name not in where:
+            raise SchemaError(f"column {name!r} not found")
+        return self.cells[:, where[name]]
 
 
 @dataclass
@@ -173,7 +193,7 @@ class ColumnSpec:
 
 
 def read_raw_csv(path, columns):
-    """Parse a CSV into ``RawRow``s, validating the declared columns and
+    """Parse a CSV into a ``RawTable``, validating the declared columns and
     that every row has one cell per header column."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -186,7 +206,7 @@ def read_raw_csv(path, columns):
         for col in required:
             if col not in header:
                 raise SchemaError(f"column {col!r} not found in {path}")
-        rows = []
+        rows, lines = [], []
         for cells in reader:
             if not cells:
                 continue
@@ -194,82 +214,92 @@ def read_raw_csv(path, columns):
                 raise SchemaError(
                     f"{path}: line {reader.line_num} has {len(cells)} cells, the header has {len(header)}"
                 )
-            row = RawRow(zip(header, cells))
-            row.line = reader.line_num
-            rows.append(row)
-        return rows
+            rows.append(cells)
+            lines.append(reader.line_num)
+    cells = np.array(rows, dtype=object).reshape(len(rows), len(header))
+    return RawTable(header, cells, np.array(lines, dtype=np.intp))
 
 
-def fit_schema(rows, columns):
-    """Fit imputation and encoding statistics on the given (training) rows."""
+def fit_schema(table, columns):
+    """Fit imputation and encoding statistics on the given (training) rows.
+
+    A bad numerical cell raises ``SchemaError`` naming the earliest CSV line
+    that holds one.
+    """
     cats = []
     for name in columns.categorical:
-        values = [r[name] for r in rows if r[name] != MISSING]
+        values, inverse = _factorize(table.column(name))
+        counts = np.bincount(inverse, minlength=len(values))
+        observed = values != MISSING
+        values, counts = values[observed].tolist(), counts[observed]
         if not values:
             raise SchemaError(f"categorical column {name!r} has no observed values")
-        counts = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        # ties broken toward the smaller value for determinism
-        mode = min(counts, key=lambda v: (-counts[v], v))
-        vocab = {v: i for i, v in enumerate(sorted(counts))}
-        cats.append(CategoricalField(name, vocab, mode))
+        # the first largest count: ties broken toward the smaller value
+        mode = values[int(np.argmax(counts))]
+        cats.append(CategoricalField(name, {v: i for i, v in enumerate(values)}, mode))
+    parsed, errors = [], []
+    for j, name in enumerate(columns.numerical):
+        cells = table.column(name)
+        values, bad = parse_floats(cells, table.line)
+        parsed.append(values)
+        if bad is not None:
+            errors.append((table.line[bad], j, f"non-numeric or non-finite value {cells[bad]!r} "
+                           f"in numerical column {name!r} at line {table.line[bad]}"))
+    if errors:
+        raise SchemaError(min(errors)[2])
     nums = []
-    for name in columns.numerical:
-        values = []
-        for r in rows:
-            raw = r[name]
-            if raw == MISSING:
-                continue
-            try:
-                values.append(_parse_finite(raw, f"numerical column {name!r}"))
-            except ValueError as err:
-                raise SchemaError(f"{err} at line {r.line}") from None
-        if not values:
+    for name, values in zip(columns.numerical, parsed):
+        values = values[~np.isnan(values)]
+        if not values.size:
             raise SchemaError(f"numerical column {name!r} has no observed values")
-        arr = np.asarray(values)
-        std = float(arr.std())
-        nums.append(NumericalField(name, float(arr.mean()), std if std > 0 else 1.0))
+        std = float(values.std())
+        nums.append(NumericalField(name, float(values.mean()), std if std > 0 else 1.0))
     return CovariateSchema(cats, nums)
 
 
-def transform_rows(schema, rows, columns, require_labels=True):
-    """Apply a fitted schema; labels are read when present or required."""
-    records = []
-    for row in rows:
-        try:
-            cat, num = schema.transform_row(row)
-        except ValueError as err:
-            raise SchemaError(f"bad covariate value at line {row.line}: {err}") from None
-        if require_labels or (columns.duration in row and columns.event in row):
-            try:
-                t = _parse_finite(row[columns.duration], f"duration column {columns.duration!r}")
-                e = _parse_finite(row[columns.event], f"event column {columns.event!r}")
-            except KeyError as err:
-                raise SchemaError(f"missing label column {err} at line {row.line}") from None
-            except ValueError as err:
-                raise SchemaError(f"bad label at line {row.line}: {err}") from None
-            if not e.is_integer():
-                raise SchemaError(
-                    f"bad label at line {row.line}: non-integral value "
-                    f"{row[columns.event]!r} in event column {columns.event!r}"
-                )
-            e = int(e)
-        else:
-            t, e = 0.0, 0
-        records.append(SurvivalRecord(cat, num, t, e))
-    return records
+def transform_rows(schema, table, columns, require_labels=True):
+    """Apply a fitted schema to a table; labels are read when present or
+    required. A bad cell raises ``SchemaError`` naming the earliest CSV line
+    that holds one, and on that line the leftmost bad cell."""
+    n, line = len(table), table.line
+    errors = []  # (line, column position, message) of each column's earliest bad cell
 
+    def parse(j, kind, name, valid=np.isfinite, missing=True):
+        cells = table.column(name)
+        values, bad = parse_floats(cells, line, valid, missing)
+        if bad is not None:
+            v = values[bad]
+            problem = ("non-numeric or non-finite" if not np.isfinite(v) else
+                       "non-integral" if kind == "event" and v != np.floor(v) else
+                       "negative" if v < 0 else "out-of-range")
+            subject = "covariate value" if kind == "numerical" else "label"
+            errors.append((line[bad], j, f"bad {subject} at line {line[bad]}: {problem} value "
+                           f"{cells[bad]!r} in {kind} column {name!r}"))
+        return values
 
-def load_csv(path, columns):
-    """Read a CSV, fit the schema on all of its rows, and transform them.
-
-    For split protocols fit on the training fold instead: read raw rows,
-    ``split`` them, then ``fit_schema`` on the training partition.
-    """
-    rows = read_raw_csv(path, columns)
-    schema = fit_schema(rows, columns)
-    return schema, transform_rows(schema, rows, columns)
+    cat = np.empty((n, schema.d_c), dtype=np.intp)
+    for i, f in enumerate(schema.categorical):
+        values, inverse = _factorize(table.column(f.name))
+        codes = [f.vocabulary.get(f.mode if v == MISSING else v, f.unknown_index) for v in values]
+        cat[:, i] = np.asarray(codes, dtype=np.intp)[inverse]
+    num = np.empty((n, schema.d_n))
+    for j, f in enumerate(schema.numerical):
+        values = parse(j, "numerical", f.name)
+        num[:, j] = (np.where(np.isnan(values), f.mean, values) - f.mean) / f.std
+    t, e = np.zeros(n), np.zeros(n)
+    header = set(table.header)
+    if require_labels or (columns.duration in header and columns.event in header):
+        for name in (columns.duration, columns.event):
+            if name not in header:
+                raise SchemaError(f"missing label column {name!r}")
+        t = parse(schema.d_n, "duration", columns.duration,
+                  lambda v: np.isfinite(v) & (v >= 0), missing=False)
+        # labels from 2**53 on are no longer exact integers, nor safe to cast
+        e = parse(schema.d_n + 1, "event", columns.event,
+                  lambda v: (v >= 0) & (v == np.floor(v)) & (v < 2.0**53), missing=False)
+    if errors:
+        raise SchemaError(min(errors)[2])
+    return Records(cat, num, t, e.astype(np.intp), line)
 
 
 # --- discrete time grid ----------------------------------------------------
@@ -349,8 +379,8 @@ def build_time_grid(durations, m, scheme="quantile"):
 def split(items, fractions, seed):
     """Deterministic disjoint partition of a sequence by fractions."""
     fractions = tuple(fractions)
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
+    if not all(math.isfinite(f) for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError(f"fractions must be finite and sum to 1, got {fractions}")
     n = len(items)
     order = np.random.default_rng(seed).permutation(n)
     sizes = [int(round(f * n)) for f in fractions[:-1]]
@@ -426,10 +456,8 @@ def synthesize(spec):
         durations[censored_idx] *= rng.uniform(size=n_cens)
         events = events.copy()
         events[censored_idx] = 0
-    records = [
-        SurvivalRecord(np.empty(0, dtype=np.intp), x[i].copy(), float(durations[i]), int(events[i]))
-        for i in range(spec.n)
-    ]
+    # each record's line is the one save_records_csv writes it to
+    records = Records(np.empty((spec.n, 0), dtype=np.intp), x, durations, events, np.arange(2, spec.n + 2))
     return records, probs
 
 
@@ -440,13 +468,12 @@ def synthetic_schema(dim):
 
 def save_records_csv(path, records, dim_names=None):
     """Write generator records in the standard ingestion format."""
-    n_num = records[0].numerical.size
-    names = dim_names or [f"x{j + 1}" for j in range(n_num)]
+    names = dim_names or [f"x{j + 1}" for j in range(records.num.shape[1])]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(names + ["duration", "event"])
-        for r in records:
-            writer.writerow([repr(float(v)) for v in r.numerical] + [repr(float(r.duration)), r.event])
+        for x, t, e in zip(records.num.tolist(), records.t.tolist(), records.e.tolist()):
+            writer.writerow([*map(repr, x), repr(t), e])
 
 
 def save_propensities_csv(path, propensities):

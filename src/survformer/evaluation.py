@@ -10,7 +10,6 @@ predicted survival, weighting each pair by the inverse squared censoring
 survival just before the earlier record's time.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,53 +21,11 @@ class UndefinedMetricError(ValueError):
     """Raised when a metric has no comparable pairs to average over."""
 
 
-def survival_from_hazards(hazards, grid, t):
-    """S(t) under piecewise-constant hazards; beyond-grid times clamp."""
-    hazards = np.asarray(hazards, dtype=np.float64)
-    if np.any(hazards < 0):
-        raise ValueError("hazards must be nonnegative")
-    t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr > grid.cuts[-1]):
-        warnings.warn(
-            f"query time beyond grid end {grid.cuts[-1]}; survival clamped", stacklevel=2
-        )
-    k0 = grid.interval_index(t_arr, clip=True)
-    r = grid.interval_fraction(t_arr, clip=True)
-    cum = np.concatenate([[0.0], np.cumsum(hazards)])
-    chaz = cum[k0] + hazards[k0] * r
-    # t = 0 accrues nothing: index 0 with fraction 0
-    return np.exp(-chaz)
-
-
-@dataclass
-class SurvivalCurve:
-    """One record's survival values at the cut points, with the hazards that
-    generated them so interior times interpolate consistently."""
-
-    grid: object
-    values: np.ndarray  # S at each cut point
-    hazards: np.ndarray
-    mode: str = "constant-hazard"
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if np.any(self.values < 0) or np.any(self.values > 1):
-            raise ValueError("survival values must lie in [0, 1]")
-        if np.any(np.diff(self.values) > 1e-12):
-            raise ValueError("survival values must be nonincreasing")
-
-    @classmethod
-    def from_hazards(cls, hazards, grid):
-        values = survival_from_hazards(np.asarray(hazards), grid, grid.cuts)
-        return cls(grid, values, np.asarray(hazards, dtype=np.float64))
-
-    def at(self, t):
-        """S(t); equals ``values`` at the cut points, 1 at time zero."""
-        return survival_from_hazards(self.hazards, self.grid, t)
-
-
 def survival_matrix(hazard_matrix, grid, times):
-    """Curves for many records at once: (n, m) hazards -> (n, T) survival."""
+    """Survival curves: (n, m) hazards -> (n, T) survival at ``times``.
+
+    A time past the last cut holds the survival at the grid end.
+    """
     hazard_matrix = np.asarray(hazard_matrix, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     k0 = grid.interval_index(times, clip=True)

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import CovariateSchema, TimeGrid, records_as_arrays
+from .data import CovariateSchema, TimeGrid
 
 CHECKPOINT_FORMAT = "survformer-checkpoint-v1"
 
@@ -41,13 +41,13 @@ class ModelConfig:
     n_events: int = 1
 
     def __post_init__(self):
+        for name in ("embed_dim", "heads", "ffn_depth", "hidden_size", "head_layers", "time_bins", "n_events"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.embed_dim % self.heads:
             raise ValueError(
                 f"heads ({self.heads}) must divide embed_dim ({self.embed_dim})"
             )
-        for name in ("embed_dim", "heads", "ffn_depth", "hidden_size", "head_layers", "time_bins", "n_events"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
         if self.layers < 0:
             raise ValueError("layers must be nonnegative")
 
@@ -225,34 +225,39 @@ class SurvivalTransformer:
         ls = ad.reshape(self._head("ls", t_sr), (B,))
         return ForwardPass(t0, flat_hat, t_sr, hazards, mp, ls, attention)
 
-    # --- per-record views ---------------------------------------------------
+    # --- checked inference views ------------------------------------------
 
-    def _check_record(self, record):
-        if record.categorical.size != self.schema.d_c or record.numerical.size != self.schema.d_n:
+    def _covariates(self, cat, num):
+        """``cat`` and ``num`` as (n, d_c) indices and (n, d_n) values, after
+        one range check of every categorical index."""
+        cat = np.asarray(cat, dtype=np.intp)
+        num = np.asarray(num, dtype=np.float64)
+        d_c, d_n = self.schema.d_c, self.schema.d_n
+        if num.ndim != 2 or num.shape[1] != d_n or cat.shape != (len(num), d_c):
             raise ValueError(
-                f"record has ({record.categorical.size} cat, {record.numerical.size} num) covariates; "
-                f"model expects ({self.schema.d_c}, {self.schema.d_n})"
+                f"covariates have shapes {cat.shape} (cat) and {num.shape} (num); "
+                f"model expects (n, {d_c}) and (n, {d_n})"
             )
-        for i, f in enumerate(self.schema.categorical):
-            if not 0 <= record.categorical[i] <= f.cardinality:
-                raise ValueError(f"categorical index {record.categorical[i]} out of range for {f.name!r}")
+        cardinality = np.array([f.cardinality for f in self.schema.categorical], dtype=np.intp)
+        bad = np.argwhere((cat < 0) | (cat > cardinality))
+        if bad.size:
+            row, i = bad[0]
+            raise ValueError(
+                f"categorical index {cat[row, i]} out of range for {self.schema.categorical[i].name!r}"
+            )
+        return cat, num
 
-    def _single(self, record):
-        self._check_record(record)
-        cat = record.categorical.reshape(1, -1)
-        num = record.numerical.reshape(1, -1)
-        return self.forward_batch(cat, num)
+    def _row(self, cat, num):
+        """One record's checked ``cat`` and ``num`` rows as a batch of one."""
+        return self._covariates(np.reshape(cat, (1, -1)), np.reshape(num, (1, -1)))
 
-    def embed(self, record):
-        """Per-field embedding matrix (D, d_e) for one record."""
-        self._check_record(record)
-        cat = record.categorical.reshape(1, -1)
-        num = record.numerical.reshape(1, -1)
-        return self._embed_batch(cat, num).data[0]
+    def embed(self, cat, num):
+        """Per-field embedding matrix (D, d_e) for one record's rows."""
+        return self._embed_batch(*self._row(cat, num)).data[0]
 
-    def encode(self, record):
+    def encode(self, cat, num):
         """Flattened encoder output plus labeled attention maps."""
-        fp = self._single(record)
+        fp = self.forward_batch(*self._row(cat, num))
         return fp.encoded.data[0], self._maps_for(fp, 0)
 
     def _maps_for(self, fp, idx):
@@ -263,23 +268,20 @@ class SurvivalTransformer:
                 out.append(AttentionMap(layer, h, labels, alpha[idx, h].copy()))
         return out
 
-    def predict_hazards(self, records):
-        """Forward a record list in chunks of ``INFER_CHUNK`` records; returns
-        (n, n_events, m) hazard values."""
-        cat, num, _, _ = records_as_arrays(records)
-        for r in records:
-            self._check_record(r)
+    def predict_hazards(self, cat, num):
+        """Forward (n, d_c) indices and (n, d_n) values in chunks of
+        ``INFER_CHUNK`` records; returns (n, n_events, m) hazard values."""
+        cat, num = self._covariates(cat, num)
         chunks = []
-        for s in range(0, len(records), INFER_CHUNK):
+        for s in range(0, len(num), INFER_CHUNK):
             fp = self.forward_batch(cat[s : s + INFER_CHUNK], num[s : s + INFER_CHUNK])
             chunks.append(np.stack([h.data for h in fp.hazards], axis=1))
             del fp  # free this chunk's tape before the next one is built
         return np.concatenate(chunks)
 
-    def export_attention(self, record):
+    def export_attention(self, cat, num):
         """Labeled attention maps for one record, layer then head order."""
-        fp = self._single(record)
-        return self._maps_for(fp, 0)
+        return self._maps_for(self.forward_batch(*self._row(cat, num)), 0)
 
 
 def attention_payload(maps):

@@ -135,19 +135,16 @@ def fit(covariates, events, config=None):
     return PropensityModel(weights, offsets, config.floor, config.renormalize)
 
 
-def design_matrix(schema, records):
+def design_matrix(schema, cat, num):
     """Numeric design: standardized numericals plus one-hot categoricals.
 
     One-hot width is cardinality + 1 per field so unseen-category indices
     from a fitted schema stay representable.
     """
-    n = len(records)
-    blocks = []
-    if schema.d_n:
-        blocks.append(np.stack([r.numerical for r in records]))
+    n = len(num)
+    blocks = [num] if schema.d_n else []
     for i, f in enumerate(schema.categorical):
         onehot = np.zeros((n, f.cardinality + 1))
-        idx = np.array([r.categorical[i] for r in records], dtype=np.intp)
-        onehot[np.arange(n), idx] = 1.0
+        onehot[np.arange(n), cat[:, i]] = 1.0
         blocks.append(onehot)
     return np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))

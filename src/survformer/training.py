@@ -16,7 +16,6 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as L
 from . import propensity as prop
-from .data import records_as_arrays
 from .evaluation import (
     UndefinedMetricError,
     ctd,
@@ -55,11 +54,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.embed_dim % self.heads:
-            raise ValueError(f"heads ({self.heads}) must divide embed_dim ({self.embed_dim})")
-        for name in ("batch_size", "max_epochs", "patience", "time_bins"):
+        for name in ("embed_dim", "heads", "batch_size", "max_epochs", "patience", "time_bins"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.embed_dim % self.heads:
+            raise ValueError(f"heads ({self.heads}) must divide embed_dim ({self.embed_dim})")
 
     def model_config(self, m, n_events):
         return ModelConfig(
@@ -136,15 +135,13 @@ def train(config, train_records, val_records, schema, grid):
     single event type the survival term reduces to the plain batch-mean
     piecewise-constant-hazard loss and no propensity model is fitted.
     """
-    if not train_records or not val_records:
+    if not len(train_records) or not len(val_records):
         raise ValueError("training and validation sets must both be nonempty")
-    n_events = max(int(max(r.event for r in train_records)), 1)
-    val_max = max(r.event for r in val_records)
-    if val_max > n_events:
-        raise ValueError(f"validation set has event label {val_max} unseen in training")
-
-    cat, num, t, e = records_as_arrays(train_records)
-    vcat, vnum, vt, ve = records_as_arrays(val_records)
+    cat, num, t, e = train_records.cat, train_records.num, train_records.t, train_records.e
+    vcat, vnum, vt, ve = val_records.cat, val_records.num, val_records.t, val_records.e
+    n_events = max(int(e.max()), 1)
+    if ve.max() > n_events:
+        raise ValueError(f"validation set has event label {int(ve.max())} unseen in training")
 
     pi = None
     val_pi = None
@@ -153,7 +150,7 @@ def train(config, train_records, val_records, schema, grid):
         observed = e > 0
         if not observed.any():
             raise ValueError("no observed events in the training fold")
-        design = prop.design_matrix(schema, train_records)
+        design = prop.design_matrix(schema, cat, num)
         propensity_model = prop.fit(
             design[observed],
             e[observed],
@@ -164,7 +161,7 @@ def train(config, train_records, val_records, schema, grid):
             ),
         )
         pi = propensity_model.predict(design)
-        val_pi = propensity_model.predict(prop.design_matrix(schema, val_records))
+        val_pi = propensity_model.predict(prop.design_matrix(schema, vcat, vnum))
 
     model = SurvivalTransformer(config.model_config(grid.m, n_events), schema, grid, seed=config.seed)
     optimizer = Adam(
@@ -232,7 +229,7 @@ def train(config, train_records, val_records, schema, grid):
 def predict(model, records, times):
     """Survival values for each record, event, and query time: (n, K, T)."""
     times = np.asarray(times, dtype=np.float64)
-    hazards = model.predict_hazards(records)  # (n, K, m)
+    hazards = model.predict_hazards(records.cat, records.num)  # (n, K, m)
     n, K, _ = hazards.shape
     out = np.empty((n, K, times.size))
     for k in range(K):
@@ -242,12 +239,12 @@ def predict(model, records, times):
 
 def evaluate(model, test_records, censoring, quantiles=(0.25, 0.5, 0.75)):
     """Concordance per event at quantile horizons of the test event times."""
-    _, _, t, e = records_as_arrays(test_records)
+    t, e = test_records.t, test_records.e
     if e.max() > model.config.n_events:
         raise ValueError(
             f"event label {int(e.max())} exceeds the model's K={model.config.n_events} event types"
         )
-    hazards = model.predict_hazards(test_records)
+    hazards = model.predict_hazards(test_records.cat, test_records.num)
     report = {"quantiles": list(quantiles), "events": []}
     for k in range(1, model.config.n_events + 1):
         event_durations = t[e == k]
@@ -266,5 +263,4 @@ def evaluate(model, test_records, censoring, quantiles=(0.25, 0.5, 0.75)):
 
 
 def fit_censoring(train_records):
-    _, _, t, e = records_as_arrays(train_records)
-    return km_censoring(t, e)
+    return km_censoring(train_records.t, train_records.e)

@@ -78,17 +78,18 @@ def naive_attention(embeddings, wq, wk, wv):
     return outputs, alphas
 
 
-def naive_encode(model, record):
-    """Loop evaluation of the embed/attend/residual/feed-forward chain.
+def naive_encode(model, cat, num):
+    """Loop evaluation of the embed/attend/residual/feed-forward chain for
+    one record's ``cat`` indices and ``num`` values.
 
     Single layer, single head only; mirrors the published recipe directly.
     """
     schema = model.schema
     t = []
     for i in range(schema.d_c):
-        t.append(model.params[f"embed.cat{i}"].data[record.categorical[i]].copy())
+        t.append(model.params[f"embed.cat{i}"].data[cat[i]].copy())
     for j in range(schema.d_n):
-        t.append(model.params["embed.num"].data[j] * record.numerical[j])
+        t.append(model.params["embed.num"].data[j] * num[j])
     wq = model.params["enc0.h0.wq"].data
     wk = model.params["enc0.h0.wk"].data
     wv = model.params["enc0.h0.wv"].data
@@ -142,3 +143,63 @@ def ctd_oracle(scores, durations, events, tau, event_k, train_durations, train_e
     if pairs == 0:
         return None, 0
     return num / den, pairs
+
+
+def _finite_float(raw):
+    """``float(raw)`` when it parses to a finite number, else None."""
+    try:
+        value = float(raw)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def transform_row_oracle(schema, columns, row, line, labels=True):
+    """One CSV row (a dict of cell text) encoded by the per-row recipe:
+    (cat indices, num values, duration, event).
+
+    Missing covariates take the fitted mode or mean; unseen categories map
+    to the reserved index. Labels are read when ``labels`` is set. Cells are
+    checked left to right: covariates in schema order, then duration, then
+    event; the first bad one raises ``ValueError`` with the message the
+    package gives for it, naming ``line``.
+    """
+    cat = []
+    for f in schema.categorical:
+        raw = row.get(f.name, "")
+        if raw == "":
+            raw = f.mode
+        cat.append(f.vocabulary.get(raw, f.unknown_index))
+    num = []
+    for f in schema.numerical:
+        raw = row.get(f.name, "")
+        if raw == "":
+            value = f.mean
+        else:
+            value = _finite_float(raw)
+            if value is None:
+                raise ValueError(f"bad covariate value at line {line}: non-numeric or non-finite "
+                                 f"value {raw!r} in numerical column {f.name!r}")
+        num.append((value - f.mean) / f.std)
+    t, e = 0.0, 0
+    if labels:
+        for kind, name in (("duration", columns.duration), ("event", columns.event)):
+            raw = row[name]
+            value = _finite_float(raw)
+            if value is None:
+                problem = "non-numeric or non-finite"
+            elif kind == "event" and not value.is_integer():
+                problem = "non-integral"
+            elif value < 0:
+                problem = "negative"
+            elif kind == "event" and value >= 2.0**53:
+                problem = "out-of-range"
+            else:
+                problem = None
+            if problem:
+                raise ValueError(f"bad label at line {line}: {problem} value {raw!r} in {kind} column {name!r}")
+            if kind == "duration":
+                t = value
+            else:
+                e = int(value)
+    return cat, num, t, e

@@ -6,6 +6,7 @@ breast-cancer benchmark format; point SURVFORMER_METABRIC_CSV at it. Without
 the file that criterion is skipped, not failed.
 """
 
+import dataclasses
 import os
 import time
 
@@ -20,10 +21,9 @@ from survformer.data import (
     CategoricalField,
     CovariateSchema,
     NumericalField,
-    SurvivalRecord,
     TimeGrid,
 )
-from survformer.evaluation import km_censoring, survival_from_hazards
+from survformer.evaluation import km_censoring, survival_matrix
 from survformer.model import ModelConfig, SurvivalTransformer
 
 from oracles import ctd_oracle, naive_encode
@@ -103,8 +103,7 @@ def test_criterion_2_ips_unbiasedness():
         censoring_rate=0.0, seed=13,
     )
     records, truth = D.synthesize(spec)
-    x = np.stack([r.numerical for r in records])
-    t = np.array([r.duration for r in records])
+    x, t = records.num, records.t
     grid = D.build_time_grid(t, 5, "quantile")
     n, n_events, m = 200, 2, grid.m
     # fixed hazards, strongly covariate-dependent so the naive average is biased
@@ -172,12 +171,10 @@ def test_criterion_4_encoder_matches_naive_loop():
     worst = 0.0
     for trial in range(20):
         model = SurvivalTransformer(cfg, schema, grid, seed=trial)
-        rec = SurvivalRecord(
-            np.array([rng.integers(0, 4)], dtype=np.intp),  # includes the unseen row
-            rng.standard_normal(2), 1.0, 1,
-        )
-        got, _ = model.encode(rec)
-        worst = max(worst, float(np.abs(got - naive_encode(model, rec)).max()))
+        cat = np.array([rng.integers(0, 4)], dtype=np.intp)  # includes the unseen row
+        num = rng.standard_normal(2)
+        got, _ = model.encode(cat, num)
+        worst = max(worst, float(np.abs(got - naive_encode(model, cat, num)).max()))
     ok = worst < 1e-10
     report(4, "encoder oracle equivalence", ok, f"[max deviation {worst:.2e}]")
 
@@ -188,7 +185,7 @@ def test_criterion_5_curve_and_attention_invariants():
     times = np.linspace(0.0, 6.0, 13)
     for _ in range(1000):
         hazards = rng.uniform(0.0, 3.0, size=5)
-        values = np.array([survival_from_hazards(hazards, grid, t) for t in times])
+        values = survival_matrix(hazards[None, :], grid, times)[0]
         assert values[0] == 1.0
         assert np.all(np.diff(values) <= 1e-15)
         assert np.all((values >= 0.0) & (values <= 1.0))
@@ -201,10 +198,8 @@ def test_criterion_5_curve_and_attention_invariants():
                       head_layers=2, time_bins=5, n_events=2)
     model = SurvivalTransformer(cfg, schema, TimeGrid(np.arange(1.0, 6.0)), seed=3)
     for _ in range(100):
-        rec = SurvivalRecord(
-            np.array([rng.integers(0, 4)], dtype=np.intp), rng.standard_normal(2), 1.0, 1
-        )
-        maps = model.export_attention(rec)
+        cat = np.array([rng.integers(0, 4)], dtype=np.intp)
+        maps = model.export_attention(cat, rng.standard_normal(2))
         assert len(maps) == 4  # 2 layers x 2 heads
         for m in maps:
             np.testing.assert_allclose(m.weights.sum(axis=1), 1.0, atol=1e-6)
@@ -220,7 +215,7 @@ def _informative_dataset():
         censoring_rate=0.25, seed=7,
     )
     records, _ = D.synthesize(spec)
-    return D.split(records, (0.6, 0.1, 0.3), seed=7)
+    return [records.take(idx) for idx in D.split(range(spec.n), (0.6, 0.1, 0.3), seed=7)]
 
 
 def _ctd_at_half(model, test_records, censoring):
@@ -233,7 +228,7 @@ def test_criterion_6_learning_signal():
     train_r, val_r, test_r = _informative_dataset()
     schema = D.synthetic_schema(4)
     config = T.TrainConfig(max_epochs=30, patience=5, seed=7)
-    grid = D.build_time_grid([r.duration for r in train_r], config.time_bins, config.grid_scheme)
+    grid = D.build_time_grid(train_r.t, config.time_bins, config.grid_scheme)
     model, _, _ = T.train(config, train_r, val_r, schema, grid)
     trained = _ctd_at_half(model, test_r, T.fit_censoring(train_r))
 
@@ -242,11 +237,10 @@ def test_criterion_6_learning_signal():
 
     def permute(records):
         idx = rng.permutation(len(records))
-        return [SurvivalRecord(a.categorical, a.numerical, records[j].duration, records[j].event)
-                for a, j in zip(records, idx)]
+        return dataclasses.replace(records, t=records.t[idx], e=records.e[idx])
 
     p_train, p_val = permute(train_r), permute(val_r)
-    p_grid = D.build_time_grid([r.duration for r in p_train], config.time_bins, config.grid_scheme)
+    p_grid = D.build_time_grid(p_train.t, config.time_bins, config.grid_scheme)
     control_model, _, _ = T.train(config, p_train, p_val, schema, p_grid)
     control = _ctd_at_half(control_model, test_r, T.fit_censoring(p_train))
 
@@ -278,19 +272,21 @@ def test_criterion_7_external_benchmark_check():
         numerical=["x0", "x1", "x2", "x3", "x8"],
         categorical=["x4", "x5", "x6", "x7"],
     )
-    rows = D.read_raw_csv(path, columns)
+    table = D.read_raw_csv(path, columns)
     config = T.TrainConfig(
         max_epochs=100, patience=10, seed=0,
         embed_dim=16, heads=2, layers=2, hidden_size=32,
         learning_rate=1e-3, weight_decay=1e-4,
     )
-    train_rows, val_rows, test_rows = D.split(rows, (0.6, 0.1, 0.3), config.seed)
+    train_rows, val_rows, test_rows = (
+        table.take(idx) for idx in D.split(range(len(table)), (0.6, 0.1, 0.3), config.seed)
+    )
     schema = D.fit_schema(train_rows, columns)
     train_r = D.transform_rows(schema, train_rows, columns)
     val_r = D.transform_rows(schema, val_rows, columns)
     test_r = D.transform_rows(schema, test_rows, columns)
     assert schema.d_c == 4 and schema.d_n == 5
-    grid = D.build_time_grid([r.duration for r in train_r], config.time_bins, config.grid_scheme)
+    grid = D.build_time_grid(train_r.t, config.time_bins, config.grid_scheme)
     model, _, _ = T.train(config, train_r, val_r, schema, grid)
     rep = T.evaluate(model, test_r, T.fit_censoring(train_r), quantiles=(0.25, 0.5, 0.75))
     got = {h["quantile"]: h["ctd"] for h in rep["events"][0]["horizons"]}

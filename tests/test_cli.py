@@ -330,6 +330,62 @@ class TestErrorPaths:
         assert err[0].startswith("error:") and "no data rows" in err[0]
 
 
+class TestBadArguments:
+    @pytest.fixture()
+    def data(self, tmp_path):
+        data, args = synth_args(tmp_path)
+        assert run(args) == 0
+        return data
+
+    def train(self, tmp_path, data, *extra, **overrides):
+        config = tiny_config(tmp_path)
+        config.write_text(json.dumps({**json.loads(config.read_text()), **overrides}))
+        return run(["train", "--data", str(data), "--config", str(config),
+                    "--checkpoint", str(tmp_path / "m.json"), *extra])
+
+    def test_zero_heads_in_config_is_one_error_line(self, tmp_path, data, capsys):
+        capsys.readouterr()
+        assert self.train(tmp_path, data, heads=0) == 1
+        assert "heads must be positive" in one_error_line(capsys)
+
+    def test_eval_on_checkpoint_with_zero_heads_is_one_error_line(self, tmp_path, data, capsys):
+        assert self.train(tmp_path, data) == 0
+        ckpt = tmp_path / "m.json"
+        payload = json.loads(ckpt.read_text())
+        payload["config"]["heads"] = 0
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "metrics.json")])
+        assert code == 1
+        assert "heads must be positive" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("fractions", ["0.6,0.4", "nan,0.5,0.5", "0.6,0.1,0.3,0", "a,b,c", ""])
+    def test_bad_fractions_name_the_flag(self, tmp_path, data, capsys, fractions):
+        capsys.readouterr()
+        assert self.train(tmp_path, data, f"--fractions={fractions}") == 1
+        assert "--fractions" in one_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("quantiles", ["", "nan", "0.5,1.5", "x"])
+    def test_bad_quantiles_name_the_flag(self, tmp_path, data, capsys, quantiles):
+        assert self.train(tmp_path, data) == 0
+        capsys.readouterr()
+        code = run(["eval", "--data", str(data), "--checkpoint", str(tmp_path / "m.json"),
+                    f"--quantiles={quantiles}", "--out", str(tmp_path / "metrics.json")])
+        assert code == 1
+        assert "--quantiles" in one_error_line(capsys)
+        assert not (tmp_path / "metrics.json").exists()
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_synth_without_records_names_n(self, tmp_path, capsys, n):
+        out, args = synth_args(tmp_path, n=n)
+        capsys.readouterr()
+        assert run(args) == 1
+        assert "--n" in one_error_line(capsys)
+        assert not out.exists()
+
+
 class TestCorruptInput:
     @pytest.mark.parametrize("column, value, named", [
         ("x1", "nan", "numerical column 'x1'"),
@@ -369,6 +425,23 @@ class TestCorruptInput:
         assert code == 1
         line = one_error_line(capsys)
         assert re.search(rf"\bline {index + 2}\b", line) and "numerical column 'x1'" in line, line
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_train_names_the_earliest_of_two_bad_cells_whatever_the_split_seed(self, tmp_path, capsys, seed):
+        data, args = synth_args(tmp_path)
+        assert run(args) == 0
+        fold = D.split(list(range(150)), (0.6, 0.1, 0.3), seed)[0]
+        late, early = fold[0], min(fold)
+        assert late > early  # the fold holds the later line first
+        rewrite_row(data, late, lambda row: ["inf", *row[1:]])
+        rewrite_row(data, early, lambda row: [*row[:2], "nan", *row[3:]])
+        for _ in range(2):
+            capsys.readouterr()
+            code = run(["train", "--data", str(data), "--config", str(tiny_config(tmp_path)),
+                        "--seed", str(seed), "--checkpoint", str(tmp_path / "m.json")])
+            assert code == 1
+            line = one_error_line(capsys)
+            assert re.search(rf"\bline {early + 2}\b", line) and "numerical column 'x3'" in line, line
 
     @pytest.mark.parametrize("width", [2, 6], ids=["short", "long"])
     def test_train_rejects_row_with_wrong_cell_count(self, tmp_path, capsys, width):

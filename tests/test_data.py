@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from survformer import data as D
 
+from oracles import transform_row_oracle
+
 
 def write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8") as fh:
@@ -36,6 +38,19 @@ def metabric_style_rows(n=30, seed=0):
     return rows
 
 
+def load(path, columns):
+    """Read a CSV, fit the schema on all of its rows, and transform them."""
+    table = D.read_raw_csv(path, columns)
+    schema = D.fit_schema(table, columns)
+    return schema, D.transform_rows(schema, table, columns)
+
+
+def table_of(header, rows):
+    """A ``RawTable`` of cell text whose rows sit on CSV lines 2, 3, ..."""
+    cells = np.array(rows, dtype=object).reshape(len(rows), len(header))
+    return D.RawTable(list(header), cells, np.arange(2, len(rows) + 2))
+
+
 class TestLoadCsv:
     def test_nine_covariates_five_real_four_categorical(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", METABRIC_STYLE_HEADER, metabric_style_rows())
@@ -43,31 +58,32 @@ class TestLoadCsv:
             numerical=METABRIC_STYLE_HEADER[:5],
             categorical=METABRIC_STYLE_HEADER[5:9],
         )
-        schema, records = D.load_csv(path, columns)
+        schema, records = load(path, columns)
         assert schema.d_c == 4 and schema.d_n == 5 and schema.d == 9
         assert len(records) == 30
+        assert records.cat.shape == (30, 4) and records.num.shape == (30, 5)
 
     def test_two_point_standardization(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["x", "duration", "event"],
                          [[1.0, 5, 1], [3.0, 6, 0]])
-        schema, records = D.load_csv(path, D.ColumnSpec(["x"], []))
-        np.testing.assert_allclose([r.numerical[0] for r in records], [-1.0, 1.0], rtol=1e-12)
+        schema, records = load(path, D.ColumnSpec(["x"], []))
+        np.testing.assert_allclose(records.num[:, 0], [-1.0, 1.0], rtol=1e-12)
 
     def test_mode_imputation_and_vocabulary(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["c", "duration", "event"],
                          [["a", 1, 1], ["b", 2, 0], ["a", 3, 1], ["", 4, 0]])
-        schema, records = D.load_csv(path, D.ColumnSpec([], ["c"]))
+        schema, records = load(path, D.ColumnSpec([], ["c"]))
         field = schema.categorical[0]
         assert field.mode == "a"
         assert field.vocabulary == {"a": 0, "b": 1}
-        assert records[3].categorical[0] == 0  # imputed to the mode
+        assert records.cat[3, 0] == 0  # imputed to the mode
 
     def test_numerical_mean_imputation(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["x", "duration", "event"],
                          [[2.0, 1, 1], ["", 2, 0], [4.0, 3, 1]])
-        schema, records = D.load_csv(path, D.ColumnSpec(["x"], []))
+        schema, records = load(path, D.ColumnSpec(["x"], []))
         assert schema.numerical[0].mean == 3.0
-        assert records[1].numerical[0] == 0.0  # mean maps to standardized zero
+        assert records.num[1, 0] == 0.0  # mean maps to standardized zero
 
     def test_missing_column_named(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["x", "duration", "event"], [[1, 2, 1]])
@@ -78,14 +94,14 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "d.csv", ["x", "duration", "event"],
                          [[1.5, 1, 1], ["oops", 2, 0]])
         with pytest.raises(D.SchemaError, match="line 3"):
-            D.load_csv(path, D.ColumnSpec(["x"], []))
+            load(path, D.ColumnSpec(["x"], []))
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_numerical_value_reports_line_and_column(self, tmp_path, bad):
         path = write_csv(tmp_path / "d.csv", ["x", "duration", "event"],
                          [[1.5, 1, 1], [bad, 2, 0]])
         with pytest.raises(D.SchemaError, match=r"non-finite value .* column 'x' at line 3"):
-            D.load_csv(path, D.ColumnSpec(["x"], []))
+            load(path, D.ColumnSpec(["x"], []))
 
     def test_non_finite_value_in_transformed_rows_reports_line_and_column(self, tmp_path):
         columns = D.ColumnSpec(["x"], [])
@@ -101,39 +117,165 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "d.csv", ["x", "duration", "event"],
                          [[1.5, 1, 1], [2.5, bad, 0]])
         with pytest.raises(D.SchemaError, match=r"line 3: .* duration column 'duration'"):
-            D.load_csv(path, D.ColumnSpec(["x"], []))
+            load(path, D.ColumnSpec(["x"], []))
 
     @pytest.mark.parametrize("bad", ["1.9", "nan"])
     def test_non_integral_event_label_rejected(self, tmp_path, bad):
         path = write_csv(tmp_path / "d.csv", ["x", "duration", "event"],
                          [[1.5, 1, 1], [2.5, 2, bad]])
         with pytest.raises(D.SchemaError, match=r"line 3: .* event column 'event'"):
-            D.load_csv(path, D.ColumnSpec(["x"], []))
+            load(path, D.ColumnSpec(["x"], []))
 
     def test_integral_event_label_written_as_float_accepted(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["x", "duration", "event"],
                          [[1.5, 1, "2.0"], [2.5, 2, 0]])
-        _, records = D.load_csv(path, D.ColumnSpec(["x"], []))
-        assert records[0].event == 2
+        _, records = load(path, D.ColumnSpec(["x"], []))
+        assert records.e[0] == 2
 
     def test_unseen_category_maps_to_reserved_index(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["c", "duration", "event"],
                          [["a", 1, 1], ["b", 2, 0]])
-        schema, _ = D.load_csv(path, D.ColumnSpec([], ["c"]))
-        cat, _ = schema.transform_row({"c": "zebra"})
-        assert cat[0] == schema.categorical[0].unknown_index == 2
+        columns = D.ColumnSpec([], ["c"])
+        schema, _ = load(path, columns)
+        records = D.transform_rows(schema, table_of(["c"], [["zebra"]]), columns, require_labels=False)
+        assert records.cat[0, 0] == schema.categorical[0].unknown_index == 2
 
     def test_fit_on_train_never_changes_test_labels(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["x", "duration", "event"],
                          [[v, 10 * v, v % 3] for v in range(1, 21)])
         columns = D.ColumnSpec(["x"], [])
-        rows = D.read_raw_csv(path, columns)
-        train_rows, _, test_rows = D.split(rows, (0.6, 0.1, 0.3), seed=3)
-        schema = D.fit_schema(train_rows, columns)
-        test_records = D.transform_rows(schema, test_rows, columns)
-        for raw, rec in zip(test_rows, test_records):
-            assert rec.duration == float(raw["duration"])
-            assert rec.event == int(raw["event"])
+        table = D.read_raw_csv(path, columns)
+        train_idx, _, test_idx = D.split(range(len(table)), (0.6, 0.1, 0.3), seed=3)
+        schema = D.fit_schema(table.take(train_idx), columns)
+        test_table = table.take(test_idx)
+        test_records = D.transform_rows(schema, test_table, columns)
+        for i in range(len(test_table)):
+            assert test_records.t[i] == float(test_table.column("duration")[i])
+            assert test_records.e[i] == int(test_table.column("event")[i])
+            assert test_records.line[i] == test_table.line[i]
+
+
+def number_cells():
+    """Numerical cell text: plain, whitespace-padded, ``1_0``-style, missing,
+    and now and then a bad cell."""
+    plain = st.floats(-1e3, 1e3, allow_nan=False).map(repr)
+    padded = st.tuples(plain, st.sampled_from([" ", "  ", "\t"])).map(lambda p: p[1] + p[0] + p[1])
+    underscored = st.tuples(st.integers(1, 99), st.integers(0, 99)).map(lambda p: f"{p[0]}_{p[1]}")
+    bad = st.sampled_from(["nan", "inf", "-inf", "oops", "1e400", "1__0"])
+    return st.one_of(plain, plain, padded, underscored, st.just(""), bad)
+
+
+@st.composite
+def raw_tables(draw):
+    """(fit table, applied table, columns, require_labels, row order)."""
+    n_cat, n_num = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    if n_cat + n_num == 0:
+        n_num = 1
+    cats, nums = [f"c{i}" for i in range(n_cat)], [f"x{j}" for j in range(n_num)]
+    with_labels = draw(st.booleans())
+    header = cats + nums + (["duration", "event"] if with_labels else [])
+    category = st.sampled_from(["a", "b", "zz", " a", ""])
+
+    def rows(n, cells_for_number, fit):
+        out = []
+        for _ in range(n):
+            row = [draw(st.sampled_from(["a", "b", "zz"]) if fit else category) for _ in cats]
+            row += [draw(cells_for_number) for _ in nums]
+            if with_labels:
+                row += [draw(st.one_of(st.floats(0, 50).map(repr), st.sampled_from(["0", " 3.5", "", "nan", "-1"]))),
+                        draw(st.sampled_from(["0", "1", "2", "2.0", " 1 ", "1.5", "", "x", "-1", "1e20"]))]
+            out.append(row)
+        return out
+
+    fit = table_of(header, rows(draw(st.integers(1, 6)), st.floats(-10, 10).map(repr), True))
+    applied = table_of(header, rows(draw(st.integers(1, 8)), number_cells(), False))
+    order = draw(st.permutations(range(len(applied))))
+    return fit, applied, D.ColumnSpec(nums, cats), draw(st.booleans()), order
+
+
+class TestTransformRowsMatchesPerRowOracle:
+    @given(raw_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_for_bit(self, case):
+        fit, applied, columns, require_labels, order = case
+        schema = D.fit_schema(fit, columns)
+        table = applied.take(list(order))
+        labels = "duration" in table.header
+        rows = [dict(zip(table.header, cells)) for cells in table.cells.tolist()]
+        try:
+            if require_labels and not labels:
+                raise KeyError("duration")
+            # errors come from the row on the earliest line, whatever the row order
+            for i in np.argsort(table.line):
+                transform_row_oracle(schema, columns, rows[i], table.line[i], labels)
+        except KeyError:
+            with pytest.raises(D.SchemaError, match="missing label column 'duration'"):
+                D.transform_rows(schema, table, columns, require_labels)
+            return
+        except ValueError as err:
+            with pytest.raises(D.SchemaError) as got:
+                D.transform_rows(schema, table, columns, require_labels)
+            assert str(got.value) == str(err)
+            return
+        want = [transform_row_oracle(schema, columns, row, 0, labels) for row in rows]
+        records = D.transform_rows(schema, table, columns, require_labels)
+        cat = np.array([w[0] for w in want], dtype=np.intp).reshape(len(rows), schema.d_c)
+        num = np.array([w[1] for w in want], dtype=np.float64).reshape(len(rows), schema.d_n)
+        assert records.cat.dtype == np.intp and records.cat.tobytes() == cat.tobytes()
+        assert records.num.dtype == np.float64 and records.num.tobytes() == num.tobytes()
+        assert records.t.tobytes() == np.array([w[2] for w in want], dtype=np.float64).tobytes()
+        assert records.e.tobytes() == np.array([w[3] for w in want], dtype=np.intp).tobytes()
+        assert np.array_equal(records.line, table.line)
+
+
+class TestBadCellNamed:
+    HEADER = ["x", "y", "duration", "event"]
+
+    def rows(self):
+        return [[str(i), str(-i), str(i + 1), str(i % 3)] for i in range(12)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_earliest_line_whatever_the_row_order(self, seed):
+        rows = self.rows()
+        rows[4][1] = "inf"  # line 6
+        rows[9][0] = "oops"  # line 11
+        table = table_of(self.HEADER, rows)
+        columns = D.ColumnSpec(["x", "y"], [])
+        schema = D.fit_schema(table_of(self.HEADER, self.rows()), columns)
+        shuffled = table.take(np.random.default_rng(seed).permutation(len(table)))
+        with pytest.raises(D.SchemaError, match=r"line 6: .*'inf' in numerical column 'y'"):
+            D.transform_rows(schema, shuffled, columns)
+        with pytest.raises(D.SchemaError, match=r"'inf' in numerical column 'y' at line 6"):
+            D.fit_schema(shuffled, columns)
+
+    def test_leftmost_cell_of_the_earliest_line(self):
+        rows = self.rows()
+        rows[3][1], rows[3][3] = "nan", "1.5"  # line 5: y, then event
+        rows[7][0] = "nan"  # line 9
+        columns = D.ColumnSpec(["x", "y"], [])
+        schema = D.fit_schema(table_of(self.HEADER, self.rows()), columns)
+        with pytest.raises(D.SchemaError, match=r"line 5: .*numerical column 'y'"):
+            D.transform_rows(schema, table_of(self.HEADER, rows).take(np.arange(12)[::-1]), columns)
+        rows[3][1] = "1"
+        with pytest.raises(D.SchemaError, match=r"line 5: non-integral value '1.5' in event column"):
+            D.transform_rows(schema, table_of(self.HEADER, rows), columns)
+
+    @pytest.mark.parametrize("event", ["1e20", "9007199254740992"])
+    def test_event_label_past_exact_integers_names_its_line(self, event):
+        rows = self.rows()
+        rows[5][3] = event
+        columns = D.ColumnSpec(["x", "y"], [])
+        schema = D.fit_schema(table_of(self.HEADER, self.rows()), columns)
+        with pytest.raises(D.SchemaError, match=rf"line 7: out-of-range value '{event}' in event column"):
+            D.transform_rows(schema, table_of(self.HEADER, rows), columns)
+
+    def test_negative_duration_names_its_line(self):
+        rows = self.rows()
+        rows[2][2] = "-0.5"
+        columns = D.ColumnSpec(["x", "y"], [])
+        schema = D.fit_schema(table_of(self.HEADER, self.rows()), columns)
+        with pytest.raises(D.SchemaError, match=r"line 4: negative value '-0.5' in duration column"):
+            D.transform_rows(schema, table_of(self.HEADER, rows), columns)
 
 
 class TestTimeGrid:
@@ -238,6 +380,11 @@ class TestSplit:
         with pytest.raises(ValueError, match="empty"):
             D.split(list(range(10)), (1.0, 0.0, 0.0), seed=0)
 
+    @pytest.mark.parametrize("fractions", [(float("nan"), 0.5, 0.5), (0.5, float("inf"), -0.5)])
+    def test_non_finite_fractions_rejected(self, fractions):
+        with pytest.raises(ValueError, match="finite"):
+            D.split(list(range(10)), fractions, seed=0)
+
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
             D.split(list(range(10)), (0.5, 0.1, 0.3), seed=0)
@@ -260,11 +407,11 @@ class TestSynthesize:
 
     def test_zero_censoring_rate_means_no_censoring(self):
         records, _ = D.synthesize(self.spec())
-        assert all(r.event > 0 for r in records)
+        assert np.all(records.e > 0)
 
     def test_censoring_rate_hits_requested_fraction(self):
         records, _ = D.synthesize(self.spec(censoring_rate=0.25))
-        assert sum(r.event == 0 for r in records) == 125
+        assert np.sum(records.e == 0) == 125
 
     def test_strong_coefficient_shifts_event_share(self):
         spec = self.spec(
@@ -272,8 +419,7 @@ class TestSynthesize:
             assign_coefs=np.array([[2.0, 0.0, 0.0], [-2.0, 0.0, 0.0]]),
         )
         records, _ = D.synthesize(spec)
-        x1 = np.array([r.numerical[0] for r in records])
-        e = np.array([r.event for r in records])
+        x1, e = records.num[:, 0], records.e
         share_high = np.mean(e[x1 > 1.0] == 1)
         share_low = np.mean(e[x1 < -1.0] == 1)
         assert share_high > share_low
@@ -282,20 +428,19 @@ class TestSynthesize:
         a_records, a_pi = D.synthesize(self.spec())
         b_records, b_pi = D.synthesize(self.spec())
         assert np.array_equal(a_pi, b_pi)
-        for ra, rb in zip(a_records, b_records):
-            assert ra.duration == rb.duration and ra.event == rb.event
-            assert np.array_equal(ra.numerical, rb.numerical)
+        for name in ("cat", "num", "t", "e", "line"):
+            assert np.array_equal(getattr(a_records, name), getattr(b_records, name))
 
     def test_csv_roundtrip(self, tmp_path):
         records, propensities = D.synthesize(self.spec(n=20))
         path = tmp_path / "synth.csv"
         D.save_records_csv(path, records)
         D.save_propensities_csv(D.sidecar_path(path), propensities)
-        schema, loaded = D.load_csv(
-            path, D.ColumnSpec([f"x{j + 1}" for j in range(3)], [])
-        )
+        table = D.read_raw_csv(path, D.ColumnSpec([f"x{j + 1}" for j in range(3)], []))
+        loaded = D.transform_rows(D.synthetic_schema(3), table, D.ColumnSpec(["x1", "x2", "x3"], []))
         assert len(loaded) == 20
-        assert [r.event for r in loaded] == [r.event for r in records]
+        for name in ("num", "t", "e", "line"):
+            assert np.array_equal(getattr(loaded, name), getattr(records, name))
 
     def test_sidecar_path(self):
         assert D.sidecar_path("out/data.csv") == "out/data.propensities.csv"

@@ -12,37 +12,40 @@ from survformer import evaluation as E
 from survformer import kernels
 from survformer.data import TimeGrid
 
-from oracles import censoring_left_oracle, ctd_oracle
+from oracles import censoring_left_oracle, ctd_oracle, pch_oracle
 
 
 def grid123():
     return TimeGrid(np.array([1.0, 2.0, 3.0]))
 
 
+def survival_at(hazards, grid, t):
+    """One record's survival at one time through ``survival_matrix``."""
+    return float(E.survival_matrix(np.asarray(hazards, dtype=np.float64)[None, :], grid, [t])[0, 0])
+
+
 class TestSurvivalFromHazards:
+    """Survival curves from piecewise-constant hazards, through the one
+    formula, ``survival_matrix``."""
+
     def test_zero_hazard_means_certain_survival(self):
         grid = grid123()
         for t in (0.0, 0.5, 1.0, 2.7, 3.0):
-            assert E.survival_from_hazards(np.zeros(3), grid, t) == 1.0
+            assert survival_at(np.zeros(3), grid, t) == 1.0
 
     def test_single_bin_log_two_hazard_halves_survival(self):
         grid = TimeGrid(np.array([4.0]))
-        s = E.survival_from_hazards(np.array([math.log(2.0)]), grid, 4.0)
+        s = survival_at(np.array([math.log(2.0)]), grid, 4.0)
         assert s == pytest.approx(0.5, rel=1e-12)
 
     def test_time_zero_is_one(self):
         rng = np.random.default_rng(0)
-        s = E.survival_from_hazards(rng.uniform(0.1, 3.0, size=3), grid123(), 0.0)
+        s = survival_at(rng.uniform(0.1, 3.0, size=3), grid123(), 0.0)
         assert s == 1.0
 
-    def test_beyond_grid_clamps_with_warning(self):
-        with pytest.warns(UserWarning, match="clamped"):
-            s = E.survival_from_hazards(np.ones(3), grid123(), 99.0)
+    def test_beyond_grid_holds_the_grid_end_value(self):
+        s = survival_at(np.ones(3), grid123(), 99.0)
         assert s == pytest.approx(math.exp(-3.0), rel=1e-12)
-
-    def test_negative_hazard_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            E.survival_from_hazards(np.array([0.1, -0.1, 0.2]), grid123(), 1.0)
 
     @given(st.floats(0.0, 3.0), st.floats(0.0, 3.0))
     @settings(max_examples=100, deadline=None)
@@ -50,9 +53,7 @@ class TestSurvivalFromHazards:
         hazards = np.array([0.4, 1.1, 0.2])
         lo, hi = min(a, b), max(a, b)
         grid = grid123()
-        assert E.survival_from_hazards(hazards, grid, lo) >= E.survival_from_hazards(
-            hazards, grid, hi
-        )
+        assert survival_at(hazards, grid, lo) >= survival_at(hazards, grid, hi)
 
     def test_extra_hazard_weakly_decreases_later_survival(self):
         rng = np.random.default_rng(1)
@@ -63,35 +64,26 @@ class TestSurvivalFromHazards:
             bumped = hazards.copy()
             bumped[bin_idx] += rng.uniform(0.01, 1.0)
             for t in np.linspace(0.0, 3.0, 7):
-                assert E.survival_from_hazards(bumped, grid, t) <= E.survival_from_hazards(
-                    hazards, grid, t
-                ) + 1e-15
+                assert survival_at(bumped, grid, t) <= survival_at(hazards, grid, t) + 1e-15
 
-    def test_curve_object_agrees_with_function_form(self):
-        rng = np.random.default_rng(11)
-        grid = grid123()
-        hazards = rng.uniform(0.05, 2.0, size=3)
-        curve = E.SurvivalCurve.from_hazards(hazards, grid)
-        assert curve.at(0.0) == 1.0
-        np.testing.assert_array_equal(curve.values, [curve.at(c) for c in grid.cuts])
-        for t in (0.3, 1.7, 2.2):
-            assert curve.at(t) == E.survival_from_hazards(hazards, grid, t)
-
-    def test_curve_object_rejects_increasing_values(self):
-        with pytest.raises(ValueError, match="nonincreasing"):
-            E.SurvivalCurve(grid123(), np.array([0.5, 0.9, 0.2]), np.ones(3))
-
-    def test_matrix_form_matches_scalar_form(self):
-        rng = np.random.default_rng(2)
-        grid = grid123()
-        hazards = rng.uniform(0.05, 2.0, size=(4, 3))
-        times = np.array([0.0, 0.7, 1.5, 3.0])
+    @given(
+        st.lists(st.floats(0.1, 5.0), min_size=1, max_size=5, unique=True),
+        st.floats(0.01, 3.0),
+        st.lists(st.floats(0.0, 7.0), min_size=1, max_size=6),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_form_matches_scalar_form(self, cuts, scale, times, n):
+        """Every entry equals exp(-cumulative hazard), walked bin by bin for
+        one record and one time by the loss oracle."""
+        grid = TimeGrid(np.sort(cuts))
+        hazards = np.random.default_rng(len(times)).uniform(0.01, 1.0, size=(n, grid.m)) * scale
         mat = E.survival_matrix(hazards, grid, times)
-        for i in range(4):
+        assert mat.shape == (n, len(times))
+        for i in range(n):
             for j, t in enumerate(times):
-                assert mat[i, j] == pytest.approx(
-                    E.survival_from_hazards(hazards[i], grid, t), rel=1e-12
-                )
+                want = math.exp(-pch_oracle(hazards[i], grid.cuts, t, 0))
+                assert mat[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestKmCensoring:

@@ -15,7 +15,6 @@ from survformer.data import (
     CategoricalField,
     CovariateSchema,
     NumericalField,
-    SurvivalRecord,
     TimeGrid,
 )
 from survformer.model import (
@@ -50,39 +49,38 @@ def make_model(seed=0, **overrides):
     return SurvivalTransformer(ModelConfig(**cfg), small_schema(), small_grid(), seed=seed)
 
 
-def record(cat=(1, 2), num=(0.3, -0.7), duration=1.5, event=1):
-    return SurvivalRecord(np.array(cat, dtype=np.intp), np.array(num, dtype=np.float64),
-                          duration, event)
+def record(cat=(1, 2), num=(0.3, -0.7)):
+    """One record's ``cat`` and ``num`` rows."""
+    return np.array(cat, dtype=np.intp), np.array(num, dtype=np.float64)
 
 
 class TestEmbed:
     def test_zero_numerical_value_gives_zero_vector(self):
         model = make_model()
-        emb = model.embed(record(num=(0.0, 1.0)))
+        emb = model.embed(*record(num=(0.0, 1.0)))
         np.testing.assert_array_equal(emb[2], np.zeros(8))  # field order: cat, cat, num, num
 
     def test_linearity_in_numerical_value(self):
         model = make_model()
-        one = model.embed(record(num=(1.0, 0.0)))
-        two = model.embed(record(num=(2.0, 0.0)))
+        one = model.embed(*record(num=(1.0, 0.0)))
+        two = model.embed(*record(num=(2.0, 0.0)))
         np.testing.assert_allclose(two[2], 2.0 * one[2], rtol=1e-12)
 
     def test_categorical_lookup_is_independent_of_other_fields(self):
         model = make_model()
-        a = model.embed(record(cat=(1, 0), num=(5.0, 5.0)))
-        b = model.embed(record(cat=(1, 2), num=(-3.0, 0.1)))
+        a = model.embed(*record(cat=(1, 0), num=(5.0, 5.0)))
+        b = model.embed(*record(cat=(1, 2), num=(-3.0, 0.1)))
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[0], model.params["embed.cat0"].data[1])
 
     def test_schema_mismatch_rejected(self):
         model = make_model()
-        bad = SurvivalRecord(np.array([1], dtype=np.intp), np.array([0.1, 0.2]), 1.0, 1)
         with pytest.raises(ValueError, match="covariates"):
-            model.embed(bad)
+            model.embed(np.array([1], dtype=np.intp), np.array([0.1, 0.2]))
 
     def test_unknown_index_within_range_accepted(self):
         model = make_model()
-        emb = model.embed(record(cat=(2, 3)))  # reserved rows
+        emb = model.embed(*record(cat=(2, 3)))  # reserved rows
         assert emb.shape == (4, 8)
 
 
@@ -94,7 +92,7 @@ def layer_weights(model, layer=0):
 
 def attend(model, rec, layer=0):
     """The layer's attention op on one record's embeddings."""
-    t0 = model.embed(rec)
+    t0 = model.embed(*rec)
     return multi_head_attention(ad.Tensor(t0), t0.shape[0], *layer_weights(model, layer))
 
 
@@ -111,7 +109,7 @@ class TestAttention:
         rec = record()
         mixed, alpha = attend(model, rec)
         np.testing.assert_allclose(alpha[0, 0], 0.25, atol=1e-15)
-        expected = np.mean(model.embed(rec) @ model.params["enc0.h0.wv"].data, axis=0)
+        expected = np.mean(model.embed(*rec) @ model.params["enc0.h0.wv"].data, axis=0)
         for j in range(4):
             np.testing.assert_allclose(mixed.data[j], expected, rtol=1e-12)
 
@@ -120,18 +118,18 @@ class TestAttention:
         cfg = ModelConfig(embed_dim=8, heads=1, layers=1, ffn_depth=2,
                           hidden_size=8, head_layers=1, time_bins=5, n_events=1)
         model = SurvivalTransformer(cfg, schema, small_grid(), seed=3)
-        rec = SurvivalRecord(np.empty(0, dtype=np.intp), np.array([1.3]), 1.0, 1)
+        rec = record(cat=(), num=(1.3,))
         mixed, alpha = attend(model, rec)
         np.testing.assert_allclose(alpha[0, 0], [[1.0]], atol=1e-15)
         np.testing.assert_allclose(
-            mixed.data[0], model.embed(rec)[0] @ model.params["enc0.h0.wv"].data, rtol=1e-12
+            mixed.data[0], model.embed(*rec)[0] @ model.params["enc0.h0.wv"].data, rtol=1e-12
         )
 
     def test_matches_naive_loop_on_random_instance(self):
         model = make_model(heads=2, layers=1, seed=5)
         rec = record(cat=(0, 1), num=(0.9, -1.2))
         mixed, alpha = attend(model, rec)
-        t0 = list(model.embed(rec))
+        t0 = list(model.embed(*rec))
         outs = []
         for h, (wq, wk, wv) in enumerate(zip(*layer_weights(model))):
             want_out, want_alpha = naive_attention(t0, wq.data, wk.data, wv.data)
@@ -145,7 +143,7 @@ class TestAttention:
         for _ in range(20):
             rec = record(cat=(rng.integers(0, 3), rng.integers(0, 4)),
                          num=tuple(rng.standard_normal(2)))
-            for m in model.export_attention(rec):
+            for m in model.export_attention(*rec):
                 np.testing.assert_allclose(m.weights.sum(axis=1), 1.0, atol=1e-6)
                 assert np.all(m.weights >= 0) and np.all(m.weights <= 1)
 
@@ -217,8 +215,8 @@ class TestEncode:
     def test_no_layers_returns_raw_embeddings(self):
         model = make_model(layers=0)
         rec = record()
-        flat, maps = model.encode(rec)
-        np.testing.assert_array_equal(flat, model.embed(rec).reshape(-1))
+        flat, maps = model.encode(*rec)
+        np.testing.assert_array_equal(flat, model.embed(*rec).reshape(-1))
         assert maps == []
 
     def test_zero_weights_finite_with_contract_shape(self):
@@ -226,14 +224,14 @@ class TestEncode:
         for name, p in model.params.items():
             if name.startswith("enc"):
                 p.data[:] = 0.0
-        flat, _ = model.encode(record())
+        flat, _ = model.encode(*record())
         assert flat.shape == (4 * 8,)
         assert np.all(np.isfinite(flat))
 
     def test_deterministic(self):
         model = make_model(seed=9)
-        a, _ = model.encode(record())
-        b, _ = model.encode(record())
+        a, _ = model.encode(*record())
+        b, _ = model.encode(*record())
         assert np.array_equal(a, b)
 
     def test_matches_naive_loop_oracle(self):
@@ -244,14 +242,14 @@ class TestEncode:
             model = SurvivalTransformer(cfg, small_schema(), small_grid(), seed=trial)
             rec = record(cat=(rng.integers(0, 3), rng.integers(0, 4)),
                          num=tuple(rng.standard_normal(2)))
-            got, _ = model.encode(rec)
-            np.testing.assert_allclose(got, naive_encode(model, rec), atol=1e-10)
+            got, _ = model.encode(*rec)
+            np.testing.assert_allclose(got, naive_encode(model, *rec), atol=1e-10)
 
     def test_gradients_reach_every_layer_weight(self):
         model = make_model(seed=4, layers=2)
         rec = record()
-        cat = rec.categorical[None, :]
-        num = rec.numerical[None, :]
+        cat = rec[0][None, :]
+        num = rec[1][None, :]
 
         def build():
             fp = model.forward_batch(cat, num)
@@ -277,7 +275,7 @@ class TestSharedRepresentation:
         model = make_model()
         model.params["sr.w"].data[:] = 0.0
         rec = record()
-        fp = model.forward_batch(rec.categorical[None, :], rec.numerical[None, :])
+        fp = model.forward_batch(rec[0][None, :], rec[1][None, :])
         np.testing.assert_array_equal(fp.shared.data, np.zeros((1, 16)))
 
     def test_width_is_hidden_size(self):
@@ -340,19 +338,31 @@ class TestHeads:
         assert np.all((fp.event_prob.data > 0.0) & (fp.event_prob.data < 1.0))
 
 
-def random_records(rng, size):
-    cat, num = random_batch(rng, size)
-    return [SurvivalRecord(c, x, 1.0, 0) for c, x in zip(cat, num)]
+
 
 
 class TestPredictHazards:
+    @pytest.mark.parametrize("row, field, index", [(0, 0, -1), (300, 1, 4), (299, 0, 3)])
+    def test_out_of_range_index_anywhere_in_the_batch_rejected(self, row, field, index):
+        model = make_model()
+        cat, num = random_batch(np.random.default_rng(1), 301)
+        cat[row, field] = index
+        name = ["treat", "stage"][field]
+        with pytest.raises(ValueError, match=rf"categorical index {index} out of range for '{name}'"):
+            model.predict_hazards(cat, num)
+
+    @pytest.mark.parametrize("cat_shape, num_shape", [((5, 1), (5, 2)), ((5, 2), (5, 3)), ((5, 2), (4, 2)), ((2,), (2,))])
+    def test_misshapen_batch_rejected(self, cat_shape, num_shape):
+        with pytest.raises(ValueError, match="covariates"):
+            make_model().predict_hazards(np.zeros(cat_shape, dtype=np.intp), np.zeros(num_shape))
+
     @pytest.mark.parametrize("n", [1, INFER_CHUNK - 1, INFER_CHUNK, INFER_CHUNK + 1, 3 * INFER_CHUNK + 5])
     def test_chunked_forward_matches_one_whole_batch(self, n):
         model = make_model(seed=17)
-        recs = random_records(np.random.default_rng(n), n)
-        fp = model.forward_batch(np.stack([r.categorical for r in recs]), np.stack([r.numerical for r in recs]))
+        cat, num = random_batch(np.random.default_rng(n), n)
+        fp = model.forward_batch(cat, num)
         want = np.stack([h.data for h in fp.hazards], axis=1)
-        got = model.predict_hazards(recs)
+        got = model.predict_hazards(cat, num)
         assert got.shape == (n, 2, 5)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -360,10 +370,10 @@ class TestPredictHazards:
         model = make_model()
         peaks = []
         for n in (INFER_CHUNK, 8 * INFER_CHUNK):
-            recs = random_records(np.random.default_rng(0), n)
+            cat, num = random_batch(np.random.default_rng(0), n)
             tracemalloc.start()
             try:
-                model.predict_hazards(recs)
+                model.predict_hazards(cat, num)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -377,19 +387,19 @@ class TestExportAttention:
         model = make_model(heads=1, layers=1)
         model.params["enc0.h0.wq"].data[:] = 0.0
         model.params["enc0.h0.wk"].data[:] = 0.0
-        maps = model.export_attention(record())
+        maps = model.export_attention(*record())
         assert len(maps) == 1
         np.testing.assert_allclose(maps[0].weights, 0.25, atol=1e-15)
 
     def test_labels_follow_schema_field_order(self):
         model = make_model()
-        maps = model.export_attention(record())
+        maps = model.export_attention(*record())
         assert maps[0].labels == ["treat", "stage", "age", "marker"]
         assert [(m.layer, m.head) for m in maps] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_payload_is_json_ready(self):
         model = make_model()
-        payload = attention_payload(model.export_attention(record()))
+        payload = attention_payload(model.export_attention(*record()))
         text = json.dumps(payload)
         assert "treat" in text
 
@@ -401,9 +411,9 @@ class TestCheckpoint:
         save_checkpoint(path, model, extra={"note": 1})
         loaded, extra = load_checkpoint(path)
         assert extra == {"note": 1}
-        recs = [record(), record(cat=(0, 0), num=(1.0, 1.0), duration=3.0, event=2)]
+        cat, num = np.array([[1, 2], [0, 0]]), np.array([[0.3, -0.7], [1.0, 1.0]])
         np.testing.assert_array_equal(
-            model.predict_hazards(recs), loaded.predict_hazards(recs)
+            model.predict_hazards(cat, num), loaded.predict_hazards(cat, num)
         )
         assert loaded.config == model.config
         assert loaded.grid.to_list() == model.grid.to_list()
@@ -446,6 +456,11 @@ class TestCheckpoint:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("heads", [0, -1])
+    def test_nonpositive_heads_rejected_before_division(self, heads):
+        with pytest.raises(ValueError, match="heads must be positive"):
+            ModelConfig(embed_dim=8, heads=heads)
+
     def test_heads_must_divide_embed_dim(self):
         with pytest.raises(ValueError, match="divide"):
             ModelConfig(embed_dim=8, heads=3)

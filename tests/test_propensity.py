@@ -100,8 +100,7 @@ class TestAgainstGenerator:
             censoring_rate=0.0, seed=42,
         )
         records, truth = D.synthesize(spec)
-        x = np.stack([r.numerical for r in records])
-        e = np.array([r.event for r in records])
+        x, e = records.num, records.e
         model = P.fit(x, e, P.PropensityConfig(floor=1e-6))
         fitted = model.predict(x)
         for k in range(2):
@@ -115,11 +114,9 @@ class TestDesignMatrix:
             [D.CategoricalField("c", {"a": 0, "b": 1}, "a")],
             [D.NumericalField("x")],
         )
-        records = [
-            D.SurvivalRecord(np.array([0]), np.array([1.5]), 1.0, 1),
-            D.SurvivalRecord(np.array([2]), np.array([-0.5]), 2.0, 2),  # unknown index
-        ]
-        design = P.design_matrix(schema, records)
+        cat = np.array([[0], [2]])  # the second is the unknown index
+        num = np.array([[1.5], [-0.5]])
+        design = P.design_matrix(schema, cat, num)
         assert design.shape == (2, 4)  # 1 numerical + (2 + 1) one-hot
         np.testing.assert_array_equal(design[0], [1.5, 1.0, 0.0, 0.0])
         np.testing.assert_array_equal(design[1], [-0.5, 0.0, 0.0, 1.0])

@@ -1,5 +1,6 @@
 """Trainer orchestration: determinism, early stopping, reduction modes."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -19,7 +20,7 @@ def tiny_dataset(n=80, n_events=2, censoring=0.2, seed=0):
         censoring_rate=censoring, seed=seed,
     )
     records, _ = D.synthesize(spec)
-    train, val, test = D.split(records, (0.6, 0.2, 0.2), seed=seed)
+    train, val, test = (records.take(idx) for idx in D.split(range(spec.n), (0.6, 0.2, 0.2), seed=seed))
     schema = D.synthetic_schema(3)
     return train, val, test, schema
 
@@ -35,7 +36,7 @@ def tiny_config(**overrides):
 
 
 def build_grid(train, config):
-    return D.build_time_grid([r.duration for r in train], config.time_bins, config.grid_scheme)
+    return D.build_time_grid(train.t, config.time_bins, config.grid_scheme)
 
 
 class TestTrain:
@@ -43,7 +44,7 @@ class TestTrain:
         train, val, _, schema = tiny_dataset()
         config = tiny_config(learning_rate=0.0, weight_decay=0.0, max_epochs=1)
         grid = build_grid(train, config)
-        n_events = max(r.event for r in train)
+        n_events = train.e.max()
         reference = SurvivalTransformer(
             config.model_config(grid.m, n_events), schema, grid, seed=config.seed
         )
@@ -87,12 +88,12 @@ class TestTrain:
         model, history, pm = T.train(config, train, val, schema, grid)
         best = history.epochs[history.best_epoch]
         # recompute the validation loss at the restored parameters
-        vcat, vnum, vt, ve = D.records_as_arrays(val)
+        vcat, vnum, vt, ve = val.cat, val.num, val.t, val.e
         val_pi = None
         if pm is not None:
             from survformer import propensity as P
 
-            val_pi = pm.predict(P.design_matrix(schema, val))
+            val_pi = pm.predict(P.design_matrix(schema, vcat, vnum))
         total, _ = T._batch_loss(
             model, grid, vcat, vnum, vt, ve, val_pi, config.schedule(), history.best_epoch
         )
@@ -125,11 +126,11 @@ class TestTrain:
         config = tiny_config()
         grid = build_grid(train, config)
         with pytest.raises(ValueError, match="nonempty"):
-            T.train(config, train, [], schema, grid)
+            T.train(config, train, val.take(np.arange(0)), schema, grid)
 
     def test_validation_label_outside_training_range_rejected(self):
         train, val, _, schema = tiny_dataset(n_events=1)
-        bad_val = [D.SurvivalRecord(r.categorical, r.numerical, r.duration, 2) for r in val]
+        bad_val = dataclasses.replace(val, e=np.full(len(val), 2))
         config = tiny_config()
         grid = build_grid(train, config)
         with pytest.raises(ValueError, match="unseen"):
@@ -146,18 +147,18 @@ class TestPredict:
 
     def test_time_zero_gives_certain_survival(self):
         model, test = self.fitted()
-        curves = T.predict(model, test[:5], np.array([0.0]))
+        curves = T.predict(model, test.take(np.arange(5)), np.array([0.0]))
         np.testing.assert_array_equal(curves[:, :, 0], 1.0)
 
     def test_curves_nonincreasing_over_sorted_times(self):
         model, test = self.fitted()
         times = np.linspace(0.0, float(model.grid.cuts[-1]), 9)
-        curves = T.predict(model, test[:6], times)
+        curves = T.predict(model, test.take(np.arange(6)), times)
         assert np.all(np.diff(curves, axis=2) <= 1e-15)
 
     def test_output_shape_covers_records_events_times(self):
         model, test = self.fitted()
-        curves = T.predict(model, test[:7], np.array([0.0, 1.0, 2.0]))
+        curves = T.predict(model, test.take(np.arange(7)), np.array([0.0, 1.0, 2.0]))
         assert curves.shape == (7, model.config.n_events, 3)
 
 
@@ -202,6 +203,11 @@ class TestTrainConfig:
         path.write_text(json.dumps({"learning_rat": 0.1}))
         with pytest.raises(ValueError, match="unknown config fields"):
             T.TrainConfig.from_json(path)
+
+    @pytest.mark.parametrize("heads", [0, -2])
+    def test_nonpositive_heads_rejected_before_division(self, heads):
+        with pytest.raises(ValueError, match="heads must be positive"):
+            T.TrainConfig(heads=heads)
 
     def test_heads_must_divide_embed_dim(self):
         with pytest.raises(ValueError, match="divide"):
