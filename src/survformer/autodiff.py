@@ -190,16 +190,6 @@ def log(a):
     return node(np.log(a.data), (a,), back)
 
 
-def exp(a):
-    out_data = np.exp(a.data)
-
-    def back(g, a=a, out_data=out_data):
-        if a.requires_grad:
-            a._accumulate(g * out_data)
-
-    return node(out_data, (a,), back)
-
-
 def relu(a):
     def back(g, a=a):
         if a.requires_grad:

@@ -4,6 +4,7 @@ byte-identical under a fixed seed.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -99,8 +100,9 @@ def _folds(table, fractions, seed):
 
 
 def _cmd_synth(args):
-    if args.n < 1:
-        raise ValueError(f"--n must be a positive record count, got {args.n}")
+    for flag, value in (("--n", args.n), ("--events", args.events), ("--dim", args.dim)):
+        if value < 1:
+            raise ValueError(f"{flag} must be a positive count, got {value}")
     spec = D.default_synthetic_spec(
         args.n, dim=args.dim, n_events=args.events, censoring_rate=args.censoring, seed=args.seed
     )
@@ -114,7 +116,7 @@ def _cmd_synth(args):
 def _cmd_train(args):
     config = T.TrainConfig.from_json(args.config) if args.config else T.TrainConfig()
     if args.seed is not None:
-        config.seed = args.seed
+        config = dataclasses.replace(config, seed=args.seed)
     fractions = _parse_list("--fractions", args.fractions, "three finite train,validation,test fractions",
                             math.isfinite, count=3)
     table = D.read_raw_csv(
@@ -127,7 +129,7 @@ def _cmd_train(args):
     schema = D.fit_schema(train_table, columns)
     train_records = D.transform_rows(schema, train_table, columns)
     val_records = D.transform_rows(schema, val_table, columns)
-    grid = D.build_time_grid(train_records.t, config.time_bins, config.grid_scheme)
+    grid = D.build_time_grid(train_records.t, config.model.time_bins, config.grid_scheme)
     model, history, propensity_model = T.train(config, train_records, val_records, schema, grid)
     censoring = T.fit_censoring(train_records)
     extra = {
@@ -140,7 +142,7 @@ def _cmd_train(args):
         "split": {"fractions": fractions, "seed": config.seed},
         "censoring": censoring.to_dict(),
         "propensity": propensity_model.to_dict() if propensity_model else None,
-        "train_config": json.loads(json.dumps(config.__dict__)),
+        "train_config": config.to_dict(),
     }
     save_checkpoint(args.checkpoint, model, extra)
     history_path = args.out or f"{args.checkpoint}.history.json"

@@ -191,6 +191,11 @@ class ColumnSpec:
     duration: str = "duration"
     event: str = "event"
 
+    def __post_init__(self):
+        for name in (*self.numerical, *self.categorical):
+            if name in (self.duration, self.event):
+                raise ValueError(f"label column {name!r} is also declared a covariate")
+
 
 def read_raw_csv(path, columns):
     """Parse a CSV into a ``RawTable``, validating the declared columns and
@@ -352,7 +357,7 @@ def build_time_grid(durations, m, scheme="quantile"):
     """
     durations = np.asarray(durations, dtype=np.float64)
     if m < 2:
-        raise ValueError("need at least two bins")
+        raise ValueError(f"time_bins must be at least 2, got {m}")
     if durations.size == 0:
         raise ValueError("cannot build a grid from no durations")
     lo, hi = durations.min(), durations.max()

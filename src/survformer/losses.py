@@ -32,25 +32,17 @@ class LossBreakdown:
 
 @dataclass
 class AnnealSchedule:
-    """Auxiliary-task weights: start at the initial values, decay to zero.
-
-    ``linear`` ramps both weights down over ``horizon`` epochs; ``constant``
-    keeps them fixed (horizon ignored).
-    """
+    """Auxiliary-task weights: both ramp linearly from the initial values
+    down to zero over ``horizon`` epochs."""
 
     initial: tuple = (1.0, 1.0)
-    mode: str = "linear"
     horizon: int = 1
 
     def __post_init__(self):
-        if self.mode not in ("linear", "constant"):
-            raise ValueError(f"unknown anneal mode {self.mode!r}")
         if self.horizon < 1:
             raise ValueError("anneal horizon must be at least 1")
 
     def gammas(self, epoch):
-        if self.mode == "constant":
-            return self.initial
         frac = max(0.0, 1.0 - epoch / self.horizon)
         return (self.initial[0] * frac, self.initial[1] * frac)
 

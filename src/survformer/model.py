@@ -15,7 +15,8 @@ binary any-event head, and a follow-up-time regression head.
 """
 
 import json
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -29,27 +30,45 @@ CHECKPOINT_FORMAT = "survformer-checkpoint-v1"
 INFER_CHUNK = 256
 
 
+# A setting's rule: (phrase, predicate) pairs, checked in order; the first is
+# the JSON kind, in which a bool is not a number and an int is a valid float.
+INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+FLOAT = ("a finite number", lambda v: (INT[1](v) or isinstance(v, float)) and abs(v) <= sys.float_info.max)
+BOOL = ("true or false", lambda v: isinstance(v, bool))
+POSITIVE = ("positive", lambda v: v > 0)
+NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
+
+
+def setting(*rule, **default):
+    """A dataclass field whose value ``check_settings`` holds to ``rule``."""
+    return field(**default, metadata={"rule": rule})
+
+
+def check_settings(config):
+    """Raise one ValueError naming the first field of ``config`` that breaks
+    its rule, and the value that breaks it."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        for says, ok in f.metadata["rule"]:
+            if not ok(value):
+                raise ValueError(f"{f.name} must be {says}, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
-    embed_dim: int = 16
-    heads: int = 2
-    layers: int = 2
-    ffn_depth: int = 2
-    hidden_size: int = 32
-    head_layers: int = 2
-    time_bins: int = 10
-    n_events: int = 1
+    embed_dim: int = setting(INT, POSITIVE, default=16)
+    heads: int = setting(INT, POSITIVE, default=2)
+    layers: int = setting(INT, NONNEGATIVE, default=2)
+    ffn_depth: int = setting(INT, POSITIVE, default=2)
+    hidden_size: int = setting(INT, POSITIVE, default=32)
+    head_layers: int = setting(INT, POSITIVE, default=2)
+    time_bins: int = setting(INT, POSITIVE, default=10)
+    n_events: int = setting(INT, POSITIVE, default=1)
 
     def __post_init__(self):
-        for name in ("embed_dim", "heads", "ffn_depth", "hidden_size", "head_layers", "time_bins", "n_events"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        check_settings(self)
         if self.embed_dim % self.heads:
-            raise ValueError(
-                f"heads ({self.heads}) must divide embed_dim ({self.embed_dim})"
-            )
-        if self.layers < 0:
-            raise ValueError("layers must be nonnegative")
+            raise ValueError(f"heads ({self.heads}) must divide embed_dim ({self.embed_dim})")
 
 
 @dataclass
@@ -163,9 +182,6 @@ class SurvivalTransformer:
 
     def parameters(self):
         return list(self.params.values())
-
-    def parameter_names(self):
-        return list(self.params.keys())
 
     # --- batched forward (training path) ----------------------------------
 

@@ -62,17 +62,13 @@ class PropensityModel:
         )
 
 
-@dataclass
-class PropensityConfig:
-    l2: float = 1e-4
-    floor: float = 0.05
-    renormalize: bool = False
-    max_iter: int = 5000
-    tol: float = 1e-8
-    step: float = 1.0
+# Gradient-descent settings of each one-vs-rest fit.
+MAX_ITER = 5000
+TOL = 1e-8
+STEP = 1.0
 
 
-def _fit_binary(x, y, config):
+def _fit_binary(x, y, l2):
     """Gradient descent on L2-regularized mean cross-entropy.
 
     The step size is halved whenever a step fails to decrease the loss; the
@@ -82,21 +78,21 @@ def _fit_binary(x, y, config):
     n, d = x.shape
     w = np.zeros(d)
     b = 0.0
-    step = config.step
+    step = STEP
 
     def loss_and_grad(w, b):
         z = x @ w + b
         p = logistic(z)
         eps = 1e-12
         ll = -np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps))
-        ll += 0.5 * config.l2 * float(w @ w)
+        ll += 0.5 * l2 * float(w @ w)
         resid = p - y
-        gw = x.T @ resid / n + config.l2 * w
+        gw = x.T @ resid / n + l2 * w
         gb = float(resid.mean())
         return ll, gw, gb
 
     prev, gw, gb = loss_and_grad(w, b)
-    for _ in range(config.max_iter):
+    for _ in range(MAX_ITER):
         w_new = w - step * gw
         b_new = b - step * gb
         cur, gw_new, gb_new = loss_and_grad(w_new, b_new)
@@ -106,20 +102,20 @@ def _fit_binary(x, y, config):
                 break
             continue
         w, b, gw, gb = w_new, b_new, gw_new, gb_new
-        if abs(prev - cur) < config.tol:
+        if abs(prev - cur) < TOL:
             prev = cur
             break
         prev = cur
     return w, b
 
 
-def fit(covariates, events, config=None):
-    """Fit one-vs-rest logistic models on observed-event records.
+def fit(covariates, events, l2=1e-4, floor=0.05, renormalize=False):
+    """Fit one-vs-rest logistic models on observed-event records, with L2
+    penalty ``l2`` on the weights; the model clips at ``floor``.
 
     ``events`` are 1-based labels (no zeros); every event class in
     1..max(events) must be present.
     """
-    config = config or PropensityConfig()
     x = np.asarray(covariates, dtype=np.float64)
     e = np.asarray(events)
     if np.any(e < 1):
@@ -131,8 +127,8 @@ def fit(covariates, events, config=None):
         y = (e == k).astype(np.float64)
         if y.sum() == 0:
             raise ValueError(f"event class {k} absent from the fitting data")
-        weights[k - 1], offsets[k - 1] = _fit_binary(x, y, config)
-    return PropensityModel(weights, offsets, config.floor, config.renormalize)
+        weights[k - 1], offsets[k - 1] = _fit_binary(x, y, l2)
+    return PropensityModel(weights, offsets, floor, renormalize)
 
 
 def design_matrix(schema, cat, num):

@@ -9,7 +9,7 @@ evaluated records' event times.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .evaluation import (
     quantile_horizons,
     survival_matrix,
 )
+from .model import BOOL, FLOAT, INT, NONNEGATIVE, POSITIVE, check_settings, setting
 from .model import ModelConfig, SurvivalTransformer
 from .optim import Adam
 
@@ -31,62 +32,63 @@ class TrainingDiverged(RuntimeError):
     """Raised when the loss stops being finite."""
 
 
+# The model's fields that a config file sets; training sets n_events.
+MODEL_KEYS = [f.name for f in fields(ModelConfig) if f.name != "n_events"]
+PAIR = ("a list of two finite numbers", lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+        and all(FLOAT[1](x) for x in v))
+
+
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1e-3
-    weight_decay: float = 1e-4
-    batch_size: int = 64
-    max_epochs: int = 50
-    patience: int = 5
-    anneal_horizon: int = 0  # 0 means max_epochs - 1
-    gamma_initial: tuple = (1.0, 1.0)
-    embed_dim: int = 16
-    heads: int = 2
-    layers: int = 2
-    ffn_depth: int = 2
-    hidden_size: int = 32
-    head_layers: int = 2
-    time_bins: int = 10
-    grid_scheme: str = "quantile"
-    propensity_floor: float = 0.05
-    propensity_renormalize: bool = False
-    propensity_l2: float = 1e-4
-    seed: int = 0
+    """Training settings and the network's shape (``model``; training sets its
+    ``n_events``). The flat JSON form (``to_dict``, ``from_dict``) lists the
+    model's fields, less ``n_events``, in place of ``model``."""
+
+    learning_rate: float = setting(FLOAT, NONNEGATIVE, default=1e-3)
+    weight_decay: float = setting(FLOAT, NONNEGATIVE, default=1e-4)
+    batch_size: int = setting(INT, POSITIVE, default=64)
+    max_epochs: int = setting(INT, POSITIVE, default=50)
+    patience: int = setting(INT, POSITIVE, default=5)
+    anneal_horizon: int = setting(INT, NONNEGATIVE, default=0)  # 0 means max_epochs - 1
+    gamma_initial: tuple = setting(PAIR, ("nonnegative", lambda v: min(v) >= 0), default=(1.0, 1.0))
+    model: ModelConfig = setting(("a ModelConfig", lambda v: isinstance(v, ModelConfig)),
+                                 default_factory=ModelConfig)
+    grid_scheme: str = setting(("'quantile' or 'uniform'", lambda v: v in ("quantile", "uniform")),
+                               default="quantile")
+    propensity_floor: float = setting(FLOAT, ("in (0, 1]", lambda v: 0 < v <= 1), default=0.05)
+    propensity_renormalize: bool = setting(BOOL, default=False)
+    propensity_l2: float = setting(FLOAT, NONNEGATIVE, default=1e-4)
+    seed: int = setting(INT, NONNEGATIVE, default=0)
 
     def __post_init__(self):
-        for name in ("embed_dim", "heads", "batch_size", "max_epochs", "patience", "time_bins"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.embed_dim % self.heads:
-            raise ValueError(f"heads ({self.heads}) must divide embed_dim ({self.embed_dim})")
-
-    def model_config(self, m, n_events):
-        return ModelConfig(
-            embed_dim=self.embed_dim,
-            heads=self.heads,
-            layers=self.layers,
-            ffn_depth=self.ffn_depth,
-            hidden_size=self.hidden_size,
-            head_layers=self.head_layers,
-            time_bins=m,
-            n_events=n_events,
-        )
+        check_settings(self)
+        self.gamma_initial = tuple(self.gamma_initial)
 
     def schedule(self):
         horizon = self.anneal_horizon if self.anneal_horizon > 0 else max(1, self.max_epochs - 1)
-        return L.AnnealSchedule(initial=tuple(self.gamma_initial), mode="linear", horizon=horizon)
+        return L.AnnealSchedule(initial=self.gamma_initial, horizon=horizon)
+
+    def to_dict(self):
+        flat = {}
+        for name, value in vars(self).items():
+            flat.update({key: getattr(value, key) for key in MODEL_KEYS} if name == "model" else {name: value})
+        return flat
+
+    @classmethod
+    def from_dict(cls, payload):
+        if not isinstance(payload, dict):
+            raise ValueError(f"a config must be a JSON object, got {payload!r}")
+        unknown = set(payload) - set(cls().to_dict())
+        if unknown:
+            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        model = {key: payload[key] for key in MODEL_KEYS if key in payload}
+        rest = {key: value for key, value in payload.items() if key not in model}
+        return cls(model=ModelConfig(**model), **rest)
 
     @classmethod
     def from_json(cls, path):
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        if "gamma_initial" in payload:
-            payload["gamma_initial"] = tuple(payload["gamma_initial"])
-        return cls(**payload)
+            return cls.from_dict(json.load(fh))
 
 
 @dataclass
@@ -152,18 +154,15 @@ def train(config, train_records, val_records, schema, grid):
             raise ValueError("no observed events in the training fold")
         design = prop.design_matrix(schema, cat, num)
         propensity_model = prop.fit(
-            design[observed],
-            e[observed],
-            prop.PropensityConfig(
-                l2=config.propensity_l2,
-                floor=config.propensity_floor,
-                renormalize=config.propensity_renormalize,
-            ),
+            design[observed], e[observed], l2=config.propensity_l2,
+            floor=config.propensity_floor, renormalize=config.propensity_renormalize,
         )
         pi = propensity_model.predict(design)
         val_pi = propensity_model.predict(prop.design_matrix(schema, vcat, vnum))
 
-    model = SurvivalTransformer(config.model_config(grid.m, n_events), schema, grid, seed=config.seed)
+    model = SurvivalTransformer(
+        replace(config.model, time_bins=grid.m, n_events=n_events), schema, grid, seed=config.seed
+    )
     optimizer = Adam(
         model.parameters(),
         lr=config.learning_rate,

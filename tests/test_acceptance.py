@@ -228,7 +228,7 @@ def test_criterion_6_learning_signal():
     train_r, val_r, test_r = _informative_dataset()
     schema = D.synthetic_schema(4)
     config = T.TrainConfig(max_epochs=30, patience=5, seed=7)
-    grid = D.build_time_grid(train_r.t, config.time_bins, config.grid_scheme)
+    grid = D.build_time_grid(train_r.t, config.model.time_bins, config.grid_scheme)
     model, _, _ = T.train(config, train_r, val_r, schema, grid)
     trained = _ctd_at_half(model, test_r, T.fit_censoring(train_r))
 
@@ -240,7 +240,7 @@ def test_criterion_6_learning_signal():
         return dataclasses.replace(records, t=records.t[idx], e=records.e[idx])
 
     p_train, p_val = permute(train_r), permute(val_r)
-    p_grid = D.build_time_grid(p_train.t, config.time_bins, config.grid_scheme)
+    p_grid = D.build_time_grid(p_train.t, config.model.time_bins, config.grid_scheme)
     control_model, _, _ = T.train(config, p_train, p_val, schema, p_grid)
     control = _ctd_at_half(control_model, test_r, T.fit_censoring(p_train))
 
@@ -273,11 +273,11 @@ def test_criterion_7_external_benchmark_check():
         categorical=["x4", "x5", "x6", "x7"],
     )
     table = D.read_raw_csv(path, columns)
-    config = T.TrainConfig(
+    config = T.TrainConfig.from_dict(dict(
         max_epochs=100, patience=10, seed=0,
         embed_dim=16, heads=2, layers=2, hidden_size=32,
         learning_rate=1e-3, weight_decay=1e-4,
-    )
+    ))
     train_rows, val_rows, test_rows = (
         table.take(idx) for idx in D.split(range(len(table)), (0.6, 0.1, 0.3), config.seed)
     )
@@ -286,7 +286,7 @@ def test_criterion_7_external_benchmark_check():
     val_r = D.transform_rows(schema, val_rows, columns)
     test_r = D.transform_rows(schema, test_rows, columns)
     assert schema.d_c == 4 and schema.d_n == 5
-    grid = D.build_time_grid(train_r.t, config.time_bins, config.grid_scheme)
+    grid = D.build_time_grid(train_r.t, config.model.time_bins, config.grid_scheme)
     model, _, _ = T.train(config, train_r, val_r, schema, grid)
     rep = T.evaluate(model, test_r, T.fit_censoring(train_r), quantiles=(0.25, 0.5, 0.75))
     got = {h["quantile"]: h["ctd"] for h in rep["events"][0]["horizons"]}

@@ -360,6 +360,75 @@ class TestBadArguments:
         assert code == 1
         assert "heads must be positive" in one_error_line(capsys)
 
+    @pytest.mark.parametrize("body, named", [
+        ('{"batch_size": "a"}', "batch_size"),
+        ('{"batch_size": 1.5}', "batch_size"),
+        ('{"max_epochs": 1e400}', "max_epochs"),
+        ('{"embed_dim": 16.0}', "embed_dim"),
+        ('{"gamma_initial": 3}', "gamma_initial"),
+        ('{"gamma_initial": [1]}', "gamma_initial"),
+        ('{"gamma_initial": [1, "a"]}', "gamma_initial"),
+        ('{"learning_rate": "nan"}', "learning_rate"),
+        ("3", "JSON object"),
+        ("null", "JSON object"),
+        ('{"learning_rate": NaN}', "learning_rate"),
+        ('{"propensity_l2": -5}', "propensity_l2"),
+        ('{"anneal_horizon": -3}', "anneal_horizon"),
+        ('{"weight_decay": -1}', "weight_decay"),
+        ('{"propensity_floor": 0}', "propensity_floor"),
+        ('{"propensity_floor": 2}', "propensity_floor"),
+        ('{"propensity_renormalize": "yes"}', "propensity_renormalize"),
+        ('{"heads": true}', "heads"),
+        ('{"time_bins": 1}', "time_bins"),
+    ])
+    def test_bad_config_value_is_one_error_line_naming_it(self, tmp_path, data, capsys, body, named):
+        payload = json.loads(body)
+        capsys.readouterr()
+        if isinstance(payload, dict):
+            code = self.train(tmp_path, data, **payload)
+        else:
+            (tmp_path / "raw.json").write_text(body)
+            code = run(["train", "--data", str(data), "--config", str(tmp_path / "raw.json"),
+                        "--checkpoint", str(tmp_path / "m.json")])
+        assert code == 1
+        assert named in one_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
+
+    def test_negative_seed_flag_is_one_error_line(self, tmp_path, data, capsys):
+        capsys.readouterr()
+        assert self.train(tmp_path, data, "--seed=-1") == 1
+        assert "seed must be nonnegative" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("field, value", [("heads", "2"), ("time_bins", None), ("layers", True)])
+    def test_eval_on_checkpoint_with_mistyped_config_names_the_field(self, tmp_path, data, capsys,
+                                                                      field, value):
+        assert self.train(tmp_path, data) == 0
+        ckpt = tmp_path / "m.json"
+        payload = json.loads(ckpt.read_text())
+        payload["config"][field] = value
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "metrics.json")])
+        assert code == 1
+        assert f"{field} must be an integer" in one_error_line(capsys)
+
+    def test_train_config_of_a_checkpoint_reproduces_it(self, tmp_path, data):
+        settings = {"learning_rate": 0.002, "weight_decay": 0.0003, "batch_size": 40, "max_epochs": 4,
+                    "patience": 2, "anneal_horizon": 2, "gamma_initial": [0.5, 0.25], "embed_dim": 6,
+                    "heads": 3, "layers": 1, "ffn_depth": 3, "hidden_size": 7, "head_layers": 1,
+                    "time_bins": 5, "grid_scheme": "uniform", "propensity_floor": 0.1,
+                    "propensity_renormalize": True, "propensity_l2": 0.001, "seed": 9}
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert self.train(tmp_path, data, "--checkpoint", str(first), **settings) == 0
+        train_config = json.loads(first.read_text())["extra"]["train_config"]
+        assert train_config == settings and list(train_config) == list(settings)
+        config = tmp_path / "again.json"
+        config.write_text(json.dumps(train_config))
+        assert run(["train", "--data", str(data), "--config", str(config),
+                    "--checkpoint", str(second)]) == 0
+        assert read_bytes(first) == read_bytes(second)
+
     @pytest.mark.parametrize("fractions", ["0.6,0.4", "nan,0.5,0.5", "0.6,0.1,0.3,0", "a,b,c", ""])
     def test_bad_fractions_name_the_flag(self, tmp_path, data, capsys, fractions):
         capsys.readouterr()
@@ -384,6 +453,27 @@ class TestBadArguments:
         assert run(args) == 1
         assert "--n" in one_error_line(capsys)
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("flag, value", [("--dim", "0"), ("--events", "-2")])
+    def test_synth_without_covariates_or_events_names_the_flag(self, tmp_path, capsys, flag, value):
+        out, args = synth_args(tmp_path)
+        args[args.index(flag) + 1] = value
+        capsys.readouterr()
+        assert run(args) == 1
+        assert flag in one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, names, label", [
+        ("--numerical", "duration,x1", "duration"),
+        ("--categorical", "event", "event"),
+    ])
+    def test_label_column_declared_as_covariate_is_rejected(self, tmp_path, data, capsys,
+                                                            flag, names, label):
+        capsys.readouterr()
+        assert self.train(tmp_path, data, flag, names) == 1
+        assert repr(label) in one_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestCorruptInput:

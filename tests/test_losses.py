@@ -293,7 +293,7 @@ def scalars(*values):
 
 class TestTotalLoss:
     def test_zero_gammas_leave_survival_term(self):
-        sched = L.AnnealSchedule(initial=(0.0, 0.0), mode="constant")
+        sched = L.AnnealSchedule(initial=(0.0, 0.0))
         _, bd = L.total_loss_tensor(*scalars(1.7, 0.4, 0.9), sched, 0)
         assert bd.total == 1.7
 

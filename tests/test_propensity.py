@@ -29,7 +29,7 @@ class TestFit:
     def test_separable_data_saturates_to_clip_bounds(self):
         x = np.array([[-1.0]] * 20 + [[1.0]] * 20)
         e = np.array([1] * 20 + [2] * 20)
-        model = P.fit(x, e, P.PropensityConfig(floor=0.05))
+        model = P.fit(x, e, floor=0.05)
         probs = model.predict(np.array([[-1.0], [1.0]]))
         assert probs[1, 0] == 0.05  # class 1 at the wrong extreme clips to floor
         assert probs[0, 0] >= 0.95
@@ -101,7 +101,7 @@ class TestAgainstGenerator:
         )
         records, truth = D.synthesize(spec)
         x, e = records.num, records.e
-        model = P.fit(x, e, P.PropensityConfig(floor=1e-6))
+        model = P.fit(x, e, floor=1e-6)
         fitted = model.predict(x)
         for k in range(2):
             corr = np.corrcoef(fitted[:, k], truth[:, k])[0, 1]

@@ -32,11 +32,11 @@ def tiny_config(**overrides):
         time_bins=4, seed=1,
     )
     base.update(overrides)
-    return T.TrainConfig(**base)
+    return T.TrainConfig.from_dict(base)
 
 
 def build_grid(train, config):
-    return D.build_time_grid(train.t, config.time_bins, config.grid_scheme)
+    return D.build_time_grid(train.t, config.model.time_bins, config.grid_scheme)
 
 
 class TestTrain:
@@ -44,9 +44,10 @@ class TestTrain:
         train, val, _, schema = tiny_dataset()
         config = tiny_config(learning_rate=0.0, weight_decay=0.0, max_epochs=1)
         grid = build_grid(train, config)
-        n_events = train.e.max()
+        n_events = int(train.e.max())
         reference = SurvivalTransformer(
-            config.model_config(grid.m, n_events), schema, grid, seed=config.seed
+            dataclasses.replace(config.model, time_bins=grid.m, n_events=n_events),
+            schema, grid, seed=config.seed,
         )
         model, _, _ = T.train(config, train, val, schema, grid)
         for name in model.params:
@@ -189,13 +190,13 @@ class TestTrainConfig:
         path = tmp_path / "cfg.json"
         path.write_text("{}")
         config = T.TrainConfig.from_json(path)
-        assert config.batch_size == 64 and config.time_bins == 10
+        assert config.batch_size == 64 and config.model.time_bins == 10
 
     def test_partial_json_overrides_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"max_epochs": 7, "embed_dim": 8, "heads": 1}))
         config = T.TrainConfig.from_json(path)
-        assert config.max_epochs == 7 and config.embed_dim == 8
+        assert config.max_epochs == 7 and config.model.embed_dim == 8
         assert config.learning_rate == 1e-3
 
     def test_unknown_field_rejected(self, tmp_path):
@@ -207,11 +208,11 @@ class TestTrainConfig:
     @pytest.mark.parametrize("heads", [0, -2])
     def test_nonpositive_heads_rejected_before_division(self, heads):
         with pytest.raises(ValueError, match="heads must be positive"):
-            T.TrainConfig(heads=heads)
+            T.TrainConfig.from_dict({"heads": heads})
 
     def test_heads_must_divide_embed_dim(self):
         with pytest.raises(ValueError, match="divide"):
-            T.TrainConfig(embed_dim=10, heads=4)
+            T.TrainConfig.from_dict({"embed_dim": 10, "heads": 4})
 
     def test_anneal_schedule_ends_at_zero_by_default(self):
         config = T.TrainConfig(max_epochs=20)
