@@ -9,11 +9,14 @@ reliable in 32-bit.
 Operations are module functions over Tensors; ``Tensor`` itself carries no
 operator sugar. ``matmul`` multiplies 2-d operands only, so callers flatten
 leading axes first. A fused operation with a closed-form vector-Jacobian
-product is built on ``node``.
+product is built on ``node``; the model's encoder layers and task heads and
+the training losses are each one such op.
 
 The graph is rebuilt on every forward pass and never reused across batches.
 Tensors are immutable by convention: only an optimizer mutates ``.data`` of
-parameters, and only between tapes.
+parameters, and only between tapes. Gradient arrays are never written in
+place either: a node's first gradient is stored as handed over, and one
+array may be handed to several nodes.
 """
 
 import numpy as np
@@ -34,7 +37,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("tensor values must be finite")
         self.data = arr
         self.grad = None
@@ -50,9 +53,9 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # The first write stores ``g`` itself and later ones allocate: a
+        # backward may hand one array to several parents, so none is mutated.
+        self.grad = g if self.grad is None else self.grad + g
 
 
 def _unbroadcast(grad, shape):
@@ -88,14 +91,6 @@ def add(a, b):
             b._accumulate(_unbroadcast(g, b.data.shape))
 
     return node(a.data + b.data, (a, b), back)
-
-
-def neg(a):
-    def back(g, a=a):
-        if a.requires_grad:
-            a._accumulate(-g)
-
-    return node(-a.data, (a,), back)
 
 
 def mul(a, b):
@@ -174,55 +169,36 @@ def tsum(a, axis=None):
     return node(a.data.sum(axis=axis), (a,), back)
 
 
-def tmean(a, axis=None):
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis), Tensor(1.0 / count))
+def selu_array(x):
+    """Scaled exponential linear unit of an array, elementwise."""
+    return SELU_LAMBDA * np.where(x > 0, x, SELU_ALPHA * np.expm1(np.minimum(x, 0.0)))
 
 
-def log(a):
-    if np.any(a.data <= 0):
-        raise ValueError("log requires strictly positive input")
-
-    def back(g, a=a):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    return node(np.log(a.data), (a,), back)
-
-
-def relu(a):
-    def back(g, a=a):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > 0))
-
-    return node(np.maximum(a.data, 0.0), (a,), back)
+def selu_slope(x):
+    """Derivative of ``selu_array`` at the pre-activation ``x``."""
+    return SELU_LAMBDA * np.where(x > 0, 1.0, SELU_ALPHA * np.exp(np.minimum(x, 0.0)))
 
 
 def selu(a):
-    """Scaled exponential linear unit, elementwise."""
-    x = a.data
-    neg_part = SELU_ALPHA * np.expm1(np.minimum(x, 0.0))
-    out_data = SELU_LAMBDA * np.where(x > 0, x, neg_part)
-    deriv = SELU_LAMBDA * np.where(x > 0, 1.0, SELU_ALPHA * np.exp(np.minimum(x, 0.0)))
+    """Scaled exponential linear unit, elementwise; the slope is computed in
+    backward only, so a forward that is never differentiated skips it."""
 
-    def back(g, a=a, deriv=deriv):
+    def back(g, a=a):
         if a.requires_grad:
-            a._accumulate(g * deriv)
+            a._accumulate(g * selu_slope(a.data))
 
-    return node(out_data, (a,), back)
+    return node(selu_array(a.data), (a,), back)
 
 
 def softplus(a):
     """log(1 + exp(x)) with the overflow-safe split; strictly positive."""
     x = a.data
-    out_data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    sig = logistic(x)
 
-    def back(g, a=a, sig=sig):
+    def back(g, a=a):
         if a.requires_grad:
-            a._accumulate(g * sig)
+            a._accumulate(g * logistic(a.data))
 
-    return node(out_data, (a,), back)
+    return node(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), (a,), back)
 
 
 def logistic(x):
@@ -264,21 +240,18 @@ class GradientTape:
 
     @staticmethod
     def _topo_order(root):
+        """Depth-first post-order from ``root``, parents taken last first."""
         order = []
-        visited = set()
-        stack = [(root, False)]
+        visited = {root}
+        stack = [(root, reversed(root._parents))]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
+            for parent in stack[-1][1]:
+                if parent not in visited:
+                    visited.add(parent)
+                    stack.append((parent, reversed(parent._parents)))
+                    break
+            else:
+                order.append(stack.pop()[0])
         return order
 
     def run(self):

@@ -14,7 +14,7 @@ import numpy as np
 from . import data as D
 from . import training as T
 from .evaluation import CensoringEstimate
-from .model import attention_payload, load_checkpoint, save_checkpoint
+from .model import FLOAT, INT, attention_payload, load_checkpoint, save_checkpoint
 
 
 def _parse_list(flag, text, what, valid, count=None):
@@ -122,8 +122,6 @@ def _cmd_train(args):
     table = D.read_raw_csv(
         args.data, D.ColumnSpec([], [], args.duration_col, args.event_col)
     )
-    if not len(table):
-        raise ValueError(f"{args.data}: no data rows")
     columns = _infer_columns(table, args.duration_col, args.event_col, args.numerical, args.categorical)
     train_table, val_table, _ = _folds(table, fractions, config.seed)
     schema = D.fit_schema(train_table, columns)
@@ -156,17 +154,47 @@ def _cmd_train(args):
     return 0
 
 
+STRING = ("a string", lambda v: isinstance(v, str))
+STRINGS = ("a list of strings", lambda v: isinstance(v, list) and all(STRING[1](x) for x in v))
+NUMBERS = ("a list of finite numbers", lambda v: isinstance(v, list) and all(FLOAT[1](x) for x in v))
+
+# The checkpoint's ``extra`` records that commands read: a rule (phrase,
+# predicate) for each entry, or a dict of the rules for an object's entries.
+EXTRA = {
+    "columns": {"numerical": STRINGS, "categorical": STRINGS, "duration": STRING, "event": STRING},
+    "split": {
+        "fractions": ("a list of three finite numbers", lambda v: NUMBERS[1](v) and len(v) == 3),
+        "seed": ("a nonnegative integer", lambda v: INT[1](v) and v >= 0),
+    },
+    "censoring": {"times": NUMBERS, "values": NUMBERS},
+}
+
+
+def _check_entry(path, holder, name, rule):
+    """Raise one ValueError naming ``name`` when the checkpoint at ``path``
+    lacks it in ``holder`` or its value breaks ``rule``."""
+    key = name.rpartition(".")[2]
+    if not isinstance(holder, dict) or key not in holder:
+        raise ValueError(f"checkpoint {path} lacks {name}")
+    value = holder[key]
+    if not isinstance(rule, dict):
+        if not rule[1](value):
+            raise ValueError(f"checkpoint {path}: {name} must be {rule[0]}, got {value!r}")
+        return
+    if not isinstance(value, dict):
+        raise ValueError(f"checkpoint {path}: {name} must be an object, got {value!r}")
+    for sub, sub_rule in rule.items():
+        _check_entry(path, value, f"{name}.{sub}", sub_rule)
+
+
 def _load_model(path, required=("columns",)):
     """Load a checkpoint and the column spec it was trained with; its
-    ``extra`` record must hold every key in ``required``."""
+    ``extra`` record must hold every key in ``required``, as ``EXTRA``
+    describes it."""
     model, extra = load_checkpoint(path)
     for key in required:
-        if not isinstance(extra, dict) or key not in extra:
-            raise ValueError(f"checkpoint {path} lacks extra.{key}")
+        _check_entry(path, extra, f"extra.{key}", EXTRA[key])
     cols = extra["columns"]
-    for key in ("numerical", "categorical", "duration", "event"):
-        if not isinstance(cols, dict) or key not in cols:
-            raise ValueError(f"checkpoint {path} lacks extra.columns.{key}")
     columns = D.ColumnSpec(cols["numerical"], cols["categorical"], cols["duration"], cols["event"])
     return model, extra, columns
 

@@ -198,8 +198,8 @@ class ColumnSpec:
 
 
 def read_raw_csv(path, columns):
-    """Parse a CSV into a ``RawTable``, validating the declared columns and
-    that every row has one cell per header column."""
+    """Parse a CSV into a ``RawTable``, validating the declared columns, that
+    there is a data row and that every row has one cell per header column."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -221,6 +221,8 @@ def read_raw_csv(path, columns):
                 )
             rows.append(cells)
             lines.append(reader.line_num)
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
     cells = np.array(rows, dtype=object).reshape(len(rows), len(header))
     return RawTable(header, cells, np.array(lines, dtype=np.intp))
 

@@ -61,7 +61,10 @@ class CensoringEstimate:
 
     @classmethod
     def from_dict(cls, payload):
-        return cls(np.asarray(payload["times"]), np.asarray(payload["values"]))
+        times, values = np.asarray(payload["times"]), np.asarray(payload["values"])
+        if times.shape != values.shape:
+            raise ValueError(f"censoring estimate has {times.size} times but {values.size} values")
+        return cls(times, values)
 
 
 def km_censoring(durations, events):

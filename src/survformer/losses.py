@@ -2,9 +2,10 @@
 inverse-propensity-weighted competing-events loss, auxiliary task losses,
 and the annealed total.
 
-``pch_terms`` is the one implementation of the hazard likelihood term: a tape
-op with a closed-form gradient. Training builds ``competing_survival_loss``
-on it; the array estimators (``pch_loss``, ``event_loss_matrix``,
+``_pch`` is the one implementation of the hazard likelihood term and its
+closed-form gradient. ``pch_terms`` is its tape op; training's
+``competing_survival_loss`` folds it, the IPS weights and the sum over heads
+into one op; the array estimators (``pch_loss``, ``event_loss_matrix``,
 ``ips_loss``, ``naive_competing_loss``) read its values. The
 indicator-weighted estimators implement the printed formulas exactly; the
 censored cause-specific contributions that every record owes to the heads of
@@ -50,6 +51,30 @@ class AnnealSchedule:
 # --- the piecewise-constant-hazard term -------------------------------------
 
 
+def _bins(grid, durations):
+    """The bin kappa holding each duration and its elapsed fraction rho."""
+    return grid.interval_index(durations, clip=True), grid.interval_fraction(durations, clip=True)
+
+
+def _pch(h, kappa, rho, events):
+    """Values of ``pch_terms`` for the (B, m) hazard array ``h``, and the
+    function that maps a (B,) cotangent to the (B, m) hazard gradient."""
+    events = np.asarray(events, dtype=np.float64)
+    rows = np.arange(h.shape[0])
+    h_at = h[rows, kappa]
+    if np.any(h_at <= 0):
+        raise ValueError("log requires strictly positive input")
+    cum = np.cumsum(h, axis=1)
+    prior = np.where(kappa > 0, cum[rows, np.maximum(kappa - 1, 0)], 0.0)
+
+    def vjp(g):
+        grad = (np.arange(h.shape[1])[None, :] < kappa[:, None]) * g[:, None]
+        grad[rows, kappa] = g * rho - events * g / h_at
+        return grad
+
+    return -events * np.log(h_at) + h_at * rho + prior, vjp
+
+
 def pch_terms(hazards, grid, durations, events):
     """Per-record piecewise-constant-hazard loss terms, as one tape op.
 
@@ -61,24 +86,13 @@ def pch_terms(hazards, grid, durations, events):
     the last cut fall in the last bin). The gradient is g on every earlier bin
     and g*rho - e*g/h[kappa] on bin kappa.
     """
-    h = hazards.data
-    kappa = grid.interval_index(durations, clip=True)
-    rho = grid.interval_fraction(durations, clip=True)
-    events = np.asarray(events, dtype=np.float64)
-    rows = np.arange(h.shape[0])
-    h_at = h[rows, kappa]
-    if np.any(h_at <= 0):
-        raise ValueError("log requires strictly positive input")
-    cum = np.cumsum(h, axis=1)
-    prior = np.where(kappa > 0, cum[rows, np.maximum(kappa - 1, 0)], 0.0)
+    terms, vjp = _pch(hazards.data, *_bins(grid, durations), events)
 
     def back(g, hazards=hazards):
         if hazards.requires_grad:
-            grad = (np.arange(h.shape[1])[None, :] < kappa[:, None]) * g[:, None]
-            grad[rows, kappa] = g * rho - events * g / h_at
-            hazards._accumulate(grad)
+            hazards._accumulate(vjp(g))
 
-    return ad.node(-events * np.log(h_at) + h_at * rho + prior, (hazards,), back)
+    return ad.node(terms, (hazards,), back)
 
 
 # --- array-level estimators -------------------------------------------------
@@ -152,13 +166,13 @@ def ips_loss(hazards, durations, events, propensities, grid, floor=0.05):
 
 
 def competing_survival_loss(hazard_tensors, grid, durations, events, propensities=None, floor=0.05):
-    """Tape survival objective: IPS-weighted event terms plus the censored
-    cumulative-hazard terms every record owes to its unobserved heads,
-    normalized together by records times events.
+    """Tape survival objective, as one op: IPS-weighted event terms plus the
+    censored cumulative-hazard terms every record owes to its unobserved
+    heads, normalized together by records times events.
 
     For head k the indicator ind marks records whose event is k. Because ind
-    is 0 or 1, one ``pch_terms`` call with events=ind, weighted by
-    ind/pi + (1 - ind), holds both the event and the censored parts. With one
+    is 0 or 1, the ``pch_terms`` values with events=ind, weighted by
+    ind/pi + (1 - ind), hold both the event and the censored parts. With one
     event type and unit propensities this is exactly the batch mean of the
     single-event loss. ``propensities`` is (n, K) or None for unit weights.
     """
@@ -172,27 +186,56 @@ def competing_survival_loss(hazard_tensors, grid, durations, events, propensitie
         if np.any(pi <= 0):
             raise ValueError("propensities must be strictly positive")
         pi = np.maximum(pi, floor)
-    total = None
+    kappa, rho = _bins(grid, durations)
+    scale = 1.0 / (n * K)
+    total = 0.0
+    weights, vjps = [], []
     for k in range(K):
         ind = (events == k + 1).astype(np.float64)
-        terms = pch_terms(hazard_tensors[k], grid, durations, ind)
-        part = ad.tsum(ad.mul(ad.Tensor(ind / pi[:, k] + (1.0 - ind)), terms))
-        total = part if total is None else ad.add(total, part)
-    return ad.mul(total, ad.Tensor(1.0 / (n * K)))
+        terms, vjp = _pch(hazard_tensors[k].data, kappa, rho, ind)
+        weights.append(ind / pi[:, k] + (1.0 - ind))
+        vjps.append(vjp)
+        total = total + (weights[-1] * terms).sum()
+
+    def back(g):
+        c = g * scale
+        for h, w, vjp in zip(hazard_tensors, weights, vjps):
+            if h.requires_grad:
+                h._accumulate(vjp(c * w))
+
+    return ad.node(total * scale, hazard_tensors, back)
+
+
+def _mean_op(values, parent, vjp):
+    """The mean of the per-record ``values`` as one tape op on ``parent``.
+    ``vjp`` maps the cotangent each value receives, one scalar for all, to
+    ``parent``'s gradient."""
+    scale = 1.0 / values.size
+
+    def back(g):
+        if parent.requires_grad:
+            parent._accumulate(vjp(g * scale))
+
+    return ad.node(values.sum() * scale, (parent,), back)
 
 
 def mp_loss_tensor(prob, labels):
-    """Mean binary cross-entropy of the any-event head."""
+    """Mean binary cross-entropy of the any-event head, as one tape op."""
     d = np.asarray(labels, dtype=np.float64)
-    pos = ad.mul(ad.Tensor(-d), ad.log(prob))
-    neg = ad.mul(ad.Tensor(-(1.0 - d)), ad.log(ad.add(ad.Tensor(np.ones_like(d)), ad.neg(prob))))
-    return ad.tmean(ad.add(pos, neg))
+    p = prob.data
+    q = 1.0 - p
+    for x in (p, q):
+        if np.any(x <= 0):
+            raise ValueError("log requires strictly positive input")
+    return _mean_op(-(d * np.log(p) + (1.0 - d) * np.log(q)), prob,
+                    lambda c: c * (1.0 - d) / q - c * d / p)
 
 
 def ls_loss_tensor(pred, observed):
-    """Mean squared error of the follow-up-time head over all records."""
-    diff = ad.add(pred, ad.Tensor(-np.asarray(observed, dtype=np.float64)))
-    return ad.tmean(ad.mul(diff, diff))
+    """Mean squared error of the follow-up-time head over all records, as
+    one tape op."""
+    diff = pred.data - np.asarray(observed, dtype=np.float64)
+    return _mean_op(diff * diff, pred, lambda c: c * diff + c * diff)
 
 
 def total_loss_tensor(survival, mp, ls, schedule, epoch):

@@ -3,15 +3,16 @@
 Each covariate becomes one embedding vector: categorical fields look up a
 per-field table (one extra row reserved for unseen values), numerical fields
 scale a learned direction by the standardized value. Stacked self-attention
-layers mix the field embeddings; per layer one tape op,
-``multi_head_attention``, attends with all heads at once, and the attended
-output passes a residual projection and a small feed-forward stack, both
-under SELU. Between the embedding and the final flatten the encoder keeps
-its activations as (B·D, d_e) rows, so every parameter product is a 2-d
-matmul. The flattened encoder output, concatenated with the raw
-embeddings, is aligned into a shared representation consumed by every
-head: one hazard head per event type (softplus keeps rates positive), a
-binary any-event head, and a follow-up-time regression head.
+layers mix the field embeddings; each layer is one tape op,
+``encoder_layer``, that attends with all heads at once and passes the
+attended output through a residual projection and a small feed-forward
+stack, both under SELU. Between the embedding and the final flatten the
+encoder keeps its activations as (B·D, d_e) rows, so every parameter
+product is a 2-d matmul. The flattened encoder output, concatenated with
+the raw embeddings, is aligned into a shared representation consumed by
+every head, each one tape op (``mlp_head``): one hazard head per event type
+(softplus keeps rates positive), a binary any-event head, and a
+follow-up-time regression head.
 """
 
 import json
@@ -32,7 +33,7 @@ INFER_CHUNK = 256
 
 # A setting's rule: (phrase, predicate) pairs, checked in order; the first is
 # the JSON kind, in which a bool is not a number and an int is a valid float.
-INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
 FLOAT = ("a finite number", lambda v: (INT[1](v) or isinstance(v, float)) and abs(v) <= sys.float_info.max)
 BOOL = ("true or false", lambda v: isinstance(v, bool))
 POSITIVE = ("positive", lambda v: v > 0)
@@ -94,6 +95,42 @@ class ForwardPass:
     attention: list  # per layer: (B, H, D, D) weights
 
 
+def _attend(x, D, W):
+    """Forward of all heads' attention over (B·D, d_e) rows ``x``, with
+    ``W`` the stacked (H, d_e, d_h) query, key and value weights. Returns the
+    (B·D, H·d_h) head-concatenated output and the activations ``_attend_back``
+    needs, whose last is the (B, H, D, D) weight array."""
+    BD, de = x.shape
+    xb = x.reshape(BD // D, 1, D, de)
+    q, k, v = (np.matmul(xb, w) for w in W)  # (B, H, D, d_h)
+    logits = np.matmul(q, np.swapaxes(k, -1, -2))
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    out = np.matmul(alpha, v).transpose(0, 2, 1, 3).reshape(BD, -1)
+    return out, (xb, q, k, v, alpha)
+
+
+def _attend_back(g, W, saved):
+    """Vector-Jacobian product of ``_attend``: the (3H, d_e, d_h) weight
+    gradients in (wq, wk, wv) head order, and the (B·D, d_e) input gradient."""
+    xb, q, k, v, alpha = saved
+    B, _, D, de = xb.shape
+    g = g.reshape(B, D, W[0].shape[0], -1).transpose(0, 2, 1, 3)
+    d_alpha = np.matmul(g, np.swapaxes(v, -1, -2))
+    d_logits = alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True))
+    dq = np.matmul(d_logits, k)
+    dk = np.matmul(np.swapaxes(d_logits, -1, -2), q)
+    dv = np.matmul(np.swapaxes(alpha, -1, -2), g)
+    xt = np.swapaxes(xb, -1, -2)
+    d_w = np.concatenate([np.matmul(xt, d).sum(axis=0) for d in (dq, dk, dv)])
+    dx = sum(np.matmul(d, np.swapaxes(w, -1, -2)) for d, w in zip((dq, dk, dv), W))
+    return d_w, dx.sum(axis=1).reshape(B * D, de)
+
+
+def _stack_heads(wq, wk, wv):
+    return [np.stack([w.data for w in ws]) for ws in (wq, wk, wv)]  # (H, d_e, d_h)
+
+
 def multi_head_attention(x, D, wq, wk, wv):
     """All heads of one self-attention layer as one tape op.
 
@@ -102,34 +139,90 @@ def multi_head_attention(x, D, wq, wk, wv):
     unscaled. Returns the (B·D, H·d_h) head-concatenated output Tensor and
     the (B, H, D, D) weight array, whose rows lie on the probability simplex.
     """
-    BD, de = x.data.shape
-    B = BD // D
     weights = [*wq, *wk, *wv]
-    xb = x.data.reshape(B, 1, D, de)
-    W = [np.stack([w.data for w in ws]) for ws in (wq, wk, wv)]  # (H, d_e, d_h)
-    q, k, v = (np.matmul(xb, w) for w in W)  # (B, H, D, d_h)
-    logits = np.matmul(q, np.swapaxes(k, -1, -2))
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    alpha = e / e.sum(axis=-1, keepdims=True)
-    out = np.matmul(alpha, v).transpose(0, 2, 1, 3).reshape(BD, -1)
+    W = _stack_heads(wq, wk, wv)
+    out, saved = _attend(x.data, D, W)
 
     def back(g):
-        g = g.reshape(B, D, len(wq), -1).transpose(0, 2, 1, 3)
-        d_alpha = np.matmul(g, np.swapaxes(v, -1, -2))
-        d_logits = alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True))
-        dq = np.matmul(d_logits, k)
-        dk = np.matmul(np.swapaxes(d_logits, -1, -2), q)
-        dv = np.matmul(np.swapaxes(alpha, -1, -2), g)
-        xt = np.swapaxes(xb, -1, -2)
-        d_w = np.concatenate([np.matmul(xt, d).sum(axis=0) for d in (dq, dk, dv)])
+        d_w, dx = _attend_back(g, W, saved)
         for w, dw in zip(weights, d_w):
             if w.requires_grad:
                 w._accumulate(dw)
         if x.requires_grad:
-            dx = sum(np.matmul(d, np.swapaxes(w, -1, -2)) for d, w in zip((dq, dk, dv), W))
-            x._accumulate(dx.sum(axis=1).reshape(BD, de))
+            x._accumulate(dx)
 
-    return ad.node(out, (x, *weights), back), alpha
+    return ad.node(out, (x, *weights), back), saved[-1]
+
+
+def encoder_layer(x, D, wq, wk, wv, wres, ffn):
+    """One encoder layer as one tape op over (B·D, d_e) field rows ``x``.
+
+    ``t_res = selu(attention(x) @ wres + x)``, the feed-forward stack ``z``
+    runs ``x`` through the ``ffn`` weights with SELU between them, and the
+    output is ``selu(z + t_res)``. Attention is ``multi_head_attention``'s.
+    Backward works from the saved pre-activations. Returns the output Tensor
+    and the (B, H, D, D) attention weights.
+    """
+    params = [*wq, *wk, *wv, wres, *ffn]
+    W = _stack_heads(wq, wk, wv)
+    xd = x.data
+    mixed, saved = _attend(xd, D, W)
+    s = mixed @ wres.data + xd
+    inputs = [xd]  # the input of each FFN matmul; the later ones are SELU outputs
+    pre = []  # the pre-activations of the inner SELUs
+    z = xd
+    for w in ffn[:-1]:
+        pre.append(z @ w.data)
+        z = ad.selu_array(pre[-1])
+        inputs.append(z)
+    u = z @ ffn[-1].data + ad.selu_array(s)
+
+    def back(g):
+        g_u = g * ad.selu_slope(u)
+        d_ffn = []
+        gz = g_u
+        for i in range(len(ffn) - 1, -1, -1):
+            d_ffn.append(inputs[i].T @ gz)
+            gz = gz @ ffn[i].data.T
+            if i:
+                gz = gz * ad.selu_slope(pre[i - 1])
+        g_s = g_u * ad.selu_slope(s)
+        d_wres = mixed.T @ g_s
+        d_w, dx_attn = _attend_back(g_s @ wres.data.T, W, saved)
+        for p, dp in zip(params, [*d_w, d_wres, *reversed(d_ffn)]):
+            if p.requires_grad:
+                p._accumulate(dp)
+        if x.requires_grad:
+            # FFN, residual, then attention: the order in which composing
+            # the layer from one op per matmul and SELU sums them, so both
+            # give the same bits
+            x._accumulate(gz + g_s + dx_attn)
+
+    return ad.node(ad.selu_array(u), (x, *params), back), saved[-1]
+
+
+def mlp_head(z, weights, biases):
+    """A task head as one tape op: ``z @ w + b`` per layer, ReLU between."""
+    inputs = []  # the input of each layer; the later ones are ReLU outputs
+    a = z.data
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        inputs.append(np.maximum(a, 0.0) if i else a)
+        a = inputs[-1] @ w.data + b.data
+
+    def back(g):
+        for i in range(len(weights) - 1, -1, -1):
+            if biases[i].requires_grad:
+                biases[i]._accumulate(g.sum(axis=0))
+            if weights[i].requires_grad:
+                weights[i]._accumulate(inputs[i].T @ g)
+            if i or z.requires_grad:
+                g = g @ weights[i].data.T
+            if i:
+                g = g * (inputs[i] > 0)
+        if z.requires_grad:
+            z._accumulate(g)
+
+    return ad.node(a, (z, *weights, *biases), back)
 
 
 class SurvivalTransformer:
@@ -199,26 +292,16 @@ class SurvivalTransformer:
 
     def _encoder_layer(self, layer, x, D):
         """One attention-plus-FFN step over (B·D, d_e) field embeddings."""
-        prefixes = [f"enc{layer}.h{h}" for h in range(self.config.heads)]
-        wq, wk, wv = ([self.params[f"{p}.{w}"] for p in prefixes] for w in ("wq", "wk", "wv"))
-        mixed, alpha = multi_head_attention(x, D, wq, wk, wv)
-        t_res = ad.selu(ad.add(ad.matmul(mixed, self.params[f"enc{layer}.wres"]), x))
-        z = x
-        n_ffn = len(self._ffn_dims()) - 1
-        for i in range(n_ffn):
-            z = ad.matmul(z, self.params[f"enc{layer}.ffn{i}"])
-            if i < n_ffn - 1:
-                z = ad.selu(z)
-        return ad.selu(ad.add(z, t_res)), alpha
+        p = self.params
+        heads = range(self.config.heads)
+        wq, wk, wv = ([p[f"enc{layer}.h{h}.{w}"] for h in heads] for w in ("wq", "wk", "wv"))
+        ffn = [p[f"enc{layer}.ffn{i}"] for i in range(len(self._ffn_dims()) - 1)]
+        return encoder_layer(x, D, wq, wk, wv, p[f"enc{layer}.wres"], ffn)
 
     def _head(self, prefix, t_sr):
-        z = t_sr
-        n = self.config.head_layers
-        for i in range(n):
-            z = ad.add(ad.matmul(z, self.params[f"{prefix}.w{i}"]), self.params[f"{prefix}.b{i}"])
-            if i < n - 1:
-                z = ad.relu(z)
-        return z
+        n = range(self.config.head_layers)
+        return mlp_head(t_sr, [self.params[f"{prefix}.w{i}"] for i in n],
+                        [self.params[f"{prefix}.b{i}"] for i in n])
 
     def forward_batch(self, cat_idx, num_vals):
         cat_idx = np.asarray(cat_idx, dtype=np.intp)

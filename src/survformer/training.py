@@ -212,7 +212,7 @@ def train(config, train_records, val_records, schema, grid):
         if val_loss < best_val:
             best_val = val_loss
             history.best_epoch = epoch
-            best_snapshot = {name: p.data.copy() for name, p in model.params.items()}
+            best_snapshot = optimizer.data.copy()
             since_best = 0
         else:
             since_best += 1
@@ -220,8 +220,7 @@ def train(config, train_records, val_records, schema, grid):
                 break
 
     if best_snapshot is not None:
-        for name, arr in best_snapshot.items():
-            model.params[name].data = arr
+        optimizer.data[:] = best_snapshot
     return model, history, propensity_model
 
 

@@ -78,6 +78,52 @@ def naive_attention(embeddings, wq, wk, wv):
     return outputs, alphas
 
 
+def naive_encoder_layer(rows, heads, wres, ffn):
+    """One encoder layer on one record's field rows by explicit loops.
+
+    ``heads`` lists one (wq, wk, wv) triple per head. Each field's attended
+    vector concatenates the heads' outputs; then the residual projection
+    and the feed-forward stack, with SELU where the recipe puts it. Returns
+    the (D, d_e) output and the per-head (D, D) attention weights.
+    """
+    attended = [naive_attention(rows, wq, wk, wv) for wq, wk, wv in heads]
+    out = []
+    for j, t in enumerate(rows):
+        tilde = np.concatenate([outputs[j] for outputs, _ in attended])
+        t_res = selu_ref(tilde @ wres + t)
+        z = t
+        for i, w in enumerate(ffn):
+            z = z @ w
+            if i < len(ffn) - 1:
+                z = selu_ref(z)
+        out.append(selu_ref(z + t_res))
+    return np.stack(out), [alphas for _, alphas in attended]
+
+
+class AdamReference:
+    """Adam with bias correction and decoupled weight decay, one array and
+    one pair of moments per parameter, in the textbook form."""
+
+    def __init__(self, arrays, lr, betas, eps, weight_decay):
+        self.x = [np.array(a, dtype=np.float64) for a in arrays]
+        self.m = [np.zeros_like(a) for a in self.x]
+        self.v = [np.zeros_like(a) for a in self.x]
+        self.lr, (self.beta1, self.beta2), self.eps, self.weight_decay = lr, betas, eps, weight_decay
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        for i, g in enumerate(grads):
+            if g is None:
+                g = np.zeros_like(self.x[i])
+            self.x[i] = self.x[i] - self.lr * self.weight_decay * self.x[i]
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[i] / (1.0 - self.beta1 ** self.t)
+            v_hat = self.v[i] / (1.0 - self.beta2 ** self.t)
+            self.x[i] = self.x[i] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
 def naive_encode(model, cat, num):
     """Loop evaluation of the embed/attend/residual/feed-forward chain for
     one record's ``cat`` indices and ``num`` values.

@@ -143,6 +143,18 @@ class TestBackward:
         ad.backward(ad.tsum(ad.mul(a, a)))
         np.testing.assert_allclose(a.grad, [6.0], rtol=1e-12)
 
+    @pytest.mark.parametrize("shared_first", [True, False])
+    def test_gradient_handed_to_two_parents_is_never_mutated(self, shared_first):
+        # add hands one gradient array to p and q; p then takes a second
+        # contribution, which must not write into the array q holds
+        p, q = tensor([1.0, 2.0]), tensor([3.0, 4.0])
+        c = ad.Tensor([5.0, -7.0])
+        both = ad.add(p, q)
+        scaled = ad.mul(p, c)
+        ad.backward(ad.tsum(ad.add(both, scaled) if shared_first else ad.add(scaled, both)))
+        np.testing.assert_array_equal(q.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(p.grad, [6.0, -6.0])
+
     def test_gradient_tape_exposes_ordered_parameters(self):
         a, b = tensor([1.0]), tensor([2.0])
         tape = ad.GradientTape(ad.tsum(ad.mul(a, b)))
@@ -189,16 +201,6 @@ def _gradcheck_cases():
         c = ad.Tensor(rng.standard_normal(7))
         return lambda: ad.tsum(ad.mul(ad.sigmoid(a), c)), [a]
 
-    def case_relu():
-        a = rand(9)
-        c = ad.Tensor(rng.standard_normal(9))
-        return lambda: ad.tsum(ad.mul(ad.relu(a), c)), [a]
-
-    def case_log():
-        a = tensor(rng.uniform(0.5, 3.0, size=6))
-        c = ad.Tensor(rng.standard_normal(6))
-        return lambda: ad.tsum(ad.mul(ad.log(a), c)), [a]
-
     def case_gather():
         table = rand(5, 3)
         idx = rng.integers(0, 5, size=8)
@@ -217,7 +219,7 @@ def _gradcheck_cases():
 
     builders = [
         case_add, case_mul, case_matmul, case_selu, case_softplus,
-        case_sigmoid, case_relu, case_log, case_gather,
+        case_sigmoid, case_gather,
         case_concat_reshape, case_sum_axis,
     ]
     out = []

@@ -196,6 +196,46 @@ class TestPipeline:
         assert named in one_error_line(capsys)
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda x: x.update(split=None), "extra.split must be an object, got None"),
+        (lambda x: x.update(censoring=None), "extra.censoring must be an object, got None"),
+        (lambda x: x["columns"].update(numerical=None),
+         "extra.columns.numerical must be a list of strings, got None"),
+        (lambda x: x["columns"].update(categorical=[1]), "extra.columns.categorical must be a list of strings"),
+        (lambda x: x["columns"].update(event=["event"]), "extra.columns.event must be a string"),
+        (lambda x: x["split"].update(fractions=[0.6, 0.4]),
+         "extra.split.fractions must be a list of three finite numbers"),
+        (lambda x: x["split"].update(seed=-1), "extra.split.seed must be a nonnegative integer"),
+        (lambda x: x["censoring"].pop("values"), "lacks extra.censoring.values"),
+        (lambda x: x["censoring"]["values"].pop(), "censoring estimate has"),
+    ], ids=["split-null", "censoring-null", "numerical-null", "categorical-ints", "event-list",
+            "two-fractions", "negative-seed", "censoring-values-absent", "censoring-values-short"])
+    def test_eval_rejects_mistyped_checkpoint_extra(self, trained, capsys, edit, named):
+        tmp_path, data, ckpt = trained
+        payload = json.loads(ckpt.read_text())
+        edit(payload["extra"])
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert named in one_error_line(capsys)
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("eval", ["--fold", "all"]), ("predict", ["--times", "1"]), ("attention", []),
+    ])
+    def test_header_only_csv_reports_no_data_rows(self, trained, capsys, command, flags):
+        tmp_path, data, ckpt = trained
+        empty = tmp_path / "empty.csv"
+        empty.write_text(data.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        code = run([command, "--data", str(empty), "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "out"), *flags])
+        assert code == 1
+        assert f"{empty}: no data rows" in one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_predict_rejects_checkpoint_without_columns(self, trained, capsys):
         tmp_path, data, ckpt = trained
         payload = json.loads(ckpt.read_text())

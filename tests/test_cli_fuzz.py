@@ -1,0 +1,129 @@
+"""The CLI exit contract under malformed input: ``train`` and ``predict`` on
+corrupted CSV bodies and arbitrary flag values either write their documented
+output and exit 0, or print one ``error:`` line and exit 1. A traceback fails
+the test."""
+
+import contextlib
+import csv
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from survformer.cli import run
+
+# Cells that break parsing, imputation, ranges or the CSV structure.
+NASTY_CELLS = [
+    "", " ", "nan", "inf", "-inf", "-1", "0", "1e400", "1e-320", "abc", "1_0", "0x1A", "3.5",
+    "2", "-0", '"', "a,b", "line\nbreak", "é", "\x00", "﻿1", "9" * 30,
+]
+JUNK_TAILS = ['"unterminated', "\n\n", ",,,,", "x1,x2\n", "\r\n1,2,3,4,5\r\n"]
+TINY_CONFIG = {"max_epochs": 1, "batch_size": 32, "embed_dim": 4, "heads": 1, "layers": 1,
+               "hidden_size": 4, "time_bins": 3, "seed": 2}
+FLAG_TEXT = st.text(alphabet="0123456789.,-+e naifx_", max_size=12)
+
+
+def flag_values(*valid):
+    """A flag value: mostly one of ``valid``, else arbitrary text."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(valid), FLAG_TEXT)
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    """A valid 60-record table, a tiny config and a checkpoint trained on them."""
+    root = tmp_path_factory.mktemp("fuzz")
+    data = root / "base.csv"
+    assert run(["synth", "--n", "60", "--events", "2", "--dim", "3", "--seed", "4",
+                "--out", str(data)]) == 0
+    config = root / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    checkpoint = root / "model.json"
+    assert run(["train", "--data", str(data), "--config", str(config),
+                "--checkpoint", str(checkpoint)]) == 0
+    with open(data, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return root, config, checkpoint, header, rows
+
+
+@st.composite
+def csv_bodies(draw, header, rows):
+    """The base table with a few rows kept, some cells, rows or header names
+    corrupted, and sometimes junk after the last row or undecodable bytes."""
+    header = list(header)
+    if draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, len(header) - 1))
+        header[i] = draw(st.sampled_from(["", header[0], header[-1], "x9", "event "]))
+    rows = [list(r) for r in rows[: draw(st.just(len(rows)) | st.integers(0, len(rows)))]]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(["cell", "cell", "drop", "extra", "blank"]))
+        if kind == "cell" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(NASTY_CELLS))
+        elif kind == "drop" and row:
+            row.pop()
+        elif kind == "extra":
+            row.append("1")
+        else:
+            row.clear()
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows([header, *rows])
+    body = (out.getvalue() + (draw(st.sampled_from(JUNK_TAILS)) if draw(st.booleans()) else "")).encode("utf-8")
+    return body + b"\xff\xfe" if draw(st.integers(0, 9)) == 0 else body
+
+
+def assert_exit_contract(argv, output):
+    """Run the CLI in-process; it writes ``output`` and reports it, or gives
+    exactly one ``error:`` line and exit code 1."""
+    if output.exists():
+        output.unlink()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == [] and output.exists() and f"wrote {output}" in out.getvalue(), (argv, lines)
+    else:
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), (argv, code, lines)
+
+
+def columns_flag(header):
+    """A --numerical or --categorical value: absent, or some names, real or not."""
+    names = st.lists(st.sampled_from([*header, "nope", ""]), max_size=3).map(",".join)
+    return st.one_of(st.none(), st.none(), names)
+
+
+FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(data=st.data())
+def test_train_keeps_the_exit_contract(base, data):
+    root, config, _, header, rows = base
+    path = root / "train.csv"
+    path.write_bytes(data.draw(csv_bodies(header, rows), label="body"))
+    argv = ["train", "--data", str(path), "--config", str(config),
+            "--checkpoint", str(root / "fuzzed.json")]
+    for flag, value in (
+        ("--fractions", flag_values("0.6,0.2,0.2", "0.5,0.25,0.25")),
+        ("--numerical", columns_flag(header)),
+        ("--categorical", columns_flag(header)),
+        ("--seed", st.none() | st.integers(-3, 2**70).map(str)),
+    ):
+        drawn = data.draw(value, label=flag)
+        if drawn is not None:
+            argv.append(f"{flag}={drawn}")
+    assert_exit_contract(argv, root / "fuzzed.json")
+
+
+@FUZZ
+@given(data=st.data())
+def test_predict_keeps_the_exit_contract(base, data):
+    root, _, checkpoint, header, rows = base
+    path = root / "predict.csv"
+    path.write_bytes(data.draw(csv_bodies(header, rows), label="body"))
+    times = data.draw(flag_values("0.5", "0,1.5,3"), label="--times")
+    out = root / "curves.csv"
+    assert_exit_contract(["predict", "--data", str(path), "--checkpoint", str(checkpoint),
+                          f"--times={times}", "--out", str(out)], out)

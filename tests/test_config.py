@@ -108,6 +108,11 @@ def load(workdir, payload):
 
 
 class TestTrainConfigBoundary:
+    @pytest.mark.parametrize("key", ["batch_size", "seed", "time_bins"])
+    def test_integer_beyond_float_range_is_named(self, workdir, key):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            load(workdir, {key: 10**400})
+
     def test_flat_keys_are_the_nineteen_settings(self):
         assert FLAT_KEYS == [
             "learning_rate", "weight_decay", "batch_size", "max_epochs", "patience", "anneal_horizon",

@@ -375,6 +375,24 @@ class TestTapeBuilders:
         fd = fd_gradients(lambda: float(build().data), tensors)
         assert_grads_match(analytic, fd)
 
+    @pytest.mark.parametrize("loss", ["mp", "ls"])
+    def test_aux_tape_gradients_match_finite_differences(self, loss):
+        rng = np.random.default_rng(11)
+        if loss == "mp":
+            x = ad.Tensor(rng.uniform(0.05, 0.95, size=7), requires_grad=True)
+            target = (rng.uniform(size=7) > 0.5).astype(float)
+            fn = L.mp_loss_tensor
+        else:
+            x = ad.Tensor(rng.standard_normal(7), requires_grad=True)
+            target = rng.standard_normal(7)
+            fn = L.ls_loss_tensor
+
+        def build():
+            return ad.mul(fn(x, target), ad.Tensor(1.7))
+
+        ad.backward(build())
+        assert_grads_match([x.grad], fd_gradients(lambda: float(build().data), [x]))
+
     def test_mp_ls_tensor_values_match_numeric(self):
         rng = np.random.default_rng(10)
         y = rng.uniform(0.05, 0.95, size=7)

@@ -22,12 +22,21 @@ from survformer.model import (
     ModelConfig,
     SurvivalTransformer,
     attention_payload,
+    encoder_layer,
     load_checkpoint,
+    mlp_head,
     multi_head_attention,
     save_checkpoint,
 )
 
-from oracles import assert_grads_match, fd_gradients, naive_attention, naive_encode, selu_ref
+from oracles import (
+    assert_grads_match,
+    fd_gradients,
+    naive_attention,
+    naive_encode,
+    naive_encoder_layer,
+    selu_ref,
+)
 
 
 def small_schema():
@@ -209,6 +218,92 @@ class TestMultiHeadAttentionOp:
         out, alpha = multi_head_attention(x, 2, one, one, one)
         np.testing.assert_allclose(alpha[0, 0, 0], [0.25, 0.75], atol=1e-14)
         np.testing.assert_allclose(out.data[0, 0], 0.25 + 0.75 * (1.0 + math.log(3.0)), rtol=1e-14)
+
+
+def random_layer(rng, H, de, depth, hidden, scale=1.0):
+    """Per-head (wq, wk, wv) lists, ``wres`` and the FFN weights of one layer."""
+    wq, wk, wv = random_heads(rng, H, de=de, dh=de // H, scale=scale)
+    wres = ad.Tensor(rng.standard_normal((de, de)), requires_grad=True)
+    dims = [de] + [hidden] * (depth - 1) + [de]
+    ffn = [ad.Tensor(rng.standard_normal((a, b)) / np.sqrt(a), requires_grad=True)
+           for a, b in zip(dims[:-1], dims[1:])]
+    return wq, wk, wv, wres, ffn
+
+
+class TestEncoderLayerOp:
+    @given(st.integers(1, 4), st.integers(1, 5), st.sampled_from([1, 2, 4]), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_head_naive_loops(self, B, D, H, depth, seed):
+        rng = np.random.default_rng(seed)
+        de = 8
+        x = rng.standard_normal((B * D, de))
+        wq, wk, wv, wres, ffn = random_layer(rng, H, de, depth, hidden=6)
+        out, alpha = encoder_layer(ad.Tensor(x), D, wq, wk, wv, wres, ffn)
+        assert out.data.shape == (B * D, de) and alpha.shape == (B, H, D, D)
+        heads = [(q.data, k.data, v.data) for q, k, v in zip(wq, wk, wv)]
+        for b in range(B):
+            want, want_alphas = naive_encoder_layer(
+                list(x[b * D:(b + 1) * D]), heads, wres.data, [w.data for w in ffn]
+            )
+            np.testing.assert_allclose(out.data[b * D:(b + 1) * D], want, rtol=1e-12, atol=1e-12)
+            for h in range(H):
+                np.testing.assert_allclose(alpha[b, h], want_alphas[h], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_gradients_match_finite_differences(self, depth):
+        rng = np.random.default_rng(40 + depth)
+        B, D, H, de = 2, 3, 2, 4
+        x = ad.Tensor(rng.standard_normal((B * D, de)), requires_grad=True)
+        wq, wk, wv, wres, ffn = random_layer(rng, H, de, depth, hidden=5)
+        c = ad.Tensor(rng.standard_normal((B * D, de)))
+
+        def build():
+            return ad.tsum(ad.mul(encoder_layer(x, D, wq, wk, wv, wres, ffn)[0], c))
+
+        params = [x, *wq, *wk, *wv, wres, *ffn]
+        ad.backward(build())
+        analytic = [p.grad for p in params]
+        assert_grads_match(analytic, fd_gradients(lambda: float(build().data), params))
+
+    def test_attention_weights_are_multi_head_attentions(self):
+        rng = np.random.default_rng(6)
+        x = ad.Tensor(rng.standard_normal((3 * 5, 8)))
+        wq, wk, wv, wres, ffn = random_layer(rng, 2, 8, 2, hidden=4)
+        _, alpha = encoder_layer(x, 5, wq, wk, wv, wres, ffn)
+        assert np.array_equal(alpha, multi_head_attention(x, 5, wq, wk, wv)[1])
+
+
+class TestHeadOp:
+    def layers(self, rng, dims):
+        weights = [ad.Tensor(rng.standard_normal((a, b)), requires_grad=True)
+                   for a, b in zip(dims[:-1], dims[1:])]
+        biases = [ad.Tensor(rng.standard_normal(b), requires_grad=True) for b in dims[1:]]
+        return weights, biases
+
+    def test_matches_explicit_layers(self):
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal((5, 4))
+        weights, biases = self.layers(rng, [4, 6, 3, 2])
+        want = z
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            want = (np.maximum(want, 0.0) if i else want) @ w.data + b.data
+        np.testing.assert_array_equal(mlp_head(ad.Tensor(z), weights, biases).data, want)
+
+    @pytest.mark.parametrize("dims", [[4, 1], [4, 6, 3, 2]], ids=["one-layer", "three-layers"])
+    def test_gradients_match_finite_differences(self, dims):
+        rng = np.random.default_rng(len(dims))
+        z = ad.Tensor(rng.standard_normal((5, dims[0])), requires_grad=True)
+        weights, biases = self.layers(rng, dims)
+        c = ad.Tensor(rng.standard_normal((5, dims[-1])))
+
+        def build():
+            return ad.tsum(ad.mul(mlp_head(z, weights, biases), c))
+
+        params = [z, *weights, *biases]
+        ad.backward(build())
+        analytic = [p.grad for p in params]
+        assert_grads_match(analytic, fd_gradients(lambda: float(build().data), params))
 
 
 class TestEncode:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from survformer import autodiff as ad
 from survformer import data as D
 from survformer import losses as L
 from survformer import training as T
@@ -121,6 +122,26 @@ class TestTrain:
         grid = build_grid(train, config)
         with pytest.raises(T.TrainingDiverged, match="epoch"):
             T.train(config, train, val, schema, grid)
+
+    def test_default_two_event_batch_is_at_most_65_tape_nodes(self):
+        # 36 of them are the parameters: with four numerical fields the
+        # default model has 36 weight and bias tensors
+        train, _, _, _ = tiny_dataset(n=120)
+        schema = D.synthetic_schema(4)
+        config = T.TrainConfig()
+        grid = build_grid(train, config)
+        model = SurvivalTransformer(
+            dataclasses.replace(config.model, time_bins=grid.m, n_events=2), schema, grid
+        )
+        rng = np.random.default_rng(0)
+        B = config.batch_size
+        loss, _ = T._batch_loss(
+            model, grid, np.zeros((B, 0), dtype=np.intp), rng.standard_normal((B, 4)),
+            rng.uniform(0.0, 2.0, B), rng.integers(0, 3, B), rng.uniform(0.2, 0.8, (B, 2)),
+            config.schedule(), 0,
+        )
+        assert len(model.parameters()) == 36
+        assert len(ad.GradientTape(loss).nodes) <= 65
 
     def test_empty_sets_rejected(self):
         train, val, _, schema = tiny_dataset()
