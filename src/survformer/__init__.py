@@ -5,7 +5,7 @@ censoring-weighted time-dependent concordance."""
 
 __version__ = "0.1.0"
 
-from .autodiff import Tensor, backward, matmul, selu, softplus
+from .autodiff import Tensor, backward
 from .data import (
     ColumnSpec,
     CovariateSchema,
@@ -49,15 +49,12 @@ __all__ = [
     "ips_loss",
     "km_censoring",
     "load_checkpoint",
-    "matmul",
     "naive_competing_loss",
     "pch_loss",
     "predict",
     "quantile_horizons",
     "read_raw_csv",
     "save_checkpoint",
-    "selu",
-    "softplus",
     "split",
     "survival_matrix",
     "synthesize",

@@ -6,11 +6,12 @@ topological sweep (``backward``). All arithmetic is 64-bit; gradient checks
 against central finite differences at 1e-4 relative tolerance are not
 reliable in 32-bit.
 
-Operations are module functions over Tensors; ``Tensor`` itself carries no
-operator sugar. ``matmul`` multiplies 2-d operands only, so callers flatten
-leading axes first. A fused operation with a closed-form vector-Jacobian
-product is built on ``node``; the model's encoder layers and task heads and
-the training losses are each one such op.
+The module defines no arithmetic on Tensors. Every operation on the tape
+is one network block or loss with a closed-form vector-Jacobian product,
+built on ``node``: the model's field embedding, encoder layers, shared
+projection and task heads, and the training losses and their annealed
+total. The elementwise array functions here (SELU and its slope, softplus,
+the logistic function) are what those ops compute with.
 
 The graph is rebuilt on every forward pass and never reused across batches.
 Tensors are immutable by convention: only an optimizer mutates ``.data`` of
@@ -24,10 +25,6 @@ import numpy as np
 # Self-normalizing ELU constants from Klambauer et al.
 SELU_LAMBDA = 1.0507009873554804934193349852946
 SELU_ALPHA = 1.6732632423543772848170429916717
-
-
-class DimensionError(ValueError):
-    """Raised when operand shapes are incompatible."""
 
 
 class Tensor:
@@ -58,17 +55,6 @@ class Tensor:
         self.grad = g if self.grad is None else self.grad + g
 
 
-def _unbroadcast(grad, shape):
-    """Sum a broadcast gradient back down to ``shape``."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 def node(data, parents, backward_fn):
     """A tape node holding ``data``; ``backward_fn(g)`` receives the gradient
     of the loss with respect to ``data`` and accumulates into ``parents``."""
@@ -80,93 +66,7 @@ def node(data, parents, backward_fn):
     return out
 
 
-# --- primitive operations ------------------------------------------------
-
-
-def add(a, b):
-    def back(g, a=a, b=b):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return node(a.data + b.data, (a, b), back)
-
-
-def mul(a, b):
-    def back(g, a=a, b=b):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return node(a.data * b.data, (a, b), back)
-
-
-def matmul(a, b):
-    """Product of two 2-d tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"matmul needs 2-d operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
-
-    def back(g, a=a, b=b):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return node(a.data @ b.data, (a, b), back)
-
-
-def reshape(a, shape):
-    old = a.data.shape
-
-    def back(g, a=a, old=old):
-        if a.requires_grad:
-            a._accumulate(g.reshape(old))
-
-    return node(a.data.reshape(shape), (a,), back)
-
-
-def concat(tensors, axis):
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def back(g, tensors=tensors, splits=splits, axis=axis):
-        pieces = np.split(g, splits, axis=axis)
-        for t, piece in zip(tensors, pieces):
-            if t.requires_grad:
-                t._accumulate(piece)
-
-    return node(np.concatenate([t.data for t in tensors], axis=axis), tensors, back)
-
-
-def take_rows(table, indices):
-    """Row gather from a 2-d table; backward scatter-adds into the table."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if table.data.ndim != 2:
-        raise DimensionError(f"take_rows expects a 2-d table, got {table.data.shape}")
-
-    def back(g, table=table, idx=idx):
-        if table.requires_grad:
-            acc = np.zeros_like(table.data)
-            np.add.at(acc, idx, g)
-            table._accumulate(acc)
-
-    return node(table.data[idx], (table,), back)
-
-
-def tsum(a, axis=None):
-    def back(g, a=a, axis=axis):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-        else:
-            a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
-
-    return node(a.data.sum(axis=axis), (a,), back)
+# --- elementwise array functions ------------------------------------------
 
 
 def selu_array(x):
@@ -179,26 +79,10 @@ def selu_slope(x):
     return SELU_LAMBDA * np.where(x > 0, 1.0, SELU_ALPHA * np.exp(np.minimum(x, 0.0)))
 
 
-def selu(a):
-    """Scaled exponential linear unit, elementwise; the slope is computed in
-    backward only, so a forward that is never differentiated skips it."""
-
-    def back(g, a=a):
-        if a.requires_grad:
-            a._accumulate(g * selu_slope(a.data))
-
-    return node(selu_array(a.data), (a,), back)
-
-
-def softplus(a):
-    """log(1 + exp(x)) with the overflow-safe split; strictly positive."""
-    x = a.data
-
-    def back(g, a=a):
-        if a.requires_grad:
-            a._accumulate(g * logistic(a.data))
-
-    return node(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), (a,), back)
+def softplus_array(x):
+    """log(1 + exp(x)) of an array with the overflow-safe split; strictly
+    positive. Its derivative is ``logistic``."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def logistic(x):
@@ -209,16 +93,6 @@ def logistic(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def sigmoid(a):
-    out_data = logistic(a.data)
-
-    def back(g, a=a, out_data=out_data):
-        if a.requires_grad:
-            a._accumulate(g * out_data * (1.0 - out_data))
-
-    return node(out_data, (a,), back)
 
 
 # --- backward sweep -------------------------------------------------------

@@ -314,14 +314,16 @@ def transform_rows(schema, table, columns, require_labels=True):
 
 @dataclass
 class TimeGrid:
-    """Strictly increasing cut points tau_1..tau_m; tau_0 = 0 implicitly."""
+    """Finite, strictly increasing cut points tau_1..tau_m; tau_0 = 0 implicitly."""
 
     cuts: np.ndarray
 
     def __post_init__(self):
-        self.cuts = np.asarray(self.cuts, dtype=np.float64)
-        if self.cuts.size < 1 or np.any(np.diff(self.cuts) <= 0) or self.cuts[0] <= 0:
-            raise ValueError("cut points must be strictly increasing and positive")
+        cuts = self.cuts = np.asarray(self.cuts, dtype=np.float64)
+        valid = cuts.ndim == 1 and cuts.size and np.isfinite(cuts).all()
+        if not (valid and cuts[0] > 0 and (np.diff(cuts) > 0).all()):
+            raise ValueError(f"cut points must be a list of finite, strictly increasing positive numbers, "
+                             f"got {cuts.tolist()}")
 
     @property
     def m(self):

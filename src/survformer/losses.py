@@ -3,10 +3,12 @@ inverse-propensity-weighted competing-events loss, auxiliary task losses,
 and the annealed total.
 
 ``_pch`` is the one implementation of the hazard likelihood term and its
-closed-form gradient. ``pch_terms`` is its tape op; training's
-``competing_survival_loss`` folds it, the IPS weights and the sum over heads
-into one op; the array estimators (``pch_loss``, ``event_loss_matrix``,
-``ips_loss``, ``naive_competing_loss``) read its values. The
+closed-form gradient, and ``pch_terms`` is its array form. The array
+estimators (``pch_loss``, ``event_loss_matrix``, ``ips_loss``,
+``naive_competing_loss``) read its values. On the training tape each loss
+is one op: ``competing_survival_loss`` folds the hazard terms, the IPS
+weights and the sum over heads; ``mp_loss_tensor`` and ``ls_loss_tensor``
+are the auxiliary losses; ``total_loss_tensor`` is the annealed total. The
 indicator-weighted estimators implement the printed formulas exactly; the
 censored cause-specific contributions that every record owes to the heads of
 unobserved events are added only by ``competing_survival_loss``.
@@ -76,23 +78,18 @@ def _pch(h, kappa, rho, events):
 
 
 def pch_terms(hazards, grid, durations, events):
-    """Per-record piecewise-constant-hazard loss terms, as one tape op.
+    """Per-record piecewise-constant-hazard loss terms and their VJP.
 
-    ``hazards`` is a (B, m) Tensor of positive per-bin hazards; ``events`` is
+    ``hazards`` is a (B, m) array of positive per-bin hazards; ``events`` is
     (B,), 1.0 where the record's event is observed for this head and 0.0 for
-    a censored contribution. Returns a (B,) Tensor of
+    a censored contribution. Returns the (B,) terms
     -e*log(h[kappa]) + h[kappa]*rho + sum of the bins before kappa, with kappa
     the bin holding the duration and rho its elapsed fraction (durations past
-    the last cut fall in the last bin). The gradient is g on every earlier bin
-    and g*rho - e*g/h[kappa] on bin kappa.
+    the last cut fall in the last bin), and the function that maps a (B,)
+    cotangent g to the (B, m) hazard gradient: g on every earlier bin and
+    g*rho - e*g/h[kappa] on bin kappa.
     """
-    terms, vjp = _pch(hazards.data, *_bins(grid, durations), events)
-
-    def back(g, hazards=hazards):
-        if hazards.requires_grad:
-            hazards._accumulate(vjp(g))
-
-    return ad.node(terms, (hazards,), back)
+    return _pch(np.asarray(hazards, dtype=np.float64), *_bins(grid, durations), events)
 
 
 # --- array-level estimators -------------------------------------------------
@@ -111,8 +108,8 @@ def pch_loss(hazards, t, e, grid):
         raise ValueError("hazards must be strictly positive")
     if e not in (0, 1):
         raise ValueError("event indicator must be 0 or 1")
-    terms = pch_terms(ad.Tensor(hazards[None, :]), grid, np.array([t]), np.array([e]))
-    return float(terms.data[0])
+    terms, _ = pch_terms(hazards[None, :], grid, np.array([t]), np.array([e]))
+    return float(terms[0])
 
 
 def event_loss_matrix(hazards, durations, grid):
@@ -126,7 +123,7 @@ def event_loss_matrix(hazards, durations, grid):
     n, K, _ = hazards.shape
     out = np.empty((n, K))
     for k in range(K):
-        out[:, k] = pch_terms(ad.Tensor(hazards[:, k, :]), grid, durations, np.ones(n)).data
+        out[:, k] = pch_terms(hazards[:, k, :], grid, durations, np.ones(n))[0]
     return out
 
 
@@ -239,9 +236,17 @@ def ls_loss_tensor(pred, observed):
 
 
 def total_loss_tensor(survival, mp, ls, schedule, epoch):
-    """Scalar tape total and the matching numeric breakdown."""
+    """The annealed total ``survival + (gamma1*mp + gamma2*ls)`` as one tape
+    op, and the matching numeric breakdown."""
     g1, g2 = schedule.gammas(epoch)
-    total = ad.add(survival, ad.add(ad.mul(mp, ad.Tensor(g1)), ad.mul(ls, ad.Tensor(g2))))
+    parts = (survival, mp, ls)
+
+    def back(g):
+        for part, grad in zip(parts, (g, g * g1, g * g2)):
+            if part.requires_grad:
+                part._accumulate(grad)
+
+    total = ad.node(survival.data + (mp.data * g1 + ls.data * g2), parts, back)
     breakdown = LossBreakdown(
         total=float(total.data),
         survival=float(survival.data),

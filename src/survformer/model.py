@@ -1,18 +1,18 @@
 """Attention encoder over tabular covariates with survival task heads.
 
-Each covariate becomes one embedding vector: categorical fields look up a
-per-field table (one extra row reserved for unseen values), numerical fields
-scale a learned direction by the standardized value. Stacked self-attention
-layers mix the field embeddings; each layer is one tape op,
-``encoder_layer``, that attends with all heads at once and passes the
-attended output through a residual projection and a small feed-forward
-stack, both under SELU. Between the embedding and the final flatten the
-encoder keeps its activations as (B·D, d_e) rows, so every parameter
-product is a 2-d matmul. The flattened encoder output, concatenated with
-the raw embeddings, is aligned into a shared representation consumed by
-every head, each one tape op (``mlp_head``): one hazard head per event type
-(softplus keeps rates positive), a binary any-event head, and a
-follow-up-time regression head.
+The network is a fixed stack of blocks, each one tape op with a closed-form
+backward. ``embed_fields`` turns each covariate into one embedding vector:
+categorical fields look up a per-field table (one extra row reserved for
+unseen values), numerical fields scale a learned direction by the
+standardized value. Stacked ``encoder_layer`` ops mix the field embeddings:
+each attends with all heads at once and passes the attended output through a
+residual projection and a small feed-forward stack, both under SELU. The
+embedding and every layer emit (B·D, d_e) rows, so every parameter product
+is a 2-d matmul. ``shared_projection`` aligns the flattened encoder output,
+concatenated with the raw embeddings, into a shared representation consumed
+by every ``mlp_head``, each with its output link: one hazard head per event
+type (softplus keeps rates positive), a binary any-event head (logistic),
+and a follow-up-time regression head (identity).
 """
 
 import json
@@ -34,7 +34,7 @@ INFER_CHUNK = 256
 # A setting's rule: (phrase, predicate) pairs, checked in order; the first is
 # the JSON kind, in which a bool is not a number and an int is a valid float.
 INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
-FLOAT = ("a finite number", lambda v: (INT[1](v) or isinstance(v, float)) and abs(v) <= sys.float_info.max)
+FLOAT = ("a finite number", lambda v: (isinstance(v, float) or INT[1](v)) and abs(v) <= sys.float_info.max)
 BOOL = ("true or false", lambda v: isinstance(v, bool))
 POSITIVE = ("positive", lambda v: v > 0)
 NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
@@ -86,8 +86,8 @@ class AttentionMap:
 class ForwardPass:
     """Tape tensors of one batched forward run, plus attention snapshots."""
 
-    raw: ad.Tensor  # (B, D, d_e) field embeddings
-    encoded: ad.Tensor  # (B, D·d_e) encoder output, flattened per record
+    raw: ad.Tensor  # (B·D, d_e) field embeddings
+    encoded: ad.Tensor  # (B·D, d_e) encoder output; ``raw`` itself with no layers
     shared: ad.Tensor  # (B, hidden)
     hazards: list  # per event: (B, m), positive
     event_prob: ad.Tensor  # (B,), in (0, 1)
@@ -127,31 +127,34 @@ def _attend_back(g, W, saved):
     return d_w, dx.sum(axis=1).reshape(B * D, de)
 
 
-def _stack_heads(wq, wk, wv):
-    return [np.stack([w.data for w in ws]) for ws in (wq, wk, wv)]  # (H, d_e, d_h)
+def embed_fields(tables, weight, cat, num):
+    """The field embedding as one tape op: (B·D, d_e) rows, each record's D
+    field rows contiguous, categorical fields first.
 
-
-def multi_head_attention(x, D, wq, wk, wv):
-    """All heads of one self-attention layer as one tape op.
-
-    ``x`` is (B·D, d_e) with each record's D field rows contiguous; ``wq``,
-    ``wk`` and ``wv`` list one (d_e, d_h) weight per head. Logits are
-    unscaled. Returns the (B·D, H·d_h) head-concatenated output Tensor and
-    the (B, H, D, D) weight array, whose rows lie on the probability simplex.
+    Categorical field i looks up row ``cat[:, i]`` of ``tables[i]``;
+    numerical field j scales row j of ``weight`` ((d_n, d_e), None when
+    there is no numerical field) by ``num[:, j]``. Backward scatter-adds
+    into the looked-up rows.
     """
-    weights = [*wq, *wk, *wv]
-    W = _stack_heads(wq, wk, wv)
-    out, saved = _attend(x.data, D, W)
+    d_c = len(tables)
+    params = [*tables, weight] if weight is not None else tables
+    out = np.empty((len(num), d_c + num.shape[1], params[0].data.shape[1]))
+    for i, table in enumerate(tables):
+        out[:, i] = table.data[cat[:, i]]
+    if weight is not None:
+        out[:, d_c:] = num[:, :, None] * weight.data
 
     def back(g):
-        d_w, dx = _attend_back(g, W, saved)
-        for w, dw in zip(weights, d_w):
-            if w.requires_grad:
-                w._accumulate(dw)
-        if x.requires_grad:
-            x._accumulate(dx)
+        g = g.reshape(out.shape)
+        for i, table in enumerate(tables):
+            if table.requires_grad:
+                acc = np.zeros_like(table.data)
+                np.add.at(acc, cat[:, i], g[:, i])
+                table._accumulate(acc)
+        if weight is not None and weight.requires_grad:
+            weight._accumulate((g[:, d_c:] * num[:, :, None]).sum(axis=0))
 
-    return ad.node(out, (x, *weights), back), saved[-1]
+    return ad.node(out.reshape(-1, out.shape[2]), params, back)
 
 
 def encoder_layer(x, D, wq, wk, wv, wres, ffn):
@@ -159,12 +162,13 @@ def encoder_layer(x, D, wq, wk, wv, wres, ffn):
 
     ``t_res = selu(attention(x) @ wres + x)``, the feed-forward stack ``z``
     runs ``x`` through the ``ffn`` weights with SELU between them, and the
-    output is ``selu(z + t_res)``. Attention is ``multi_head_attention``'s.
-    Backward works from the saved pre-activations. Returns the output Tensor
-    and the (B, H, D, D) attention weights.
+    output is ``selu(z + t_res)``. Attention is ``_attend``'s: all heads at
+    once, with unscaled logits. Backward works from the saved
+    pre-activations. Returns the output Tensor and the (B, H, D, D) attention
+    weights.
     """
     params = [*wq, *wk, *wv, wres, *ffn]
-    W = _stack_heads(wq, wk, wv)
+    W = [np.stack([w.data for w in ws]) for ws in (wq, wk, wv)]  # (H, d_e, d_h)
     xd = x.data
     mixed, saved = _attend(xd, D, W)
     s = mixed @ wres.data + xd
@@ -201,15 +205,46 @@ def encoder_layer(x, D, wq, wk, wv, wres, ffn):
     return ad.node(ad.selu_array(u), (x, *params), back), saved[-1]
 
 
-def mlp_head(z, weights, biases):
-    """A task head as one tape op: ``z @ w + b`` per layer, ReLU between."""
+def shared_projection(encoded, raw, w):
+    """The shared representation as one tape op: ``selu([encoded | raw] @ w)``.
+
+    ``encoded`` and ``raw`` are the (B·D, d_e) encoder output and field
+    embeddings, each flattened to one row per record; with no encoder layers
+    they are one Tensor. ``w`` is (2·D·d_e, hidden).
+    """
+    width = w.data.shape[0] // 2
+    joined = np.concatenate([encoded.data.reshape(-1, width), raw.data.reshape(-1, width)], axis=1)
+    pre = joined @ w.data
+
+    def back(g):
+        g = g * ad.selu_slope(pre)
+        if w.requires_grad:
+            w._accumulate(joined.T @ g)
+        g = g @ w.data.T
+        for t, part in ((encoded, g[:, :width]), (raw, g[:, width:])):
+            if t.requires_grad:
+                t._accumulate(part.reshape(t.data.shape))
+
+    return ad.node(ad.selu_array(pre), (encoded, raw, w), back)
+
+
+def mlp_head(z, weights, biases, link=None, flat=False):
+    """A task head as one tape op: ``z @ w + b`` per layer, ReLU between,
+    then the output ``link``: "softplus", "logistic" or None (identity).
+    ``flat`` drops the last axis of a one-output head."""
     inputs = []  # the input of each layer; the later ones are ReLU outputs
     a = z.data
     for i, (w, b) in enumerate(zip(weights, biases)):
         inputs.append(np.maximum(a, 0.0) if i else a)
         a = inputs[-1] @ w.data + b.data
+    out = ad.softplus_array(a) if link == "softplus" else ad.logistic(a) if link == "logistic" else a
 
     def back(g):
+        g = g.reshape(a.shape)
+        if link == "softplus":
+            g = g * ad.logistic(a)
+        elif link == "logistic":
+            g = g * out * (1.0 - out)
         for i in range(len(weights) - 1, -1, -1):
             if biases[i].requires_grad:
                 biases[i]._accumulate(g.sum(axis=0))
@@ -222,7 +257,7 @@ def mlp_head(z, weights, biases):
         if z.requires_grad:
             z._accumulate(g)
 
-    return ad.node(a, (z, *weights, *biases), back)
+    return ad.node(out.reshape(-1) if flat else out, (z, *weights, *biases), back)
 
 
 class SurvivalTransformer:
@@ -278,18 +313,6 @@ class SurvivalTransformer:
 
     # --- batched forward (training path) ----------------------------------
 
-    def _embed_batch(self, cat_idx, num_vals):
-        B = cat_idx.shape[0] if cat_idx.size else num_vals.shape[0]
-        de = self.config.embed_dim
-        parts = []
-        for i in range(self.schema.d_c):
-            rows = ad.take_rows(self.params[f"embed.cat{i}"], cat_idx[:, i])
-            parts.append(ad.reshape(rows, (B, 1, de)))
-        if self.schema.d_n:
-            scale = ad.Tensor(num_vals[:, :, None])
-            parts.append(ad.mul(scale, self.params["embed.num"]))
-        return parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
-
     def _encoder_layer(self, layer, x, D):
         """One attention-plus-FFN step over (B·D, d_e) field embeddings."""
         p = self.params
@@ -298,31 +321,26 @@ class SurvivalTransformer:
         ffn = [p[f"enc{layer}.ffn{i}"] for i in range(len(self._ffn_dims()) - 1)]
         return encoder_layer(x, D, wq, wk, wv, p[f"enc{layer}.wres"], ffn)
 
-    def _head(self, prefix, t_sr):
+    def _head(self, prefix, t_sr, link=None, flat=False):
         n = range(self.config.head_layers)
         return mlp_head(t_sr, [self.params[f"{prefix}.w{i}"] for i in n],
-                        [self.params[f"{prefix}.b{i}"] for i in n])
+                        [self.params[f"{prefix}.b{i}"] for i in n], link, flat)
 
     def forward_batch(self, cat_idx, num_vals):
         cat_idx = np.asarray(cat_idx, dtype=np.intp)
         num_vals = np.asarray(num_vals, dtype=np.float64)
-        B = num_vals.shape[0] if num_vals.ndim == 2 else cat_idx.shape[0]
-        t0 = self._embed_batch(cat_idx, num_vals)
-        D, de = self.schema.d, self.config.embed_dim
-        x = ad.reshape(t0, (B * D, de))
+        tables = [self.params[f"embed.cat{i}"] for i in range(self.schema.d_c)]
+        t0 = embed_fields(tables, self.params.get("embed.num"), cat_idx, num_vals)
+        x = t0
         attention = []
         for layer in range(self.config.layers):
-            x, alpha = self._encoder_layer(layer, x, D)
+            x, alpha = self._encoder_layer(layer, x, self.schema.d)
             attention.append(alpha)
-        flat_hat = ad.reshape(x, (B, D * de))
-        flat_raw = ad.reshape(t0, (B, D * de))
-        t_sr = ad.selu(ad.matmul(ad.concat([flat_hat, flat_raw], axis=1), self.params["sr.w"]))
-        hazards = [
-            ad.softplus(self._head(f"cs{k}", t_sr)) for k in range(self.config.n_events)
-        ]
-        mp = ad.reshape(ad.sigmoid(self._head("mp", t_sr)), (B,))
-        ls = ad.reshape(self._head("ls", t_sr), (B,))
-        return ForwardPass(t0, flat_hat, t_sr, hazards, mp, ls, attention)
+        t_sr = shared_projection(x, t0, self.params["sr.w"])
+        hazards = [self._head(f"cs{k}", t_sr, "softplus") for k in range(self.config.n_events)]
+        mp = self._head("mp", t_sr, "logistic", flat=True)
+        ls = self._head("ls", t_sr, flat=True)
+        return ForwardPass(t0, x, t_sr, hazards, mp, ls, attention)
 
     # --- checked inference views ------------------------------------------
 
@@ -352,12 +370,12 @@ class SurvivalTransformer:
 
     def embed(self, cat, num):
         """Per-field embedding matrix (D, d_e) for one record's rows."""
-        return self._embed_batch(*self._row(cat, num)).data[0]
+        return self.forward_batch(*self._row(cat, num)).raw.data
 
     def encode(self, cat, num):
         """Flattened encoder output plus labeled attention maps."""
         fp = self.forward_batch(*self._row(cat, num))
-        return fp.encoded.data[0], self._maps_for(fp, 0)
+        return fp.encoded.data.reshape(-1), self._maps_for(fp, 0)
 
     def _maps_for(self, fp, idx):
         labels = self.schema.field_names
@@ -410,11 +428,25 @@ def save_checkpoint(path, model, extra=None):
         json.dump(payload, fh)
 
 
+def _entries(path, name, values, *rules):
+    """``values``, a number or nested lists of numbers, as a float64 array
+    once every entry keeps ``FLOAT`` and ``rules``; otherwise one ValueError
+    naming ``name`` and the first entry that breaks them."""
+    arr = np.array(values, dtype=object)
+    for value in arr.flat:
+        for says, ok in (FLOAT, *rules):
+            if not ok(value):
+                raise ValueError(f"checkpoint {path}: {name} must be {says}, got {value!r}")
+    return arr.astype(np.float64)
+
+
 def load_checkpoint(path):
     """Rebuild a model from ``save_checkpoint`` output; returns (model, extra).
 
     The payload must hold ``config``, ``schema``, ``grid`` and exactly the
-    rebuilt model's parameters, each with its shape.
+    rebuilt model's parameters, each with its shape. Every grid and parameter
+    entry and every numerical field's mean and std must be a finite number,
+    and each std positive.
     """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -428,14 +460,19 @@ def load_checkpoint(path):
         schema = CovariateSchema.from_dict(payload["schema"])
     except (KeyError, TypeError) as err:
         raise ValueError(f"checkpoint {path} has a malformed config or schema: {err!r}") from None
-    grid = TimeGrid(np.asarray(payload["grid"]))
+    for i, f in enumerate(schema.numerical):
+        _entries(path, f"schema.numerical[{i}].mean", f.mean)
+        _entries(path, f"schema.numerical[{i}].std", f.std, POSITIVE)
+    grid = TimeGrid(_entries(path, "every grid entry", payload["grid"]))
     model = SurvivalTransformer(config, schema, grid, seed=0)
     params = payload["params"]
+    if not isinstance(params, dict):
+        raise ValueError(f"checkpoint {path}: params must be an object, got {params!r}")
     absent = [name for name in model.params if name not in params]
     if absent:
         raise ValueError(f"checkpoint {path} lacks parameters {', '.join(absent)}")
     for name, values in params.items():
-        arr = np.asarray(values, dtype=np.float64)
+        arr = _entries(path, f"every entry of parameter {name!r}", values)
         if name not in model.params or model.params[name].data.shape != arr.shape:
             raise ValueError(f"checkpoint parameter {name!r} does not fit the rebuilt model")
         model.params[name].data = arr

@@ -2,12 +2,15 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, direct formulas) and shares no code with the package internals it
-verifies.
+verifies. The one exception is ``probe``, a scalar tape op built on the
+tape's own ``node`` so that tests can differentiate any op's output.
 """
 
 import math
 
 import numpy as np
+
+from survformer import autodiff as ad
 
 SELU_LAMBDA = 1.0507009873554804934193349852946
 SELU_ALPHA = 1.6732632423543772848170429916717
@@ -36,6 +39,24 @@ def assert_grads_match(analytic, numeric, rtol=1e-4, atol=1e-8):
     """Relative 1e-4 agreement; atol absorbs finite-difference roundoff."""
     for a, f in zip(analytic, numeric):
         np.testing.assert_allclose(a, f, rtol=rtol, atol=atol)
+
+
+def probe(*tensors, weights=None):
+    """The scalar ``sum(weights * t)`` summed over ``tensors``, as one tape op.
+
+    ``weights`` is a fixed array shaped like every tensor (ones by default).
+    Backward hands the one array ``g * weights`` to every parent, so a
+    parent listed twice receives it twice.
+    """
+    c = np.ones_like(tensors[0].data) if weights is None else np.asarray(weights, dtype=np.float64)
+
+    def back(g):
+        grad = g * c
+        for t in tensors:
+            if t.requires_grad:
+                t._accumulate(grad)
+
+    return ad.node(sum((t.data * c).sum() for t in tensors), tensors, back)
 
 
 def pch_oracle(hazards, cuts, t, e):

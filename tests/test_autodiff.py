@@ -1,4 +1,5 @@
-"""Differentiation engine: forward values, gradients, and determinism."""
+"""Differentiation engine: the backward sweep, the array functions the tape
+ops compute with, and finite-difference checks of every tape op."""
 
 import math
 
@@ -8,54 +9,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survformer import autodiff as ad
+from survformer import losses as L
+from survformer.data import TimeGrid
+from survformer.model import embed_fields, encoder_layer, mlp_head, shared_projection
 
-from oracles import assert_grads_match, fd_gradients
+from oracles import assert_grads_match, fd_gradients, probe
 
 
 def tensor(values, grad=True):
     return ad.Tensor(np.asarray(values, dtype=np.float64), requires_grad=grad)
 
 
-class TestMatmul:
-    def test_identity(self):
-        out = ad.matmul(tensor(np.eye(2)), tensor([[3.0], [4.0]]))
-        np.testing.assert_array_equal(out.data, [[3.0], [4.0]])
-
-    def test_hand_product(self):
-        out = ad.matmul(tensor([[1.0, 2.0]]), tensor([[3.0], [4.0]]))
-        np.testing.assert_array_equal(out.data, [[11.0]])
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ad.DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            ad.matmul(tensor(np.zeros((2, 3))), tensor(np.zeros((2, 2))))
-
-    def test_grad_of_sum_is_ones_times_b_transpose(self):
-        rng = np.random.default_rng(7)
-        a = tensor(rng.standard_normal((3, 4)))
-        b = tensor(rng.standard_normal((4, 2)))
-        loss = ad.tsum(ad.matmul(a, b))
-        ad.backward(loss)
-        np.testing.assert_allclose(a.grad, np.ones((3, 2)) @ b.data.T, rtol=1e-12)
-        fd = fd_gradients(lambda: float(ad.tsum(ad.matmul(a, b)).data), [a, b])
-        assert_grads_match([a.grad, b.grad], fd)
-
-    def test_rejects_3d_operands_naming_both_shapes(self):
-        with pytest.raises(ad.DimensionError, match=r"\(2, 3, 4\).*\(4, 5\)"):
-            ad.matmul(tensor(np.zeros((2, 3, 4))), tensor(np.zeros((4, 5))))
-        with pytest.raises(ad.DimensionError, match=r"\(3, 4\).*\(2, 4, 5\)"):
-            ad.matmul(tensor(np.zeros((3, 4))), tensor(np.zeros((2, 4, 5))))
-
-
 class TestSelu:
     def test_zero(self):
-        assert ad.selu(tensor([0.0])).data[0] == 0.0
+        assert ad.selu_array(np.array([0.0]))[0] == 0.0
 
     def test_positive_branch(self):
-        np.testing.assert_allclose(ad.selu(tensor([1.0])).data[0], 1.0507, atol=1e-4)
+        np.testing.assert_allclose(ad.selu_array(np.array([1.0]))[0], 1.0507, atol=1e-4)
 
     def test_negative_saturation(self):
         # limit of the exponential branch is -lambda*alpha
-        val = ad.selu(tensor([-60.0])).data[0]
+        val = ad.selu_array(np.array([-60.0]))[0]
         np.testing.assert_allclose(val, -1.7581, atol=1e-4)
         np.testing.assert_allclose(val, -ad.SELU_LAMBDA * ad.SELU_ALPHA, rtol=1e-12)
 
@@ -63,72 +37,71 @@ class TestSelu:
     @settings(max_examples=50, deadline=None)
     def test_monotone(self, x, y):
         lo, hi = min(x, y), max(x, y)
-        out = ad.selu(tensor([lo, hi])).data
+        out = ad.selu_array(np.array([lo, hi]))
         assert out[0] <= out[1]
 
 
 class TestSoftplus:
     def test_zero(self):
-        np.testing.assert_allclose(ad.softplus(tensor([0.0])).data[0], math.log(2.0), rtol=1e-12)
+        np.testing.assert_allclose(ad.softplus_array(np.array([0.0]))[0], math.log(2.0), rtol=1e-12)
 
     def test_large_input_asymptote(self):
-        np.testing.assert_allclose(ad.softplus(tensor([100.0])).data[0], 100.0, atol=1e-10)
+        np.testing.assert_allclose(ad.softplus_array(np.array([100.0]))[0], 100.0, atol=1e-10)
 
     def test_derivative_at_zero(self):
-        x = tensor([0.0])
-        ad.backward(ad.tsum(ad.softplus(x)))
-        np.testing.assert_allclose(x.grad, [0.5], rtol=1e-12)
+        # the softplus link's backward multiplies by ``logistic``
+        h = 1e-6
+        fd = (ad.softplus_array(np.array([h])) - ad.softplus_array(np.array([-h]))) / (2 * h)
+        np.testing.assert_allclose(fd, [0.5], rtol=1e-9)
+        np.testing.assert_allclose(ad.logistic(np.array([0.0])), [0.5], rtol=1e-12)
 
     def test_strictly_positive(self):
-        out = ad.softplus(tensor(np.linspace(-700, 700, 101)))
-        assert np.all(out.data > 0)
+        assert np.all(ad.softplus_array(np.linspace(-700, 700, 101)) > 0)
 
     @given(st.floats(-50, 50), st.floats(-50, 50))
     @settings(max_examples=50, deadline=None)
     def test_monotone(self, x, y):
         lo, hi = min(x, y), max(x, y)
-        out = ad.softplus(tensor([lo, hi])).data
+        out = ad.softplus_array(np.array([lo, hi]))
         assert out[0] <= out[1]
+
+
+def one_layer_head(rng, link, inputs=4, outputs=1):
+    """A fixed (3, inputs) head input and one trainable layer into ``link``."""
+    z = tensor(rng.standard_normal((3, inputs)), grad=False)
+    w, b = tensor(rng.standard_normal((inputs, outputs))), tensor(rng.standard_normal(outputs))
+    return (lambda: mlp_head(z, [w], [b], link)), [w, b]
 
 
 class TestBackward:
     def test_sum_gives_ones(self):
         p = tensor(np.arange(6.0).reshape(2, 3))
-        ad.backward(ad.tsum(p))
+        ad.backward(probe(p))
         np.testing.assert_array_equal(p.grad, np.ones((2, 3)))
 
     def test_scalar_chain_matches_finite_difference(self):
-        rng = np.random.default_rng(3)
-        w = tensor(rng.standard_normal((1, 4)))
-        x = tensor(rng.standard_normal((4, 1)), grad=False)
+        head, params = one_layer_head(np.random.default_rng(3), "softplus")
 
         def build():
-            return ad.tsum(ad.softplus(ad.matmul(w, x)))
+            return probe(head())
 
         ad.backward(build())
-        assert_grads_match([w.grad], fd_gradients(lambda: float(build().data), [w]))
+        assert_grads_match([p.grad for p in params], fd_gradients(lambda: float(build().data), params))
 
     def test_disjoint_losses_add(self):
         rng = np.random.default_rng(4)
-        a_data = rng.standard_normal((3,))
-        b_data = rng.standard_normal((3,))
-
-        a1, b1 = tensor(a_data), tensor(b_data)
-        ad.backward(ad.add(ad.tsum(ad.selu(a1)), ad.tsum(ad.softplus(b1))))
-
-        a2 = tensor(a_data)
-        ad.backward(ad.tsum(ad.selu(a2)))
-        b2 = tensor(b_data)
-        ad.backward(ad.tsum(ad.softplus(b2)))
-
-        np.testing.assert_array_equal(a1.grad, a2.grad)
-        np.testing.assert_array_equal(b1.grad, b2.grad)
+        head_a, (a1, _) = one_layer_head(rng, "logistic")
+        head_b, (b1, _) = one_layer_head(rng, "softplus")
+        ad.backward(probe(probe(head_a()), probe(head_b())))
+        both = a1.grad, b1.grad
+        ad.backward(probe(head_a()))
+        ad.backward(probe(head_b()))
+        np.testing.assert_array_equal(both[0], a1.grad)
+        np.testing.assert_array_equal(both[1], b1.grad)
 
     def test_repeated_backward_is_bitwise_identical(self):
-        rng = np.random.default_rng(5)
-        w = tensor(rng.standard_normal((3, 3)))
-        x = tensor(rng.standard_normal((3, 2)), grad=False)
-        loss = ad.tsum(ad.sigmoid(ad.matmul(w, x)))
+        head, (w, _) = one_layer_head(np.random.default_rng(5), "logistic", outputs=2)
+        loss = probe(head())
         ad.backward(loss)
         first = w.grad.copy()
         ad.backward(loss)
@@ -140,24 +113,23 @@ class TestBackward:
 
     def test_reused_operand_accumulates(self):
         a = tensor([3.0])
-        ad.backward(ad.tsum(ad.mul(a, a)))
+        ad.backward(probe(a, a, weights=[3.0]))
         np.testing.assert_allclose(a.grad, [6.0], rtol=1e-12)
 
     @pytest.mark.parametrize("shared_first", [True, False])
     def test_gradient_handed_to_two_parents_is_never_mutated(self, shared_first):
-        # add hands one gradient array to p and q; p then takes a second
-        # contribution, which must not write into the array q holds
+        # the first probe hands one gradient array to p and q; p then takes
+        # a second contribution, which must not write into the array q holds
         p, q = tensor([1.0, 2.0]), tensor([3.0, 4.0])
-        c = ad.Tensor([5.0, -7.0])
-        both = ad.add(p, q)
-        scaled = ad.mul(p, c)
-        ad.backward(ad.tsum(ad.add(both, scaled) if shared_first else ad.add(scaled, both)))
+        both = probe(p, q)
+        scaled = probe(p, weights=[5.0, -7.0])
+        ad.backward(probe(both, scaled) if shared_first else probe(scaled, both))
         np.testing.assert_array_equal(q.grad, [1.0, 1.0])
         np.testing.assert_array_equal(p.grad, [6.0, -6.0])
 
     def test_gradient_tape_exposes_ordered_parameters(self):
         a, b = tensor([1.0]), tensor([2.0])
-        tape = ad.GradientTape(ad.tsum(ad.mul(a, b)))
+        tape = ad.GradientTape(probe(a, b, weights=[2.0]))
         tape.run()
         grads = tape.parameter_gradients()
         assert set(grads) == {a, b}
@@ -165,62 +137,114 @@ class TestBackward:
 
 
 def _gradcheck_cases():
-    """One builder per primitive; each returns (loss closure, params)."""
+    """One builder per tape op (the embedding in three field mixes, the
+    shared projection with no and with two encoder layers, each head link);
+    each returns (loss closure, params)."""
     rng = np.random.default_rng(12)
+    B, de = 5, 4
 
     def rand(*shape):
         return tensor(rng.standard_normal(shape))
 
-    def case_add():
-        a, b = rand(3, 4), rand(4)
-        c = ad.Tensor(rng.standard_normal((3, 4)))
-        return lambda: ad.tsum(ad.mul(ad.add(a, b), c)), [a, b]
+    def probed(build):
+        c = rng.standard_normal(build().data.shape)
+        return lambda: probe(build(), weights=c)
 
-    def case_mul():
-        a, b = rand(2, 3, 1), rand(3, 4)
-        c = ad.Tensor(rng.standard_normal((2, 3, 4)))
-        return lambda: ad.tsum(ad.mul(ad.mul(a, b), c)), [a, b]
+    def embedding(d_c, d_n):
+        # three rows per table, so five records repeat some looked-up rows
+        tables = [rand(3, de) for _ in range(d_c)]
+        weight = rand(d_n, de) if d_n else None
+        cat = rng.integers(0, 3, size=(B, d_c))
+        num = rng.standard_normal((B, d_n))
+        params = tables + ([weight] if d_n else [])
+        return (lambda: embed_fields(tables, weight, cat, num)), params
 
-    def case_matmul():
-        a, b = rand(3, 4), rand(4, 2)
-        c = ad.Tensor(rng.standard_normal((3, 2)))
-        return lambda: ad.tsum(ad.mul(ad.matmul(a, b), c)), [a, b]
+    def layer(D):
+        wq, wk, wv = ([rand(de, 2) for _ in range(2)] for _ in range(3))
+        wres, ffn = rand(de, de), [rand(de, 3), rand(3, de)]
+        return (lambda x: encoder_layer(x, D, wq, wk, wv, wres, ffn)[0]), [*wq, *wk, *wv, wres, *ffn]
 
-    def case_selu():
-        a = rand(11)
-        c = ad.Tensor(rng.standard_normal(11))
-        return lambda: ad.tsum(ad.mul(ad.selu(a), c)), [a]
+    def case_embed_categorical():
+        build, params = embedding(2, 0)
+        return probed(build), params
 
-    def case_softplus():
-        a = rand(11)
-        c = ad.Tensor(rng.standard_normal(11))
-        return lambda: ad.tsum(ad.mul(ad.softplus(a), c)), [a]
+    def case_embed_numerical():
+        build, params = embedding(0, 3)
+        return probed(build), params
 
-    def case_sigmoid():
-        a = rand(7)
-        c = ad.Tensor(rng.standard_normal(7))
-        return lambda: ad.tsum(ad.mul(ad.sigmoid(a), c)), [a]
+    def case_embed_both():
+        build, params = embedding(2, 2)
+        return probed(build), params
 
-    def case_gather():
-        table = rand(5, 3)
-        idx = rng.integers(0, 5, size=8)
-        c = ad.Tensor(rng.standard_normal((8, 3)))
-        return lambda: ad.tsum(ad.mul(ad.take_rows(table, idx), c)), [table]
+    def case_shared_projection_no_layers():
+        embed, params = embedding(1, 2)
+        w = rand(2 * 3 * de, 5)
 
-    def case_concat_reshape():
-        a, b = rand(2, 3), rand(2, 2)
-        c = ad.Tensor(rng.standard_normal(10))
-        return lambda: ad.tsum(ad.mul(ad.reshape(ad.concat([a, b], axis=1), (10,)), c)), [a, b]
+        def build():
+            raw = embed()
+            return shared_projection(raw, raw, w)
 
-    def case_sum_axis():
-        a = rand(3, 4)
-        c = ad.Tensor(rng.standard_normal(4))
-        return lambda: ad.tsum(ad.mul(ad.tsum(a, axis=0), c)), [a]
+        return probed(build), [*params, w]
+
+    def case_shared_projection_two_layers():
+        embed, params = embedding(1, 2)
+        (first, first_params), (second, second_params) = layer(3), layer(3)
+        w = rand(2 * 3 * de, 5)
+
+        def build():
+            raw = embed()
+            return shared_projection(second(first(raw)), raw, w)
+
+        return probed(build), [*params, *first_params, *second_params, w]
+
+    def head(link, out, flat):
+        z = rand(B, 6)
+        weights, biases = [rand(6, 4), rand(4, out)], [rand(4), rand(out)]
+        return probed(lambda: mlp_head(z, weights, biases, link, flat)), [z, *weights, *biases]
+
+    def case_head_softplus():
+        return head("softplus", 3, False)
+
+    def case_head_logistic():
+        return head("logistic", 1, True)
+
+    def case_head_identity():
+        return head(None, 1, True)
+
+    def case_total():
+        # each part a probe, so the finite differences perturb (1,) leaves
+        leaves = [rand(1) for _ in range(3)]
+        schedule = L.AnnealSchedule(initial=tuple(rng.uniform(0.1, 2.0, 2)), horizon=4)
+        epoch = int(rng.integers(0, 4))
+        return (lambda: L.total_loss_tensor(*map(probe, leaves), schedule, epoch)[0]), leaves
+
+    def case_encoder_layer():
+        x = rand(2 * 3, de)
+        build, params = layer(3)
+        return probed(lambda: build(x)), [x, *params]
+
+    def case_survival():
+        grid = TimeGrid(np.array([1.0, 2.0, 3.0]))
+        hazards = [tensor(rng.uniform(0.2, 2.0, (B, 3))) for _ in range(2)]
+        t, e = rng.uniform(0.0, 3.5, B), rng.integers(0, 3, B)
+        pi = rng.uniform(0.2, 0.8, (B, 2))
+        return (lambda: L.competing_survival_loss(hazards, grid, t, e, propensities=pi)), hazards
+
+    def case_mp():
+        prob = tensor(rng.uniform(0.05, 0.95, B))
+        labels = (rng.uniform(size=B) > 0.5).astype(float)
+        return (lambda: L.mp_loss_tensor(prob, labels)), [prob]
+
+    def case_ls():
+        pred = rand(B)
+        observed = rng.standard_normal(B)
+        return (lambda: L.ls_loss_tensor(pred, observed)), [pred]
 
     builders = [
-        case_add, case_mul, case_matmul, case_selu, case_softplus,
-        case_sigmoid, case_gather,
-        case_concat_reshape, case_sum_axis,
+        case_embed_categorical, case_embed_numerical, case_embed_both,
+        case_shared_projection_no_layers, case_shared_projection_two_layers,
+        case_head_softplus, case_head_logistic, case_head_identity, case_total,
+        case_encoder_layer, case_survival, case_mp, case_ls,
     ]
     out = []
     for i in range(50):
@@ -230,7 +254,7 @@ def _gradcheck_cases():
 
 @pytest.mark.parametrize("case_idx", range(50))
 def test_all_ops_match_finite_differences(case_idx):
-    """Every primitive agrees with central differences on random inputs."""
+    """Every tape op agrees with central differences on random inputs."""
     build, params = _gradcheck_cases()[case_idx]
     ad.backward(build())
     analytic = [p.grad for p in params]

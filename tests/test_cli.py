@@ -197,23 +197,36 @@ class TestPipeline:
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("edit, named", [
-        (lambda x: x.update(split=None), "extra.split must be an object, got None"),
-        (lambda x: x.update(censoring=None), "extra.censoring must be an object, got None"),
-        (lambda x: x["columns"].update(numerical=None),
+        (lambda p: p["extra"].update(split=None), "extra.split must be an object, got None"),
+        (lambda p: p["extra"].update(censoring=None), "extra.censoring must be an object, got None"),
+        (lambda p: p["extra"]["columns"].update(numerical=None),
          "extra.columns.numerical must be a list of strings, got None"),
-        (lambda x: x["columns"].update(categorical=[1]), "extra.columns.categorical must be a list of strings"),
-        (lambda x: x["columns"].update(event=["event"]), "extra.columns.event must be a string"),
-        (lambda x: x["split"].update(fractions=[0.6, 0.4]),
+        (lambda p: p["extra"]["columns"].update(categorical=[1]),
+         "extra.columns.categorical must be a list of strings"),
+        (lambda p: p["extra"]["columns"].update(event=["event"]), "extra.columns.event must be a string"),
+        (lambda p: p["extra"]["split"].update(fractions=[0.6, 0.4]),
          "extra.split.fractions must be a list of three finite numbers"),
-        (lambda x: x["split"].update(seed=-1), "extra.split.seed must be a nonnegative integer"),
-        (lambda x: x["censoring"].pop("values"), "lacks extra.censoring.values"),
-        (lambda x: x["censoring"]["values"].pop(), "censoring estimate has"),
+        (lambda p: p["extra"]["split"].update(seed=-1), "extra.split.seed must be a nonnegative integer"),
+        (lambda p: p["extra"]["censoring"].pop("values"), "lacks extra.censoring.values"),
+        (lambda p: p["extra"]["censoring"]["values"].pop(), "censoring estimate has"),
+        (lambda p: p["grid"].__setitem__(0, {}), "every grid entry must be a finite number, got {}"),
+        (lambda p: p["params"].update({"sr.w": {}}),
+         "every entry of parameter 'sr.w' must be a finite number, got {}"),
+        (lambda p: p["schema"]["numerical"][0].update(mean="abc"),
+         "schema.numerical[0].mean must be a finite number, got 'abc'"),
+        (lambda p: p["schema"]["numerical"][0].update(std=None),
+         "schema.numerical[0].std must be a finite number, got None"),
+        (lambda p: p["schema"]["numerical"][0].update(std=0), "schema.numerical[0].std must be positive, got 0"),
+        (lambda p: p.update(params=5), "params must be an object, got 5"),
+        (lambda p: p.update(grid=[p["grid"]]), "cut points must be a list of finite"),
     ], ids=["split-null", "censoring-null", "numerical-null", "categorical-ints", "event-list",
-            "two-fractions", "negative-seed", "censoring-values-absent", "censoring-values-short"])
+            "two-fractions", "negative-seed", "censoring-values-absent", "censoring-values-short",
+            "grid-object", "parameter-object", "mean-text", "std-null", "std-zero", "params-number",
+            "grid-nested"])
     def test_eval_rejects_mistyped_checkpoint_extra(self, trained, capsys, edit, named):
         tmp_path, data, ckpt = trained
         payload = json.loads(ckpt.read_text())
-        edit(payload["extra"])
+        edit(payload)
         ckpt.write_text(json.dumps(payload))
         capsys.readouterr()
         code = run(["eval", "--data", str(data), "--checkpoint", str(ckpt),
@@ -221,6 +234,22 @@ class TestPipeline:
         assert code == 1
         assert named in one_error_line(capsys)
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("eval", []), ("predict", ["--times", "0.5"]), ("attention", []),
+    ], ids=["eval", "predict", "attention"])
+    @pytest.mark.parametrize("cut, where", [(float("nan"), 0), (float("inf"), -1)], ids=["nan-first", "inf-last"])
+    def test_nonfinite_grid_cut_is_rejected(self, trained, capsys, command, flags, cut, where):
+        tmp_path, data, ckpt = trained
+        payload = json.loads(ckpt.read_text())
+        payload["grid"][where] = cut
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run([command, "--data", str(data), "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "out"), *flags])
+        assert code == 1
+        assert f"every grid entry must be a finite number, got {cut!r}" in one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flags", [
         ("eval", ["--fold", "all"]), ("predict", ["--times", "1"]), ("attention", []),

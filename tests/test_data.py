@@ -298,6 +298,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="degenerate"):
             D.build_time_grid([5.0, 5.0, 5.0], 4)
 
+    @pytest.mark.parametrize("cuts", [[np.nan, 1.0, 2.0], [1.0, 2.0, np.inf], [np.nan]],
+                             ids=["nan-first", "inf-last", "nan-only"])
+    def test_nonfinite_cut_points_rejected(self, cuts):
+        with pytest.raises(ValueError, match="finite, strictly increasing"):
+            D.TimeGrid(np.array(cuts))
+
     def test_last_cut_is_max_duration(self):
         rng = np.random.default_rng(0)
         durations = rng.exponential(10.0, size=200)

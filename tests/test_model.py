@@ -21,11 +21,12 @@ from survformer.model import (
     INFER_CHUNK,
     ModelConfig,
     SurvivalTransformer,
+    _attend,
+    _attend_back,
     attention_payload,
     encoder_layer,
     load_checkpoint,
     mlp_head,
-    multi_head_attention,
     save_checkpoint,
 )
 
@@ -35,6 +36,7 @@ from oracles import (
     naive_attention,
     naive_encode,
     naive_encoder_layer,
+    probe,
     selu_ref,
 )
 
@@ -99,10 +101,22 @@ def layer_weights(model, layer=0):
     return [[model.params[f"enc{layer}.h{h}.{w}"] for h in heads] for w in ("wq", "wk", "wv")]
 
 
+def stack_heads(wq, wk, wv):
+    """The per-head weight Tensors as ``_attend``'s three (H, d_e, d_h) arrays."""
+    return [np.stack([w.data for w in ws]) for ws in (wq, wk, wv)]
+
+
+def attention(x, D, wq, wk, wv):
+    """``_attend`` on (B·D, d_e) rows ``x`` with per-head weight Tensors: the
+    (B·D, H·d_h) output and the (B, H, D, D) weights."""
+    out, saved = _attend(x, D, stack_heads(wq, wk, wv))
+    return out, saved[-1]
+
+
 def attend(model, rec, layer=0):
-    """The layer's attention op on one record's embeddings."""
+    """The layer's attention on one record's embeddings."""
     t0 = model.embed(*rec)
-    return multi_head_attention(ad.Tensor(t0), t0.shape[0], *layer_weights(model, layer))
+    return attention(t0, t0.shape[0], *layer_weights(model, layer))
 
 
 def random_heads(rng, H, de=4, dh=2, scale=1.0):
@@ -120,7 +134,7 @@ class TestAttention:
         np.testing.assert_allclose(alpha[0, 0], 0.25, atol=1e-15)
         expected = np.mean(model.embed(*rec) @ model.params["enc0.h0.wv"].data, axis=0)
         for j in range(4):
-            np.testing.assert_allclose(mixed.data[j], expected, rtol=1e-12)
+            np.testing.assert_allclose(mixed[j], expected, rtol=1e-12)
 
     def test_single_field_attends_to_itself(self):
         schema = CovariateSchema([], [NumericalField("only")])
@@ -131,7 +145,7 @@ class TestAttention:
         mixed, alpha = attend(model, rec)
         np.testing.assert_allclose(alpha[0, 0], [[1.0]], atol=1e-15)
         np.testing.assert_allclose(
-            mixed.data[0], model.embed(*rec)[0] @ model.params["enc0.h0.wv"].data, rtol=1e-12
+            mixed[0], model.embed(*rec)[0] @ model.params["enc0.h0.wv"].data, rtol=1e-12
         )
 
     def test_matches_naive_loop_on_random_instance(self):
@@ -144,7 +158,7 @@ class TestAttention:
             want_out, want_alpha = naive_attention(t0, wq.data, wk.data, wv.data)
             np.testing.assert_allclose(alpha[0, h], want_alpha, atol=1e-12)
             outs.append(np.stack(want_out))
-        np.testing.assert_allclose(mixed.data, np.concatenate(outs, axis=1), atol=1e-12)
+        np.testing.assert_allclose(mixed, np.concatenate(outs, axis=1), atol=1e-12)
 
     def test_rows_sum_to_one_on_random_records(self):
         model = make_model(seed=2)
@@ -158,6 +172,9 @@ class TestAttention:
 
 
 class TestMultiHeadAttentionOp:
+    """``_attend`` and ``_attend_back``: all heads' attention inside each
+    encoder layer op."""
+
     @given(st.integers(1, 5), st.integers(1, 5), st.sampled_from([1, 2, 4]),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -166,8 +183,8 @@ class TestMultiHeadAttentionOp:
         de = 8
         x = rng.standard_normal((B * D, de))
         wq, wk, wv = random_heads(rng, H, de=de, dh=de // H)
-        out, alpha = multi_head_attention(ad.Tensor(x), D, wq, wk, wv)
-        assert out.data.shape == (B * D, de) and alpha.shape == (B, H, D, D)
+        out, alpha = attention(x, D, wq, wk, wv)
+        assert out.shape == (B * D, de) and alpha.shape == (B, H, D, D)
         for b in range(B):
             rows = list(x[b * D:(b + 1) * D])
             outs = []
@@ -176,7 +193,7 @@ class TestMultiHeadAttentionOp:
                 np.testing.assert_allclose(alpha[b, h], want_alpha, rtol=1e-12, atol=1e-12)
                 outs.append(np.stack(want_out))
             np.testing.assert_allclose(
-                out.data[b * D:(b + 1) * D], np.concatenate(outs, axis=1), rtol=1e-12, atol=1e-12
+                out[b * D:(b + 1) * D], np.concatenate(outs, axis=1), rtol=1e-12, atol=1e-12
             )
 
     def test_gradients_match_finite_differences(self):
@@ -184,40 +201,37 @@ class TestMultiHeadAttentionOp:
         B, D, H = 2, 3, 2
         x = ad.Tensor(rng.standard_normal((B * D, 4)), requires_grad=True)
         wq, wk, wv = random_heads(rng, H)
-        c = ad.Tensor(rng.standard_normal((B * D, 2 * H)))
-
-        def build():
-            return ad.tsum(ad.mul(multi_head_attention(x, D, wq, wk, wv)[0], c))
-
+        c = rng.standard_normal((B * D, 2 * H))
+        W = stack_heads(wq, wk, wv)
+        d_w, dx = _attend_back(c, W, _attend(x.data, D, W)[1])
         params = [x, *wq, *wk, *wv]
-        ad.backward(build())
-        analytic = [p.grad for p in params]
-        assert_grads_match(analytic, fd_gradients(lambda: float(build().data), params))
+        fd = fd_gradients(lambda: float((attention(x.data, D, wq, wk, wv)[0] * c).sum()), params)
+        assert_grads_match([dx, *d_w], fd)
 
     def test_maps_rows_lie_on_simplex(self):
         rng = np.random.default_rng(1)
-        x = ad.Tensor(rng.uniform(-5, 5, size=(4 * 7, 4)))
-        _, alpha = multi_head_attention(x, 7, *random_heads(rng, 4, scale=3.0))
+        x = rng.uniform(-5, 5, size=(4 * 7, 4))
+        _, alpha = attention(x, 7, *random_heads(rng, 4, scale=3.0))
         np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(alpha >= 0) and np.all(alpha <= 1)
 
     def test_no_overflow_for_large_query_key_weights(self):
         rng = np.random.default_rng(2)
-        x = ad.Tensor(rng.standard_normal((3 * 4, 4)))
+        x = rng.standard_normal((3 * 4, 4))
         wq, wk, wv = random_heads(rng, 2)
         for w in wq + wk:
             w.data *= 1e3
-        out, alpha = multi_head_attention(x, 4, wq, wk, wv)
-        assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(alpha))
+        out, alpha = attention(x, 4, wq, wk, wv)
+        assert np.all(np.isfinite(out)) and np.all(np.isfinite(alpha))
         np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_hand_value_at_two_fields(self):
         # logits of field 0 are (1, 1 + log 3), so its weights are (1/4, 3/4)
         one = [ad.Tensor([[1.0]])]
-        x = ad.Tensor([[1.0], [1.0 + math.log(3.0)]])
-        out, alpha = multi_head_attention(x, 2, one, one, one)
+        x = np.array([[1.0], [1.0 + math.log(3.0)]])
+        out, alpha = attention(x, 2, one, one, one)
         np.testing.assert_allclose(alpha[0, 0, 0], [0.25, 0.75], atol=1e-14)
-        np.testing.assert_allclose(out.data[0, 0], 0.25 + 0.75 * (1.0 + math.log(3.0)), rtol=1e-14)
+        np.testing.assert_allclose(out[0, 0], 0.25 + 0.75 * (1.0 + math.log(3.0)), rtol=1e-14)
 
 
 def random_layer(rng, H, de, depth, hidden, scale=1.0):
@@ -256,10 +270,10 @@ class TestEncoderLayerOp:
         B, D, H, de = 2, 3, 2, 4
         x = ad.Tensor(rng.standard_normal((B * D, de)), requires_grad=True)
         wq, wk, wv, wres, ffn = random_layer(rng, H, de, depth, hidden=5)
-        c = ad.Tensor(rng.standard_normal((B * D, de)))
+        c = rng.standard_normal((B * D, de))
 
         def build():
-            return ad.tsum(ad.mul(encoder_layer(x, D, wq, wk, wv, wres, ffn)[0], c))
+            return probe(encoder_layer(x, D, wq, wk, wv, wres, ffn)[0], weights=c)
 
         params = [x, *wq, *wk, *wv, wres, *ffn]
         ad.backward(build())
@@ -271,7 +285,7 @@ class TestEncoderLayerOp:
         x = ad.Tensor(rng.standard_normal((3 * 5, 8)))
         wq, wk, wv, wres, ffn = random_layer(rng, 2, 8, 2, hidden=4)
         _, alpha = encoder_layer(x, 5, wq, wk, wv, wres, ffn)
-        assert np.array_equal(alpha, multi_head_attention(x, 5, wq, wk, wv)[1])
+        assert np.array_equal(alpha, attention(x.data, 5, wq, wk, wv)[1])
 
 
 class TestHeadOp:
@@ -295,10 +309,10 @@ class TestHeadOp:
         rng = np.random.default_rng(len(dims))
         z = ad.Tensor(rng.standard_normal((5, dims[0])), requires_grad=True)
         weights, biases = self.layers(rng, dims)
-        c = ad.Tensor(rng.standard_normal((5, dims[-1])))
+        c = rng.standard_normal((5, dims[-1]))
 
         def build():
-            return ad.tsum(ad.mul(mlp_head(z, weights, biases), c))
+            return probe(mlp_head(z, weights, biases), weights=c)
 
         params = [z, *weights, *biases]
         ad.backward(build())
@@ -348,7 +362,7 @@ class TestEncode:
 
         def build():
             fp = model.forward_batch(cat, num)
-            return ad.tsum(fp.encoded)
+            return probe(fp.encoded)
 
         ad.backward(build())
         enc_params = [p for n, p in model.params.items() if n.startswith("enc")]

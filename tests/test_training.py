@@ -124,24 +124,36 @@ class TestTrain:
             T.train(config, train, val, schema, grid)
 
     def test_default_two_event_batch_is_at_most_65_tape_nodes(self):
-        # 36 of them are the parameters: with four numerical fields the
-        # default model has 36 weight and bias tensors
+        # exactly 48 with four numerical fields and 50 with two categorical
+        # fields added: 36 nodes are the default model's weight and bias
+        # tensors, one more per categorical table, and the other 12 are one
+        # op per network block or loss, so no primitive op can creep back
         train, _, _, _ = tiny_dataset(n=120)
-        schema = D.synthetic_schema(4)
         config = T.TrainConfig()
         grid = build_grid(train, config)
-        model = SurvivalTransformer(
-            dataclasses.replace(config.model, time_bins=grid.m, n_events=2), schema, grid
-        )
         rng = np.random.default_rng(0)
         B = config.batch_size
-        loss, _ = T._batch_loss(
-            model, grid, np.zeros((B, 0), dtype=np.intp), rng.standard_normal((B, 4)),
-            rng.uniform(0.0, 2.0, B), rng.integers(0, 3, B), rng.uniform(0.2, 0.8, (B, 2)),
-            config.schedule(), 0,
-        )
-        assert len(model.parameters()) == 36
-        assert len(ad.GradientTape(loss).nodes) <= 65
+        for categorical, nodes in ((0, 48), (2, 50)):
+            cats = [D.CategoricalField(f"c{i}", {"a": 0, "b": 1}, "a") for i in range(categorical)]
+            schema = D.CovariateSchema(cats, D.synthetic_schema(4).numerical)
+            model = SurvivalTransformer(
+                dataclasses.replace(config.model, time_bins=grid.m, n_events=2), schema, grid
+            )
+            loss, _ = T._batch_loss(
+                model, grid, rng.integers(0, 3, (B, categorical)), rng.standard_normal((B, 4)),
+                rng.uniform(0.0, 2.0, B), rng.integers(0, 3, B), rng.uniform(0.2, 0.8, (B, 2)),
+                config.schedule(), 0,
+            )
+            tape = ad.GradientTape(loss).nodes
+            assert len(model.parameters()) == 36 + categorical
+            assert len(tape) == nodes
+            assert {n for n in tape if n._backward is None} == set(model.parameters())
+            ops = [n._backward.__qualname__.split(".")[0] for n in tape if n._backward is not None]
+            assert sorted(ops) == sorted([
+                "embed_fields", "encoder_layer", "encoder_layer", "shared_projection",
+                "mlp_head", "mlp_head", "mlp_head", "mlp_head",
+                "competing_survival_loss", "_mean_op", "_mean_op", "total_loss_tensor",
+            ])
 
     def test_empty_sets_rejected(self):
         train, val, _, schema = tiny_dataset()
