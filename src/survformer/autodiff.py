@@ -1,10 +1,9 @@
 """Reverse-mode automatic differentiation over dense float64 numpy arrays.
 
 A ``Tensor`` wraps an ndarray and remembers the operation that produced it,
-so a scalar loss can be differentiated back to every parameter with one
-topological sweep (``backward``). All arithmetic is 64-bit; gradient checks
-against central finite differences at 1e-4 relative tolerance are not
-reliable in 32-bit.
+so a scalar loss can be differentiated with one topological sweep
+(``backward``). All arithmetic is 64-bit; gradient checks against central
+finite differences at 1e-4 relative tolerance are not reliable in 32-bit.
 
 The module defines no arithmetic on Tensors. Every operation on the tape
 is one network block or loss with a closed-form vector-Jacobian product,
@@ -13,11 +12,13 @@ projection and task heads, and the training losses and their annealed
 total. The elementwise array functions here (SELU and its slope, softplus,
 the logistic function) are what those ops compute with.
 
-The graph is rebuilt on every forward pass and never reused across batches.
-Tensors are immutable by convention: only an optimizer mutates ``.data`` of
-parameters, and only between tapes. Gradient arrays are never written in
-place either: a node's first gradient is stored as handed over, and one
-array may be handed to several nodes.
+Parameters are not on the tape. ``flat_parameters`` makes each one a view
+of one flat data buffer and one flat gradient buffer, and the one op that
+reads a parameter writes its whole gradient view on every sweep. Between
+nodes a gradient is never written in place: a node's first gradient is
+stored as handed over, and one array may be handed to several nodes. The
+graph is rebuilt on every forward pass; only an optimizer changes parameter
+data, between tapes. Values are not checked here.
 """
 
 import numpy as np
@@ -30,24 +31,13 @@ SELU_ALPHA = 1.6732632423543772848170429916717
 class Tensor:
     """A node in the computation graph: value, gradient slot, provenance."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False):
-        arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise ValueError("tensor values must be finite")
-        self.data = arr
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g):
         # The first write stores ``g`` itself and later ones allocate: a
@@ -59,11 +49,24 @@ def node(data, parents, backward_fn):
     """A tape node holding ``data``; ``backward_fn(g)`` receives the gradient
     of the loss with respect to ``data`` and accumulates into ``parents``."""
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+    out._parents = tuple(parents)
+    out._backward = backward_fn
     return out
+
+
+def flat_parameters(arrays):
+    """Copy ``arrays``, in order, into one flat float64 buffer ``data`` beside
+    a zeroed gradient buffer ``grad`` of the same layout. Returns ``(data,
+    grad, tensors)``, with one Tensor per array whose ``.data`` and ``.grad``
+    are views of the two buffers in the array's shape."""
+    data = np.concatenate([np.asarray(a, dtype=np.float64) for a in arrays], axis=None)
+    grad = np.zeros_like(data)
+    ends = np.cumsum([np.size(a) for a in arrays])
+    tensors = []
+    for a, d, g in zip(arrays, np.split(data, ends[:-1]), np.split(grad, ends[:-1])):
+        tensors.append(Tensor(d.reshape(np.shape(a))))
+        tensors[-1].grad = g.reshape(np.shape(a))
+    return data, grad, tensors
 
 
 # --- elementwise array functions ------------------------------------------
@@ -103,7 +106,8 @@ class GradientTape:
 
     Construction walks the graph once; ``run`` resets the gradients of every
     reachable node and performs the reverse sweep, so repeated runs from the
-    same forward state produce identical gradients.
+    same forward state produce identical gradients. Parameters are not
+    nodes: the ops write their gradient views.
     """
 
     def __init__(self, loss):
@@ -134,21 +138,12 @@ class GradientTape:
             node.grad = None
         self.loss.grad = np.ones_like(self.loss.data)
         for node in reversed(self.nodes):
-            if node._backward is not None and node.grad is not None:
+            if node._backward is not None:
                 node._backward(node.grad)
-
-    def parameter_gradients(self):
-        """Leaf tensors that require gradients, mapped to their gradients."""
-        out = {}
-        for node in self.nodes:
-            if node.requires_grad and node._backward is None:
-                out[node] = node.grad
-        return out
 
 
 def backward(loss):
-    """Reverse-mode sweep from a scalar loss; fills ``.grad`` on every
-    parameter reachable from it and returns the parameter-to-gradient map."""
-    tape = GradientTape(loss)
-    tape.run()
-    return tape.parameter_gradients()
+    """Reverse-mode sweep from a scalar loss: every op below it writes the
+    gradient views of its parameters, and every leaf Tensor below it gets
+    ``.grad``."""
+    GradientTape(loss).run()

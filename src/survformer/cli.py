@@ -166,7 +166,12 @@ EXTRA = {
         "fractions": ("a list of three finite numbers", lambda v: NUMBERS[1](v) and len(v) == 3),
         "seed": ("a nonnegative integer", lambda v: INT[1](v) and v >= 0),
     },
-    "censoring": {"times": NUMBERS, "values": NUMBERS},
+    "censoring": {  # as ``km_censoring`` writes them
+        "times": ("a strictly increasing list of finite numbers",
+                  lambda v: NUMBERS[1](v) and all(a < b for a, b in zip(v, v[1:]))),
+        "values": ("a nonincreasing list of numbers in [0, 1]",
+                   lambda v: NUMBERS[1](v) and all(1 >= a >= b >= 0 for a, b in zip(v, v[1:] + [0]))),
+    },
 }
 
 

@@ -131,10 +131,23 @@ class CovariateSchema:
 
     @classmethod
     def from_dict(cls, payload):
-        cats = [
-            CategoricalField(c["name"], dict(c["vocabulary"]), c["mode"])
-            for c in payload["categorical"]
-        ]
+        """The schema ``to_dict`` wrote. Raises ``SchemaError`` naming the
+        first bad entry: a field name that is not a string, a vocabulary
+        that does not map string keys onto exactly the indices 0..n-1, or a
+        mode that is not one of its keys."""
+        for kind in ("categorical", "numerical"):
+            for i, f in enumerate(payload[kind]):
+                if not isinstance(f["name"], str):
+                    raise SchemaError(f"schema.{kind}[{i}].name must be a string, got {f['name']!r}")
+        for i, c in enumerate(payload["categorical"]):
+            vocab, mode = c["vocabulary"], c["mode"]
+            if not (isinstance(vocab, dict) and all(isinstance(k, str) for k in vocab)
+                    and sorted(j for j in vocab.values() if type(j) is int) == list(range(len(vocab)))):
+                raise SchemaError(f"schema.categorical[{i}].vocabulary must map strings onto "
+                                  f"the indices 0..n-1, got {vocab!r}")
+            if not (isinstance(mode, str) and mode in vocab):
+                raise SchemaError(f"schema.categorical[{i}].mode must be a key of its vocabulary, got {mode!r}")
+        cats = [CategoricalField(c["name"], c["vocabulary"], c["mode"]) for c in payload["categorical"]]
         nums = [NumericalField(n["name"], n["mean"], n["std"]) for n in payload["numerical"]]
         return cls(cats, nums)
 

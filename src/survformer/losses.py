@@ -197,8 +197,7 @@ def competing_survival_loss(hazard_tensors, grid, durations, events, propensitie
     def back(g):
         c = g * scale
         for h, w, vjp in zip(hazard_tensors, weights, vjps):
-            if h.requires_grad:
-                h._accumulate(vjp(c * w))
+            h._accumulate(vjp(c * w))
 
     return ad.node(total * scale, hazard_tensors, back)
 
@@ -210,8 +209,7 @@ def _mean_op(values, parent, vjp):
     scale = 1.0 / values.size
 
     def back(g):
-        if parent.requires_grad:
-            parent._accumulate(vjp(g * scale))
+        parent._accumulate(vjp(g * scale))
 
     return ad.node(values.sum() * scale, (parent,), back)
 
@@ -243,8 +241,7 @@ def total_loss_tensor(survival, mp, ls, schedule, epoch):
 
     def back(g):
         for part, grad in zip(parts, (g, g * g1, g * g2)):
-            if part.requires_grad:
-                part._accumulate(grad)
+            part._accumulate(grad)
 
     total = ad.node(survival.data + (mp.data * g1 + ls.data * g2), parts, back)
     breakdown = LossBreakdown(

@@ -13,6 +13,11 @@ concatenated with the raw embeddings, into a shared representation consumed
 by every ``mlp_head``, each with its output link: one hazard head per event
 type (softplus keeps rates positive), a binary any-event head (logistic),
 and a follow-up-time regression head (identity).
+
+The model's parameters are views of one flat buffer ``data``, their
+gradients views of one flat buffer ``grad``. They are not tape nodes: each
+block's backward writes its own parameters' gradients, so one sweep
+rewrites all of ``grad``. ``forward_batch`` checks its outputs once.
 """
 
 import json
@@ -22,7 +27,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .data import CovariateSchema, TimeGrid
+from .data import CovariateSchema, SchemaError, TimeGrid
 
 CHECKPOINT_FORMAT = "survformer-checkpoint-v1"
 
@@ -134,11 +139,10 @@ def embed_fields(tables, weight, cat, num):
     Categorical field i looks up row ``cat[:, i]`` of ``tables[i]``;
     numerical field j scales row j of ``weight`` ((d_n, d_e), None when
     there is no numerical field) by ``num[:, j]``. Backward scatter-adds
-    into the looked-up rows.
+    into the looked-up rows of each table's gradient view.
     """
     d_c = len(tables)
-    params = [*tables, weight] if weight is not None else tables
-    out = np.empty((len(num), d_c + num.shape[1], params[0].data.shape[1]))
+    out = np.empty((len(num), d_c + num.shape[1], (tables or [weight])[0].data.shape[1]))
     for i, table in enumerate(tables):
         out[:, i] = table.data[cat[:, i]]
     if weight is not None:
@@ -147,14 +151,12 @@ def embed_fields(tables, weight, cat, num):
     def back(g):
         g = g.reshape(out.shape)
         for i, table in enumerate(tables):
-            if table.requires_grad:
-                acc = np.zeros_like(table.data)
-                np.add.at(acc, cat[:, i], g[:, i])
-                table._accumulate(acc)
-        if weight is not None and weight.requires_grad:
-            weight._accumulate((g[:, d_c:] * num[:, :, None]).sum(axis=0))
+            table.grad[...] = 0.0
+            np.add.at(table.grad, cat[:, i], g[:, i])
+        if weight is not None:
+            weight.grad[...] = (g[:, d_c:] * num[:, :, None]).sum(axis=0)
 
-    return ad.node(out.reshape(-1, out.shape[2]), params, back)
+    return ad.node(out.reshape(-1, out.shape[2]), (), back)
 
 
 def encoder_layer(x, D, wq, wk, wv, wres, ffn):
@@ -194,15 +196,13 @@ def encoder_layer(x, D, wq, wk, wv, wres, ffn):
         d_wres = mixed.T @ g_s
         d_w, dx_attn = _attend_back(g_s @ wres.data.T, W, saved)
         for p, dp in zip(params, [*d_w, d_wres, *reversed(d_ffn)]):
-            if p.requires_grad:
-                p._accumulate(dp)
-        if x.requires_grad:
-            # FFN, residual, then attention: the order in which composing
-            # the layer from one op per matmul and SELU sums them, so both
-            # give the same bits
-            x._accumulate(gz + g_s + dx_attn)
+            p.grad[...] = dp
+        # FFN, residual, then attention: the order in which composing the
+        # layer from one op per matmul and SELU sums them, so both give the
+        # same bits
+        x._accumulate(gz + g_s + dx_attn)
 
-    return ad.node(ad.selu_array(u), (x, *params), back), saved[-1]
+    return ad.node(ad.selu_array(u), (x,), back), saved[-1]
 
 
 def shared_projection(encoded, raw, w):
@@ -218,14 +218,12 @@ def shared_projection(encoded, raw, w):
 
     def back(g):
         g = g * ad.selu_slope(pre)
-        if w.requires_grad:
-            w._accumulate(joined.T @ g)
+        w.grad[...] = joined.T @ g
         g = g @ w.data.T
         for t, part in ((encoded, g[:, :width]), (raw, g[:, width:])):
-            if t.requires_grad:
-                t._accumulate(part.reshape(t.data.shape))
+            t._accumulate(part.reshape(t.data.shape))
 
-    return ad.node(ad.selu_array(pre), (encoded, raw, w), back)
+    return ad.node(ad.selu_array(pre), (encoded, raw), back)
 
 
 def mlp_head(z, weights, biases, link=None, flat=False):
@@ -246,22 +244,20 @@ def mlp_head(z, weights, biases, link=None, flat=False):
         elif link == "logistic":
             g = g * out * (1.0 - out)
         for i in range(len(weights) - 1, -1, -1):
-            if biases[i].requires_grad:
-                biases[i]._accumulate(g.sum(axis=0))
-            if weights[i].requires_grad:
-                weights[i]._accumulate(inputs[i].T @ g)
-            if i or z.requires_grad:
-                g = g @ weights[i].data.T
+            biases[i].grad[...] = g.sum(axis=0)
+            weights[i].grad[...] = inputs[i].T @ g
+            g = g @ weights[i].data.T
             if i:
                 g = g * (inputs[i] > 0)
-        if z.requires_grad:
-            z._accumulate(g)
+        z._accumulate(g)
 
-    return ad.node(out.reshape(-1) if flat else out, (z, *weights, *biases), back)
+    return ad.node(out.reshape(-1) if flat else out, (z,), back)
 
 
 class SurvivalTransformer:
-    """The full network; parameters live in an ordered name-to-tensor map."""
+    """The full network. ``params`` maps each parameter's name, in draw
+    order, to its Tensor; the Tensors are views of the flat buffers ``data``
+    and ``grad``."""
 
     def __init__(self, config, schema, grid, seed=0):
         if config.time_bins != grid.m:
@@ -269,7 +265,7 @@ class SurvivalTransformer:
         self.config = config
         self.schema = schema
         self.grid = grid
-        self.params = {}
+        self.params = {}  # name -> initial array until the layout below
         rng = np.random.default_rng(seed)
         de = config.embed_dim
         dh = de // config.heads
@@ -292,6 +288,8 @@ class SurvivalTransformer:
             self._head_params(f"cs{k}", config.time_bins, rng)
         self._head_params("mp", 1, rng)
         self._head_params("ls", 1, rng)
+        self.data, self.grad, tensors = ad.flat_parameters(list(self.params.values()))
+        self.params = dict(zip(self.params, tensors))
 
     def _ffn_dims(self):
         de, hid, depth = self.config.embed_dim, self.config.hidden_size, self.config.ffn_depth
@@ -299,17 +297,14 @@ class SurvivalTransformer:
 
     def _weight(self, name, shape, rng):
         bound = np.sqrt(6.0 / (shape[0] + shape[1]))
-        self.params[name] = ad.Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+        self.params[name] = rng.uniform(-bound, bound, size=shape)
 
     def _head_params(self, prefix, out_dim, rng):
         hid = self.config.hidden_size
         dims = [hid] * self.config.head_layers + [out_dim]
         for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
             self._weight(f"{prefix}.w{i}", (a, b), rng)
-            self.params[f"{prefix}.b{i}"] = ad.Tensor(np.zeros(b), requires_grad=True)
-
-    def parameters(self):
-        return list(self.params.values())
+            self.params[f"{prefix}.b{i}"] = np.zeros(b)
 
     # --- batched forward (training path) ----------------------------------
 
@@ -327,19 +322,30 @@ class SurvivalTransformer:
                         [self.params[f"{prefix}.b{i}"] for i in n], link, flat)
 
     def forward_batch(self, cat_idx, num_vals):
+        """The network on a batch, as tape ops. Raises ValueError naming the
+        first output, in hazard, any-event, follow-up-time and attention
+        order, that holds a non-finite value."""
         cat_idx = np.asarray(cat_idx, dtype=np.intp)
         num_vals = np.asarray(num_vals, dtype=np.float64)
-        tables = [self.params[f"embed.cat{i}"] for i in range(self.schema.d_c)]
-        t0 = embed_fields(tables, self.params.get("embed.num"), cat_idx, num_vals)
-        x = t0
-        attention = []
-        for layer in range(self.config.layers):
-            x, alpha = self._encoder_layer(layer, x, self.schema.d)
-            attention.append(alpha)
-        t_sr = shared_projection(x, t0, self.params["sr.w"])
-        hazards = [self._head(f"cs{k}", t_sr, "softplus") for k in range(self.config.n_events)]
-        mp = self._head("mp", t_sr, "logistic", flat=True)
-        ls = self._head("ls", t_sr, flat=True)
+        # an overflow anywhere reaches an output, where the check below names it
+        with np.errstate(all="ignore"):
+            tables = [self.params[f"embed.cat{i}"] for i in range(self.schema.d_c)]
+            t0 = embed_fields(tables, self.params.get("embed.num"), cat_idx, num_vals)
+            x = t0
+            attention = []
+            for layer in range(self.config.layers):
+                x, alpha = self._encoder_layer(layer, x, self.schema.d)
+                attention.append(alpha)
+            t_sr = shared_projection(x, t0, self.params["sr.w"])
+            hazards = [self._head(f"cs{k}", t_sr, "softplus") for k in range(self.config.n_events)]
+            mp = self._head("mp", t_sr, "logistic", flat=True)
+            ls = self._head("ls", t_sr, flat=True)
+        outputs = [(f"event-{k + 1} hazards", h.data) for k, h in enumerate(hazards)]
+        outputs += [("any-event probability", mp.data), ("follow-up time", ls.data)]
+        outputs += [(f"layer-{layer} attention", alpha) for layer, alpha in enumerate(attention)]
+        for name, values in outputs:
+            if not np.isfinite(values).all():
+                raise ValueError(f"non-finite network output: {name}")
         return ForwardPass(t0, x, t_sr, hazards, mp, ls, attention)
 
     # --- checked inference views ------------------------------------------
@@ -444,9 +450,10 @@ def load_checkpoint(path):
     """Rebuild a model from ``save_checkpoint`` output; returns (model, extra).
 
     The payload must hold ``config``, ``schema``, ``grid`` and exactly the
-    rebuilt model's parameters, each with its shape. Every grid and parameter
-    entry and every numerical field's mean and std must be a finite number,
-    and each std positive.
+    rebuilt model's parameters, each with its shape, which are written into
+    the model's parameter views. Every grid and parameter entry and every
+    numerical field's mean and std must be a finite number, and each std
+    positive; ``CovariateSchema.from_dict`` checks the rest of the schema.
     """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -460,6 +467,8 @@ def load_checkpoint(path):
         schema = CovariateSchema.from_dict(payload["schema"])
     except (KeyError, TypeError) as err:
         raise ValueError(f"checkpoint {path} has a malformed config or schema: {err!r}") from None
+    except SchemaError as err:
+        raise ValueError(f"checkpoint {path}: {err}") from None
     for i, f in enumerate(schema.numerical):
         _entries(path, f"schema.numerical[{i}].mean", f.mean)
         _entries(path, f"schema.numerical[{i}].std", f.std, POSITIVE)
@@ -475,5 +484,5 @@ def load_checkpoint(path):
         arr = _entries(path, f"every entry of parameter {name!r}", values)
         if name not in model.params or model.params[name].data.shape != arr.shape:
             raise ValueError(f"checkpoint parameter {name!r} does not fit the rebuilt model")
-        model.params[name].data = arr
+        model.params[name].data[...] = arr
     return model, payload.get("extra", {})

@@ -123,10 +123,11 @@ class TrainHistory:
 
 def _batch_loss(model, grid, cat, num, t, e, pi, schedule, epoch):
     fp = model.forward_batch(cat, num)
-    survival = L.competing_survival_loss(fp.hazards, grid, t, e, propensities=pi)
-    mp = L.mp_loss_tensor(fp.event_prob, (e > 0).astype(np.float64))
-    ls = L.ls_loss_tensor(fp.time_pred, t)
-    return L.total_loss_tensor(survival, mp, ls, schedule, epoch)
+    with np.errstate(all="ignore"):  # ``train`` checks the total once
+        survival = L.competing_survival_loss(fp.hazards, grid, t, e, propensities=pi)
+        mp = L.mp_loss_tensor(fp.event_prob, (e > 0).astype(np.float64))
+        ls = L.ls_loss_tensor(fp.time_pred, t)
+        return L.total_loss_tensor(survival, mp, ls, schedule, epoch)
 
 
 def train(config, train_records, val_records, schema, grid):
@@ -163,11 +164,7 @@ def train(config, train_records, val_records, schema, grid):
     model = SurvivalTransformer(
         replace(config.model, time_bins=grid.m, n_events=n_events), schema, grid, seed=config.seed
     )
-    optimizer = Adam(
-        model.parameters(),
-        lr=config.learning_rate,
-        weight_decay=config.weight_decay,
-    )
+    optimizer = Adam(model.data, model.grad, lr=config.learning_rate, weight_decay=config.weight_decay)
     schedule = config.schedule()
     rng = np.random.default_rng(config.seed)
 
@@ -193,7 +190,6 @@ def train(config, train_records, val_records, schema, grid):
                 ) from err
             if not np.isfinite(total.data):
                 raise TrainingDiverged(f"nonfinite loss at epoch {epoch}, batch {batch_no}")
-            optimizer.zero_grad()
             ad.backward(total)
             optimizer.step()
             sums += len(idx) * np.array([bd.total, bd.survival, bd.mp, bd.ls])
@@ -212,7 +208,7 @@ def train(config, train_records, val_records, schema, grid):
         if val_loss < best_val:
             best_val = val_loss
             history.best_epoch = epoch
-            best_snapshot = optimizer.data.copy()
+            best_snapshot = model.data.copy()
             since_best = 0
         else:
             since_best += 1
@@ -220,7 +216,7 @@ def train(config, train_records, val_records, schema, grid):
                 break
 
     if best_snapshot is not None:
-        optimizer.data[:] = best_snapshot
+        model.data[:] = best_snapshot
     return model, history, propensity_model
 
 

@@ -53,8 +53,7 @@ def probe(*tensors, weights=None):
     def back(g):
         grad = g * c
         for t in tensors:
-            if t.requires_grad:
-                t._accumulate(grad)
+            t._accumulate(grad)
 
     return ad.node(sum((t.data * c).sum() for t in tensors), tensors, back)
 
@@ -135,8 +134,6 @@ class AdamReference:
     def step(self, grads):
         self.t += 1
         for i, g in enumerate(grads):
-            if g is None:
-                g = np.zeros_like(self.x[i])
             self.x[i] = self.x[i] - self.lr * self.weight_decay * self.x[i]
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g

@@ -44,6 +44,13 @@ def rewrite_row(path, index, edit):
         csv.writer(fh).writerows(rows)
 
 
+def categorical(**entries):
+    """A checkpoint edit that puts a categorical field, valid but for
+    ``entries``, before the numerical ones."""
+    field = {"name": "c", "vocabulary": {"a": 0, "b": 1}, "mode": "a", **entries}
+    return lambda payload: payload["schema"]["categorical"].append(field)
+
+
 def one_error_line(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
@@ -219,10 +226,35 @@ class TestPipeline:
         (lambda p: p["schema"]["numerical"][0].update(std=0), "schema.numerical[0].std must be positive, got 0"),
         (lambda p: p.update(params=5), "params must be an object, got 5"),
         (lambda p: p.update(grid=[p["grid"]]), "cut points must be a list of finite"),
+        (lambda p: p["schema"]["numerical"][0].update(name=5), "schema.numerical[0].name must be a string, got 5"),
+        (categorical(name=["c"]), "schema.categorical[0].name must be a string, got ['c']"),
+        (categorical(vocabulary={"a": 0, "b": 1, "c": 1}), "schema.categorical[0].vocabulary must map strings "
+         "onto the indices 0..n-1, got {'a': 0, 'b': 1, 'c': 1}"),
+        (categorical(vocabulary={"a": 1, "b": 2}), "schema.categorical[0].vocabulary must map"),
+        (categorical(vocabulary={"a": 0, "b": "x"}), "schema.categorical[0].vocabulary must map"),
+        (categorical(vocabulary={"a": 0, "b": True}), "schema.categorical[0].vocabulary must map"),
+        (categorical(vocabulary={"a": 0, "b": 1.0}), "schema.categorical[0].vocabulary must map"),
+        (categorical(vocabulary=["a", "b"]), "schema.categorical[0].vocabulary must map"),
+        (categorical(mode=5), "schema.categorical[0].mode must be a key of its vocabulary, got 5"),
+        (categorical(mode="z"), "schema.categorical[0].mode must be a key of its vocabulary, got 'z'"),
+        (lambda p: p["extra"]["censoring"]["times"].reverse(),
+         "extra.censoring.times must be a strictly increasing list of finite numbers"),
+        (lambda p: p["extra"]["censoring"]["times"].__setitem__(1, p["extra"]["censoring"]["times"][0]),
+         "extra.censoring.times must be a strictly increasing list of finite numbers"),
+        (lambda p: p["extra"]["censoring"]["values"].reverse(),
+         "extra.censoring.values must be a nonincreasing list of numbers in [0, 1]"),
+        (lambda p: p["extra"]["censoring"]["values"].__setitem__(0, 1.5),
+         "extra.censoring.values must be a nonincreasing list of numbers in [0, 1]"),
+        (lambda p: p["extra"]["censoring"]["values"].__setitem__(-1, -0.25),
+         "extra.censoring.values must be a nonincreasing list of numbers in [0, 1]"),
     ], ids=["split-null", "censoring-null", "numerical-null", "categorical-ints", "event-list",
             "two-fractions", "negative-seed", "censoring-values-absent", "censoring-values-short",
             "grid-object", "parameter-object", "mean-text", "std-null", "std-zero", "params-number",
-            "grid-nested"])
+            "grid-nested", "numerical-name-number", "categorical-name-list", "vocabulary-shared-index",
+            "vocabulary-from-one", "vocabulary-text-index", "vocabulary-bool-index",
+            "vocabulary-float-index", "vocabulary-list", "mode-number", "mode-unknown",
+            "censoring-times-reversed", "censoring-times-repeated", "censoring-values-reversed",
+            "censoring-value-above-one", "censoring-value-negative"])
     def test_eval_rejects_mistyped_checkpoint_extra(self, trained, capsys, edit, named):
         tmp_path, data, ckpt = trained
         payload = json.loads(ckpt.read_text())
@@ -249,6 +281,20 @@ class TestPipeline:
                     "--out", str(tmp_path / "out"), *flags])
         assert code == 1
         assert f"every grid entry must be a finite number, got {cut!r}" in one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("eval", ["--fold", "all"]), ("predict", ["--times", "1"]), ("attention", ["--row", "5"]),
+    ])
+    def test_overflowing_covariate_names_a_nonfinite_output(self, trained, capsys, recwarn, command, flags):
+        tmp_path, data, ckpt = trained
+        rewrite_row(data, 5, lambda row: ["1e300", *row[1:]])
+        capsys.readouterr()
+        code = run([command, "--data", str(data), "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "out"), *flags])
+        assert code == 1
+        assert "error: non-finite network output: " in one_error_line(capsys)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flags", [

@@ -328,7 +328,7 @@ class TestTapeBuilders:
         t = rng.uniform(0.2, 3.0, size=n)
         e = np.array([1, 2, 0, 1, 0, 2])
         pi = rng.uniform(0.2, 0.9, size=(n, K))
-        tensors = [ad.Tensor(hazards[:, k, :], requires_grad=True) for k in range(K)]
+        tensors = [ad.Tensor(hazards[:, k, :]) for k in range(K)]
         got = L.competing_survival_loss(tensors, grid, t, e, propensities=pi)
 
         want = 0.0
@@ -348,7 +348,7 @@ class TestTapeBuilders:
         hazards = rng.uniform(0.1, 2.0, size=(n, 1, 3))
         t = rng.uniform(0.2, 3.0, size=n)
         e = np.array([1, 0, 1, 0, 1])
-        tensors = [ad.Tensor(hazards[:, 0, :], requires_grad=True)]
+        tensors = [ad.Tensor(hazards[:, 0, :])]
         got = float(L.competing_survival_loss(tensors, grid, t, e).data)
         want = np.mean([pch_oracle(hazards[i, 0], grid.cuts, t[i], e[i]) for i in range(n)])
         assert got == pytest.approx(want, rel=1e-12)
@@ -361,7 +361,7 @@ class TestTapeBuilders:
         t = rng.uniform(0.2, 3.0, size=n)
         e = np.array([1, 2, 0, 1])
         pi = rng.uniform(0.3, 0.9, size=(n, K))
-        tensors = [ad.Tensor(hazards[:, k, :], requires_grad=True) for k in range(K)]
+        tensors = [ad.Tensor(hazards[:, k, :]) for k in range(K)]
 
         def build():
             return L.competing_survival_loss(tensors, grid, t, e, propensities=pi)
@@ -375,11 +375,11 @@ class TestTapeBuilders:
     def test_aux_tape_gradients_match_finite_differences(self, loss):
         rng = np.random.default_rng(11)
         if loss == "mp":
-            x = ad.Tensor(rng.uniform(0.05, 0.95, size=7), requires_grad=True)
+            x = ad.Tensor(rng.uniform(0.05, 0.95, size=7))
             target = (rng.uniform(size=7) > 0.5).astype(float)
             fn = L.mp_loss_tensor
         else:
-            x = ad.Tensor(rng.standard_normal(7), requires_grad=True)
+            x = ad.Tensor(rng.standard_normal(7))
             target = rng.standard_normal(7)
             fn = L.ls_loss_tensor
 
@@ -401,9 +401,9 @@ class TestTapeBuilders:
 
     def test_total_tensor_breakdown_identity(self):
         sched = L.AnnealSchedule(horizon=4)
-        s = ad.Tensor(np.array(1.5), requires_grad=True)
-        m = ad.Tensor(np.array(0.3), requires_grad=True)
-        l = ad.Tensor(np.array(2.0), requires_grad=True)
+        s = ad.Tensor(np.array(1.5))
+        m = ad.Tensor(np.array(0.3))
+        l = ad.Tensor(np.array(2.0))
         total, bd = L.total_loss_tensor(s, m, l, sched, 1)
         assert abs(bd.total - (bd.survival + bd.gamma1 * bd.mp + bd.gamma2 * bd.ls)) < 1e-10
         assert float(total.data) == bd.total

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -119,9 +120,14 @@ def attend(model, rec, layer=0):
     return attention(t0, t0.shape[0], *layer_weights(model, layer))
 
 
+def parameters(arrays):
+    """Parameter Tensors for ``arrays``, views of one flat data buffer and
+    one flat gradient buffer."""
+    return ad.flat_parameters(arrays)[2]
+
+
 def random_heads(rng, H, de=4, dh=2, scale=1.0):
-    return [[ad.Tensor(scale * rng.standard_normal((de, dh)), requires_grad=True) for _ in range(H)]
-            for _ in range(3)]
+    return [parameters([scale * rng.standard_normal((de, dh)) for _ in range(H)]) for _ in range(3)]
 
 
 class TestAttention:
@@ -199,7 +205,7 @@ class TestMultiHeadAttentionOp:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(31)
         B, D, H = 2, 3, 2
-        x = ad.Tensor(rng.standard_normal((B * D, 4)), requires_grad=True)
+        x = ad.Tensor(rng.standard_normal((B * D, 4)))
         wq, wk, wv = random_heads(rng, H)
         c = rng.standard_normal((B * D, 2 * H))
         W = stack_heads(wq, wk, wv)
@@ -237,10 +243,9 @@ class TestMultiHeadAttentionOp:
 def random_layer(rng, H, de, depth, hidden, scale=1.0):
     """Per-head (wq, wk, wv) lists, ``wres`` and the FFN weights of one layer."""
     wq, wk, wv = random_heads(rng, H, de=de, dh=de // H, scale=scale)
-    wres = ad.Tensor(rng.standard_normal((de, de)), requires_grad=True)
+    (wres,) = parameters([rng.standard_normal((de, de))])
     dims = [de] + [hidden] * (depth - 1) + [de]
-    ffn = [ad.Tensor(rng.standard_normal((a, b)) / np.sqrt(a), requires_grad=True)
-           for a, b in zip(dims[:-1], dims[1:])]
+    ffn = parameters([rng.standard_normal((a, b)) / np.sqrt(a) for a, b in zip(dims[:-1], dims[1:])])
     return wq, wk, wv, wres, ffn
 
 
@@ -268,7 +273,7 @@ class TestEncoderLayerOp:
     def test_gradients_match_finite_differences(self, depth):
         rng = np.random.default_rng(40 + depth)
         B, D, H, de = 2, 3, 2, 4
-        x = ad.Tensor(rng.standard_normal((B * D, de)), requires_grad=True)
+        x = ad.Tensor(rng.standard_normal((B * D, de)))
         wq, wk, wv, wres, ffn = random_layer(rng, H, de, depth, hidden=5)
         c = rng.standard_normal((B * D, de))
 
@@ -290,9 +295,8 @@ class TestEncoderLayerOp:
 
 class TestHeadOp:
     def layers(self, rng, dims):
-        weights = [ad.Tensor(rng.standard_normal((a, b)), requires_grad=True)
-                   for a, b in zip(dims[:-1], dims[1:])]
-        biases = [ad.Tensor(rng.standard_normal(b), requires_grad=True) for b in dims[1:]]
+        weights = parameters([rng.standard_normal((a, b)) for a, b in zip(dims[:-1], dims[1:])])
+        biases = parameters([rng.standard_normal(b) for b in dims[1:]])
         return weights, biases
 
     def test_matches_explicit_layers(self):
@@ -307,7 +311,7 @@ class TestHeadOp:
     @pytest.mark.parametrize("dims", [[4, 1], [4, 6, 3, 2]], ids=["one-layer", "three-layers"])
     def test_gradients_match_finite_differences(self, dims):
         rng = np.random.default_rng(len(dims))
-        z = ad.Tensor(rng.standard_normal((5, dims[0])), requires_grad=True)
+        z = ad.Tensor(rng.standard_normal((5, dims[0])))
         weights, biases = self.layers(rng, dims)
         c = rng.standard_normal((5, dims[-1]))
 
@@ -364,10 +368,11 @@ class TestEncode:
             fp = model.forward_batch(cat, num)
             return probe(fp.encoded)
 
+        model.grad[:] = np.nan
         ad.backward(build())
         enc_params = [p for n, p in model.params.items() if n.startswith("enc")]
         analytic = [p.grad for p in enc_params]
-        assert all(g is not None for g in analytic)
+        assert all(np.isfinite(g).all() for g in analytic)
         fd = fd_gradients(lambda: float(build().data), enc_params)
         assert_grads_match(analytic, fd)
 
@@ -526,6 +531,9 @@ class TestCheckpoint:
         )
         assert loaded.config == model.config
         assert loaded.grid.to_list() == model.grid.to_list()
+        # loading writes into the parameter views, so the flat buffer holds
+        # the saved parameters in draw order
+        np.testing.assert_array_equal(loaded.data, model.data)
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -580,6 +588,20 @@ class TestConfigValidation:
             SurvivalTransformer(cfg, small_schema(), small_grid(), seed=0)
 
 
+def test_forward_rejects_a_nonfinite_output():
+    """Each forward checks its outputs once, so an infinite covariate is
+    refused, with no numpy warning, instead of handed on as NaN hazards."""
+    for layers in (0, 2):
+        model = make_model(layers=layers)
+        cat, num = random_batch(np.random.default_rng(3), 4)
+        num[2, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for forward in (model.forward_batch, model.predict_hazards):
+                with pytest.raises(ValueError, match="non-finite network output: event-1 hazards"):
+                    forward(cat, num)
+
+
 def test_full_model_gradients_match_finite_differences_small():
     """Loss through every head back to the embedding tables, tiny instance."""
     cfg = ModelConfig(embed_dim=4, heads=2, layers=1, ffn_depth=2, hidden_size=6,
@@ -604,7 +626,7 @@ def test_full_model_gradients_match_finite_differences_small():
         return total
 
     ad.backward(build())
-    params = model.parameters()
-    analytic = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+    params = list(model.params.values())
+    analytic = [p.grad for p in params]
     fd = fd_gradients(lambda: float(build().data), params)
     assert_grads_match(analytic, fd)

@@ -123,37 +123,64 @@ class TestTrain:
         with pytest.raises(T.TrainingDiverged, match="epoch"):
             T.train(config, train, val, schema, grid)
 
-    def test_default_two_event_batch_is_at_most_65_tape_nodes(self):
-        # exactly 48 with four numerical fields and 50 with two categorical
-        # fields added: 36 nodes are the default model's weight and bias
-        # tensors, one more per categorical table, and the other 12 are one
-        # op per network block or loss, so no primitive op can creep back
+    @staticmethod
+    def default_batch(categorical, seed=0):
+        """A default two-event model with four numerical and ``categorical``
+        categorical fields, and its annealed loss on one random batch."""
         train, _, _, _ = tiny_dataset(n=120)
         config = T.TrainConfig()
         grid = build_grid(train, config)
-        rng = np.random.default_rng(0)
+        rng = np.random.default_rng(seed)
         B = config.batch_size
-        for categorical, nodes in ((0, 48), (2, 50)):
-            cats = [D.CategoricalField(f"c{i}", {"a": 0, "b": 1}, "a") for i in range(categorical)]
-            schema = D.CovariateSchema(cats, D.synthetic_schema(4).numerical)
-            model = SurvivalTransformer(
-                dataclasses.replace(config.model, time_bins=grid.m, n_events=2), schema, grid
-            )
-            loss, _ = T._batch_loss(
-                model, grid, rng.integers(0, 3, (B, categorical)), rng.standard_normal((B, 4)),
-                rng.uniform(0.0, 2.0, B), rng.integers(0, 3, B), rng.uniform(0.2, 0.8, (B, 2)),
-                config.schedule(), 0,
-            )
+        cats = [D.CategoricalField(f"c{i}", {"a": 0, "b": 1}, "a") for i in range(categorical)]
+        schema = D.CovariateSchema(cats, D.synthetic_schema(4).numerical)
+        model = SurvivalTransformer(
+            dataclasses.replace(config.model, time_bins=grid.m, n_events=2), schema, grid
+        )
+        loss, _ = T._batch_loss(
+            model, grid, rng.integers(0, 3, (B, categorical)), rng.standard_normal((B, 4)),
+            rng.uniform(0.0, 2.0, B), rng.integers(0, 3, B), rng.uniform(0.2, 0.8, (B, 2)),
+            config.schedule(), 0,
+        )
+        return model, loss
+
+    def test_default_two_event_batch_is_at_most_65_tape_nodes(self):
+        # exactly 12 with or without categorical fields: one op per network
+        # block or loss, so no primitive op can creep back, and no parameter
+        # (36 weight and bias tensors, one more per categorical table)
+        for categorical in (0, 2):
+            model, loss = self.default_batch(categorical)
             tape = ad.GradientTape(loss).nodes
-            assert len(model.parameters()) == 36 + categorical
-            assert len(tape) == nodes
-            assert {n for n in tape if n._backward is None} == set(model.parameters())
-            ops = [n._backward.__qualname__.split(".")[0] for n in tape if n._backward is not None]
+            assert len(model.params) == 36 + categorical
+            assert len(tape) == 12
+            assert not {id(n) for n in tape} & {id(p) for p in model.params.values()}
+            assert all(n._backward is not None for n in tape)
+            ops = [n._backward.__qualname__.split(".")[0] for n in tape]
             assert sorted(ops) == sorted([
                 "embed_fields", "encoder_layer", "encoder_layer", "shared_projection",
                 "mlp_head", "mlp_head", "mlp_head", "mlp_head",
                 "competing_survival_loss", "_mean_op", "_mean_op", "total_loss_tensor",
             ])
+
+    @pytest.mark.parametrize("categorical", [0, 2])
+    def test_one_backward_rewrites_the_whole_gradient_buffer(self, categorical):
+        model, loss = self.default_batch(categorical)
+        model.grad[:] = np.nan
+        ad.backward(loss)
+        assert np.isfinite(model.grad).all()
+        for p in model.params.values():
+            assert np.shares_memory(p.grad, model.grad) and np.shares_memory(p.data, model.data)
+
+    def test_nonfinite_loss_is_reported_by_the_loss_check(self):
+        # a follow-up time of 1e200 squares past the float range in the
+        # follow-up-time loss, while every network output stays finite;
+        # record 0 falls in the first batch of the seed-1 shuffle
+        train, val, _, schema = tiny_dataset()
+        train = dataclasses.replace(train, t=np.where(np.arange(len(train)) == 0, 1e200, train.t))
+        config = tiny_config()
+        grid = build_grid(train, config)
+        with pytest.raises(T.TrainingDiverged, match="nonfinite loss at epoch 0, batch 0"):
+            T.train(config, train, val, schema, grid)
 
     def test_empty_sets_rejected(self):
         train, val, _, schema = tiny_dataset()
