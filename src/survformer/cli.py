@@ -177,18 +177,18 @@ EXTRA = {
 
 def _check_entry(path, holder, name, rule):
     """Raise one ValueError naming ``name`` when the checkpoint at ``path``
-    lacks it in ``holder`` or its value breaks ``rule``."""
+    lacks it in ``holder`` or its value breaks ``rule``; the value is echoed
+    up to 120 characters."""
     key = name.rpartition(".")[2]
     if not isinstance(holder, dict) or key not in holder:
         raise ValueError(f"checkpoint {path} lacks {name}")
     value = holder[key]
-    if not isinstance(rule, dict):
-        if not rule[1](value):
-            raise ValueError(f"checkpoint {path}: {name} must be {rule[0]}, got {value!r}")
-        return
-    if not isinstance(value, dict):
-        raise ValueError(f"checkpoint {path}: {name} must be an object, got {value!r}")
-    for sub, sub_rule in rule.items():
+    phrase, valid = ("an object", lambda v: isinstance(v, dict)) if isinstance(rule, dict) else rule
+    if not valid(value):
+        text = repr(value)
+        text = text if len(text) <= 120 else text[:117] + "..."
+        raise ValueError(f"checkpoint {path}: {name} must be {phrase}, got {text}")
+    for sub, sub_rule in (rule.items() if isinstance(rule, dict) else ()):
         _check_entry(path, value, f"{name}.{sub}", sub_rule)
 
 

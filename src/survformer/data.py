@@ -180,12 +180,20 @@ class RawTable:
     header: list
     cells: np.ndarray  # (rows, header columns) object array of cell text
     line: np.ndarray
+    _numbers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.line)
 
     def take(self, idx):
         return RawTable(self.header, self.cells[idx], self.line[idx])
+
+    def numbers(self, name):
+        """``parse_floats`` of a numerical column, parsed once: ``fit_schema``
+        keeps it for ``transform_rows``, which frees it."""
+        if name not in self._numbers:
+            self._numbers[name] = parse_floats(self.column(name), self.line)
+        return self._numbers[name]
 
     def column(self, name):
         # the last column of that name, as a dict of the row would hold
@@ -260,7 +268,7 @@ def fit_schema(table, columns):
     parsed, errors = [], []
     for j, name in enumerate(columns.numerical):
         cells = table.column(name)
-        values, bad = parse_floats(cells, table.line)
+        values, bad = table.numbers(name)
         parsed.append(values)
         if bad is not None:
             errors.append((table.line[bad], j, f"non-numeric or non-finite value {cells[bad]!r} "
@@ -284,9 +292,10 @@ def transform_rows(schema, table, columns, require_labels=True):
     n, line = len(table), table.line
     errors = []  # (line, column position, message) of each column's earliest bad cell
 
-    def parse(j, kind, name, valid=np.isfinite, missing=True):
+    def parse(j, kind, name, valid=None):
+        # a covariate column without ``valid``, else a label column
         cells = table.column(name)
-        values, bad = parse_floats(cells, line, valid, missing)
+        values, bad = table.numbers(name) if valid is None else parse_floats(cells, line, valid, missing=False)
         if bad is not None:
             v = values[bad]
             problem = ("non-numeric or non-finite" if not np.isfinite(v) else
@@ -306,17 +315,17 @@ def transform_rows(schema, table, columns, require_labels=True):
     for j, f in enumerate(schema.numerical):
         values = parse(j, "numerical", f.name)
         num[:, j] = (np.where(np.isnan(values), f.mean, values) - f.mean) / f.std
+    table._numbers.clear()
     t, e = np.zeros(n), np.zeros(n)
     header = set(table.header)
     if require_labels or (columns.duration in header and columns.event in header):
         for name in (columns.duration, columns.event):
             if name not in header:
                 raise SchemaError(f"missing label column {name!r}")
-        t = parse(schema.d_n, "duration", columns.duration,
-                  lambda v: np.isfinite(v) & (v >= 0), missing=False)
+        t = parse(schema.d_n, "duration", columns.duration, lambda v: np.isfinite(v) & (v >= 0))
         # labels from 2**53 on are no longer exact integers, nor safe to cast
         e = parse(schema.d_n + 1, "event", columns.event,
-                  lambda v: (v >= 0) & (v == np.floor(v)) & (v < 2.0**53), missing=False)
+                  lambda v: (v >= 0) & (v == np.floor(v)) & (v < 2.0**53))
     if errors:
         raise SchemaError(min(errors)[2])
     return Records(cat, num, t, e.astype(np.intp), line)

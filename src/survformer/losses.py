@@ -65,7 +65,7 @@ def _pch(h, kappa, rho, events):
     rows = np.arange(h.shape[0])
     h_at = h[rows, kappa]
     if np.any(h_at <= 0):
-        raise ValueError("log requires strictly positive input")
+        raise ValueError("survival loss: log requires strictly positive input")
     cum = np.cumsum(h, axis=1)
     prior = np.where(kappa > 0, cum[rows, np.maximum(kappa - 1, 0)], 0.0)
 
@@ -221,7 +221,7 @@ def mp_loss_tensor(prob, labels):
     q = 1.0 - p
     for x in (p, q):
         if np.any(x <= 0):
-            raise ValueError("log requires strictly positive input")
+            raise ValueError("mp loss: log requires strictly positive input")
     return _mean_op(-(d * np.log(p) + (1.0 - d) * np.log(q)), prob,
                     lambda c: c * (1.0 - d) / q - c * d / p)
 

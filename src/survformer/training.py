@@ -29,7 +29,7 @@ from .optim import Adam
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss stops being finite."""
+    """Raised when a loss stops being finite; the message names which."""
 
 
 # The model's fields that a config file sets; training sets n_events.
@@ -122,12 +122,19 @@ class TrainHistory:
 
 
 def _batch_loss(model, grid, cat, num, t, e, pi, schedule, epoch):
+    """The annealed total loss of one batch and its breakdown. Raises
+    ``ValueError`` naming the loss (survival, mp, ls or total) that rejects
+    its input or leaves the finite range."""
     fp = model.forward_batch(cat, num)
-    with np.errstate(all="ignore"):  # ``train`` checks the total once
+    with np.errstate(all="ignore"):  # checked below, once
         survival = L.competing_survival_loss(fp.hazards, grid, t, e, propensities=pi)
         mp = L.mp_loss_tensor(fp.event_prob, (e > 0).astype(np.float64))
         ls = L.ls_loss_tensor(fp.time_pred, t)
-        return L.total_loss_tensor(survival, mp, ls, schedule, epoch)
+        total, bd = L.total_loss_tensor(survival, mp, ls, schedule, epoch)
+    for name in ("survival", "mp", "ls", "total"):
+        if not np.isfinite(getattr(bd, name)):
+            raise ValueError(f"{name} loss is {getattr(bd, name)}")
+    return total, bd
 
 
 def train(config, train_records, val_records, schema, grid):
@@ -185,11 +192,7 @@ def train(config, train_records, val_records, schema, grid):
                     None if pi is None else pi[idx], schedule, epoch,
                 )
             except (ValueError, FloatingPointError) as err:
-                raise TrainingDiverged(
-                    f"loss left the finite range at epoch {epoch}, batch {batch_no}: {err}"
-                ) from err
-            if not np.isfinite(total.data):
-                raise TrainingDiverged(f"nonfinite loss at epoch {epoch}, batch {batch_no}")
+                raise TrainingDiverged(f"nonfinite loss at epoch {epoch}, batch {batch_no}: {err}") from err
             ad.backward(total)
             optimizer.step()
             sums += len(idx) * np.array([bd.total, bd.survival, bd.mp, bd.ls])
@@ -201,8 +204,6 @@ def train(config, train_records, val_records, schema, grid):
         except (ValueError, FloatingPointError) as err:
             raise TrainingDiverged(f"nonfinite validation loss at epoch {epoch}: {err}") from err
         val_loss = float(val_total.data)
-        if not np.isfinite(val_loss):
-            raise TrainingDiverged(f"nonfinite validation loss at epoch {epoch}")
         history.epochs.append(EpochRecord(epoch, train_bd, val_loss, g1, g2))
 
         if val_loss < best_val:

@@ -172,6 +172,32 @@ def naive_encode(model, cat, num):
     return np.concatenate(out)
 
 
+def logistic_objective(x, y, l2, w, b):
+    """A one-vs-rest propensity fit's objective, the mean cross-entropy plus
+    ``l2/2*|w|^2`` (the offset ``b`` unpenalized), and its gradient in
+    ``w`` and ``b``, by the printed formulas."""
+    z = x @ w + b
+    value = np.mean(np.log1p(np.exp(z)) - y * z) + 0.5 * l2 * float(w @ w)
+    r = 1.0 / (1.0 + np.exp(-z)) - y
+    return value, x.T @ r / len(y) + l2 * w, float(r.mean())
+
+
+def logistic_fit_oracle(x, y, l2, tol=1e-13, max_iter=1_000_000):
+    """Minimize ``logistic_objective`` by plain gradient descent from zero at
+    the fixed step 1/L, L = (largest eigenvalue of [x, 1]'[x, 1])/(4n) + l2
+    bounding the gradient's Lipschitz constant, until the gradient norm is
+    below ``tol``. Returns (w, b)."""
+    a = np.hstack([x, np.ones((len(y), 1))])
+    lipschitz = np.linalg.eigvalsh(a.T @ a)[-1] / (4.0 * len(y)) + l2
+    w, b = np.zeros(x.shape[1]), 0.0
+    for _ in range(max_iter):
+        _, gw, gb = logistic_objective(x, y, l2, w, b)
+        if math.sqrt(float(gw @ gw) + gb * gb) < tol:
+            return w, b
+        w, b = w - gw / lipschitz, b - gb / lipschitz
+    raise AssertionError(f"gradient descent did not reach a gradient norm of {tol}")
+
+
 def censoring_left_oracle(train_durations, train_events, t):
     """G(t-) by the product-limit formula, censorings as events."""
     train_durations = np.asarray(train_durations, dtype=np.float64)

@@ -267,6 +267,20 @@ class TestPipeline:
         assert named in one_error_line(capsys)
         assert not (tmp_path / "m.json").exists()
 
+    def test_long_checkpoint_value_is_cut_in_the_error_line(self, trained, capsys):
+        tmp_path, data, ckpt = trained
+        payload = json.loads(ckpt.read_text())
+        # a censoring estimate of 3,000 steps, as a 20k-record training fold gives, reversed
+        payload["extra"]["censoring"] = {"times": np.linspace(3000.0, 1.0, 3000).tolist(), "values": [1.0] * 3000}
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        line = one_error_line(capsys)
+        assert len(line) < 300 and line.endswith("...")
+        assert "extra.censoring.times must be a strictly increasing list" in line
+
     @pytest.mark.parametrize("command, flags", [
         ("eval", []), ("predict", ["--times", "0.5"]), ("attention", []),
     ], ids=["eval", "predict", "attention"])
@@ -543,6 +557,21 @@ class TestBadArguments:
         assert run(["train", "--data", str(data), "--config", str(config),
                     "--checkpoint", str(second)]) == 0
         assert read_bytes(first) == read_bytes(second)
+
+    @pytest.mark.parametrize("l2, code", [(0, 1), (1e-4, 0)])
+    def test_unpenalized_separable_events_are_one_error_line(self, tmp_path, capsys, l2, code):
+        # the separable fixture of the propensity tests: x = -1 ends in event 1, x = 1 in event 2
+        data = tmp_path / "separable.csv"
+        with open(data, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "duration", "event"])
+            writer.writerows([x, 0.05 * (i + 1), event]
+                             for i, (x, event) in enumerate([(-1.0, 1)] * 20 + [(1.0, 2)] * 20))
+        capsys.readouterr()
+        assert self.train(tmp_path, data, propensity_l2=l2) == code
+        if code:
+            assert "propensity fit for event 1: no convergence" in one_error_line(capsys)
+            assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("fractions", ["0.6,0.4", "nan,0.5,0.5", "0.6,0.1,0.3,0", "a,b,c", ""])
     def test_bad_fractions_name_the_flag(self, tmp_path, data, capsys, fractions):

@@ -260,6 +260,16 @@ class TestBadCellNamed:
         with pytest.raises(D.SchemaError, match=r"line 5: non-integral value '1.5' in event column"):
             D.transform_rows(schema, table_of(self.HEADER, rows), columns)
 
+    def test_fit_and_transform_parse_each_numerical_column_once(self, monkeypatch):
+        parsed = []
+        parse = D.parse_floats
+        monkeypatch.setattr(D, "parse_floats", lambda cells, *args, **kw: parsed.append(1) or parse(cells, *args, **kw))
+        table = table_of(self.HEADER, self.rows())
+        columns = D.ColumnSpec(["x", "y"], [])
+        D.transform_rows(D.fit_schema(table, columns), table, columns)
+        assert len(parsed) == 4  # x and y once each, then the two labels
+        assert not table._numbers  # transform_rows frees the parses
+
     @pytest.mark.parametrize("event", ["1e20", "9007199254740992"])
     def test_event_label_past_exact_integers_names_its_line(self, event):
         rows = self.rows()

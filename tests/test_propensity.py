@@ -6,6 +6,32 @@ import pytest
 from survformer import data as D
 from survformer import propensity as P
 
+from oracles import logistic_fit_oracle, logistic_objective
+
+
+def random_fixture(seed, onehot, n=80):
+    """Three normal covariates, and with ``onehot`` a three-level one-hot
+    block plus its never-set unknown slot; events from a logistic model."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3))
+    if onehot:
+        x = np.hstack([x, np.eye(4)[rng.integers(0, 3, n)]])
+    e = np.where(rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-(x[:, 0] - 0.5 * x[:, 1]))), 1, 2)
+    return x, e
+
+
+def predict_wide_like(n=4500, seed=0):
+    """A design shaped like the predict-wide benchmark's: 8 normal columns
+    and one-hot blocks of 3, 6, 12 and 24 levels, each with an unknown slot
+    (57 columns), and two events from a logistic model."""
+    rng = np.random.default_rng(seed)
+    cards = (3, 6, 12, 24)
+    num = rng.standard_normal((n, 8))
+    levels = [rng.integers(0, c, n) for c in cards]
+    logit = num @ rng.normal(0.0, 0.7, 8) + sum(rng.normal(0.0, 0.5, c)[lv] for c, lv in zip(cards, levels))
+    x = np.hstack([num] + [np.eye(c + 1)[lv] for c, lv in zip(cards, levels)])
+    return x, np.where(rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-logit)), 1, 2)
+
 
 class TestFit:
     def test_balanced_uninformative_data_gives_half(self):
@@ -40,6 +66,10 @@ class TestFit:
         with pytest.raises(ValueError, match="class 1"):
             P.fit(x, e)
 
+    def test_single_event_class_rejected(self):
+        with pytest.raises(ValueError, match="two or more event classes"):
+            P.fit(np.zeros((4, 1)), np.array([1, 1, 1, 1]))
+
     def test_censored_labels_rejected(self):
         with pytest.raises(ValueError, match="observed"):
             P.fit(np.zeros((4, 1)), np.array([0, 1, 1, 2]))
@@ -52,6 +82,62 @@ class TestFit:
         b = P.fit(x, e)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.offsets, b.offsets)
+
+
+class TestNewtonFit:
+    @pytest.mark.parametrize("onehot, l2", [(False, 0.0), (False, 1e-4), (True, 0.0), (True, 1e-2)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_a_long_gradient_descent(self, seed, onehot, l2):
+        x, e = random_fixture(seed, onehot)
+        model = P.fit(x, e, l2=l2)
+        assert model.converged == (True, True)
+        for k in range(2):
+            y = (e == k + 1).astype(np.float64)
+            _, gw, gb = logistic_objective(x, y, l2, model.weights[k], model.offsets[k])
+            assert np.sqrt(gw @ gw + gb * gb) < 1e-8
+            w, b = logistic_fit_oracle(x, y, l2)
+            np.testing.assert_allclose(model.weights[k], w, rtol=0, atol=1e-6)
+            assert model.offsets[k] == pytest.approx(b, abs=1e-6)
+
+    def test_predict_wide_shape_beats_the_former_gradient_descent(self):
+        # 0.434092452301 is where the step-halving gradient descent this
+        # module used before (stopping on a loss change below 1e-8) left
+        # event 1's objective on this fixture
+        x, e = predict_wide_like()
+        model = P.fit(x, e)
+        value, gw, gb = logistic_objective(x, (e == 1).astype(np.float64), 1e-4, model.weights[0], model.offsets[0])
+        assert value <= 0.434092452301
+        assert np.sqrt(gw @ gw + gb * gb) < 1e-8
+
+    def test_unpenalized_onehot_design_with_unknown_slots_fits(self):
+        # each one-hot block sums to the offset column, so the Hessian is singular
+        x, e = predict_wide_like(n=600, seed=3)
+        model = P.fit(x, e, l2=0.0)
+        assert model.converged == (True, True)
+        assert np.isfinite(model.weights).all() and np.isfinite(model.offsets).all()
+        # the never-set unknown slots stay at zero, as in the minimum-norm optimum
+        np.testing.assert_allclose(model.weights[:, [11, 18, 31, 56]], 0.0, atol=1e-10)
+
+    def test_unpenalized_separable_classes_name_the_event(self):
+        x = np.array([[-1.0]] * 20 + [[1.0]] * 20)
+        e = np.array([1] * 20 + [2] * 20)
+        with pytest.raises(ValueError, match="propensity fit for event 1: no convergence in 50 Newton iterations"):
+            P.fit(x, e, l2=0.0)
+
+    def test_fit_report_stays_out_of_the_checkpoint(self):
+        x, e = random_fixture(0, onehot=True)
+        model = P.fit(x, e)
+        assert len(model.iterations) == 2 and all(1 <= i < P.MAX_ITER for i in model.iterations)
+        assert model.converged == (True, True)
+        assert set(model.to_dict()) == {"weights", "offsets", "floor", "renormalize"}
+        assert P.PropensityModel.from_dict(model.to_dict()).iterations == ()
+
+    def test_a_line_search_without_decrease_ends_unconverged(self, monkeypatch):
+        # no step can fall by twice the decrement, so the first search runs out
+        monkeypatch.setattr(P, "ARMIJO", 2.0)
+        model = P.fit(*random_fixture(0, onehot=False))
+        assert model.iterations == (1, 1) and model.converged == (False, False)
+        np.testing.assert_array_equal(model.weights, 0.0)
 
 
 class TestPredict:

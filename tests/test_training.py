@@ -123,6 +123,13 @@ class TestTrain:
         with pytest.raises(T.TrainingDiverged, match="epoch"):
             T.train(config, train, val, schema, grid)
 
+    def test_divergence_names_the_loss_that_rejected_its_input(self):
+        train, val, _, schema = tiny_dataset(n=60, seed=2)
+        config = tiny_config(learning_rate=1e12, max_epochs=4, seed=2)
+        grid = build_grid(train, config)
+        with pytest.raises(T.TrainingDiverged, match="batch 1: survival loss: log requires strictly positive"):
+            T.train(config, train, val, schema, grid)
+
     @staticmethod
     def default_batch(categorical, seed=0):
         """A default two-event model with four numerical and ``categorical``
@@ -181,6 +188,21 @@ class TestTrain:
         grid = build_grid(train, config)
         with pytest.raises(T.TrainingDiverged, match="nonfinite loss at epoch 0, batch 0"):
             T.train(config, train, val, schema, grid)
+
+    @pytest.mark.parametrize("fold, message", [
+        ("train", "nonfinite loss at epoch 0, batch 0: ls loss is inf"),
+        ("validation", "nonfinite validation loss at epoch 0: ls loss is inf"),
+    ])
+    def test_nonfinite_loss_names_its_part(self, fold, message):
+        # a follow-up time of 1e200 on the fold's first record, as above
+        train, val, _, schema = tiny_dataset()
+        config = tiny_config()
+        grid = build_grid(train, config)
+        folds = {"train": train, "validation": val}
+        records = folds[fold]
+        folds[fold] = dataclasses.replace(records, t=np.where(np.arange(len(records)) == 0, 1e200, records.t))
+        with pytest.raises(T.TrainingDiverged, match=message):
+            T.train(config, folds["train"], folds["validation"], schema, grid)
 
     def test_empty_sets_rejected(self):
         train, val, _, schema = tiny_dataset()
