@@ -10,7 +10,9 @@ should split the raw table first and fit on the training rows.
 A cohort is columnar from ingestion on: ``read_raw_csv`` returns a
 ``RawTable`` of cell text, and ``transform_rows`` turns it into ``Records``,
 one array per covariate block and label. A bad cell raises ``SchemaError``
-naming the earliest CSV line among the rows being read, whatever their order.
+naming the earliest CSV line among the rows being read, whatever their order;
+``_read_column`` judges cells for both fit and transform. ``TimeGrid.locate``
+is the one time-bin lookup, for the loss and the survival curves alike.
 """
 
 import csv
@@ -248,11 +250,29 @@ def read_raw_csv(path, columns):
     return RawTable(header, cells, np.array(lines, dtype=np.intp))
 
 
+def _read_column(table, errors, j, kind, name, valid=None):
+    """The values of a numerical column (``valid`` None: its kept parse) or of
+    a label column that ``valid`` tests. The earliest bad cell is appended to
+    ``errors`` as (line, column position ``j``, message); callers raise the
+    ``min`` of them, the earliest line's leftmost bad cell."""
+    cells, line = table.column(name), table.line
+    values, bad = table.numbers(name) if valid is None else parse_floats(cells, line, valid, missing=False)
+    if bad is not None:
+        v = values[bad]
+        problem = ("non-numeric or non-finite" if not np.isfinite(v) else
+                   "non-integral" if kind == "event" and v != np.floor(v) else
+                   "negative" if v < 0 else "out-of-range")
+        subject = "covariate value" if kind == "numerical" else "label"
+        errors.append((line[bad], j, f"bad {subject} at line {line[bad]}: {problem} value "
+                       f"{cells[bad]!r} in {kind} column {name!r}"))
+    return values
+
+
 def fit_schema(table, columns):
     """Fit imputation and encoding statistics on the given (training) rows.
 
-    A bad numerical cell raises ``SchemaError`` naming the earliest CSV line
-    that holds one.
+    Labels are left to ``transform_rows``. A bad numerical cell raises the
+    ``SchemaError`` that ``transform_rows`` gives for it.
     """
     cats = []
     for name in columns.categorical:
@@ -265,14 +285,8 @@ def fit_schema(table, columns):
         # the first largest count: ties broken toward the smaller value
         mode = values[int(np.argmax(counts))]
         cats.append(CategoricalField(name, {v: i for i, v in enumerate(values)}, mode))
-    parsed, errors = [], []
-    for j, name in enumerate(columns.numerical):
-        cells = table.column(name)
-        values, bad = table.numbers(name)
-        parsed.append(values)
-        if bad is not None:
-            errors.append((table.line[bad], j, f"non-numeric or non-finite value {cells[bad]!r} "
-                           f"in numerical column {name!r} at line {table.line[bad]}"))
+    errors = []
+    parsed = [_read_column(table, errors, j, "numerical", name) for j, name in enumerate(columns.numerical)]
     if errors:
         raise SchemaError(min(errors)[2])
     nums = []
@@ -289,23 +303,8 @@ def transform_rows(schema, table, columns, require_labels=True):
     """Apply a fitted schema to a table; labels are read when present or
     required. A bad cell raises ``SchemaError`` naming the earliest CSV line
     that holds one, and on that line the leftmost bad cell."""
-    n, line = len(table), table.line
-    errors = []  # (line, column position, message) of each column's earliest bad cell
-
-    def parse(j, kind, name, valid=None):
-        # a covariate column without ``valid``, else a label column
-        cells = table.column(name)
-        values, bad = table.numbers(name) if valid is None else parse_floats(cells, line, valid, missing=False)
-        if bad is not None:
-            v = values[bad]
-            problem = ("non-numeric or non-finite" if not np.isfinite(v) else
-                       "non-integral" if kind == "event" and v != np.floor(v) else
-                       "negative" if v < 0 else "out-of-range")
-            subject = "covariate value" if kind == "numerical" else "label"
-            errors.append((line[bad], j, f"bad {subject} at line {line[bad]}: {problem} value "
-                           f"{cells[bad]!r} in {kind} column {name!r}"))
-        return values
-
+    n = len(table)
+    errors = []
     cat = np.empty((n, schema.d_c), dtype=np.intp)
     for i, f in enumerate(schema.categorical):
         values, inverse = _factorize(table.column(f.name))
@@ -313,7 +312,7 @@ def transform_rows(schema, table, columns, require_labels=True):
         cat[:, i] = np.asarray(codes, dtype=np.intp)[inverse]
     num = np.empty((n, schema.d_n))
     for j, f in enumerate(schema.numerical):
-        values = parse(j, "numerical", f.name)
+        values = _read_column(table, errors, j, "numerical", f.name)
         num[:, j] = (np.where(np.isnan(values), f.mean, values) - f.mean) / f.std
     table._numbers.clear()
     t, e = np.zeros(n), np.zeros(n)
@@ -322,13 +321,14 @@ def transform_rows(schema, table, columns, require_labels=True):
         for name in (columns.duration, columns.event):
             if name not in header:
                 raise SchemaError(f"missing label column {name!r}")
-        t = parse(schema.d_n, "duration", columns.duration, lambda v: np.isfinite(v) & (v >= 0))
+        t = _read_column(table, errors, schema.d_n, "duration", columns.duration,
+                         lambda v: np.isfinite(v) & (v >= 0))
         # labels from 2**53 on are no longer exact integers, nor safe to cast
-        e = parse(schema.d_n + 1, "event", columns.event,
-                  lambda v: (v >= 0) & (v == np.floor(v)) & (v < 2.0**53))
+        e = _read_column(table, errors, schema.d_n + 1, "event", columns.event,
+                         lambda v: (v >= 0) & (v == np.floor(v)) & (v < 2.0**53))
     if errors:
         raise SchemaError(min(errors)[2])
-    return Records(cat, num, t, e.astype(np.intp), line)
+    return Records(cat, num, t, e.astype(np.intp), table.line)
 
 
 # --- discrete time grid ----------------------------------------------------
@@ -351,24 +351,15 @@ class TimeGrid:
     def m(self):
         return int(self.cuts.size)
 
-    def interval_index(self, t, clip=False):
-        """Vectorized zero-based bin lookup with optional silent clamping."""
+    def locate(self, t):
+        """Zero-based bin holding each time and the elapsed fraction of that
+        bin (kappa - 1 and rho of the loss). A time past the last cut falls in
+        the last bin, fully elapsed."""
         t = np.asarray(t, dtype=np.float64)
-        idx = np.searchsorted(self.cuts, t, side="left")
-        if clip:
-            return np.minimum(idx, self.m - 1)
-        if np.any(idx >= self.m):
-            raise ValueError(f"duration beyond the last cut point {self.cuts[-1]}")
-        return idx
-
-    def interval_fraction(self, t, clip=False):
-        """Elapsed proportion of the bin holding t (the rho of the loss)."""
-        t = np.asarray(t, dtype=np.float64)
-        idx = self.interval_index(t, clip=clip)
+        idx = np.minimum(np.searchsorted(self.cuts, t, side="left"), self.m - 1)
         left = np.where(idx > 0, self.cuts[np.maximum(idx - 1, 0)], 0.0)
-        width = self.cuts[idx] - left
-        frac = (np.minimum(t, self.cuts[-1]) - left) / width
-        return np.clip(frac, 0.0, 1.0)
+        frac = (np.minimum(t, self.cuts[-1]) - left) / (self.cuts[idx] - left)
+        return idx, np.clip(frac, 0.0, 1.0)
 
     def to_list(self):
         return self.cuts.tolist()
@@ -497,9 +488,9 @@ def synthetic_schema(dim):
     return CovariateSchema([], [NumericalField(f"x{j + 1}") for j in range(dim)])
 
 
-def save_records_csv(path, records, dim_names=None):
+def save_records_csv(path, records):
     """Write generator records in the standard ingestion format."""
-    names = dim_names or [f"x{j + 1}" for j in range(records.num.shape[1])]
+    names = [f"x{j + 1}" for j in range(records.num.shape[1])]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(names + ["duration", "event"])

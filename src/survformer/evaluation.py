@@ -28,8 +28,7 @@ def survival_matrix(hazard_matrix, grid, times):
     """
     hazard_matrix = np.asarray(hazard_matrix, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
-    k0 = grid.interval_index(times, clip=True)
-    r = grid.interval_fraction(times, clip=True)
+    k0, r = grid.locate(times)
     cum = np.concatenate([np.zeros((hazard_matrix.shape[0], 1)), np.cumsum(hazard_matrix, axis=1)], axis=1)
     chaz = cum[:, k0] + hazard_matrix[:, k0] * r[None, :]
     return np.exp(-chaz)

@@ -3,7 +3,8 @@ inverse-propensity-weighted competing-events loss, auxiliary task losses,
 and the annealed total.
 
 ``_pch`` is the one implementation of the hazard likelihood term and its
-closed-form gradient, and ``pch_terms`` is its array form. The array
+closed-form gradient, and ``pch_terms`` is its array form; both read each
+duration's bin and elapsed fraction from ``TimeGrid.locate``. The array
 estimators (``pch_loss``, ``event_loss_matrix``, ``ips_loss``,
 ``naive_competing_loss``) read its values. On the training tape each loss
 is one op: ``competing_survival_loss`` folds the hazard terms, the IPS
@@ -11,7 +12,8 @@ weights and the sum over heads; ``mp_loss_tensor`` and ``ls_loss_tensor``
 are the auxiliary losses; ``total_loss_tensor`` is the annealed total. The
 indicator-weighted estimators implement the printed formulas exactly; the
 censored cause-specific contributions that every record owes to the heads of
-unobserved events are added only by ``competing_survival_loss``.
+unobserved events are added only by ``competing_survival_loss``, which does
+not clip the propensities it inverts: ``PropensityModel.predict`` did.
 """
 
 from dataclasses import dataclass
@@ -53,11 +55,6 @@ class AnnealSchedule:
 # --- the piecewise-constant-hazard term -------------------------------------
 
 
-def _bins(grid, durations):
-    """The bin kappa holding each duration and its elapsed fraction rho."""
-    return grid.interval_index(durations, clip=True), grid.interval_fraction(durations, clip=True)
-
-
 def _pch(h, kappa, rho, events):
     """Values of ``pch_terms`` for the (B, m) hazard array ``h``, and the
     function that maps a (B,) cotangent to the (B, m) hazard gradient."""
@@ -89,7 +86,7 @@ def pch_terms(hazards, grid, durations, events):
     cotangent g to the (B, m) hazard gradient: g on every earlier bin and
     g*rho - e*g/h[kappa] on bin kappa.
     """
-    return _pch(np.asarray(hazards, dtype=np.float64), *_bins(grid, durations), events)
+    return _pch(np.asarray(hazards, dtype=np.float64), *grid.locate(durations), events)
 
 
 # --- array-level estimators -------------------------------------------------
@@ -162,7 +159,7 @@ def ips_loss(hazards, durations, events, propensities, grid, floor=0.05):
 # --- tape losses (training path) --------------------------------------------
 
 
-def competing_survival_loss(hazard_tensors, grid, durations, events, propensities=None, floor=0.05):
+def competing_survival_loss(hazard_tensors, grid, durations, events, propensities=None):
     """Tape survival objective, as one op: IPS-weighted event terms plus the
     censored cumulative-hazard terms every record owes to its unobserved
     heads, normalized together by records times events.
@@ -171,7 +168,8 @@ def competing_survival_loss(hazard_tensors, grid, durations, events, propensitie
     is 0 or 1, the ``pch_terms`` values with events=ind, weighted by
     ind/pi + (1 - ind), hold both the event and the censored parts. With one
     event type and unit propensities this is exactly the batch mean of the
-    single-event loss. ``propensities`` is (n, K) or None for unit weights.
+    single-event loss. ``propensities`` is (n, K), inverted unclipped, or
+    None for unit weights.
     """
     K = len(hazard_tensors)
     events = np.asarray(events)
@@ -182,8 +180,7 @@ def competing_survival_loss(hazard_tensors, grid, durations, events, propensitie
         pi = np.asarray(propensities, dtype=np.float64)
         if np.any(pi <= 0):
             raise ValueError("propensities must be strictly positive")
-        pi = np.maximum(pi, floor)
-    kappa, rho = _bins(grid, durations)
+    kappa, rho = grid.locate(durations)
     scale = 1.0 / (n * K)
     total = 0.0
     weights, vjps = [], []

@@ -39,9 +39,6 @@ class PropensityModel:
     def predict(self, x):
         """Assignment probabilities (n, K), clipped to [floor, 1]."""
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
         if x.shape[1] != self.weights.shape[1]:
             raise ValueError(
                 f"covariate dimension {x.shape[1]} does not match fitted dimension {self.weights.shape[1]}"
@@ -49,8 +46,7 @@ class PropensityModel:
         probs = logistic(x @ self.weights.T + self.offsets)
         if self.renormalize:
             probs = probs / probs.sum(axis=1, keepdims=True)
-        probs = np.clip(probs, self.floor, 1.0)
-        return probs[0] if single else probs
+        return np.clip(probs, self.floor, 1.0)
 
     def to_dict(self):
         return {

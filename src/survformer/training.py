@@ -106,19 +106,7 @@ class TrainHistory:
     best_epoch: int = -1
 
     def to_dict(self):
-        return {
-            "best_epoch": self.best_epoch,
-            "epochs": [
-                {
-                    "epoch": e.epoch,
-                    "train": asdict(e.train),
-                    "validation_loss": e.validation_loss,
-                    "gamma1": e.gamma1,
-                    "gamma2": e.gamma2,
-                }
-                for e in self.epochs
-            ],
-        }
+        return {"best_epoch": self.best_epoch, "epochs": [asdict(e) for e in self.epochs]}
 
 
 def _batch_loss(model, grid, cat, num, t, e, pi, schedule, epoch):

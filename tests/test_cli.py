@@ -380,6 +380,19 @@ class TestPipeline:
         line = one_error_line(capsys)
         assert re.search(r"\bline 7\b", line) and "numerical column 'x2'" in line, line
 
+    def test_propensity_floor_below_0_05_reaches_training(self, tmp_path):
+        # one training-fold record of this table has a fitted propensity below
+        # 0.05 for its own event, so its IPS weight depends on the floor
+        data, args = synth_args(tmp_path, seed=3)
+        assert run(args) == 0
+        params = []
+        for floor in (0.01, 0.05):
+            config, ckpt = tiny_config(tmp_path), tmp_path / f"floor{floor}.json"
+            config.write_text(json.dumps({**json.loads(config.read_text()), "propensity_floor": floor}))
+            assert run(["train", "--data", str(data), "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+            params.append(json.loads(ckpt.read_text())["params"])
+        assert params[0] != params[1]
+
 
 class TestCurvesFile:
     @pytest.mark.parametrize("events", [1, 2])

@@ -1,9 +1,12 @@
-"""The CLI exit contract under malformed input: ``train`` and ``predict`` on
-corrupted CSV bodies and arbitrary flag values either write their documented
+"""The CLI exit contract under malformed input: ``train``, ``eval``,
+``predict`` and ``attention`` on corrupted CSV bodies and arbitrary flag
+values, the last three on checkpoints with one entry retyped or dropped, and
+``train`` on configs with mistyped values, either write their documented
 output and exit 0, or print one ``error:`` line and exit 1. A traceback fails
 the test."""
 
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from survformer import training as T
 from survformer.cli import run
 
 # Cells that break parsing, imputation, ranges or the CSV structure.
@@ -23,6 +27,20 @@ JUNK_TAILS = ['"unterminated', "\n\n", ",,,,", "x1,x2\n", "\r\n1,2,3,4,5\r\n"]
 TINY_CONFIG = {"max_epochs": 1, "batch_size": 32, "embed_dim": 4, "heads": 1, "layers": 1,
                "hidden_size": 4, "time_bins": 3, "seed": 2}
 FLAG_TEXT = st.text(alphabet="0123456789.,-+e naifx_", max_size=12)
+# A few values of each JSON type: null, boolean, number, string, array, object.
+JSON_VALUES = [None, True, False, 0, -1, 2.5, 1e308, "", "x", "1", [], [0], [[1.0]], {}, {"a": 1}]
+DROP = object()
+
+
+def json_type(value):
+    """The JSON type of a decoded value; a tuple is an array."""
+    return next(kind for kind in (bool, (int, float), str, (list, tuple), dict, type(None))
+                if isinstance(value, kind))
+
+
+def retyped(value):
+    """A value of another JSON type than ``value``."""
+    return st.sampled_from([v for v in JSON_VALUES if json_type(v) != json_type(value)])
 
 
 def flag_values(*valid):
@@ -127,3 +145,73 @@ def test_predict_keeps_the_exit_contract(base, data):
     out = root / "curves.csv"
     assert_exit_contract(["predict", "--data", str(path), "--checkpoint", str(checkpoint),
                           f"--times={times}", "--out", str(out)], out)
+
+
+@FUZZ
+@given(data=st.data())
+def test_eval_keeps_the_exit_contract(base, data):
+    root, _, checkpoint, header, rows = base
+    path = root / "eval.csv"
+    path.write_bytes(data.draw(csv_bodies(header, rows), label="body"))
+    quantiles = data.draw(flag_values("0.25,0.5,0.75", "0.5", "0,1"), label="--quantiles")
+    fold = data.draw(st.sampled_from(["test", "validation", "train", "all"]), label="--fold")
+    out = root / "metrics.json"
+    assert_exit_contract(["eval", "--data", str(path), "--checkpoint", str(checkpoint),
+                          f"--quantiles={quantiles}", f"--fold={fold}", "--out", str(out)], out)
+
+
+@FUZZ
+@given(data=st.data())
+def test_attention_keeps_the_exit_contract(base, data):
+    root, _, checkpoint, header, rows = base
+    path = root / "attention.csv"
+    path.write_bytes(data.draw(csv_bodies(header, rows), label="body"))
+    row = data.draw(st.integers(-2, len(rows) + 1) | st.integers(-2**70, 2**70), label="--row")
+    out = root / "attention.json"
+    assert_exit_contract(["attention", "--data", str(path), "--checkpoint", str(checkpoint),
+                          f"--row={row}", "--out", str(out)], out)
+
+
+@st.composite
+def mutated_checkpoints(draw, payload):
+    """The checkpoint with one entry, at any depth, dropped or replaced by a
+    JSON value of another type."""
+    payload = copy.deepcopy(payload)
+    holder, key, node = None, None, payload
+    while isinstance(node, (dict, list)) and node and (holder is None or draw(st.booleans())):
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        holder, node = node, node[key]
+    value = draw(st.just(DROP) | retyped(node))
+    if value is DROP:
+        del holder[key]
+    else:
+        holder[key] = value
+    return payload
+
+
+@FUZZ
+@given(data=st.data())
+@pytest.mark.parametrize("command", ["eval", "predict", "attention"])
+def test_mutated_checkpoints_keep_the_exit_contract(base, data, command):
+    root, _, checkpoint, _, _ = base
+    path = root / f"{command}-mutated.json"
+    path.write_text(json.dumps(data.draw(mutated_checkpoints(json.loads(checkpoint.read_text())))))
+    out = root / f"{command}-out"
+    flags = {"eval": [], "predict": ["--times=0,1.5"], "attention": ["--row=1"]}[command]
+    assert_exit_contract([command, "--data", str(root / "base.csv"), "--checkpoint", str(path),
+                          *flags, "--out", str(out)], out)
+
+
+@FUZZ
+@given(data=st.data())
+def test_train_on_mistyped_configs_keeps_the_exit_contract(base, data):
+    root, _, _, _, _ = base
+    config = dict(TINY_CONFIG)
+    defaults = T.TrainConfig().to_dict()
+    for key in data.draw(st.lists(st.sampled_from(sorted(defaults)), min_size=1, max_size=3, unique=True)):
+        config[key] = data.draw(retyped(config.get(key, defaults[key])), label=key)
+    path = root / "mistyped.json"
+    path.write_text(json.dumps(config))
+    out = root / "mistyped-model.json"
+    assert_exit_contract(["train", "--data", str(root / "base.csv"), "--config", str(path),
+                          "--checkpoint", str(out)], out)

@@ -100,7 +100,7 @@ class TestLoadCsv:
     def test_non_finite_numerical_value_reports_line_and_column(self, tmp_path, bad):
         path = write_csv(tmp_path / "d.csv", ["x", "duration", "event"],
                          [[1.5, 1, 1], [bad, 2, 0]])
-        with pytest.raises(D.SchemaError, match=r"non-finite value .* column 'x' at line 3"):
+        with pytest.raises(D.SchemaError, match=r"line 3: .*non-finite value .* column 'x'"):
             load(path, D.ColumnSpec(["x"], []))
 
     def test_non_finite_value_in_transformed_rows_reports_line_and_column(self, tmp_path):
@@ -245,7 +245,7 @@ class TestBadCellNamed:
         shuffled = table.take(np.random.default_rng(seed).permutation(len(table)))
         with pytest.raises(D.SchemaError, match=r"line 6: .*'inf' in numerical column 'y'"):
             D.transform_rows(schema, shuffled, columns)
-        with pytest.raises(D.SchemaError, match=r"'inf' in numerical column 'y' at line 6"):
+        with pytest.raises(D.SchemaError, match=r"line 6: .*'inf' in numerical column 'y'"):
             D.fit_schema(shuffled, columns)
 
     def test_leftmost_cell_of_the_earliest_line(self):
@@ -330,41 +330,36 @@ class TestKappaRho:
         return D.TimeGrid(np.array([10.0, 20.0, 30.0]))
 
     def test_interior_point(self):
-        assert self.grid().interval_index(15.0) == 1
+        assert self.grid().locate(15.0)[0] == 1
 
     def test_boundary_belongs_to_earlier_interval(self):
-        assert self.grid().interval_index(10.0) == 0
+        assert self.grid().locate(10.0)[0] == 0
 
     def test_upper_boundary(self):
-        assert self.grid().interval_index(30.0) == 2
+        assert self.grid().locate(30.0)[0] == 2
 
     def test_zero_maps_to_first_interval(self):
-        assert self.grid().interval_index(0.0) == 0
+        assert self.grid().locate(0.0)[0] == 0
 
-    def test_beyond_grid_clamps_only_when_asked(self):
-        grid = self.grid()
-        assert grid.interval_index(35.0, clip=True) == 2
-        assert grid.interval_fraction(35.0, clip=True) == 1.0
-        with pytest.raises(ValueError, match="beyond"):
-            grid.interval_index(35.0)
+    def test_beyond_grid_clamps_to_last_bin(self):
+        assert self.grid().locate(35.0) == (2, 1.0)
 
     def test_rho_midpoint(self):
-        assert self.grid().interval_fraction(15.0) == 0.5
+        assert self.grid().locate(15.0)[1] == 0.5
 
     def test_rho_right_endpoint(self):
-        assert self.grid().interval_fraction(20.0) == 1.0
+        assert self.grid().locate(20.0)[1] == 1.0
 
     def test_rho_left_endpoint_limit(self):
-        assert self.grid().interval_fraction(10.0 + 1e-9) < 1e-6
+        assert self.grid().locate(10.0 + 1e-9)[1] < 1e-6
 
     @given(st.floats(0.001, 30.0))
     @settings(max_examples=100, deadline=None)
     def test_interval_membership(self, t):
         grid = self.grid()
-        j = int(grid.interval_index(t))
+        j, r = grid.locate(t)
         left = 0.0 if j == 0 else grid.cuts[j - 1]
         assert left < t <= grid.cuts[j]
-        r = grid.interval_fraction(t)
         assert 0.0 < r <= 1.0
 
     @given(st.floats(10.0001, 19.9999), st.floats(10.0001, 19.9999))
@@ -374,7 +369,7 @@ class TestKappaRho:
         if a == b:
             return
         lo, hi = min(a, b), max(a, b)
-        assert grid.interval_fraction(lo) < grid.interval_fraction(hi)
+        assert grid.locate(lo)[1] < grid.locate(hi)[1]
 
 
 class TestSplit:

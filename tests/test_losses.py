@@ -341,6 +341,19 @@ class TestTapeBuilders:
         want /= n * K
         assert float(got.data) == pytest.approx(want, rel=1e-12)
 
+    def test_tape_survival_inverts_propensities_below_any_floor(self):
+        """The clipping floor is the propensity model's; the loss adds none."""
+        grid = grid123()
+        hazards = np.array([[0.4, 0.7, 1.1], [0.9, 0.3, 0.6]])
+        tensors = [ad.Tensor(hazards), ad.Tensor(hazards[::-1].copy())]
+        t, e = np.array([0.5, 2.5]), np.array([1, 2])
+        values = {}
+        for p in (0.01, 0.05):
+            pi = np.array([[p, 0.5], [0.5, 0.5]])
+            values[p] = float(L.competing_survival_loss(tensors, grid, t, e, propensities=pi).data)
+        event_term = pch_oracle(hazards[0], grid.cuts, t[0], 1)
+        assert values[0.01] - values[0.05] == pytest.approx(event_term * (1 / 0.01 - 1 / 0.05) / 4, rel=1e-12)
+
     def test_single_event_tape_equals_batch_mean_pch(self):
         grid = grid123()
         rng = np.random.default_rng(8)
