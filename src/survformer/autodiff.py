@@ -73,13 +73,25 @@ def flat_parameters(arrays):
 
 
 def selu_array(x):
-    """Scaled exponential linear unit of an array, elementwise."""
-    return SELU_LAMBDA * np.where(x > 0, x, SELU_ALPHA * np.expm1(np.minimum(x, 0.0)))
+    """Scaled exponential linear unit of an array, elementwise, as
+    λ·(max(x, 0) + α·expm1(min(x, 0))); one of the two terms is zero."""
+    neg = np.minimum(x, 0.0)
+    np.expm1(neg, out=neg)
+    neg *= SELU_ALPHA
+    out = np.maximum(x, 0.0)
+    out += neg
+    out *= SELU_LAMBDA
+    return out
 
 
 def selu_slope(x):
     """Derivative of ``selu_array`` at the pre-activation ``x``."""
-    return SELU_LAMBDA * np.where(x > 0, 1.0, SELU_ALPHA * np.exp(np.minimum(x, 0.0)))
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
+    out *= SELU_ALPHA
+    np.putmask(out, x > 0, 1.0)
+    out *= SELU_LAMBDA
+    return out
 
 
 def softplus_array(x):

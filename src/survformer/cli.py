@@ -14,7 +14,7 @@ import numpy as np
 from . import data as D
 from . import training as T
 from .evaluation import CensoringEstimate
-from .model import FLOAT, INT, attention_payload, load_checkpoint, save_checkpoint
+from .model import FLOAT, INFER_CHUNK, INT, attention_payload, load_checkpoint, save_checkpoint
 
 
 def _parse_list(flag, text, what, valid, count=None):
@@ -242,15 +242,17 @@ def _cmd_predict(args):
     records = D.transform_rows(model.schema, table, columns, require_labels=False)
     curves = T.predict(model, records, times)  # (n, K, T)
     n, K, nt = curves.shape
-    # one row per (record, time), the K events as columns, every cell a Python float's repr
-    time_cells = [repr(t) for t in times.tolist()]
-    cells = iter(map(repr, curves.transpose(0, 2, 1).ravel().tolist()))
-    values = map(",".join, zip(*[cells] * K))
-    keys = (f"{i},{t}," for i in range(n) for t in time_cells)
+    # one row per (record, time), the K events as columns, every cell a
+    # Python float's repr (``%r``); "\0" stands for the record number. The
+    # values become Python floats one chunk of records at a time.
+    body = "".join(f"\0,{t!r}" + ",%r" * K + "\n" for t in times.tolist())
+    values = curves.transpose(0, 2, 1).reshape(n, nt * K)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         header = ["record", "time"] + [f"survival_event_{k + 1}" for k in range(K)]
         fh.write(",".join(header) + "\n")
-        fh.writelines(key + row + "\n" for key, row in zip(keys, values))
+        for s in range(0, n, INFER_CHUNK):
+            rows = enumerate(values[s : s + INFER_CHUNK].tolist(), s)
+            fh.writelines(body.replace("\0", str(i)) % tuple(row) for i, row in rows)
     print(f"wrote {args.out} ({n} records x {nt} times x {K} events)")
     return 0
 

@@ -31,8 +31,9 @@ from .data import CovariateSchema, SchemaError, TimeGrid
 
 CHECKPOINT_FORMAT = "survformer-checkpoint-v1"
 
-# Records per inference forward. Each chunk's tape is freed before the next
-# is built, so inference memory does not grow with the number of records.
+# Records per inference or validation forward. Each chunk's tape is freed
+# before the next is built, so the memory of inference and of training's
+# validation loss does not grow with the number of records.
 INFER_CHUNK = 256
 
 
@@ -106,8 +107,11 @@ def _attend(x, D, W):
     (B·D, H·d_h) head-concatenated output and the activations ``_attend_back``
     needs, whose last is the (B, H, D, D) weight array."""
     BD, de = x.shape
+    H, _, dh = W[0].shape
+    # every head's query, key and value from one (B·D, 3·H·d_h) matmul
+    qkv = x @ np.concatenate([w[h] for w in W for h in range(H)], axis=1)
+    q, k, v = qkv.reshape(BD // D, D, 3, H, dh).transpose(2, 0, 3, 1, 4)  # each (B, H, D, d_h)
     xb = x.reshape(BD // D, 1, D, de)
-    q, k, v = (np.matmul(xb, w) for w in W)  # (B, H, D, d_h)
     logits = np.matmul(q, np.swapaxes(k, -1, -2))
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     alpha = e / e.sum(axis=-1, keepdims=True)
@@ -391,16 +395,25 @@ class SurvivalTransformer:
                 out.append(AttentionMap(layer, h, labels, alpha[idx, h].copy()))
         return out
 
-    def predict_hazards(self, cat, num):
+    def predict_outputs(self, cat, num):
         """Forward (n, d_c) indices and (n, d_n) values in chunks of
-        ``INFER_CHUNK`` records; returns (n, n_events, m) hazard values."""
+        ``INFER_CHUNK`` records; returns the head outputs as arrays: (n,
+        n_events, m) hazards, (n,) any-event probabilities and (n,)
+        follow-up times."""
         cat, num = self._covariates(cat, num)
+        if not len(num):
+            raise ValueError("no records to forward")
         chunks = []
         for s in range(0, len(num), INFER_CHUNK):
             fp = self.forward_batch(cat[s : s + INFER_CHUNK], num[s : s + INFER_CHUNK])
-            chunks.append(np.stack([h.data for h in fp.hazards], axis=1))
+            hazards = np.stack([h.data for h in fp.hazards], axis=1)
+            chunks.append((hazards, fp.event_prob.data, fp.time_pred.data))
             del fp  # free this chunk's tape before the next one is built
-        return np.concatenate(chunks)
+        return tuple(np.concatenate(parts) for parts in zip(*chunks))
+
+    def predict_hazards(self, cat, num):
+        """The (n, n_events, m) hazards of ``predict_outputs``."""
+        return self.predict_outputs(cat, num)[0]
 
     def export_attention(self, cat, num):
         """Labeled attention maps for one record, layer then head order."""

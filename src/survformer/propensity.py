@@ -13,7 +13,11 @@ search, and stops once the Newton decrement is a negligible share of the
 objective. With ``l2 = 0`` the one-hot blocks are collinear with the offset;
 the fit then converges to the minimum-norm optimum. Separable classes have no
 optimum at ``l2 = 0``: their weights grow without end, and the fit raises
-``ValueError`` naming the event once it reaches ``MAX_ITER`` iterations.
+``ValueError`` naming the event once it reaches ``MAX_ITER`` iterations. A
+0/1 column (such as one one-hot level) set only on records of one event, or
+only on records of the others, leaves no optimum either (quasi-complete
+separation); at ``l2 = 0`` ``fit`` names the column and the event before it
+starts.
 """
 
 from dataclasses import dataclass, field
@@ -127,7 +131,9 @@ def fit(covariates, events, l2=1e-4, floor=0.05, renormalize=False):
 
     ``events`` are 1-based labels (no zeros); every event class in
     1..max(events) must be present. A fit that reaches ``MAX_ITER`` raises
-    ``ValueError`` naming its event.
+    ``ValueError`` naming its event. At ``l2 = 0``, a 0/1 column set only on
+    records of one event, or only on records of the others, raises
+    ``ValueError`` naming the column and the event before any fit.
     """
     x = np.asarray(covariates, dtype=np.float64)
     e = np.asarray(events)
@@ -136,13 +142,26 @@ def fit(covariates, events, l2=1e-4, floor=0.05, renormalize=False):
     n_events = int(e.max())
     if n_events < 2:
         raise ValueError("propensity fitting needs two or more event classes")
+    labels = np.arange(1, n_events + 1)
+    absent = np.setdiff1d(labels, e)
+    if absent.size:
+        raise ValueError(f"event class {absent[0]} absent from the fitting data")
+    if l2 == 0:
+        # Without a penalty, the weight of a 0/1 column set only on records of
+        # one event, or only on records of the others, grows without end.
+        ones = x == 1
+        for j in np.flatnonzero((ones | (x == 0)).all(axis=0) & ones.any(axis=0)):
+            held = np.unique(e[ones[:, j]])
+            if held.size < n_events:
+                which, k = ("every", held[0]) if held.size == 1 else ("no", np.setdiff1d(labels, held)[0])
+                raise ValueError(f"propensity fit: {which} record with design column {j} set holds "
+                                 f"event {k}, so the fit has no finite optimum; "
+                                 f"propensity_l2 must be above 0")
     weights = np.zeros((n_events, x.shape[1]))
     offsets = np.zeros(n_events)
     iterations, converged = [], []
-    for k in range(1, n_events + 1):
+    for k in labels:
         y = (e == k).astype(np.float64)
-        if y.sum() == 0:
-            raise ValueError(f"event class {k} absent from the fitting data")
         try:
             weights[k - 1], offsets[k - 1], n_iter, done = _fit_binary(x, y, l2)
         except ValueError as err:

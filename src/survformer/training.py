@@ -3,9 +3,11 @@
 Training fits the assignment-propensity model first (competing-events data
 only), then runs mini-batch Adam on the annealed multi-task objective with
 early stopping on validation loss; the best-epoch parameter snapshot is
-restored at the end. Evaluation converts hazards to survival curves and
-reports time-dependent concordance per event at quantile horizons of the
-evaluated records' event times.
+restored at the end. Training batches and the validation fold share one loss
+function; the validation fold is forwarded in ``INFER_CHUNK``-record chunks,
+as inference is, and its losses are taken once over all records. Evaluation
+converts hazards to survival curves and reports time-dependent concordance
+per event at quantile horizons of the evaluated records' event times.
 """
 
 import json
@@ -110,14 +112,31 @@ class TrainHistory:
 
 
 def _batch_loss(model, grid, cat, num, t, e, pi, schedule, epoch):
-    """The annealed total loss of one batch and its breakdown. Raises
-    ``ValueError`` naming the loss (survival, mp, ls or total) that rejects
-    its input or leaves the finite range."""
+    """The annealed total loss of one batch, on the tape, and its breakdown.
+    Raises ``ValueError`` as ``_loss`` does."""
     fp = model.forward_batch(cat, num)
+    return _loss(fp.hazards, fp.event_prob, fp.time_pred, grid, t, e, pi, schedule, epoch)
+
+
+def _validation_loss(model, grid, records, pi, schedule, epoch):
+    """The annealed total loss of ``records`` and its breakdown, from one
+    forward in ``INFER_CHUNK`` record chunks: only the head outputs are kept
+    and the losses are taken once over all records."""
+    hazards, event_prob, time_pred = model.predict_outputs(records.cat, records.num)
+    heads = [ad.Tensor(hazards[:, k]) for k in range(hazards.shape[1])]
+    return _loss(heads, ad.Tensor(event_prob), ad.Tensor(time_pred), grid, records.t, records.e, pi,
+                 schedule, epoch)
+
+
+def _loss(hazards, event_prob, time_pred, grid, t, e, pi, schedule, epoch):
+    """The annealed total loss of the head outputs (Tensors) for labels ``t``
+    and ``e`` and its breakdown. Raises ``ValueError`` naming the loss
+    (survival, mp, ls or total) that rejects its input or leaves the finite
+    range."""
     with np.errstate(all="ignore"):  # checked below, once
-        survival = L.competing_survival_loss(fp.hazards, grid, t, e, propensities=pi)
-        mp = L.mp_loss_tensor(fp.event_prob, (e > 0).astype(np.float64))
-        ls = L.ls_loss_tensor(fp.time_pred, t)
+        survival = L.competing_survival_loss(hazards, grid, t, e, propensities=pi)
+        mp = L.mp_loss_tensor(event_prob, (e > 0).astype(np.float64))
+        ls = L.ls_loss_tensor(time_pred, t)
         total, bd = L.total_loss_tensor(survival, mp, ls, schedule, epoch)
     for name in ("survival", "mp", "ls", "total"):
         if not np.isfinite(getattr(bd, name)):
@@ -136,7 +155,7 @@ def train(config, train_records, val_records, schema, grid):
     if not len(train_records) or not len(val_records):
         raise ValueError("training and validation sets must both be nonempty")
     cat, num, t, e = train_records.cat, train_records.num, train_records.t, train_records.e
-    vcat, vnum, vt, ve = val_records.cat, val_records.num, val_records.t, val_records.e
+    vcat, vnum, ve = val_records.cat, val_records.num, val_records.e
     n_events = max(int(e.max()), 1)
     if ve.max() > n_events:
         raise ValueError(f"validation set has event label {int(ve.max())} unseen in training")
@@ -188,7 +207,7 @@ def train(config, train_records, val_records, schema, grid):
         train_bd = L.LossBreakdown(*(sums / n), gamma1=g1, gamma2=g2)
 
         try:
-            val_total, _ = _batch_loss(model, grid, vcat, vnum, vt, ve, val_pi, schedule, epoch)
+            val_total, _ = _validation_loss(model, grid, val_records, val_pi, schedule, epoch)
         except (ValueError, FloatingPointError) as err:
             raise TrainingDiverged(f"nonfinite validation loss at epoch {epoch}: {err}") from err
         val_loss = float(val_total.data)

@@ -10,7 +10,7 @@ import pytest
 from survformer import data as D
 from survformer import training as T
 from survformer.cli import run
-from survformer.model import load_checkpoint
+from survformer.model import INFER_CHUNK, load_checkpoint
 
 
 def read_bytes(path):
@@ -397,7 +397,8 @@ class TestPipeline:
 class TestCurvesFile:
     @pytest.mark.parametrize("events", [1, 2])
     def test_bytes_equal_per_cell_repr_of_predict(self, tmp_path, events):
-        data, args = synth_args(tmp_path, n=60)
+        # one record past a full chunk, so the writer crosses a chunk boundary
+        data, args = synth_args(tmp_path, n=INFER_CHUNK + 1)
         args[args.index("--events") + 1] = str(events)
         assert run(args) == 0
         ckpt, curves = tmp_path / "model.json", tmp_path / "curves.csv"
@@ -584,6 +585,26 @@ class TestBadArguments:
         assert self.train(tmp_path, data, propensity_l2=l2) == code
         if code:
             assert "propensity fit for event 1: no convergence" in one_error_line(capsys)
+            assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("l2, code", [(0, 1), (1e-4, 0)])
+    def test_unpenalized_one_class_level_is_one_error_line(self, tmp_path, capsys, l2, code):
+        # every record at level "c" ends in event 1; the other levels mix both events
+        rng = np.random.default_rng(0)
+        data = tmp_path / "level.csv"
+        with open(data, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x1", "x2", "level", "duration", "event"])
+            for i in range(200):
+                level = "abc"[rng.integers(0, 3)]
+                event = 1 if level == "c" else int(rng.integers(1, 3))
+                writer.writerow([*rng.standard_normal(2), level, 0.05 * (i + 1), event])
+        capsys.readouterr()
+        assert self.train(tmp_path, data, propensity_l2=l2) == code
+        if code:
+            line = one_error_line(capsys)
+            assert "propensity fit: every record with design column" in line and "holds event 1" in line
+            assert "propensity_l2 must be above 0" in line
             assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("fractions", ["0.6,0.4", "nan,0.5,0.5", "0.6,0.1,0.3,0", "a,b,c", ""])

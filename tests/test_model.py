@@ -470,6 +470,10 @@ class TestPredictHazards:
         with pytest.raises(ValueError, match="covariates"):
             make_model().predict_hazards(np.zeros(cat_shape, dtype=np.intp), np.zeros(num_shape))
 
+    def test_no_records_rejected(self):
+        with pytest.raises(ValueError, match="no records to forward"):
+            make_model().predict_hazards(np.zeros((0, 2), dtype=np.intp), np.zeros((0, 2)))
+
     @pytest.mark.parametrize("n", [1, INFER_CHUNK - 1, INFER_CHUNK, INFER_CHUNK + 1, 3 * INFER_CHUNK + 5])
     def test_chunked_forward_matches_one_whole_batch(self, n):
         model = make_model(seed=17)

@@ -33,6 +33,17 @@ def predict_wide_like(n=4500, seed=0):
     return x, np.where(rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-logit)), 1, 2)
 
 
+def one_class_level(held=(1,), n_events=2, n=200, seed=0):
+    """Two normal columns and a three-level one-hot block with its
+    never-set unknown slot (columns 2-5); every level-2 record (column 4)
+    holds one of the events ``held``, the others any of ``n_events``."""
+    rng = np.random.default_rng(seed)
+    level = rng.integers(0, 3, n)
+    x = np.hstack([rng.standard_normal((n, 2)), np.eye(4)[level]])
+    e = np.where(level == 2, rng.choice(held, n), rng.integers(1, n_events + 1, n))
+    return x, e
+
+
 class TestFit:
     def test_balanced_uninformative_data_gives_half(self):
         x = np.zeros((40, 2))
@@ -123,6 +134,23 @@ class TestNewtonFit:
         e = np.array([1] * 20 + [2] * 20)
         with pytest.raises(ValueError, match="propensity fit for event 1: no convergence in 50 Newton iterations"):
             P.fit(x, e, l2=0.0)
+
+    @pytest.mark.parametrize("held, n_events, says", [
+        ((1,), 2, "every record with design column 4 set holds event 1"),
+        ((2,), 2, "every record with design column 4 set holds event 2"),
+        ((1, 3), 3, "no record with design column 4 set holds event 2"),
+    ], ids=["every-1", "every-2", "none-2"])
+    def test_unpenalized_one_class_level_names_the_column_and_event(self, held, n_events, says):
+        # quasi-complete separation: no finite optimum, yet no separating line
+        # of the whole design; the unset unknown slot (column 5) is not named
+        x, e = one_class_level(held, n_events)
+        with pytest.raises(ValueError, match=f"propensity fit: {says}, .*propensity_l2 must be above 0"):
+            P.fit(x, e, l2=0.0)
+
+    def test_penalized_one_class_level_fits(self):
+        model = P.fit(*one_class_level(), l2=1e-4)
+        assert model.converged == (True, True)
+        assert np.isfinite(model.weights).all()
 
     def test_fit_report_stays_out_of_the_checkpoint(self):
         x, e = random_fixture(0, onehot=True)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from survformer import autodiff as ad
 from survformer import data as D
 from survformer import losses as L
 from survformer import training as T
-from survformer.model import SurvivalTransformer
+from survformer.model import INFER_CHUNK, SurvivalTransformer
 
 
 def tiny_dataset(n=80, n_events=2, censoring=0.2, seed=0):
@@ -218,6 +219,49 @@ class TestTrain:
         grid = build_grid(train, config)
         with pytest.raises(ValueError, match="unseen"):
             T.train(config, train, bad_val, schema, grid)
+
+
+def synth_fold(n, seed):
+    """``n`` default synthetic records: four numerical fields, two events."""
+    return D.synthesize(D.default_synthetic_spec(n, dim=4, n_events=2, censoring_rate=0.3, seed=seed))[0]
+
+
+class TestValidationLoss:
+    """The validation loss comes from ``INFER_CHUNK``-record forwards."""
+
+    @pytest.mark.parametrize("n", [1, INFER_CHUNK, INFER_CHUNK + 1, 3 * INFER_CHUNK + 5])
+    def test_chunked_loss_matches_one_whole_fold_batch(self, n):
+        records = synth_fold(n, seed=n)
+        config = T.TrainConfig()
+        grid = D.build_time_grid(synth_fold(200, seed=0).t, 6, "quantile")
+        model = SurvivalTransformer(dataclasses.replace(config.model, time_bins=grid.m, n_events=2),
+                                    D.synthetic_schema(4), grid, seed=3)
+        pi = np.random.default_rng(n).uniform(0.05, 1.0, (n, 2))
+        for epoch in (0, 7):
+            total, bd = T._validation_loss(model, grid, records, pi, config.schedule(), epoch)
+            want, want_bd = T._batch_loss(model, grid, records.cat, records.num, records.t, records.e, pi,
+                                          config.schedule(), epoch)
+            assert float(total.data) == pytest.approx(float(want.data), rel=1e-12, abs=0)
+            for part in ("total", "survival", "mp", "ls"):
+                assert getattr(bd, part) == pytest.approx(getattr(want_bd, part), rel=1e-12, abs=0)
+
+    def test_train_peak_memory_does_not_grow_with_the_validation_fold(self):
+        train = synth_fold(128, seed=0)
+        schema = D.synthetic_schema(4)
+        config = T.TrainConfig.from_dict(dict(batch_size=64, max_epochs=1, time_bins=5))
+        grid = D.build_time_grid(train.t, 5, "quantile")
+        peaks = []
+        for n in (INFER_CHUNK, 8 * INFER_CHUNK):
+            val = synth_fold(n, seed=1)
+            tracemalloc.start()
+            try:
+                T.train(config, train, val, schema, grid)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        # one whole-fold forward would grow the peak about sixfold
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestPredict:
