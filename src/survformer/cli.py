@@ -14,7 +14,7 @@ import numpy as np
 from . import data as D
 from . import training as T
 from .evaluation import CensoringEstimate
-from .model import FLOAT, INFER_CHUNK, INT, attention_payload, load_checkpoint, save_checkpoint
+from .model import ABSENT, FLOAT, INFER_CHUNK, INT, STRING, attention_payload, judge, load_checkpoint, save_checkpoint
 
 
 def _parse_list(flag, text, what, valid, count=None):
@@ -25,7 +25,7 @@ def _parse_list(flag, text, what, valid, count=None):
     except ValueError:
         values = []
     if not values or count not in (None, len(values)) or not all(valid(v) for v in values):
-        raise ValueError(f"{flag} must list {what}, got {text!r}")
+        raise ValueError(f"{flag} must list {what}, got {D.echo(text)}")
     return values
 
 
@@ -102,7 +102,7 @@ def _folds(table, fractions, seed):
 def _cmd_synth(args):
     for flag, value in (("--n", args.n), ("--events", args.events), ("--dim", args.dim)):
         if value < 1:
-            raise ValueError(f"{flag} must be a positive count, got {value}")
+            raise ValueError(f"{flag} must be a positive count, got {D.echo(value)}")
     spec = D.default_synthetic_spec(
         args.n, dim=args.dim, n_events=args.events, censoring_rate=args.censoring, seed=args.seed
     )
@@ -138,7 +138,7 @@ def _cmd_train(args):
             "event": columns.event,
         },
         "split": {"fractions": fractions, "seed": config.seed},
-        "censoring": censoring.to_dict(),
+        "censoring": {"times": censoring.times.tolist(), "values": censoring.values.tolist()},
         "propensity": propensity_model.to_dict() if propensity_model else None,
         "train_config": config.to_dict(),
     }
@@ -154,42 +154,26 @@ def _cmd_train(args):
     return 0
 
 
-STRING = ("a string", lambda v: isinstance(v, str))
 STRINGS = ("a list of strings", lambda v: isinstance(v, list) and all(STRING[1](x) for x in v))
 NUMBERS = ("a list of finite numbers", lambda v: isinstance(v, list) and all(FLOAT[1](x) for x in v))
 
-# The checkpoint's ``extra`` records that commands read: a rule (phrase,
-# predicate) for each entry, or a dict of the rules for an object's entries.
+# The checkpoint's ``extra`` records that commands read, as ``judge`` rules.
 EXTRA = {
     "columns": {"numerical": STRINGS, "categorical": STRINGS, "duration": STRING, "event": STRING},
     "split": {
         "fractions": ("a list of three finite numbers", lambda v: NUMBERS[1](v) and len(v) == 3),
         "seed": ("a nonnegative integer", lambda v: INT[1](v) and v >= 0),
     },
-    "censoring": {  # as ``km_censoring`` writes them
+    "censoring": {  # as ``km_censoring`` fits them
         "times": ("a strictly increasing list of finite numbers",
                   lambda v: NUMBERS[1](v) and all(a < b for a, b in zip(v, v[1:]))),
-        "values": ("a nonincreasing list of numbers in [0, 1]",
-                   lambda v: NUMBERS[1](v) and all(1 >= a >= b >= 0 for a, b in zip(v, v[1:] + [0]))),
+        "values": lambda c: (
+            ("a nonincreasing list of numbers in [0, 1]",
+             lambda v: NUMBERS[1](v) and all(1 >= a >= b >= 0 for a, b in zip(v, v[1:] + [0]))),
+            ("as long as extra.censoring.times", lambda v: len(v) == len(c["times"])),
+        ),
     },
 }
-
-
-def _check_entry(path, holder, name, rule):
-    """Raise one ValueError naming ``name`` when the checkpoint at ``path``
-    lacks it in ``holder`` or its value breaks ``rule``; the value is echoed
-    up to 120 characters."""
-    key = name.rpartition(".")[2]
-    if not isinstance(holder, dict) or key not in holder:
-        raise ValueError(f"checkpoint {path} lacks {name}")
-    value = holder[key]
-    phrase, valid = ("an object", lambda v: isinstance(v, dict)) if isinstance(rule, dict) else rule
-    if not valid(value):
-        text = repr(value)
-        text = text if len(text) <= 120 else text[:117] + "..."
-        raise ValueError(f"checkpoint {path}: {name} must be {phrase}, got {text}")
-    for sub, sub_rule in (rule.items() if isinstance(rule, dict) else ()):
-        _check_entry(path, value, f"{name}.{sub}", sub_rule)
 
 
 def _load_model(path, required=("columns",)):
@@ -198,7 +182,7 @@ def _load_model(path, required=("columns",)):
     describes it."""
     model, extra = load_checkpoint(path)
     for key in required:
-        _check_entry(path, extra, f"extra.{key}", EXTRA[key])
+        judge(extra.get(key, ABSENT) if isinstance(extra, dict) else ABSENT, EXTRA[key], f"extra.{key}", path)
     cols = extra["columns"]
     columns = D.ColumnSpec(cols["numerical"], cols["categorical"], cols["duration"], cols["event"])
     return model, extra, columns
@@ -213,14 +197,18 @@ def _load_fold(args, extra, columns, fold):
 
 
 def _read_covariates(path, columns):
-    return D.read_raw_csv(path, D.ColumnSpec(columns.numerical, columns.categorical, None, None))
+    """The CSV's rows and the covariate-only spec they were read with: label
+    columns are neither required nor read."""
+    columns = D.ColumnSpec(columns.numerical, columns.categorical, None, None)
+    return D.read_raw_csv(path, columns), columns
 
 
 def _cmd_eval(args):
     model, extra, columns = _load_model(args.checkpoint, ("columns", "split", "censoring"))
     quantiles = _parse_list("--quantiles", args.quantiles, "quantiles in [0, 1]", lambda q: 0 <= q <= 1)
     records = D.transform_rows(model.schema, _load_fold(args, extra, columns, args.fold), columns)
-    censoring = CensoringEstimate.from_dict(extra["censoring"])
+    censoring = CensoringEstimate(*(np.asarray(extra["censoring"][key], dtype=np.float64)
+                                    for key in ("times", "values")))
     report = T.evaluate(model, records, censoring, quantiles)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
@@ -238,8 +226,7 @@ def _cmd_predict(args):
     model, _, columns = _load_model(args.checkpoint)
     times = np.asarray(_parse_list("--times", args.times, "finite nonnegative query times",
                                    lambda t: math.isfinite(t) and t >= 0))
-    table = _read_covariates(args.data, columns)
-    records = D.transform_rows(model.schema, table, columns, require_labels=False)
+    records = D.transform_rows(model.schema, *_read_covariates(args.data, columns))
     curves = T.predict(model, records, times)  # (n, K, T)
     n, K, nt = curves.shape
     # one row per (record, time), the K events as columns, every cell a
@@ -259,10 +246,10 @@ def _cmd_predict(args):
 
 def _cmd_attention(args):
     model, _, columns = _load_model(args.checkpoint)
-    table = _read_covariates(args.data, columns)
+    table, columns = _read_covariates(args.data, columns)
     if not 0 <= args.row < len(table):
-        raise ValueError(f"--row {args.row} out of range for {len(table)} records")
-    records = D.transform_rows(model.schema, table.take([args.row]), columns, require_labels=False)
+        raise ValueError(f"--row {D.echo(args.row)} out of range for {len(table)} records")
+    records = D.transform_rows(model.schema, table.take([args.row]), columns)
     maps = model.export_attention(records.cat[0], records.num[0])
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"row": args.row, "maps": attention_payload(maps)}, fh, indent=2)

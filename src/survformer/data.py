@@ -13,6 +13,10 @@ one array per covariate block and label. A bad cell raises ``SchemaError``
 naming the earliest CSV line among the rows being read, whatever their order;
 ``_read_column`` judges cells for both fit and transform. ``TimeGrid.locate``
 is the one time-bin lookup, for the loss and the survival curves alike.
+
+The fitted schema is plain dataclasses: a checkpoint stores ``asdict`` of it,
+and ``model.FIELDS`` holds the rules its entries are judged by on loading.
+``echo`` is the one cut of an outside value quoted in an error message.
 """
 
 import csv
@@ -27,6 +31,12 @@ class SchemaError(ValueError):
 
 
 MISSING = ""
+
+
+def echo(value):
+    """``repr(value)`` for an error message, cut to at most 120 characters."""
+    text = repr(value)
+    return text if len(text) <= 120 else text[:117] + "..."
 
 
 def _earliest(line, mask):
@@ -120,39 +130,6 @@ class CovariateSchema:
     def field_names(self):
         return [f.name for f in self.categorical] + [f.name for f in self.numerical]
 
-    def to_dict(self):
-        return {
-            "categorical": [
-                {"name": f.name, "vocabulary": f.vocabulary, "mode": f.mode}
-                for f in self.categorical
-            ],
-            "numerical": [
-                {"name": f.name, "mean": f.mean, "std": f.std} for f in self.numerical
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload):
-        """The schema ``to_dict`` wrote. Raises ``SchemaError`` naming the
-        first bad entry: a field name that is not a string, a vocabulary
-        that does not map string keys onto exactly the indices 0..n-1, or a
-        mode that is not one of its keys."""
-        for kind in ("categorical", "numerical"):
-            for i, f in enumerate(payload[kind]):
-                if not isinstance(f["name"], str):
-                    raise SchemaError(f"schema.{kind}[{i}].name must be a string, got {f['name']!r}")
-        for i, c in enumerate(payload["categorical"]):
-            vocab, mode = c["vocabulary"], c["mode"]
-            if not (isinstance(vocab, dict) and all(isinstance(k, str) for k in vocab)
-                    and sorted(j for j in vocab.values() if type(j) is int) == list(range(len(vocab)))):
-                raise SchemaError(f"schema.categorical[{i}].vocabulary must map strings onto "
-                                  f"the indices 0..n-1, got {vocab!r}")
-            if not (isinstance(mode, str) and mode in vocab):
-                raise SchemaError(f"schema.categorical[{i}].mode must be a key of its vocabulary, got {mode!r}")
-        cats = [CategoricalField(c["name"], c["vocabulary"], c["mode"]) for c in payload["categorical"]]
-        nums = [NumericalField(n["name"], n["mean"], n["std"]) for n in payload["numerical"]]
-        return cls(cats, nums)
-
 
 @dataclass
 class Records:
@@ -201,7 +178,7 @@ class RawTable:
         # the last column of that name, as a dict of the row would hold
         where = {h: k for k, h in enumerate(self.header)}
         if name not in where:
-            raise SchemaError(f"column {name!r} not found")
+            raise SchemaError(f"column {echo(name)} not found")
         return self.cells[:, where[name]]
 
 
@@ -217,7 +194,7 @@ class ColumnSpec:
     def __post_init__(self):
         for name in (*self.numerical, *self.categorical):
             if name in (self.duration, self.event):
-                raise ValueError(f"label column {name!r} is also declared a covariate")
+                raise ValueError(f"label column {echo(name)} is also declared a covariate")
 
 
 def read_raw_csv(path, columns):
@@ -233,7 +210,7 @@ def read_raw_csv(path, columns):
             required.append(columns.event)
         for col in required:
             if col not in header:
-                raise SchemaError(f"column {col!r} not found in {path}")
+                raise SchemaError(f"column {echo(col)} not found in {path}")
         rows, lines = [], []
         for cells in reader:
             if not cells:
@@ -264,7 +241,7 @@ def _read_column(table, errors, j, kind, name, valid=None):
                    "negative" if v < 0 else "out-of-range")
         subject = "covariate value" if kind == "numerical" else "label"
         errors.append((line[bad], j, f"bad {subject} at line {line[bad]}: {problem} value "
-                       f"{cells[bad]!r} in {kind} column {name!r}"))
+                       f"{echo(cells[bad])} in {kind} column {echo(name)}"))
     return values
 
 
@@ -281,7 +258,7 @@ def fit_schema(table, columns):
         observed = values != MISSING
         values, counts = values[observed].tolist(), counts[observed]
         if not values:
-            raise SchemaError(f"categorical column {name!r} has no observed values")
+            raise SchemaError(f"categorical column {echo(name)} has no observed values")
         # the first largest count: ties broken toward the smaller value
         mode = values[int(np.argmax(counts))]
         cats.append(CategoricalField(name, {v: i for i, v in enumerate(values)}, mode))
@@ -293,16 +270,17 @@ def fit_schema(table, columns):
     for name, values in zip(columns.numerical, parsed):
         values = values[~np.isnan(values)]
         if not values.size:
-            raise SchemaError(f"numerical column {name!r} has no observed values")
+            raise SchemaError(f"numerical column {echo(name)} has no observed values")
         std = float(values.std())
         nums.append(NumericalField(name, float(values.mean()), std if std > 0 else 1.0))
     return CovariateSchema(cats, nums)
 
 
-def transform_rows(schema, table, columns, require_labels=True):
-    """Apply a fitted schema to a table; labels are read when present or
-    required. A bad cell raises ``SchemaError`` naming the earliest CSV line
-    that holds one, and on that line the leftmost bad cell."""
+def transform_rows(schema, table, columns):
+    """Apply a fitted schema to a table; labels are read exactly when
+    ``columns`` names them (durations and events are zero otherwise). A bad
+    cell raises ``SchemaError`` naming the earliest CSV line that holds one,
+    and on that line the leftmost bad cell."""
     n = len(table)
     errors = []
     cat = np.empty((n, schema.d_c), dtype=np.intp)
@@ -316,11 +294,10 @@ def transform_rows(schema, table, columns, require_labels=True):
         num[:, j] = (np.where(np.isnan(values), f.mean, values) - f.mean) / f.std
     table._numbers.clear()
     t, e = np.zeros(n), np.zeros(n)
-    header = set(table.header)
-    if require_labels or (columns.duration in header and columns.event in header):
+    if (columns.duration, columns.event) != (None, None):
         for name in (columns.duration, columns.event):
-            if name not in header:
-                raise SchemaError(f"missing label column {name!r}")
+            if name not in table.header:
+                raise SchemaError(f"missing label column {echo(name)}")
         t = _read_column(table, errors, schema.d_n, "duration", columns.duration,
                          lambda v: np.isfinite(v) & (v >= 0))
         # labels from 2**53 on are no longer exact integers, nor safe to cast
@@ -345,7 +322,7 @@ class TimeGrid:
         valid = cuts.ndim == 1 and cuts.size and np.isfinite(cuts).all()
         if not (valid and cuts[0] > 0 and (np.diff(cuts) > 0).all()):
             raise ValueError(f"cut points must be a list of finite, strictly increasing positive numbers, "
-                             f"got {cuts.tolist()}")
+                             f"got {echo(cuts.tolist())}")
 
     @property
     def m(self):
@@ -391,7 +368,7 @@ def build_time_grid(durations, m, scheme="quantile"):
             raise ValueError("quantile cuts collapsed to nothing; durations too concentrated")
         cuts[-1] = hi
     else:
-        raise ValueError(f"unknown grid scheme {scheme!r}")
+        raise ValueError(f"unknown grid scheme {echo(scheme)}")
     return TimeGrid(cuts)
 
 

@@ -8,6 +8,9 @@ weighted pairwise estimator: among pairs where the earlier record has the
 event of interest within the horizon, count how often it also has the lower
 predicted survival, weighting each pair by the inverse squared censoring
 survival just before the earlier record's time.
+
+The functions take and return arrays; a checkpoint's censoring record is
+written and judged by the command-line front end.
 """
 
 from dataclasses import dataclass
@@ -54,16 +57,6 @@ class CensoringEstimate:
         idx = np.searchsorted(self.times, t, side="left")
         padded = np.concatenate([[1.0], self.values])
         return padded[idx]
-
-    def to_dict(self):
-        return {"times": self.times.tolist(), "values": self.values.tolist()}
-
-    @classmethod
-    def from_dict(cls, payload):
-        times, values = np.asarray(payload["times"]), np.asarray(payload["values"])
-        if times.shape != values.shape:
-            raise ValueError(f"censoring estimate has {times.size} times but {values.size} values")
-        return cls(times, values)
 
 
 def km_censoring(durations, events):

@@ -18,6 +18,8 @@ The model's parameters are views of one flat buffer ``data``, their
 gradients views of one flat buffer ``grad``. They are not tape nodes: each
 block's backward writes its own parameters' gradients, so one sweep
 rewrites all of ``grad``. ``forward_batch`` checks its outputs once.
+
+``judge`` checks every config setting and checkpoint entry against its rule.
 """
 
 import json
@@ -27,7 +29,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .data import CovariateSchema, SchemaError, TimeGrid
+from .data import CategoricalField, CovariateSchema, NumericalField, TimeGrid, echo
 
 CHECKPOINT_FORMAT = "survformer-checkpoint-v1"
 
@@ -37,13 +39,58 @@ CHECKPOINT_FORMAT = "survformer-checkpoint-v1"
 INFER_CHUNK = 256
 
 
-# A setting's rule: (phrase, predicate) pairs, checked in order; the first is
-# the JSON kind, in which a bool is not a number and an int is a valid float.
+# A rule for a value read from a config or a checkpoint: a (phrase,
+# predicate) pair, pairs checked in order, or a dict of the rules for an
+# object's entries. A rule in a dict may be a function of the object, which
+# gets the entries before it already judged; a list holding one rule is a
+# list whose every entry keeps it. The first pair is the JSON kind, in which
+# a bool is not a number and an int is a valid float.
 INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
 FLOAT = ("a finite number", lambda v: (isinstance(v, float) or INT[1](v)) and abs(v) <= sys.float_info.max)
 BOOL = ("true or false", lambda v: isinstance(v, bool))
+STRING = ("a string", lambda v: isinstance(v, str))
+OBJECT = ("an object", lambda v: isinstance(v, dict))
+LIST = ("a list", lambda v: isinstance(v, list))
 POSITIVE = ("positive", lambda v: v > 0)
 NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
+ABSENT = object()  # the value of an entry a checkpoint lacks
+
+# A schema's field records, as ``save_checkpoint`` writes them.
+FIELDS = {
+    "categorical": {
+        "name": STRING,
+        "vocabulary": ("a map of strings onto the indices 0..n-1", lambda v: isinstance(v, dict)
+                       and all(isinstance(k, str) for k in v)
+                       and sorted(j for j in v.values() if type(j) is int) == list(range(len(v)))),
+        "mode": lambda f: ("a key of its vocabulary", lambda v: isinstance(v, str) and v in f["vocabulary"]),
+    },
+    "numerical": {"name": STRING, "mean": FLOAT, "std": (FLOAT, POSITIVE)},
+}
+# The sections of a checkpoint that ``load_checkpoint`` reads.
+SECTIONS = {"config": OBJECT, "schema": {kind: [rule] for kind, rule in FIELDS.items()}, "grid": LIST,
+            "params": OBJECT}
+
+
+def judge(value, rule, name, path=None):
+    """Raise one ValueError when ``value``, read from a config (``path``
+    None) or the checkpoint at ``path``, is ``ABSENT`` or breaks ``rule``; it
+    names ``name``, or the first entry of it that breaks its rule, and quotes
+    the value as ``echo`` cuts it."""
+    if value is ABSENT:
+        raise ValueError(f"checkpoint {path} lacks {name}")
+    if isinstance(rule, dict):
+        judge(value, OBJECT, name, path)
+        for key, sub in rule.items():
+            judge(value.get(key, ABSENT), sub(value) if callable(sub) else sub, f"{name}.{key}", path)
+    elif isinstance(rule, list):
+        judge(value, LIST, name, path)
+        for i, entry in enumerate(value):
+            judge(entry, rule[0], f"{name}[{i}]", path)
+    else:
+        for phrase, ok in (rule,) if isinstance(rule[0], str) else rule:
+            if not ok(value):
+                where = "" if path is None else f"checkpoint {path}: "
+                raise ValueError(f"{where}{name} must be {phrase}, got {echo(value)}")
 
 
 def setting(*rule, **default):
@@ -55,10 +102,7 @@ def check_settings(config):
     """Raise one ValueError naming the first field of ``config`` that breaks
     its rule, and the value that breaks it."""
     for f in fields(config):
-        value = getattr(config, f.name)
-        for says, ok in f.metadata["rule"]:
-            if not ok(value):
-                raise ValueError(f"{f.name} must be {says}, got {value!r}")
+        judge(getattr(config, f.name), f.metadata["rule"], f.name)
 
 
 @dataclass
@@ -75,7 +119,7 @@ class ModelConfig:
     def __post_init__(self):
         check_settings(self)
         if self.embed_dim % self.heads:
-            raise ValueError(f"heads ({self.heads}) must divide embed_dim ({self.embed_dim})")
+            raise ValueError(f"heads ({echo(self.heads)}) must divide embed_dim ({echo(self.embed_dim)})")
 
 
 @dataclass
@@ -265,7 +309,7 @@ class SurvivalTransformer:
 
     def __init__(self, config, schema, grid, seed=0):
         if config.time_bins != grid.m:
-            raise ValueError(f"config.time_bins={config.time_bins} but grid has m={grid.m}")
+            raise ValueError(f"config.time_bins={echo(config.time_bins)} but grid has m={grid.m}")
         self.config = config
         self.schema = schema
         self.grid = grid
@@ -370,7 +414,7 @@ class SurvivalTransformer:
         if bad.size:
             row, i = bad[0]
             raise ValueError(
-                f"categorical index {cat[row, i]} out of range for {self.schema.categorical[i].name!r}"
+                f"categorical index {cat[row, i]} out of range for {echo(self.schema.categorical[i].name)}"
             )
         return cat, num
 
@@ -438,7 +482,7 @@ def save_checkpoint(path, model, extra=None):
     payload = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(model.config),
-        "schema": model.schema.to_dict(),
+        "schema": asdict(model.schema),
         "grid": model.grid.to_list(),
         "params": {name: t.data.tolist() for name, t in model.params.items()},
         "extra": extra or {},
@@ -447,55 +491,48 @@ def save_checkpoint(path, model, extra=None):
         json.dump(payload, fh)
 
 
-def _entries(path, name, values, *rules):
-    """``values``, a number or nested lists of numbers, as a float64 array
-    once every entry keeps ``FLOAT`` and ``rules``; otherwise one ValueError
-    naming ``name`` and the first entry that breaks them."""
-    arr = np.array(values, dtype=object)
-    for value in arr.flat:
-        for says, ok in (FLOAT, *rules):
-            if not ok(value):
-                raise ValueError(f"checkpoint {path}: {name} must be {says}, got {value!r}")
-    return arr.astype(np.float64)
-
-
 def load_checkpoint(path):
     """Rebuild a model from ``save_checkpoint`` output; returns (model, extra).
 
-    The payload must hold ``config``, ``schema``, ``grid`` and exactly the
-    rebuilt model's parameters, each with its shape, which are written into
-    the model's parameter views. Every grid and parameter entry and every
-    numerical field's mean and std must be a finite number, and each std
-    positive; ``CovariateSchema.from_dict`` checks the rest of the schema.
+    The payload must hold the ``SECTIONS`` and exactly the rebuilt model's
+    parameters, each with its shape, which are written into the model's
+    parameter views. Each schema field record keeps its rules in ``FIELDS``,
+    and every grid and parameter entry must be a finite number; ``judge``
+    names the first entry that breaks its rule. ``extra`` is returned
+    unjudged: its records are the commands' to judge.
     """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format in {path}")
-    missing = [key for key in ("config", "schema", "grid", "params") if key not in payload]
-    if missing:
-        raise ValueError(f"checkpoint {path} lacks {', '.join(missing)}")
+    for key, rule in SECTIONS.items():
+        judge(payload.get(key, ABSENT), rule, key, path)
+
+    def numbers(values, name):
+        # one tight pass over the entries; only a bad one costs a ``judge`` call
+        entries = np.array(values, dtype=object)
+        if not all(map(FLOAT[1], entries.flat)):
+            for value in entries.flat:
+                judge(value, FLOAT, name, path)
+        return entries.astype(np.float64)
+
     try:
         config = ModelConfig(**payload["config"])
-        schema = CovariateSchema.from_dict(payload["schema"])
-    except (KeyError, TypeError) as err:
-        raise ValueError(f"checkpoint {path} has a malformed config or schema: {err!r}") from None
-    except SchemaError as err:
-        raise ValueError(f"checkpoint {path}: {err}") from None
-    for i, f in enumerate(schema.numerical):
-        _entries(path, f"schema.numerical[{i}].mean", f.mean)
-        _entries(path, f"schema.numerical[{i}].std", f.std, POSITIVE)
-    grid = TimeGrid(_entries(path, "every grid entry", payload["grid"]))
+    except TypeError as err:
+        raise ValueError(f"checkpoint {path} has a malformed config: {echo(err)}") from None
+    records = payload["schema"]
+    schema = CovariateSchema([CategoricalField(*map(f.get, FIELDS["categorical"])) for f in records["categorical"]],
+                             [NumericalField(*map(f.get, FIELDS["numerical"])) for f in records["numerical"]])
+    grid = TimeGrid(numbers(payload["grid"], "every grid entry"))
     model = SurvivalTransformer(config, schema, grid, seed=0)
     params = payload["params"]
-    if not isinstance(params, dict):
-        raise ValueError(f"checkpoint {path}: params must be an object, got {params!r}")
     absent = [name for name in model.params if name not in params]
     if absent:
-        raise ValueError(f"checkpoint {path} lacks parameters {', '.join(absent)}")
+        more = f" and {len(absent) - 1} more" if len(absent) > 1 else ""
+        judge(ABSENT, FLOAT, f"parameters {absent[0]}{more}", path)
     for name, values in params.items():
-        arr = _entries(path, f"every entry of parameter {name!r}", values)
+        arr = numbers(values, f"every entry of parameter {echo(name)}")
         if name not in model.params or model.params[name].data.shape != arr.shape:
-            raise ValueError(f"checkpoint parameter {name!r} does not fit the rebuilt model")
+            raise ValueError(f"checkpoint parameter {echo(name)} does not fit the rebuilt model")
         model.params[name].data[...] = arr
     return model, payload.get("extra", {})

@@ -25,7 +25,8 @@ from .evaluation import (
     quantile_horizons,
     survival_matrix,
 )
-from .model import BOOL, FLOAT, INT, NONNEGATIVE, POSITIVE, check_settings, setting
+from .data import echo
+from .model import BOOL, FLOAT, INT, NONNEGATIVE, OBJECT, POSITIVE, check_settings, judge, setting
 from .model import ModelConfig, SurvivalTransformer
 from .optim import Adam
 
@@ -78,11 +79,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, payload):
-        if not isinstance(payload, dict):
-            raise ValueError(f"a config must be a JSON object, got {payload!r}")
+        judge(payload, ("a JSON object", OBJECT[1]), "a config")
         unknown = set(payload) - set(cls().to_dict())
         if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+            raise ValueError(f"unknown config fields: {echo(sorted(unknown))}")
         model = {key: payload[key] for key in MODEL_KEYS if key in payload}
         rest = {key: value for key, value in payload.items() if key not in model}
         return cls(model=ModelConfig(**model), **rest)
@@ -254,9 +254,9 @@ def evaluate(model, test_records, censoring, quantiles=(0.25, 0.5, 0.75)):
             raise UndefinedMetricError(f"no event-{k} records in the evaluated set")
         horizons = quantile_horizons(event_durations, quantiles)
         block = {"event": k, "horizons": []}
-        for q, tau in zip(quantiles, horizons):
-            surv = survival_matrix(hazards[:, k - 1, :], model.grid, np.array([tau]))[:, 0]
-            value, pairs = ctd(surv, t, e, tau, k, censoring)
+        surv = survival_matrix(hazards[:, k - 1, :], model.grid, horizons)  # (n, horizons)
+        for j, (q, tau) in enumerate(zip(quantiles, horizons)):
+            value, pairs = ctd(surv[:, j], t, e, tau, k, censoring)
             block["horizons"].append(
                 {"quantile": float(q), "time": float(tau), "ctd": value, "pairs": pairs}
             )

@@ -51,6 +51,25 @@ def categorical(**entries):
     return lambda payload: payload["schema"]["categorical"].append(field)
 
 
+def checkpoint_edit(edit):
+    """The argv of ``eval`` on the checkpoint after ``edit``."""
+    def argv(tmp_path, data, ckpt):
+        payload = json.loads(ckpt.read_text())
+        edit(payload)
+        ckpt.write_text(json.dumps(payload))
+        return ["eval", "--data", str(data), "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")]
+    return argv
+
+
+def config_file(payload):
+    """The argv of ``train`` with ``payload`` as its config file."""
+    def argv(tmp_path, data, ckpt):
+        (tmp_path / "settings.json").write_text(json.dumps(payload))
+        return ["train", "--data", str(data), "--config", str(tmp_path / "settings.json"),
+                "--checkpoint", str(tmp_path / "out")]
+    return argv
+
+
 def one_error_line(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
@@ -185,11 +204,12 @@ class TestPipeline:
     @pytest.mark.parametrize("drop, named", [
         (lambda p: p.pop("config"), "lacks config"),
         (lambda p: p["params"].pop("cs0.w1"), "lacks parameters cs0.w1"),
+        (lambda p: p["params"].clear(), "lacks parameters embed.num and 26 more"),
         (lambda p: p["extra"].pop("columns"), "lacks extra.columns"),
         (lambda p: p["extra"].pop("censoring"), "lacks extra.censoring"),
         (lambda p: p["extra"]["columns"].pop("event"), "lacks extra.columns.event"),
         (lambda p: p.update(extra=None), "lacks extra.columns"),
-    ], ids=["config", "parameter", "extra-columns", "extra-censoring", "extra-event-column",
+    ], ids=["config", "parameter", "every-parameter", "extra-columns", "extra-censoring", "extra-event-column",
             "extra-null"])
     def test_eval_rejects_incomplete_checkpoint(self, trained, capsys, drop, named):
         tmp_path, data, ckpt = trained
@@ -215,7 +235,8 @@ class TestPipeline:
          "extra.split.fractions must be a list of three finite numbers"),
         (lambda p: p["extra"]["split"].update(seed=-1), "extra.split.seed must be a nonnegative integer"),
         (lambda p: p["extra"]["censoring"].pop("values"), "lacks extra.censoring.values"),
-        (lambda p: p["extra"]["censoring"]["values"].pop(), "censoring estimate has"),
+        (lambda p: p["extra"]["censoring"]["values"].pop(),
+         "extra.censoring.values must be as long as extra.censoring.times"),
         (lambda p: p["grid"].__setitem__(0, {}), "every grid entry must be a finite number, got {}"),
         (lambda p: p["params"].update({"sr.w": {}}),
          "every entry of parameter 'sr.w' must be a finite number, got {}"),
@@ -228,13 +249,13 @@ class TestPipeline:
         (lambda p: p.update(grid=[p["grid"]]), "cut points must be a list of finite"),
         (lambda p: p["schema"]["numerical"][0].update(name=5), "schema.numerical[0].name must be a string, got 5"),
         (categorical(name=["c"]), "schema.categorical[0].name must be a string, got ['c']"),
-        (categorical(vocabulary={"a": 0, "b": 1, "c": 1}), "schema.categorical[0].vocabulary must map strings "
-         "onto the indices 0..n-1, got {'a': 0, 'b': 1, 'c': 1}"),
-        (categorical(vocabulary={"a": 1, "b": 2}), "schema.categorical[0].vocabulary must map"),
-        (categorical(vocabulary={"a": 0, "b": "x"}), "schema.categorical[0].vocabulary must map"),
-        (categorical(vocabulary={"a": 0, "b": True}), "schema.categorical[0].vocabulary must map"),
-        (categorical(vocabulary={"a": 0, "b": 1.0}), "schema.categorical[0].vocabulary must map"),
-        (categorical(vocabulary=["a", "b"]), "schema.categorical[0].vocabulary must map"),
+        (categorical(vocabulary={"a": 0, "b": 1, "c": 1}), "schema.categorical[0].vocabulary must be a map of "
+         "strings onto the indices 0..n-1, got {'a': 0, 'b': 1, 'c': 1}"),
+        (categorical(vocabulary={"a": 1, "b": 2}), "schema.categorical[0].vocabulary must be a map"),
+        (categorical(vocabulary={"a": 0, "b": "x"}), "schema.categorical[0].vocabulary must be a map"),
+        (categorical(vocabulary={"a": 0, "b": True}), "schema.categorical[0].vocabulary must be a map"),
+        (categorical(vocabulary={"a": 0, "b": 1.0}), "schema.categorical[0].vocabulary must be a map"),
+        (categorical(vocabulary=["a", "b"]), "schema.categorical[0].vocabulary must be a map"),
         (categorical(mode=5), "schema.categorical[0].mode must be a key of its vocabulary, got 5"),
         (categorical(mode="z"), "schema.categorical[0].mode must be a key of its vocabulary, got 'z'"),
         (lambda p: p["extra"]["censoring"]["times"].reverse(),
@@ -280,6 +301,44 @@ class TestPipeline:
         line = one_error_line(capsys)
         assert len(line) < 300 and line.endswith("...")
         assert "extra.censoring.times must be a strictly increasing list" in line
+
+    @pytest.mark.parametrize("argv, named", [
+        (checkpoint_edit(categorical(vocabulary={**{f"level-{i}": i for i in range(200)}, "level-7": "x"})),
+         "schema.categorical[0].vocabulary must be a map of strings onto the indices 0..n-1, got {"),
+        (checkpoint_edit(lambda p: p.update(params=list(p["params"].values()))), "params must be an object, got ["),
+        (checkpoint_edit(categorical(mode="m" * 5000)), "schema.categorical[0].mode must be a key of its vocabulary"),
+        (config_file({"gamma_initial": [0.5] * 5000}), "gamma_initial must be a list of two finite numbers, got ["),
+        (config_file([1.0] * 5000), "a config must be a JSON object, got [1.0, 1.0"),
+        (config_file({f"setting_{i}": 1 for i in range(2000)}), "unknown config fields: ['setting_0', "),
+        (lambda tmp_path, data, ckpt: ["predict", "--data", str(data), "--checkpoint", str(ckpt),
+                                       "--times=" + "1," * 3000 + "x", "--out", str(tmp_path / "out")],
+         "--times must list finite nonnegative query times, got '1,1,"),
+        (lambda tmp_path, data, ckpt: rewrite_row(data, 5, lambda row: ["9" * 5000, *row[1:]]) or
+         ["predict", "--data", str(data), "--checkpoint", str(ckpt), "--times=1", "--out", str(tmp_path / "out")],
+         "bad covariate value at line 7: non-numeric or non-finite value '9999"),
+    ], ids=["vocabulary", "params", "mode", "gamma-initial", "config-list", "unknown-fields", "times", "cell"])
+    def test_oversized_value_is_cut_in_the_error_line(self, trained, capsys, argv, named):
+        tmp_path, data, ckpt = trained
+        argv = argv(tmp_path, data, ckpt)
+        capsys.readouterr()
+        assert run(argv) == 1
+        line = one_error_line(capsys)
+        assert len(line) < 300 and "..." in line and named in line, line
+        assert not (tmp_path / "out").exists()
+
+    def test_predict_and_attention_ignore_label_cells(self, trained):
+        tmp_path, data, ckpt = trained
+        outputs = []
+        for name in ("clean", "bad-label"):
+            if name == "bad-label":
+                rewrite_row(data, 4, lambda row: row[:-1] + ["x"])  # the event cell on line 6
+            curves, maps = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            assert run(["predict", "--data", str(data), "--checkpoint", str(ckpt),
+                        "--times", "0.5,2", "--out", str(curves)]) == 0
+            assert run(["attention", "--data", str(data), "--checkpoint", str(ckpt),
+                        "--row", "4", "--out", str(maps)]) == 0
+            outputs.append((read_bytes(curves), read_bytes(maps)))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command, flags", [
         ("eval", []), ("predict", ["--times", "0.5"]), ("attention", []),
@@ -409,8 +468,7 @@ class TestCurvesFile:
 
         model, extra = load_checkpoint(ckpt)
         columns = D.ColumnSpec(extra["columns"]["numerical"], extra["columns"]["categorical"], None, None)
-        records = D.transform_rows(model.schema, D.read_raw_csv(data, columns), columns,
-                                   require_labels=False)
+        records = D.transform_rows(model.schema, D.read_raw_csv(data, columns), columns)
         times = np.array([0.0, 0.37, 1.5, 1e3])
         values = T.predict(model, records, times)
         lines = ["record,time," + ",".join(f"survival_event_{k + 1}" for k in range(events))]

@@ -27,8 +27,11 @@ JUNK_TAILS = ['"unterminated', "\n\n", ",,,,", "x1,x2\n", "\r\n1,2,3,4,5\r\n"]
 TINY_CONFIG = {"max_epochs": 1, "batch_size": 32, "embed_dim": 4, "heads": 1, "layers": 1,
                "hidden_size": 4, "time_bins": 3, "seed": 2}
 FLAG_TEXT = st.text(alphabet="0123456789.,-+e naifx_", max_size=12)
-# A few values of each JSON type: null, boolean, number, string, array, object.
-JSON_VALUES = [None, True, False, 0, -1, 2.5, 1e308, "", "x", "1", [], [0], [[1.0]], {}, {"a": 1}]
+# A few values of each JSON type: null, boolean, number, string, array,
+# object; among them a 5,000-character string and a 5,000-element list.
+JSON_VALUES = [None, True, False, 0, -1, 2.5, 1e308, "", "x", "1", "x" * 5000, [], [0], [[1.0]], [0] * 5000,
+               {}, {"a": 1}]
+ERROR_LINE_BOUND = 300  # characters; an error line quotes at most 120 of a value
 DROP = object()
 
 
@@ -93,7 +96,8 @@ def csv_bodies(draw, header, rows):
 
 def assert_exit_contract(argv, output):
     """Run the CLI in-process; it writes ``output`` and reports it, or gives
-    exactly one ``error:`` line and exit code 1."""
+    exactly one ``error:`` line, shorter than ``ERROR_LINE_BOUND``, and exit
+    code 1."""
     if output.exists():
         output.unlink()
     out, err = io.StringIO(), io.StringIO()
@@ -104,6 +108,7 @@ def assert_exit_contract(argv, output):
         assert lines == [] and output.exists() and f"wrote {output}" in out.getvalue(), (argv, lines)
     else:
         assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), (argv, code, lines)
+        assert len(lines[0]) < ERROR_LINE_BOUND, (argv, lines)
 
 
 def columns_flag(header):

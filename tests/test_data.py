@@ -135,9 +135,8 @@ class TestLoadCsv:
     def test_unseen_category_maps_to_reserved_index(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["c", "duration", "event"],
                          [["a", 1, 1], ["b", 2, 0]])
-        columns = D.ColumnSpec([], ["c"])
-        schema, _ = load(path, columns)
-        records = D.transform_rows(schema, table_of(["c"], [["zebra"]]), columns, require_labels=False)
+        schema, _ = load(path, D.ColumnSpec([], ["c"]))
+        records = D.transform_rows(schema, table_of(["c"], [["zebra"]]), D.ColumnSpec([], ["c"], None, None))
         assert records.cat[0, 0] == schema.categorical[0].unknown_index == 2
 
     def test_fit_on_train_never_changes_test_labels(self, tmp_path):
@@ -167,7 +166,8 @@ def number_cells():
 
 @st.composite
 def raw_tables(draw):
-    """(fit table, applied table, columns, require_labels, row order)."""
+    """(fit table, applied table, columns, row order); the columns name the
+    labels or not, whether or not the tables hold them."""
     n_cat, n_num = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     if n_cat + n_num == 0:
         n_num = 1
@@ -190,35 +190,36 @@ def raw_tables(draw):
     fit = table_of(header, rows(draw(st.integers(1, 6)), st.floats(-10, 10).map(repr), True))
     applied = table_of(header, rows(draw(st.integers(1, 8)), number_cells(), False))
     order = draw(st.permutations(range(len(applied))))
-    return fit, applied, D.ColumnSpec(nums, cats), draw(st.booleans()), order
+    columns = D.ColumnSpec(nums, cats) if draw(st.booleans()) else D.ColumnSpec(nums, cats, None, None)
+    return fit, applied, columns, order
 
 
 class TestTransformRowsMatchesPerRowOracle:
     @given(raw_tables())
     @settings(max_examples=300, deadline=None)
     def test_bit_for_bit(self, case):
-        fit, applied, columns, require_labels, order = case
+        fit, applied, columns, order = case
         schema = D.fit_schema(fit, columns)
         table = applied.take(list(order))
-        labels = "duration" in table.header
+        labels = columns.duration is not None  # read exactly when named
         rows = [dict(zip(table.header, cells)) for cells in table.cells.tolist()]
         try:
-            if require_labels and not labels:
+            if labels and "duration" not in table.header:
                 raise KeyError("duration")
             # errors come from the row on the earliest line, whatever the row order
             for i in np.argsort(table.line):
                 transform_row_oracle(schema, columns, rows[i], table.line[i], labels)
         except KeyError:
             with pytest.raises(D.SchemaError, match="missing label column 'duration'"):
-                D.transform_rows(schema, table, columns, require_labels)
+                D.transform_rows(schema, table, columns)
             return
         except ValueError as err:
             with pytest.raises(D.SchemaError) as got:
-                D.transform_rows(schema, table, columns, require_labels)
+                D.transform_rows(schema, table, columns)
             assert str(got.value) == str(err)
             return
         want = [transform_row_oracle(schema, columns, row, 0, labels) for row in rows]
-        records = D.transform_rows(schema, table, columns, require_labels)
+        records = D.transform_rows(schema, table, columns)
         cat = np.array([w[0] for w in want], dtype=np.intp).reshape(len(rows), schema.d_c)
         num = np.array([w[1] for w in want], dtype=np.float64).reshape(len(rows), schema.d_n)
         assert records.cat.dtype == np.intp and records.cat.tobytes() == cat.tobytes()
