@@ -14,7 +14,7 @@ import numpy as np
 from . import data as D
 from . import training as T
 from .evaluation import CensoringEstimate
-from .model import ABSENT, FLOAT, INFER_CHUNK, INT, STRING, attention_payload, judge, load_checkpoint, save_checkpoint
+from .model import ABSENT, FLOAT, INFER_CHUNK, INT, STRING, judge, load_checkpoint, save_checkpoint
 
 
 def _parse_list(flag, text, what, valid, count=None):
@@ -252,7 +252,7 @@ def _cmd_attention(args):
     records = D.transform_rows(model.schema, table.take([args.row]), columns)
     maps = model.export_attention(records.cat[0], records.num[0])
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"row": args.row, "maps": attention_payload(maps)}, fh, indent=2)
+        json.dump({"row": args.row, "maps": maps}, fh, indent=2)
     print(f"wrote {args.out} ({len(maps)} maps)")
     return 0
 
@@ -271,8 +271,8 @@ def run(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, RuntimeError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 1
 
 

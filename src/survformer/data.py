@@ -39,6 +39,15 @@ def echo(value):
     return text if len(text) <= 120 else text[:117] + "..."
 
 
+def allocate(what, shape, make):
+    """``make()``, which builds an array of ``shape``; numpy's refusal to
+    allocate that shape becomes one ValueError naming ``what`` and it."""
+    try:
+        return make()
+    except (MemoryError, ValueError):
+        raise ValueError(f"cannot allocate {what} of shape {echo(shape)}") from None
+
+
 def _earliest(line, mask):
     """Index of the True entry of ``mask`` on the earliest CSV line, or None."""
     idx = np.flatnonzero(mask)
@@ -167,11 +176,11 @@ class RawTable:
     def take(self, idx):
         return RawTable(self.header, self.cells[idx], self.line[idx])
 
-    def numbers(self, name):
-        """``parse_floats`` of a numerical column, parsed once: ``fit_schema``
-        keeps it for ``transform_rows``, which frees it."""
+    def numbers(self, name, valid=np.isfinite, missing=True):
+        """``parse_floats`` of a numerical or label column, parsed once:
+        ``fit_schema`` keeps it for ``transform_rows``, which frees it."""
         if name not in self._numbers:
-            self._numbers[name] = parse_floats(self.column(name), self.line)
+            self._numbers[name] = parse_floats(self.column(name), self.line, valid, missing)
         return self._numbers[name]
 
     def column(self, name):
@@ -199,28 +208,28 @@ class ColumnSpec:
 
 def read_raw_csv(path, columns):
     """Parse a CSV into a ``RawTable``, validating the declared columns, that
-    there is a data row and that every row has one cell per header column."""
+    there is a data row, that every row has one cell per header column and
+    that ``csv`` can read every line (no cell over its field limit)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        required = list(columns.numerical) + list(columns.categorical)
-        if columns.duration is not None:
-            required.append(columns.duration)
-        if columns.event is not None:
-            required.append(columns.event)
-        for col in required:
-            if col not in header:
-                raise SchemaError(f"column {echo(col)} not found in {path}")
-        rows, lines = [], []
-        for cells in reader:
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                raise SchemaError(
-                    f"{path}: line {reader.line_num} has {len(cells)} cells, the header has {len(header)}"
-                )
-            rows.append(cells)
-            lines.append(reader.line_num)
+        try:
+            header = next(reader, [])
+            labels = [name for name in (columns.duration, columns.event) if name is not None]
+            for col in [*columns.numerical, *columns.categorical, *labels]:
+                if col not in header:
+                    raise SchemaError(f"column {echo(col)} not found in {path}")
+            rows, lines = [], []
+            for cells in reader:
+                if not cells:
+                    continue
+                if len(cells) != len(header):
+                    raise SchemaError(
+                        f"{path}: line {reader.line_num} has {len(cells)} cells, the header has {len(header)}"
+                    )
+                rows.append(cells)
+                lines.append(reader.line_num)
+        except csv.Error as err:
+            raise SchemaError(f"{path}: line {reader.line_num}: {err}") from None
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     cells = np.array(rows, dtype=object).reshape(len(rows), len(header))
@@ -228,12 +237,12 @@ def read_raw_csv(path, columns):
 
 
 def _read_column(table, errors, j, kind, name, valid=None):
-    """The values of a numerical column (``valid`` None: its kept parse) or of
-    a label column that ``valid`` tests. The earliest bad cell is appended to
-    ``errors`` as (line, column position ``j``, message); callers raise the
-    ``min`` of them, the earliest line's leftmost bad cell."""
+    """The values of a numerical column (``valid`` None) or of a label column
+    that ``valid`` tests, from the table's kept parse. The earliest bad cell
+    is appended to ``errors`` as (line, column position ``j``, message);
+    callers raise the ``min`` of them, the earliest line's leftmost bad cell."""
     cells, line = table.column(name), table.line
-    values, bad = table.numbers(name) if valid is None else parse_floats(cells, line, valid, missing=False)
+    values, bad = table.numbers(name) if valid is None else table.numbers(name, valid, missing=False)
     if bad is not None:
         v = values[bad]
         problem = ("non-numeric or non-finite" if not np.isfinite(v) else
@@ -245,11 +254,27 @@ def _read_column(table, errors, j, kind, name, valid=None):
     return values
 
 
+def _read_labels(table, columns, errors, j):
+    """The duration and event columns that ``columns`` names, judged by
+    ``_read_column`` as column positions ``j`` and ``j + 1``; zeros when it
+    names none."""
+    if (columns.duration, columns.event) == (None, None):
+        return np.zeros(len(table)), np.zeros(len(table))
+    for name in (columns.duration, columns.event):
+        if name not in table.header:
+            raise SchemaError(f"missing label column {echo(name)}")
+    t = _read_column(table, errors, j, "duration", columns.duration, lambda v: np.isfinite(v) & (v >= 0))
+    # labels from 2**53 on are no longer exact integers, nor safe to cast
+    e = _read_column(table, errors, j + 1, "event", columns.event,
+                     lambda v: (v >= 0) & (v == np.floor(v)) & (v < 2.0**53))
+    return t, e
+
+
 def fit_schema(table, columns):
     """Fit imputation and encoding statistics on the given (training) rows.
 
-    Labels are left to ``transform_rows``. A bad numerical cell raises the
-    ``SchemaError`` that ``transform_rows`` gives for it.
+    A bad numerical or label cell raises the ``SchemaError`` that
+    ``transform_rows`` gives for it, so the earliest line's is named.
     """
     cats = []
     for name in columns.categorical:
@@ -264,6 +289,7 @@ def fit_schema(table, columns):
         cats.append(CategoricalField(name, {v: i for i, v in enumerate(values)}, mode))
     errors = []
     parsed = [_read_column(table, errors, j, "numerical", name) for j, name in enumerate(columns.numerical)]
+    _read_labels(table, columns, errors, len(columns.numerical))
     if errors:
         raise SchemaError(min(errors)[2])
     nums = []
@@ -292,17 +318,8 @@ def transform_rows(schema, table, columns):
     for j, f in enumerate(schema.numerical):
         values = _read_column(table, errors, j, "numerical", f.name)
         num[:, j] = (np.where(np.isnan(values), f.mean, values) - f.mean) / f.std
+    t, e = _read_labels(table, columns, errors, schema.d_n)
     table._numbers.clear()
-    t, e = np.zeros(n), np.zeros(n)
-    if (columns.duration, columns.event) != (None, None):
-        for name in (columns.duration, columns.event):
-            if name not in table.header:
-                raise SchemaError(f"missing label column {echo(name)}")
-        t = _read_column(table, errors, schema.d_n, "duration", columns.duration,
-                         lambda v: np.isfinite(v) & (v >= 0))
-        # labels from 2**53 on are no longer exact integers, nor safe to cast
-        e = _read_column(table, errors, schema.d_n + 1, "event", columns.event,
-                         lambda v: (v >= 0) & (v == np.floor(v)) & (v < 2.0**53))
     if errors:
         raise SchemaError(min(errors)[2])
     return Records(cat, num, t, e.astype(np.intp), table.line)
@@ -358,10 +375,9 @@ def build_time_grid(durations, m, scheme="quantile"):
     if lo == hi:
         raise ValueError("all durations identical; the grid would be degenerate")
     if scheme == "uniform":
-        cuts = np.linspace(0.0, hi, m + 1)[1:]
+        cuts = allocate("the time_bins grid", (m,), lambda: np.linspace(0.0, hi, m + 1)[1:])
     elif scheme == "quantile":
-        qs = np.arange(1, m + 1) / m
-        cuts = np.quantile(durations, qs)
+        cuts = np.quantile(durations, allocate("the time_bins grid", (m,), lambda: np.arange(1, m + 1) / m))
         cuts = np.unique(cuts)
         cuts = cuts[cuts > 0]
         if cuts.size < 1:

@@ -17,7 +17,11 @@ and a follow-up-time regression head (identity).
 The model's parameters are views of one flat buffer ``data``, their
 gradients views of one flat buffer ``grad``. They are not tape nodes: each
 block's backward writes its own parameters' gradients, so one sweep
-rewrites all of ``grad``. ``forward_batch`` checks its outputs once.
+rewrites all of ``grad``. ``SurvivalTransformer`` groups the parameter
+Tensors once, per block in the order its op takes them, so ``forward_batch``
+composes the ops without looking a parameter up by name; it checks its
+outputs once. ``encode`` and ``export_attention`` give a record's attention
+maps as the JSON-ready records that ``attention.json`` holds.
 
 ``judge`` checks every config setting and checkpoint entry against its rule.
 """
@@ -29,7 +33,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .data import CategoricalField, CovariateSchema, NumericalField, TimeGrid, echo
+from .data import CategoricalField, CovariateSchema, NumericalField, TimeGrid, allocate, echo
 
 CHECKPOINT_FORMAT = "survformer-checkpoint-v1"
 
@@ -120,16 +124,6 @@ class ModelConfig:
         check_settings(self)
         if self.embed_dim % self.heads:
             raise ValueError(f"heads ({echo(self.heads)}) must divide embed_dim ({echo(self.embed_dim)})")
-
-
-@dataclass
-class AttentionMap:
-    """Field-by-field attention weights for one record, labeled by schema."""
-
-    layer: int
-    head: int
-    labels: list
-    weights: np.ndarray
 
 
 @dataclass
@@ -305,7 +299,9 @@ def mlp_head(z, weights, biases, link=None, flat=False):
 class SurvivalTransformer:
     """The full network. ``params`` maps each parameter's name, in draw
     order, to its Tensor; the Tensors are views of the flat buffers ``data``
-    and ``grad``."""
+    and ``grad``. ``embedding``, ``encoder`` (per layer), ``projection`` and
+    ``heads`` (event hazards, then mp and ls) hold the same Tensors, grouped
+    as ``forward_batch`` hands them to the block ops."""
 
     def __init__(self, config, schema, grid, seed=0):
         if config.time_bins != grid.m:
@@ -321,31 +317,41 @@ class SurvivalTransformer:
             self._weight(f"embed.cat{i}", (f.cardinality + 1, de), rng)
         if schema.d_n:
             self._weight("embed.num", (schema.d_n, de), rng)
-        width = schema.d * de
         for layer in range(config.layers):
             for h in range(config.heads):
                 self._weight(f"enc{layer}.h{h}.wq", (de, dh), rng)
                 self._weight(f"enc{layer}.h{h}.wk", (de, dh), rng)
                 self._weight(f"enc{layer}.h{h}.wv", (de, dh), rng)
             self._weight(f"enc{layer}.wres", (de, de), rng)
-            dims = self._ffn_dims()
+            dims = [de] + [config.hidden_size] * (config.ffn_depth - 1) + [de]
             for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
                 self._weight(f"enc{layer}.ffn{i}", (a, b), rng)
-        self._weight("sr.w", (2 * width, config.hidden_size), rng)
+        self._weight("sr.w", (2 * schema.d * de, config.hidden_size), rng)
         for k in range(config.n_events):
             self._head_params(f"cs{k}", config.time_bins, rng)
         self._head_params("mp", 1, rng)
         self._head_params("ls", 1, rng)
         self.data, self.grad, tensors = ad.flat_parameters(list(self.params.values()))
         self.params = dict(zip(self.params, tensors))
+        # the Tensors in draw order, grouped per block as its op takes them
+        rest = iter(tensors)
 
-    def _ffn_dims(self):
-        de, hid, depth = self.config.embed_dim, self.config.hidden_size, self.config.ffn_depth
-        return [de] + [hid] * (depth - 1) + [de]
+        def take(n):
+            return [next(rest) for _ in range(n)]
+
+        self.embedding = (take(schema.d_c), next(rest) if schema.d_n else None)
+        self.encoder = []  # per layer: the heads' wq, wk and wv, wres, the FFN weights
+        for _ in range(config.layers):
+            qkv = take(3 * config.heads)
+            self.encoder.append((qkv[0::3], qkv[1::3], qkv[2::3], next(rest), take(config.ffn_depth)))
+        self.projection = next(rest)
+        # per head, the event hazard heads then mp and ls: (weights, biases)
+        heads = (take(2 * config.head_layers) for _ in range(config.n_events + 2))
+        self.heads = [(wb[0::2], wb[1::2]) for wb in heads]
 
     def _weight(self, name, shape, rng):
         bound = np.sqrt(6.0 / (shape[0] + shape[1]))
-        self.params[name] = rng.uniform(-bound, bound, size=shape)
+        self.params[name] = allocate(f"parameter {name}", shape, lambda: rng.uniform(-bound, bound, size=shape))
 
     def _head_params(self, prefix, out_dim, rng):
         hid = self.config.hidden_size
@@ -356,19 +362,6 @@ class SurvivalTransformer:
 
     # --- batched forward (training path) ----------------------------------
 
-    def _encoder_layer(self, layer, x, D):
-        """One attention-plus-FFN step over (B·D, d_e) field embeddings."""
-        p = self.params
-        heads = range(self.config.heads)
-        wq, wk, wv = ([p[f"enc{layer}.h{h}.{w}"] for h in heads] for w in ("wq", "wk", "wv"))
-        ffn = [p[f"enc{layer}.ffn{i}"] for i in range(len(self._ffn_dims()) - 1)]
-        return encoder_layer(x, D, wq, wk, wv, p[f"enc{layer}.wres"], ffn)
-
-    def _head(self, prefix, t_sr, link=None, flat=False):
-        n = range(self.config.head_layers)
-        return mlp_head(t_sr, [self.params[f"{prefix}.w{i}"] for i in n],
-                        [self.params[f"{prefix}.b{i}"] for i in n], link, flat)
-
     def forward_batch(self, cat_idx, num_vals):
         """The network on a batch, as tape ops. Raises ValueError naming the
         first output, in hazard, any-event, follow-up-time and attention
@@ -377,17 +370,17 @@ class SurvivalTransformer:
         num_vals = np.asarray(num_vals, dtype=np.float64)
         # an overflow anywhere reaches an output, where the check below names it
         with np.errstate(all="ignore"):
-            tables = [self.params[f"embed.cat{i}"] for i in range(self.schema.d_c)]
-            t0 = embed_fields(tables, self.params.get("embed.num"), cat_idx, num_vals)
+            t0 = embed_fields(*self.embedding, cat_idx, num_vals)
             x = t0
             attention = []
-            for layer in range(self.config.layers):
-                x, alpha = self._encoder_layer(layer, x, self.schema.d)
+            for layer in self.encoder:
+                x, alpha = encoder_layer(x, self.schema.d, *layer)
                 attention.append(alpha)
-            t_sr = shared_projection(x, t0, self.params["sr.w"])
-            hazards = [self._head(f"cs{k}", t_sr, "softplus") for k in range(self.config.n_events)]
-            mp = self._head("mp", t_sr, "logistic", flat=True)
-            ls = self._head("ls", t_sr, flat=True)
+            t_sr = shared_projection(x, t0, self.projection)
+            *events, mp, ls = self.heads
+            hazards = [mlp_head(t_sr, *head, "softplus") for head in events]
+            mp = mlp_head(t_sr, *mp, "logistic", flat=True)
+            ls = mlp_head(t_sr, *ls, flat=True)
         outputs = [(f"event-{k + 1} hazards", h.data) for k, h in enumerate(hazards)]
         outputs += [("any-event probability", mp.data), ("follow-up time", ls.data)]
         outputs += [(f"layer-{layer} attention", alpha) for layer, alpha in enumerate(attention)]
@@ -427,17 +420,15 @@ class SurvivalTransformer:
         return self.forward_batch(*self._row(cat, num)).raw.data
 
     def encode(self, cat, num):
-        """Flattened encoder output plus labeled attention maps."""
+        """Flattened encoder output and the record's attention maps, in layer
+        then head order, each the JSON-ready record ``{"layer", "head",
+        "labels", "weights"}`` that ``attention.json`` holds: ``weights`` is
+        the (D, D) field-by-field matrix as lists, ``labels`` the schema's
+        field names."""
         fp = self.forward_batch(*self._row(cat, num))
-        return fp.encoded.data.reshape(-1), self._maps_for(fp, 0)
-
-    def _maps_for(self, fp, idx):
-        labels = self.schema.field_names
-        out = []
-        for layer, alpha in enumerate(fp.attention):
-            for h in range(alpha.shape[1]):
-                out.append(AttentionMap(layer, h, labels, alpha[idx, h].copy()))
-        return out
+        maps = [{"layer": layer, "head": h, "labels": self.schema.field_names, "weights": alpha[0, h].tolist()}
+                for layer, alpha in enumerate(fp.attention) for h in range(alpha.shape[1])]
+        return fp.encoded.data.reshape(-1), maps
 
     def predict_outputs(self, cat, num):
         """Forward (n, d_c) indices and (n, d_n) values in chunks of
@@ -460,21 +451,8 @@ class SurvivalTransformer:
         return self.predict_outputs(cat, num)[0]
 
     def export_attention(self, cat, num):
-        """Labeled attention maps for one record, layer then head order."""
-        return self._maps_for(self.forward_batch(*self._row(cat, num)), 0)
-
-
-def attention_payload(maps):
-    """JSON-ready structure for a list of attention maps."""
-    return [
-        {
-            "layer": m.layer,
-            "head": m.head,
-            "labels": list(m.labels),
-            "weights": m.weights.tolist(),
-        }
-        for m in maps
-    ]
+        """The attention maps of ``encode`` for one record."""
+        return self.encode(cat, num)[1]
 
 
 def save_checkpoint(path, model, extra=None):

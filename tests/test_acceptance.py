@@ -202,7 +202,7 @@ def test_criterion_5_curve_and_attention_invariants():
         maps = model.export_attention(cat, rng.standard_normal(2))
         assert len(maps) == 4  # 2 layers x 2 heads
         for m in maps:
-            np.testing.assert_allclose(m.weights.sum(axis=1), 1.0, atol=1e-6)
+            np.testing.assert_allclose(np.sum(m["weights"], axis=1), 1.0, atol=1e-6)
     report(5, "survival and attention invariants", True,
            "[1000 hazard vectors, 100 records]")
 

@@ -384,6 +384,33 @@ class TestPipeline:
         assert f"{empty}: no data rows" in one_error_line(capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, flags", [
+        ("train", []), ("eval", []), ("predict", ["--times", "1"]), ("attention", []),
+    ])
+    def test_cell_over_the_csv_field_limit_is_one_error_line(self, trained, capsys, command, flags):
+        tmp_path, data, ckpt = trained
+        rewrite_row(data, 2, lambda row: ["1" * 200_000, *row[1:]])
+        capsys.readouterr()
+        checkpoint = tmp_path / "new.json" if command == "train" else ckpt
+        code = run([command, "--data", str(data), "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out"),
+                    *flags])
+        assert code == 1
+        line = one_error_line(capsys)
+        assert f"{data}: line 4: field larger than field limit" in line and len(line) < 300, line
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_rejects_censoring_survival_that_vanishes_before_an_event(self, trained, capsys):
+        tmp_path, data, ckpt = trained
+        payload = json.loads(ckpt.read_text())
+        censoring = payload["extra"]["censoring"]
+        censoring["values"] = [0.0] * len(censoring["times"])
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run(["eval", "--data", str(data), "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "censoring survival vanished before an event time" in one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_predict_rejects_checkpoint_without_columns(self, trained, capsys):
         tmp_path, data, ckpt = trained
         payload = json.loads(ckpt.read_text())
@@ -595,6 +622,35 @@ class TestBadArguments:
         assert named in one_error_line(capsys)
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"hidden_size": 2**44}, f"parameter enc0.ffn0 of shape (8, {2**44})"),
+        ({"embed_dim": 10**21}, f"parameter embed.num of shape (3, {10**21})"),
+        ({"time_bins": 10**21}, f"the time_bins grid of shape ({10**21},)"),
+        ({"time_bins": 10**21, "grid_scheme": "uniform"}, f"the time_bins grid of shape ({10**21},)"),
+    ], ids=["hidden_size", "embed_dim", "time_bins", "time_bins-uniform"])
+    def test_setting_too_large_to_allocate_is_one_error_line_naming_it(self, tmp_path, data, capsys,
+                                                                        overrides, named):
+        # every first array needs more than 2**47 bytes, so none is allocated
+        capsys.readouterr()
+        assert self.train(tmp_path, data, **overrides) == 1
+        line = one_error_line(capsys)
+        assert f"error: cannot allocate {named}" == line and len(line) < 300, line
+        assert not (tmp_path / "m.json").exists()
+
+    def test_memory_error_is_one_error_line(self, tmp_path, data, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 2.00 PiB for an array")
+
+        monkeypatch.setattr(T, "train", exhausted)
+        capsys.readouterr()
+        assert self.train(tmp_path, data) == 1
+        assert one_error_line(capsys) == "error: Unable to allocate 2.00 PiB for an array"
+
+    def test_covariate_declared_twice_is_one_error_line(self, tmp_path, data, capsys):
+        capsys.readouterr()
+        assert self.train(tmp_path, data, "--numerical", "x1", "--categorical", "x1") == 1
+        assert one_error_line(capsys) == "error: covariate field names must be unique"
+
     def test_negative_seed_flag_is_one_error_line(self, tmp_path, data, capsys):
         capsys.readouterr()
         assert self.train(tmp_path, data, "--seed=-1") == 1
@@ -768,6 +824,35 @@ class TestCorruptInput:
             assert code == 1
             line = one_error_line(capsys)
             assert re.search(rf"\bline {early + 2}\b", line) and "numerical column 'x3'" in line, line
+
+    def test_train_names_an_earlier_bad_label_before_a_later_bad_covariate(self, tmp_path, capsys):
+        data, args = synth_args(tmp_path)
+        assert run(args) == 0
+        fold = D.split(list(range(150)), (0.6, 0.1, 0.3), 0)[0]
+        early, late = min(fold), max(fold)
+        rewrite_row(data, early, lambda row: [*row[:-1], "1.5"])
+        rewrite_row(data, late, lambda row: ["nan", *row[1:]])
+        capsys.readouterr()
+        code = run(["train", "--data", str(data), "--config", str(tiny_config(tmp_path)),
+                    "--seed", "0", "--checkpoint", str(tmp_path / "m.json")])
+        assert code == 1
+        line = one_error_line(capsys)
+        assert f"line {early + 2}: non-integral value '1.5' in event column 'event'" in line, line
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--numerical", "x1,x3", "--categorical", "x2"], "numerical column 'x1'"),
+        (["--numerical", "x3", "--categorical", "x1,x2"], "categorical column 'x1'"),
+    ], ids=["numerical", "categorical"])
+    def test_column_with_no_observed_training_value_is_one_error_line(self, tmp_path, capsys, flags, named):
+        data, args = synth_args(tmp_path)
+        assert run(args) == 0
+        for index in D.split(list(range(150)), (0.6, 0.1, 0.3), 5)[0]:  # tiny_config's seed
+            rewrite_row(data, index, lambda row: ["", *row[1:]])
+        capsys.readouterr()
+        code = run(["train", "--data", str(data), "--config", str(tiny_config(tmp_path)), *flags,
+                    "--checkpoint", str(tmp_path / "m.json")])
+        assert code == 1
+        assert one_error_line(capsys) == f"error: {named} has no observed values"
 
     @pytest.mark.parametrize("width", [2, 6], ids=["short", "long"])
     def test_train_rejects_row_with_wrong_cell_count(self, tmp_path, capsys, width):

@@ -173,6 +173,16 @@ class TestCtd:
         value, _ = E.ctd(scores, durations, events, 3.0, 1, no_censoring_estimate())
         assert value == 0.5
 
+    def test_vanished_censoring_survival_before_an_event_is_rejected(self):
+        est = E.CensoringEstimate(np.array([1.0]), np.array([0.0]))
+        durations = np.array([0.5, 2.0, 3.0])
+        events = np.array([1, 1, 0])
+        with pytest.raises(ValueError, match="censoring survival vanished before an event time"):
+            E.ctd(np.array([0.2, 0.4, 0.9]), durations, events, 2.5, 1, est)
+        # an event before the censoring time keeps its weight
+        value, pairs = E.ctd(np.array([0.2, 0.4, 0.9]), durations, events, 0.5, 1, est)
+        assert (value, pairs) == (1.0, 2)
+
     def test_hand_built_instance_with_censoring_matches_oracle(self):
         train_t = np.array([1.0, 2.0, 2.5, 4.0, 5.0])
         train_e = np.array([1, 0, 1, 0, 1])

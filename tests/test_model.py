@@ -24,7 +24,6 @@ from survformer.model import (
     SurvivalTransformer,
     _attend,
     _attend_back,
-    attention_payload,
     encoder_layer,
     load_checkpoint,
     mlp_head,
@@ -173,8 +172,9 @@ class TestAttention:
             rec = record(cat=(rng.integers(0, 3), rng.integers(0, 4)),
                          num=tuple(rng.standard_normal(2)))
             for m in model.export_attention(*rec):
-                np.testing.assert_allclose(m.weights.sum(axis=1), 1.0, atol=1e-6)
-                assert np.all(m.weights >= 0) and np.all(m.weights <= 1)
+                weights = np.asarray(m["weights"])
+                np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-6)
+                assert np.all(weights >= 0) and np.all(weights <= 1)
 
 
 class TestMultiHeadAttentionOp:
@@ -507,18 +507,19 @@ class TestExportAttention:
         model.params["enc0.h0.wk"].data[:] = 0.0
         maps = model.export_attention(*record())
         assert len(maps) == 1
-        np.testing.assert_allclose(maps[0].weights, 0.25, atol=1e-15)
+        np.testing.assert_allclose(maps[0]["weights"], 0.25, atol=1e-15)
 
     def test_labels_follow_schema_field_order(self):
         model = make_model()
         maps = model.export_attention(*record())
-        assert maps[0].labels == ["treat", "stage", "age", "marker"]
-        assert [(m.layer, m.head) for m in maps] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert maps[0]["labels"] == ["treat", "stage", "age", "marker"]
+        assert [(m["layer"], m["head"]) for m in maps] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_payload_is_json_ready(self):
         model = make_model()
-        payload = attention_payload(model.export_attention(*record()))
-        text = json.dumps(payload)
+        maps = model.export_attention(*record())
+        assert [sorted(m) for m in maps] == [["head", "labels", "layer", "weights"]] * 4
+        text = json.dumps(maps)
         assert "treat" in text
 
 

@@ -102,6 +102,24 @@ class TestTrain:
         )
         assert float(total.data) == pytest.approx(best.validation_loss, rel=1e-12)
 
+    def test_patience_stops_training_and_restores_the_best_epoch(self, monkeypatch):
+        train, val, _, schema = tiny_dataset(n=120, seed=3)
+        config = tiny_config(max_epochs=10, patience=3, seed=3)
+        scripted = [3.0, 2.0, 2.5, 2.6, 2.7, 1.0]  # rises for ``patience`` epochs after epoch 1
+        snapshots = []
+
+        def validation_loss(model, grid, records, pi, schedule, epoch):
+            snapshots.append(model.data.copy())  # the parameters after ``epoch``
+            return ad.Tensor(scripted[epoch]), None
+
+        monkeypatch.setattr(T, "_validation_loss", validation_loss)
+        model, history, _ = T.train(config, train, val, schema, build_grid(train, config))
+        assert [e.epoch for e in history.epochs] == [0, 1, 2, 3, 4]
+        assert [e.validation_loss for e in history.epochs] == scripted[:5]
+        assert history.best_epoch == 1
+        np.testing.assert_array_equal(model.data, snapshots[1])
+        assert not np.array_equal(model.data, snapshots[-1])
+
     def test_best_epoch_validation_loss_is_minimal(self):
         train, val, _, schema = tiny_dataset(n=120, seed=5)
         config = tiny_config(max_epochs=6, seed=5)

@@ -1,0 +1,106 @@
+"""Check that two source trees of survformer write byte-identical outputs.
+
+    python tools/compare_outputs.py OTHER_SRC --seeds 11 1 2 3
+    python tools/compare_outputs.py ../parent/src --workloads fit-2k --set layers=0
+
+For each perfbench workload and seed, the workload's CSV is drawn by
+``perfbench/workloads.py`` (``--n`` shrinks it) and the CLI runs ``train``,
+``eval`` on the test fold and on ``--fold all``, ``predict`` and
+``attention`` on it, once with this checkout's ``src`` and once with
+``OTHER_SRC``, each in its own directory. ``--set key=value`` overrides one
+training setting of the workload's config (the value is JSON). One line per
+output file gives the workload, seed, file, both digests and whether they
+match. The exit status is 1 when any file differs or any command fails.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS, generate, write_csv  # noqa: E402
+
+OUTPUTS = ("model.json", "model.json.history.json", "metrics.json", "metrics_all.json", "curves.csv",
+           "attention.json")
+
+
+def commands(times):
+    """The CLI runs of one pipeline, in order, inside its directory."""
+    return [
+        ["train", "--data", "data.csv", "--config", "config.json", "--checkpoint", "model.json"],
+        ["eval", "--data", "data.csv", "--checkpoint", "model.json", "--out", "metrics.json"],
+        ["eval", "--data", "data.csv", "--checkpoint", "model.json", "--fold", "all", "--out", "metrics_all.json"],
+        ["predict", "--data", "data.csv", "--checkpoint", "model.json", "--times", ",".join(map(repr, times)),
+         "--out", "curves.csv"],
+        ["attention", "--data", "data.csv", "--checkpoint", "model.json", "--out", "attention.json"],
+    ]
+
+
+def run_pipeline(src, workdir, times):
+    """Run every command with ``src`` first on the import path; returns the
+    first failure's message, or None."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    for args in commands(times):
+        proc = subprocess.run([sys.executable, "-m", "survformer.cli", *args], cwd=workdir, env=env,
+                              capture_output=True, text=True)
+        if proc.returncode:
+            return f"{src}: {args[0]} exited {proc.returncode}: {proc.stderr.strip()[-300:]}"
+    return None
+
+
+def digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16] if path.is_file() else "absent"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other", type=Path, help="the other tree's src directory")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[11])
+    parser.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS), default=list(WORKLOADS))
+    parser.add_argument("--n", type=int, default=None, help="records per workload (default: its own)")
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="override one training setting; the value is JSON")
+    args = parser.parse_args(argv)
+    overrides = {}
+    for item in args.set:
+        key, _, value = item.partition("=")
+        overrides[key] = json.loads(value)
+    sides = {"this": ROOT / "src", "other": args.other.resolve()}
+    differ = False
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        for name in args.workloads:
+            workload = WORKLOADS[name]
+            if args.n is not None:
+                workload = dataclasses.replace(workload, n=args.n)
+            for seed in args.seeds:
+                header, rows, times = generate(workload, seed)
+                digests = {}
+                for side, src in sides.items():
+                    workdir = Path(tmp, name, str(seed), side)
+                    workdir.mkdir(parents=True)
+                    write_csv(workdir / "data.csv", header, rows)
+                    (workdir / "config.json").write_text(json.dumps({**workload.config, **overrides}))
+                    failure = run_pipeline(src, workdir, times)
+                    if failure:
+                        print(f"{name} seed {seed}: {failure}")
+                        differ = True
+                    digests[side] = [digest(workdir / out) for out in OUTPUTS]
+                for out, a, b in zip(OUTPUTS, digests["this"], digests["other"]):
+                    same = a == b and a != "absent"
+                    differ |= not same
+                    print(f"{name} seed {seed} {out}: {a} {b} {'same' if same else 'DIFFERENT'}")
+    print("outputs differ" if differ else "all outputs identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
