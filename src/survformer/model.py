@@ -466,7 +466,7 @@ def save_checkpoint(path, model, extra=None):
         "extra": extra or {},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))  # the same bytes as json.dump, from the C encoder
 
 
 def load_checkpoint(path):
