@@ -42,6 +42,10 @@ CHECKPOINT_FORMAT = "survformer-checkpoint-v1"
 # validation loss does not grow with the number of records.
 INFER_CHUNK = 256
 
+# Parameter arrays a network may have. Each is drawn, named and held in
+# Python, at about 1 kB and 20 µs apiece whatever its size.
+MAX_PARAMETERS = 100_000
+
 
 # A rule for a value read from a config or a checkpoint: a (phrase,
 # predicate) pair, pairs checked in order, or a dict of the rules for an
@@ -139,39 +143,38 @@ class ForwardPass:
     attention: list  # per layer: (B, H, D, D) weights
 
 
-def _attend(x, D, W):
-    """Forward of all heads' attention over (B·D, d_e) rows ``x``, with
-    ``W`` the stacked (H, d_e, d_h) query, key and value weights. Returns the
-    (B·D, H·d_h) head-concatenated output and the activations ``_attend_back``
-    needs, whose last is the (B, H, D, D) weight array."""
-    BD, de = x.shape
-    H, _, dh = W[0].shape
-    # every head's query, key and value from one (B·D, 3·H·d_h) matmul
-    qkv = x @ np.concatenate([w[h] for w in W for h in range(H)], axis=1)
-    q, k, v = qkv.reshape(BD // D, D, 3, H, dh).transpose(2, 0, 3, 1, 4)  # each (B, H, D, d_h)
-    xb = x.reshape(BD // D, 1, D, de)
+def _attend(x, D, H, w):
+    """Forward of all H heads' attention over (B·D, d_e) rows ``x``. ``w`` is
+    the fused (d_e, 3·H·d_h) weight, its columns every head's query weight,
+    then every key weight, then every value weight, so q, k and v are strided
+    views of the one product ``x @ w``. Returns the (B·D, H·d_h) head-concatenated
+    output and the arrays ``_attend_back`` needs, the last the (B, H, D, D) weights."""
+    BD = len(x)
+    q, k, v = (x @ w).reshape(BD // D, D, 3, H, -1).transpose(2, 0, 3, 1, 4)  # each (B, H, D, d_h)
     logits = np.matmul(q, np.swapaxes(k, -1, -2))
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     alpha = e / e.sum(axis=-1, keepdims=True)
     out = np.matmul(alpha, v).transpose(0, 2, 1, 3).reshape(BD, -1)
-    return out, (xb, q, k, v, alpha)
+    return out, (x, w, q, k, v, alpha)
 
 
-def _attend_back(g, W, saved):
-    """Vector-Jacobian product of ``_attend``: the (3H, d_e, d_h) weight
-    gradients in (wq, wk, wv) head order, and the (B·D, d_e) input gradient."""
-    xb, q, k, v, alpha = saved
-    B, _, D, de = xb.shape
-    g = g.reshape(B, D, W[0].shape[0], -1).transpose(0, 2, 1, 3)
+def _attend_back(g, saved):
+    """Vector-Jacobian product of ``_attend``, the transpose of its fused
+    product: the per-record q, k and v cotangents fill one (B·D, 3·H·d_h)
+    ``d_qkv`` in ``w``'s column order; returns the (d_e, 3·H·d_h) weight
+    gradient ``x.T @ d_qkv`` and the (B·D, d_e) input gradient ``d_qkv @ w.T``."""
+    x, w, q, k, v, alpha = saved
+    B, H, D, _ = alpha.shape
+    g = g.reshape(B, D, H, -1).transpose(0, 2, 1, 3)
     d_alpha = np.matmul(g, np.swapaxes(v, -1, -2))
     d_logits = alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True))
-    dq = np.matmul(d_logits, k)
-    dk = np.matmul(np.swapaxes(d_logits, -1, -2), q)
-    dv = np.matmul(np.swapaxes(alpha, -1, -2), g)
-    xt = np.swapaxes(xb, -1, -2)
-    d_w = np.concatenate([np.matmul(xt, d).sum(axis=0) for d in (dq, dk, dv)])
-    dx = sum(np.matmul(d, np.swapaxes(w, -1, -2)) for d, w in zip((dq, dk, dv), W))
-    return d_w, dx.sum(axis=1).reshape(B * D, de)
+    d_qkv = np.empty((B, D, 3, H, q.shape[-1]))
+    dq, dk, dv = d_qkv.transpose(2, 0, 3, 1, 4)  # views in q, k and v's layout
+    np.matmul(d_logits, k, out=dq)
+    np.matmul(np.swapaxes(d_logits, -1, -2), q, out=dk)
+    np.matmul(np.swapaxes(alpha, -1, -2), g, out=dv)
+    d_qkv = d_qkv.reshape(len(x), -1)
+    return x.T @ d_qkv, d_qkv @ w.T
 
 
 def embed_fields(tables, weight, cat, num):
@@ -212,9 +215,9 @@ def encoder_layer(x, D, wq, wk, wv, wres, ffn):
     weights.
     """
     params = [*wq, *wk, *wv, wres, *ffn]
-    W = [np.stack([w.data for w in ws]) for ws in (wq, wk, wv)]  # (H, d_e, d_h)
+    w_qkv = np.concatenate([w.data for w in params[:3 * len(wq)]], axis=1)  # (d_e, 3·H·d_h)
     xd = x.data
-    mixed, saved = _attend(xd, D, W)
+    mixed, saved = _attend(xd, D, len(wq), w_qkv)
     s = mixed @ wres.data + xd
     inputs = [xd]  # the input of each FFN matmul; the later ones are SELU outputs
     pre = []  # the pre-activations of the inner SELUs
@@ -236,8 +239,8 @@ def encoder_layer(x, D, wq, wk, wv, wres, ffn):
                 gz = gz * ad.selu_slope(pre[i - 1])
         g_s = g_u * ad.selu_slope(s)
         d_wres = mixed.T @ g_s
-        d_w, dx_attn = _attend_back(g_s @ wres.data.T, W, saved)
-        for p, dp in zip(params, [*d_w, d_wres, *reversed(d_ffn)]):
+        d_w, dx_attn = _attend_back(g_s @ wres.data.T, saved)
+        for p, dp in zip(params, [*np.split(d_w, 3 * len(wq), axis=1), d_wres, *reversed(d_ffn)]):
             p.grad[...] = dp
         # FFN, residual, then attention: the order in which composing the
         # layer from one op per matmul and SELU sums them, so both give the
@@ -306,6 +309,13 @@ class SurvivalTransformer:
     def __init__(self, config, schema, grid, seed=0):
         if config.time_bins != grid.m:
             raise ValueError(f"config.time_bins={echo(config.time_bins)} but grid has m={grid.m}")
+        # the number of parameter arrays drawn below, judged before the first
+        # draw; ``allocate`` judges the size of each
+        c = config
+        if (schema.d_c + (schema.d_n > 0) + c.layers * (3 * c.heads + 1 + c.ffn_depth) + 1
+                + 2 * c.head_layers * (c.n_events + 2)) > MAX_PARAMETERS:
+            name = max(("layers", "heads", "ffn_depth", "head_layers", "n_events"), key=lambda n: getattr(c, n))
+            raise ValueError(f"{name}={echo(getattr(c, name))} asks for more than {MAX_PARAMETERS} parameter arrays")
         self.config = config
         self.schema = schema
         self.grid = grid

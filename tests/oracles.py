@@ -98,6 +98,44 @@ def naive_attention(embeddings, wq, wk, wv):
     return outputs, alphas
 
 
+def naive_attention_vjp(embeddings, heads, g):
+    """The vector-Jacobian product of one record's multi-head attention by
+    explicit loops over heads and field pairs.
+
+    ``heads`` lists one (wq, wk, wv) triple per head; ``g`` is the (D, H·d_h)
+    cotangent of the head-concatenated output. Returns the per-head (dwq,
+    dwk, dwv) triples and the (D, d_e) cotangent of ``embeddings``.
+    """
+    D = len(embeddings)
+    d_embeddings = np.zeros((D, len(embeddings[0])))
+    d_heads = []
+    for h, (wq, wk, wv) in enumerate(heads):
+        dh = wv.shape[1]
+        q = [t @ wq for t in embeddings]
+        k = [t @ wk for t in embeddings]
+        v = [t @ wv for t in embeddings]
+        _, alphas = naive_attention(embeddings, wq, wk, wv)
+        dq = [np.zeros(dh) for _ in range(D)]
+        dk = [np.zeros(dh) for _ in range(D)]
+        dv = [np.zeros(dh) for _ in range(D)]
+        for j in range(D):
+            g_j = g[j][h * dh:(h + 1) * dh]
+            d_alpha = [g_j @ v[l] for l in range(D)]
+            mean = sum(alphas[j, l] * d_alpha[l] for l in range(D))
+            for l in range(D):
+                d_psi = alphas[j, l] * (d_alpha[l] - mean)  # through the softmax
+                dq[j] += d_psi * k[l]
+                dk[l] += d_psi * q[j]
+                dv[l] += alphas[j, l] * g_j
+        d_w = []
+        for w, d in ((wq, dq), (wk, dk), (wv, dv)):
+            d_w.append(sum(np.outer(embeddings[j], d[j]) for j in range(D)))
+            for j in range(D):
+                d_embeddings[j] += w @ d[j]
+        d_heads.append(tuple(d_w))
+    return d_heads, d_embeddings
+
+
 def naive_encoder_layer(rows, heads, wres, ffn):
     """One encoder layer on one record's field rows by explicit loops.
 

@@ -10,7 +10,7 @@ import pytest
 from survformer import data as D
 from survformer import training as T
 from survformer.cli import run
-from survformer.model import INFER_CHUNK, load_checkpoint
+from survformer.model import INFER_CHUNK, MAX_PARAMETERS, load_checkpoint
 
 
 def read_bytes(path):
@@ -635,6 +635,16 @@ class TestBadArguments:
         assert self.train(tmp_path, data, **overrides) == 1
         line = one_error_line(capsys)
         assert f"error: cannot allocate {named}" == line and len(line) < 300, line
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("setting, value", [("ffn_depth", 10**21), ("head_layers", 10**21), ("layers", 10**9)])
+    def test_setting_asking_for_too_many_parameter_arrays_is_one_error_line_naming_it(self, tmp_path, data, capsys,
+                                                                                      setting, value):
+        # every array of the ``layers`` case is small: only its count stops the draws
+        capsys.readouterr()
+        assert self.train(tmp_path, data, **{setting: value}) == 1
+        line = one_error_line(capsys)
+        assert line == f"error: {setting}={value} asks for more than {MAX_PARAMETERS} parameter arrays", line
         assert not (tmp_path / "m.json").exists()
 
     def test_memory_error_is_one_error_line(self, tmp_path, data, capsys, monkeypatch):

@@ -18,6 +18,7 @@ from survformer.data import (
     NumericalField,
     TimeGrid,
 )
+from survformer import model as M
 from survformer.model import (
     INFER_CHUNK,
     ModelConfig,
@@ -34,6 +35,7 @@ from oracles import (
     assert_grads_match,
     fd_gradients,
     naive_attention,
+    naive_attention_vjp,
     naive_encode,
     naive_encoder_layer,
     probe,
@@ -101,15 +103,15 @@ def layer_weights(model, layer=0):
     return [[model.params[f"enc{layer}.h{h}.{w}"] for h in heads] for w in ("wq", "wk", "wv")]
 
 
-def stack_heads(wq, wk, wv):
-    """The per-head weight Tensors as ``_attend``'s three (H, d_e, d_h) arrays."""
-    return [np.stack([w.data for w in ws]) for ws in (wq, wk, wv)]
+def fuse_heads(wq, wk, wv):
+    """The per-head weight Tensors as ``_attend``'s fused (d_e, 3·H·d_h) weight."""
+    return np.concatenate([w.data for ws in (wq, wk, wv) for w in ws], axis=1)
 
 
 def attention(x, D, wq, wk, wv):
     """``_attend`` on (B·D, d_e) rows ``x`` with per-head weight Tensors: the
     (B·D, H·d_h) output and the (B, H, D, D) weights."""
-    out, saved = _attend(x, D, stack_heads(wq, wk, wv))
+    out, saved = _attend(x, D, len(wq), fuse_heads(wq, wk, wv))
     return out, saved[-1]
 
 
@@ -202,17 +204,37 @@ class TestMultiHeadAttentionOp:
                 out[b * D:(b + 1) * D], np.concatenate(outs, axis=1), rtol=1e-12, atol=1e-12
             )
 
+    @given(st.integers(1, 5), st.integers(1, 5), st.sampled_from([1, 2, 4]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_backward_matches_per_record_naive_loops(self, B, D, H, seed):
+        rng = np.random.default_rng(seed)
+        de = 8
+        x = rng.standard_normal((B * D, de))
+        wq, wk, wv = random_heads(rng, H, de=de, dh=de // H)
+        g = rng.standard_normal((B * D, de))
+        d_w, dx = _attend_back(g, _attend(x, D, H, fuse_heads(wq, wk, wv))[1])
+        assert d_w.shape == (de, 3 * de) and dx.shape == (B * D, de)
+        want = np.zeros((3 * H, de, de // H))  # per-record weight gradients summed over records
+        heads = [(q.data, k.data, v.data) for q, k, v in zip(wq, wk, wv)]
+        for b in range(B):
+            rows = slice(b * D, (b + 1) * D)
+            d_heads, d_rows = naive_attention_vjp(list(x[rows]), heads, g[rows])
+            want += np.stack([d for triple in zip(*d_heads) for d in triple])  # q heads, k heads, v heads
+            np.testing.assert_allclose(dx[rows], d_rows, rtol=1e-12, atol=1e-12)
+        for got, expected in zip(np.split(d_w, 3 * H, axis=1), want):
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(31)
         B, D, H = 2, 3, 2
         x = ad.Tensor(rng.standard_normal((B * D, 4)))
         wq, wk, wv = random_heads(rng, H)
         c = rng.standard_normal((B * D, 2 * H))
-        W = stack_heads(wq, wk, wv)
-        d_w, dx = _attend_back(c, W, _attend(x.data, D, W)[1])
+        d_w, dx = _attend_back(c, _attend(x.data, D, H, fuse_heads(wq, wk, wv))[1])
         params = [x, *wq, *wk, *wv]
         fd = fd_gradients(lambda: float((attention(x.data, D, wq, wk, wv)[0] * c).sum()), params)
-        assert_grads_match([dx, *d_w], fd)
+        assert_grads_match([dx, *np.split(d_w, 3 * H, axis=1)], fd)
 
     def test_maps_rows_lie_on_simplex(self):
         rng = np.random.default_rng(1)
@@ -592,6 +614,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="time_bins"):
             SurvivalTransformer(cfg, small_schema(), small_grid(), seed=0)
 
+
+    @pytest.mark.parametrize("overrides, schema", [
+        ({}, small_schema()),
+        ({"layers": 0, "ffn_depth": 5}, small_schema()),
+        ({"layers": 3, "heads": 4, "ffn_depth": 1, "head_layers": 3, "n_events": 3},
+         CovariateSchema([], [NumericalField("only")])),
+        ({"layers": 1}, CovariateSchema([CategoricalField("c", {"a": 0}, "a")], [])),
+    ], ids=["default", "no-layers", "numerical-only", "categorical-only"])
+    def test_parameter_array_count_is_judged_exactly_before_drawing(self, monkeypatch, overrides, schema):
+        config = ModelConfig(**{"embed_dim": 8, "heads": 2, "time_bins": 5, **overrides})
+        model = SurvivalTransformer(config, schema, small_grid())
+        monkeypatch.setattr(M, "MAX_PARAMETERS", len(model.params))
+        SurvivalTransformer(config, schema, small_grid())
+        monkeypatch.setattr(M, "MAX_PARAMETERS", len(model.params) - 1)
+        with pytest.raises(ValueError, match=f"asks for more than {len(model.params) - 1} parameter arrays"):
+            SurvivalTransformer(config, schema, small_grid())
 
 def test_forward_rejects_a_nonfinite_output():
     """Each forward checks its outputs once, so an infinite covariate is

@@ -10,10 +10,15 @@ For each perfbench workload and seed, the workload's CSV is drawn by
 ``OTHER_SRC``, each in its own directory. ``--set key=value`` overrides one
 training setting of the workload's config (the value is JSON). One line per
 output file gives the workload, seed, file, both digests and whether they
-match. The exit status is 1 when any file differs or any command fails.
+match. A file that differs gets a second line with the size of the change:
+the largest absolute difference over its numbers (a JSON file's numbers in
+document order, a CSV file's numeric cells), or that the two files differ in
+structure (anything but those numbers, or how many there are). The exit
+status is 1 when any file differs or any command fails.
 """
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -26,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import numpy as np  # noqa: E402
 from workloads import WORKLOADS, generate, write_csv  # noqa: E402
 
 OUTPUTS = ("model.json", "model.json.history.json", "metrics.json", "metrics_all.json", "curves.csv",
@@ -59,6 +65,49 @@ def run_pipeline(src, workdir, times):
 
 def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16] if path.is_file() else "absent"
+
+
+def split_numbers(node, values):
+    """``node``, a parsed JSON value, with every number replaced by the type
+    ``float`` and appended to ``values``, in document order; an object
+    becomes the tuple of its (key, value) pairs, so its key order counts."""
+    if isinstance(node, dict):
+        return tuple((key, split_numbers(value, values)) for key, value in node.items())
+    if isinstance(node, list):
+        return [split_numbers(value, values) for value in node]
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        values.append(float(node))
+        return float
+    return node
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def numbers(path):
+    """The numbers of an output file and the rest of it: a JSON file's
+    numbers, or a CSV file's cells that ``float()`` reads, in order, and the
+    file with each of them replaced by the type ``float``."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        parsed = [list(map(_number, row)) for row in csv.reader(fh)] if path.suffix == ".csv" else json.load(fh)
+    values = []
+    return values, split_numbers(parsed, values)
+
+
+def difference(a, b):
+    """How far output file ``b`` lies from ``a``: the largest absolute
+    difference over their numbers, or that their structure differs."""
+    (x, rest_a), (y, rest_b) = numbers(a), numbers(b)
+    if rest_a != rest_b:
+        return "structure differs"
+    x, y = np.array(x), np.array(y)
+    same = (x == y) | (np.isnan(x) & np.isnan(y))
+    gap = np.where(same, 0.0, np.nan_to_num(np.abs(x - y), nan=np.inf))
+    return f"largest |difference| {gap.max(initial=0.0):.3g} over {len(x)} numbers"
 
 
 def main(argv=None):
@@ -98,6 +147,9 @@ def main(argv=None):
                     same = a == b and a != "absent"
                     differ |= not same
                     print(f"{name} seed {seed} {out}: {a} {b} {'same' if same else 'DIFFERENT'}")
+                    if not same and "absent" not in (a, b):
+                        paths = [Path(tmp, name, str(seed), side, out) for side in sides]
+                        print(f"{name} seed {seed} {out}: {difference(*paths)}")
     print("outputs differ" if differ else "all outputs identical")
     return 1 if differ else 0
 
