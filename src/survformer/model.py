@@ -17,8 +17,9 @@ and a follow-up-time regression head (identity).
 The model's parameters are views of one flat buffer ``data``, their
 gradients views of one flat buffer ``grad``. They are not tape nodes: each
 block's backward writes its own parameters' gradients, so one sweep
-rewrites all of ``grad``. ``SurvivalTransformer`` groups the parameter
-Tensors once, per block in the order its op takes them, so ``forward_batch``
+rewrites all of ``grad``. One walk over the blocks in draw order names and
+shapes every parameter; it counts them before any is drawn, then hands each
+block its views in the order its op takes them, so ``forward_batch``
 composes the ops without looking a parameter up by name; it checks its
 outputs once. ``encode`` and ``export_attention`` give a record's attention
 maps as the JSON-ready records that ``attention.json`` holds.
@@ -29,6 +30,7 @@ maps as the JSON-ready records that ``attention.json`` holds.
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -204,20 +206,21 @@ def embed_fields(tables, weight, cat, num):
     return ad.node(out.reshape(-1, out.shape[2]), (), back)
 
 
-def encoder_layer(x, D, wq, wk, wv, wres, ffn):
+def encoder_layer(x, D, qkv, wres, ffn):
     """One encoder layer as one tape op over (B·D, d_e) field rows ``x``.
 
-    ``t_res = selu(attention(x) @ wres + x)``, the feed-forward stack ``z``
-    runs ``x`` through the ``ffn`` weights with SELU between them, and the
-    output is ``selu(z + t_res)``. Attention is ``_attend``'s: all heads at
-    once, with unscaled logits. Backward works from the saved
+    ``qkv`` holds the 3·H (d_e, d_h) query, key and value weights in the
+    fused weight's column order: every head's wq, then every wk, then every
+    wv. ``t_res = selu(attention(x) @ wres + x)``, the feed-forward stack
+    ``z`` runs ``x`` through the ``ffn`` weights with SELU between them, and
+    the output is ``selu(z + t_res)``. Attention is ``_attend``'s: all heads
+    at once, with unscaled logits. Backward works from the saved
     pre-activations. Returns the output Tensor and the (B, H, D, D) attention
     weights.
     """
-    params = [*wq, *wk, *wv, wres, *ffn]
-    w_qkv = np.concatenate([w.data for w in params[:3 * len(wq)]], axis=1)  # (d_e, 3·H·d_h)
+    params = [*qkv, wres, *ffn]
     xd = x.data
-    mixed, saved = _attend(xd, D, len(wq), w_qkv)
+    mixed, saved = _attend(xd, D, len(qkv) // 3, np.concatenate([w.data for w in qkv], axis=1))
     s = mixed @ wres.data + xd
     inputs = [xd]  # the input of each FFN matmul; the later ones are SELU outputs
     pre = []  # the pre-activations of the inner SELUs
@@ -240,7 +243,7 @@ def encoder_layer(x, D, wq, wk, wv, wres, ffn):
         g_s = g_u * ad.selu_slope(s)
         d_wres = mixed.T @ g_s
         d_w, dx_attn = _attend_back(g_s @ wres.data.T, saved)
-        for p, dp in zip(params, [*np.split(d_w, 3 * len(wq), axis=1), d_wres, *reversed(d_ffn)]):
+        for p, dp in zip(params, [*np.split(d_w, len(qkv), axis=1), d_wres, *reversed(d_ffn)]):
             p.grad[...] = dp
         # FFN, residual, then attention: the order in which composing the
         # layer from one op per matmul and SELU sums them, so both give the
@@ -304,71 +307,63 @@ class SurvivalTransformer:
     order, to its Tensor; the Tensors are views of the flat buffers ``data``
     and ``grad``. ``embedding``, ``encoder`` (per layer), ``projection`` and
     ``heads`` (event hazards, then mp and ls) hold the same Tensors, grouped
-    as ``forward_batch`` hands them to the block ops."""
+    as ``forward_batch`` hands them to the block ops. ``_walk`` runs twice:
+    to record and count the layout before the draws, then to group the views."""
 
     def __init__(self, config, schema, grid, seed=0):
         if config.time_bins != grid.m:
             raise ValueError(f"config.time_bins={echo(config.time_bins)} but grid has m={grid.m}")
-        # the number of parameter arrays drawn below, judged before the first
-        # draw; ``allocate`` judges the size of each
-        c = config
-        if (schema.d_c + (schema.d_n > 0) + c.layers * (3 * c.heads + 1 + c.ffn_depth) + 1
-                + 2 * c.head_layers * (c.n_events + 2)) > MAX_PARAMETERS:
-            name = max(("layers", "heads", "ffn_depth", "head_layers", "n_events"), key=lambda n: getattr(c, n))
-            raise ValueError(f"{name}={echo(getattr(c, name))} asks for more than {MAX_PARAMETERS} parameter arrays")
-        self.config = config
-        self.schema = schema
-        self.grid = grid
-        self.params = {}  # name -> initial array until the layout below
+        self.config, self.schema, self.grid = config, schema, grid
+        layout = []  # (name, shape, drawn) in draw order
+
+        def record(name, shape, drawn):
+            # the count is judged before the first draw; ``allocate`` judges each array's size
+            if len(layout) == MAX_PARAMETERS:
+                n = max(("layers", "heads", "ffn_depth", "head_layers", "n_events"), key=lambda n: getattr(config, n))
+                raise ValueError(f"{n}={echo(getattr(config, n))} asks for more than {MAX_PARAMETERS} parameter arrays")
+            layout.append((name, shape, drawn))
+
+        self._walk(record)
         rng = np.random.default_rng(seed)
-        de = config.embed_dim
-        dh = de // config.heads
-        for i, f in enumerate(schema.categorical):
-            self._weight(f"embed.cat{i}", (f.cardinality + 1, de), rng)
-        if schema.d_n:
-            self._weight("embed.num", (schema.d_n, de), rng)
-        for layer in range(config.layers):
-            for h in range(config.heads):
-                self._weight(f"enc{layer}.h{h}.wq", (de, dh), rng)
-                self._weight(f"enc{layer}.h{h}.wk", (de, dh), rng)
-                self._weight(f"enc{layer}.h{h}.wv", (de, dh), rng)
-            self._weight(f"enc{layer}.wres", (de, de), rng)
-            dims = [de] + [config.hidden_size] * (config.ffn_depth - 1) + [de]
-            for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-                self._weight(f"enc{layer}.ffn{i}", (a, b), rng)
-        self._weight("sr.w", (2 * schema.d * de, config.hidden_size), rng)
-        for k in range(config.n_events):
-            self._head_params(f"cs{k}", config.time_bins, rng)
-        self._head_params("mp", 1, rng)
-        self._head_params("ls", 1, rng)
-        self.data, self.grad, tensors = ad.flat_parameters(list(self.params.values()))
-        self.params = dict(zip(self.params, tensors))
-        # the Tensors in draw order, grouped per block as its op takes them
-        rest = iter(tensors)
+        arrays = []
+        for name, shape, drawn in layout:
+            bound = np.sqrt(6.0 / sum(shape))  # a drawn weight's shape is (fan_in, fan_out)
+            arrays.append(allocate(f"parameter {name}", shape,
+                                   lambda: rng.uniform(-bound, bound, size=shape) if drawn else np.zeros(shape)))
+        self.data, self.grad, tensors = ad.flat_parameters(arrays)
+        self.params = {name: t for (name, _, _), t in zip(layout, tensors)}
+        views = iter(tensors)
+        self.embedding, self.encoder, self.projection, self.heads = self._walk(lambda *_: next(views))
 
-        def take(n):
-            return [next(rest) for _ in range(n)]
-
-        self.embedding = (take(schema.d_c), next(rest) if schema.d_n else None)
-        self.encoder = []  # per layer: the heads' wq, wk and wv, wres, the FFN weights
-        for _ in range(config.layers):
-            qkv = take(3 * config.heads)
-            self.encoder.append((qkv[0::3], qkv[1::3], qkv[2::3], next(rest), take(config.ffn_depth)))
-        self.projection = next(rest)
-        # per head, the event hazard heads then mp and ls: (weights, biases)
-        heads = (take(2 * config.head_layers) for _ in range(config.n_events + 2))
-        self.heads = [(wb[0::2], wb[1::2]) for wb in heads]
-
-    def _weight(self, name, shape, rng):
-        bound = np.sqrt(6.0 / (shape[0] + shape[1]))
-        self.params[name] = allocate(f"parameter {name}", shape, lambda: rng.uniform(-bound, bound, size=shape))
-
-    def _head_params(self, prefix, out_dim, rng):
-        hid = self.config.hidden_size
-        dims = [hid] * self.config.head_layers + [out_dim]
-        for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-            self._weight(f"{prefix}.w{i}", (a, b), rng)
-            self.params[f"{prefix}.b{i}"] = np.zeros(b)
+    def _walk(self, visit):
+        """Call ``visit(name, shape, drawn)`` for every parameter in draw
+        order, ``drawn`` False for a zero bias; return the results grouped as
+        the block ops take them: the embedding's tables and numerical weight
+        (or None), per layer ``encoder_layer``'s qkv (in the fused weight's
+        column order), wres and ffn, the projection weight, and per task head
+        (event hazards, then mp and ls) its weights and biases."""
+        c, schema = self.config, self.schema
+        de, hid = c.embed_dim, c.hidden_size
+        tables = [visit(f"embed.cat{i}", (f.cardinality + 1, de), True) for i, f in enumerate(schema.categorical)]
+        embedding = (tables, visit("embed.num", (schema.d_n, de), True) if schema.d_n else None)
+        encoder = []
+        for layer in range(c.layers):
+            qkv = [visit(f"enc{layer}.h{h}.{w}", (de, de // c.heads), True)
+                   for h in range(c.heads) for w in ("wq", "wk", "wv")]
+            wres = visit(f"enc{layer}.wres", (de, de), True)
+            ffn = [visit(f"enc{layer}.ffn{i}", (hid if i else de, hid if i < c.ffn_depth - 1 else de), True)
+                   for i in range(c.ffn_depth)]
+            encoder.append((qkv[0::3] + qkv[1::3] + qkv[2::3], wres, ffn))
+        projection = visit("sr.w", (2 * schema.d * de, hid), True)
+        heads = []
+        for prefix, width in chain(((f"cs{k}", c.time_bins) for k in range(c.n_events)), [("mp", 1), ("ls", 1)]):
+            weights, biases = [], []
+            for i in range(c.head_layers):
+                b = width if i == c.head_layers - 1 else hid
+                weights.append(visit(f"{prefix}.w{i}", (hid, b), True))
+                biases.append(visit(f"{prefix}.b{i}", (b,), False))
+            heads.append((weights, biases))
+        return embedding, encoder, projection, heads
 
     # --- batched forward (training path) ----------------------------------
 

@@ -175,7 +175,7 @@ def _gradcheck_cases():
     def layer(D):
         wq, wk, wv = ([param(de, 2) for _ in range(2)] for _ in range(3))
         wres, ffn = param(de, de), [param(de, 3), param(3, de)]
-        return (lambda x: encoder_layer(x, D, wq, wk, wv, wres, ffn)[0]), [*wq, *wk, *wv, wres, *ffn]
+        return (lambda x: encoder_layer(x, D, [*wq, *wk, *wv], wres, ffn)[0]), [*wq, *wk, *wv, wres, *ffn]
 
     def case_embed_categorical():
         build, params = embedding(2, 0)

@@ -280,7 +280,7 @@ class TestEncoderLayerOp:
         de = 8
         x = rng.standard_normal((B * D, de))
         wq, wk, wv, wres, ffn = random_layer(rng, H, de, depth, hidden=6)
-        out, alpha = encoder_layer(ad.Tensor(x), D, wq, wk, wv, wres, ffn)
+        out, alpha = encoder_layer(ad.Tensor(x), D, [*wq, *wk, *wv], wres, ffn)
         assert out.data.shape == (B * D, de) and alpha.shape == (B, H, D, D)
         heads = [(q.data, k.data, v.data) for q, k, v in zip(wq, wk, wv)]
         for b in range(B):
@@ -300,7 +300,7 @@ class TestEncoderLayerOp:
         c = rng.standard_normal((B * D, de))
 
         def build():
-            return probe(encoder_layer(x, D, wq, wk, wv, wres, ffn)[0], weights=c)
+            return probe(encoder_layer(x, D, [*wq, *wk, *wv], wres, ffn)[0], weights=c)
 
         params = [x, *wq, *wk, *wv, wres, *ffn]
         ad.backward(build())
@@ -311,7 +311,7 @@ class TestEncoderLayerOp:
         rng = np.random.default_rng(6)
         x = ad.Tensor(rng.standard_normal((3 * 5, 8)))
         wq, wk, wv, wres, ffn = random_layer(rng, 2, 8, 2, hidden=4)
-        _, alpha = encoder_layer(x, 5, wq, wk, wv, wres, ffn)
+        _, alpha = encoder_layer(x, 5, [*wq, *wk, *wv], wres, ffn)
         assert np.array_equal(alpha, attention(x.data, 5, wq, wk, wv)[1])
 
 
