@@ -158,6 +158,45 @@ def naive_encoder_layer(rows, heads, wres, ffn):
     return np.stack(out), [alphas for _, alphas in attended]
 
 
+def naive_parameter_draw(config, schema, seed):
+    """The documented initial parameters, replayed: (name, array) pairs in
+    draw order.
+
+    One ``default_rng(seed)`` stream draws every weight, in the order below,
+    from the uniform on [-b, b) with b = sqrt(6/(fan_in + fan_out)); biases
+    are zero and draw nothing. A categorical table has one row per
+    vocabulary entry plus one for unseen values.
+    """
+    rng = np.random.default_rng(seed)
+    drawn = []
+
+    def weight(name, fan_in, fan_out):
+        bound = math.sqrt(6.0 / (fan_in + fan_out))
+        drawn.append((name, rng.uniform(-bound, bound, size=(fan_in, fan_out))))
+
+    de, hidden = config.embed_dim, config.hidden_size
+    for i, f in enumerate(schema.categorical):
+        weight(f"embed.cat{i}", len(f.vocabulary) + 1, de)
+    if schema.numerical:
+        weight("embed.num", len(schema.numerical), de)
+    for layer in range(config.layers):
+        for h in range(config.heads):
+            for w in ("wq", "wk", "wv"):
+                weight(f"enc{layer}.h{h}.{w}", de, de // config.heads)
+        weight(f"enc{layer}.wres", de, de)
+        dims = [de] + [hidden] * (config.ffn_depth - 1) + [de]
+        for i in range(config.ffn_depth):
+            weight(f"enc{layer}.ffn{i}", dims[i], dims[i + 1])
+    weight("sr.w", 2 * (len(schema.categorical) + len(schema.numerical)) * de, hidden)
+    heads = [(f"cs{k}", config.time_bins) for k in range(config.n_events)] + [("mp", 1), ("ls", 1)]
+    for prefix, width in heads:
+        dims = [hidden] * config.head_layers + [width]
+        for i in range(config.head_layers):
+            weight(f"{prefix}.w{i}", dims[i], dims[i + 1])
+            drawn.append((f"{prefix}.b{i}", np.zeros(dims[i + 1])))
+    return drawn
+
+
 class AdamReference:
     """Adam with bias correction and decoupled weight decay, one array and
     one pair of moments per parameter, in the textbook form."""

@@ -1,5 +1,6 @@
 """Hazard likelihood terms, debiased competing-events losses, auxiliaries."""
 
+import itertools
 import math
 import warnings
 
@@ -340,6 +341,30 @@ class TestTapeBuilders:
                     want += pch_oracle(hazards[i, k], grid.cuts, t[i], 0)
         want /= n * K
         assert float(got.data) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_tape_survival_averages_to_its_closed_form_over_drawn_events(self, K):
+        """Each record's event is drawn from its row of pi. Over all K**n
+        assignments, weighted by their probabilities, the shipped loss
+        averages to (1/(nK)) sum_i sum_k [event term + (1 - pi_ik) censored
+        term]: the IPS weight makes the event part unbiased, and a head owes
+        its censored part when its event is not the record's."""
+        grid = grid123()
+        rng = np.random.default_rng(30 + K)
+        n = 3
+        hazards = rng.uniform(0.2, 2.0, size=(n, K, 3))
+        t = rng.uniform(0.2, 3.5, size=n)
+        pi = rng.uniform(0.2, 1.0, size=(n, K))
+        pi /= pi.sum(axis=1, keepdims=True)
+        tensors = [ad.Tensor(hazards[:, k, :]) for k in range(K)]
+        mean = 0.0
+        for events in itertools.product(range(1, K + 1), repeat=n):
+            chance = math.prod(pi[i, e - 1] for i, e in enumerate(events))
+            mean += chance * float(L.competing_survival_loss(tensors, grid, t, np.array(events), propensities=pi).data)
+        closed = sum(pch_oracle(hazards[i, k], grid.cuts, t[i], 1)
+                     + (1.0 - pi[i, k]) * pch_oracle(hazards[i, k], grid.cuts, t[i], 0)
+                     for i in range(n) for k in range(K)) / (n * K)
+        assert mean == pytest.approx(closed, rel=1e-12)
 
     def test_tape_survival_inverts_propensities_below_any_floor(self):
         """The clipping floor is the propensity model's; the loss adds none."""

@@ -38,6 +38,7 @@ from oracles import (
     naive_attention_vjp,
     naive_encode,
     naive_encoder_layer,
+    naive_parameter_draw,
     probe,
     selu_ref,
 )
@@ -60,6 +61,17 @@ def make_model(seed=0, **overrides):
                head_layers=2, time_bins=5, n_events=2)
     cfg.update(overrides)
     return SurvivalTransformer(ModelConfig(**cfg), small_schema(), small_grid(), seed=seed)
+
+
+# config overrides and schemas that cover every block's presence and absence
+LAYOUTS = [
+    ({}, small_schema()),
+    ({"layers": 0, "ffn_depth": 5}, small_schema()),
+    ({"layers": 3, "heads": 4, "ffn_depth": 1, "head_layers": 3, "n_events": 3},
+     CovariateSchema([], [NumericalField("only")])),
+    ({"layers": 1}, CovariateSchema([CategoricalField("c", {"a": 0}, "a")], [])),
+]
+LAYOUT_IDS = ["default", "no-layers", "numerical-only", "categorical-only"]
 
 
 def record(cat=(1, 2), num=(0.3, -0.7)):
@@ -615,13 +627,7 @@ class TestConfigValidation:
             SurvivalTransformer(cfg, small_schema(), small_grid(), seed=0)
 
 
-    @pytest.mark.parametrize("overrides, schema", [
-        ({}, small_schema()),
-        ({"layers": 0, "ffn_depth": 5}, small_schema()),
-        ({"layers": 3, "heads": 4, "ffn_depth": 1, "head_layers": 3, "n_events": 3},
-         CovariateSchema([], [NumericalField("only")])),
-        ({"layers": 1}, CovariateSchema([CategoricalField("c", {"a": 0}, "a")], [])),
-    ], ids=["default", "no-layers", "numerical-only", "categorical-only"])
+    @pytest.mark.parametrize("overrides, schema", LAYOUTS, ids=LAYOUT_IDS)
     def test_parameter_array_count_is_judged_exactly_before_drawing(self, monkeypatch, overrides, schema):
         config = ModelConfig(**{"embed_dim": 8, "heads": 2, "time_bins": 5, **overrides})
         model = SurvivalTransformer(config, schema, small_grid())
@@ -630,6 +636,37 @@ class TestConfigValidation:
         monkeypatch.setattr(M, "MAX_PARAMETERS", len(model.params) - 1)
         with pytest.raises(ValueError, match=f"asks for more than {len(model.params) - 1} parameter arrays"):
             SurvivalTransformer(config, schema, small_grid())
+
+
+@pytest.mark.parametrize("overrides, schema", LAYOUTS, ids=LAYOUT_IDS)
+def test_parameters_follow_the_documented_draw_and_block_groups(overrides, schema):
+    """Names in draw order, shapes and values bit for bit against a replay
+    of the draw, and each block's group holding the parameters its op takes,
+    an encoder layer's query, key and value weights in the fused order."""
+    c = ModelConfig(**{"embed_dim": 8, "heads": 2, "time_bins": 5, **overrides})
+    model = SurvivalTransformer(c, schema, small_grid(), seed=23)
+    want = naive_parameter_draw(c, schema, seed=23)
+    assert list(model.params) == [name for name, _ in want]
+    for name, array in want:
+        got = model.params[name].data
+        assert got.shape == array.shape and np.array_equal(got, array), name
+
+    names = {id(t): name for name, t in model.params.items()}
+
+    def named(group):
+        if isinstance(group, ad.Tensor):
+            return names[id(group)]
+        return None if group is None else [named(g) for g in group]
+
+    heads = [f"cs{k}" for k in range(c.n_events)] + ["mp", "ls"]
+    assert named([model.embedding, model.encoder, model.projection, model.heads]) == [
+        [[f"embed.cat{i}" for i in range(schema.d_c)], "embed.num" if schema.d_n else None],
+        [[[f"enc{layer}.h{h}.{w}" for w in ("wq", "wk", "wv") for h in range(c.heads)], f"enc{layer}.wres",
+          [f"enc{layer}.ffn{i}" for i in range(c.ffn_depth)]] for layer in range(c.layers)],
+        "sr.w",
+        [[[f"{p}.{wb}{i}" for i in range(c.head_layers)] for wb in "wb"] for p in heads],
+    ]
+
 
 def test_forward_rejects_a_nonfinite_output():
     """Each forward checks its outputs once, so an infinite covariate is

@@ -170,7 +170,7 @@ class TestTrain:
         )
         return model, loss
 
-    def test_default_two_event_batch_is_at_most_65_tape_nodes(self):
+    def test_default_two_event_batch_is_exactly_12_tape_nodes(self):
         # exactly 12 with or without categorical fields: one op per network
         # block or loss, so no primitive op can creep back, and no parameter
         # (36 weight and bias tensors, one more per categorical table)
