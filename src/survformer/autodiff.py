@@ -10,7 +10,9 @@ is one network block or loss with a closed-form vector-Jacobian product,
 built on ``node``: the model's field embedding, encoder layers, shared
 projection and task heads, and the training losses and their annealed
 total. The elementwise array functions here (SELU and its slope, softplus,
-the logistic function) are what those ops compute with.
+the logistic function) are what those ops compute with; an op reads an
+activation's slope from the activation's output, which it keeps for its
+backward anyway.
 
 Parameters are not on the tape. ``flat_parameters`` makes each one a view
 of one flat data buffer and one flat gradient buffer, and the one op that
@@ -74,29 +76,28 @@ def flat_parameters(arrays):
 
 def selu_array(x):
     """Scaled exponential linear unit of an array, elementwise, as
-    λ·(max(x, 0) + α·expm1(min(x, 0))); one of the two terms is zero."""
+    λ·(max(x, 0) + α·expm1(min(x, 0))); one of the two terms is zero. The
+    result is written into ``x``."""
     neg = np.minimum(x, 0.0)
     np.expm1(neg, out=neg)
     neg *= SELU_ALPHA
-    out = np.maximum(x, 0.0)
+    out = np.maximum(x, 0.0, out=x)
     out += neg
     out *= SELU_LAMBDA
     return out
 
 
-def selu_slope(x):
-    """Derivative of ``selu_array`` at the pre-activation ``x``."""
-    out = np.minimum(x, 0.0)
-    np.exp(out, out=out)
-    out *= SELU_ALPHA
-    np.putmask(out, x > 0, 1.0)
-    out *= SELU_LAMBDA
+def selu_slope(y):
+    """Derivative of ``selu_array`` read from its output ``y``: λ where y > 0
+    (exactly where the pre-activation is), and λα·exp(x) = y + λα elsewhere."""
+    out = y + SELU_LAMBDA * SELU_ALPHA
+    np.putmask(out, y > 0, SELU_LAMBDA)
     return out
 
 
 def softplus_array(x):
     """log(1 + exp(x)) of an array with the overflow-safe split; strictly
-    positive. Its derivative is ``logistic``."""
+    positive. Its derivative, ``logistic``, is -expm1(-y) at the output y."""
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 

@@ -154,8 +154,14 @@ def _attend(x, D, H, w):
     BD = len(x)
     q, k, v = (x @ w).reshape(BD // D, D, 3, H, -1).transpose(2, 0, 3, 1, 4)  # each (B, H, D, d_h)
     logits = np.matmul(q, np.swapaxes(k, -1, -2))
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    alpha = e / e.sum(axis=-1, keepdims=True)
+    # the softmax in place; the row max from D - 1 maximums over the field
+    # slices, exact as max(axis=-1) is but far cheaper on rows this short
+    top = logits[..., :1].copy()
+    for j in range(1, D):
+        np.maximum(top, logits[..., j : j + 1], out=top)
+    logits -= top
+    alpha = np.exp(logits, out=logits)
+    alpha /= alpha.sum(axis=-1, keepdims=True)
     out = np.matmul(alpha, v).transpose(0, 2, 1, 3).reshape(BD, -1)
     return out, (x, w, q, k, v, alpha)
 
@@ -214,33 +220,31 @@ def encoder_layer(x, D, qkv, wres, ffn):
     wv. ``t_res = selu(attention(x) @ wres + x)``, the feed-forward stack
     ``z`` runs ``x`` through the ``ffn`` weights with SELU between them, and
     the output is ``selu(z + t_res)``. Attention is ``_attend``'s: all heads
-    at once, with unscaled logits. Backward works from the saved
-    pre-activations. Returns the output Tensor and the (B, H, D, D) attention
-    weights.
+    at once, with unscaled logits. Backward works from the saved SELU
+    outputs, which give each slope. Returns the output Tensor and the
+    (B, H, D, D) attention weights.
     """
     params = [*qkv, wres, *ffn]
     xd = x.data
     mixed, saved = _attend(xd, D, len(qkv) // 3, np.concatenate([w.data for w in qkv], axis=1))
-    s = mixed @ wres.data + xd
+    t_res = ad.selu_array(mixed @ wres.data + xd)
     inputs = [xd]  # the input of each FFN matmul; the later ones are SELU outputs
-    pre = []  # the pre-activations of the inner SELUs
-    z = xd
     for w in ffn[:-1]:
-        pre.append(z @ w.data)
-        z = ad.selu_array(pre[-1])
-        inputs.append(z)
-    u = z @ ffn[-1].data + ad.selu_array(s)
+        inputs.append(ad.selu_array(inputs[-1] @ w.data))
+    out = inputs[-1] @ ffn[-1].data
+    out += t_res
+    ad.selu_array(out)
 
     def back(g):
-        g_u = g * ad.selu_slope(u)
+        g_u = g * ad.selu_slope(out)
         d_ffn = []
         gz = g_u
         for i in range(len(ffn) - 1, -1, -1):
             d_ffn.append(inputs[i].T @ gz)
             gz = gz @ ffn[i].data.T
             if i:
-                gz = gz * ad.selu_slope(pre[i - 1])
-        g_s = g_u * ad.selu_slope(s)
+                gz = gz * ad.selu_slope(inputs[i])
+        g_s = g_u * ad.selu_slope(t_res)
         d_wres = mixed.T @ g_s
         d_w, dx_attn = _attend_back(g_s @ wres.data.T, saved)
         for p, dp in zip(params, [*np.split(d_w, len(qkv), axis=1), d_wres, *reversed(d_ffn)]):
@@ -250,7 +254,7 @@ def encoder_layer(x, D, qkv, wres, ffn):
         # same bits
         x._accumulate(gz + g_s + dx_attn)
 
-    return ad.node(ad.selu_array(u), (x,), back), saved[-1]
+    return ad.node(out, (x,), back), saved[-1]
 
 
 def shared_projection(encoded, raw, w):
@@ -262,16 +266,16 @@ def shared_projection(encoded, raw, w):
     """
     width = w.data.shape[0] // 2
     joined = np.concatenate([encoded.data.reshape(-1, width), raw.data.reshape(-1, width)], axis=1)
-    pre = joined @ w.data
+    out = ad.selu_array(joined @ w.data)
 
     def back(g):
-        g = g * ad.selu_slope(pre)
+        g = g * ad.selu_slope(out)
         w.grad[...] = joined.T @ g
         g = g @ w.data.T
         for t, part in ((encoded, g[:, :width]), (raw, g[:, width:])):
             t._accumulate(part.reshape(t.data.shape))
 
-    return ad.node(ad.selu_array(pre), (encoded, raw), back)
+    return ad.node(out, (encoded, raw), back)
 
 
 def mlp_head(z, weights, biases, link=None, flat=False):
@@ -288,7 +292,7 @@ def mlp_head(z, weights, biases, link=None, flat=False):
     def back(g):
         g = g.reshape(a.shape)
         if link == "softplus":
-            g = g * ad.logistic(a)
+            g = g * -np.expm1(-out)  # logistic(a), read from the output
         elif link == "logistic":
             g = g * out * (1.0 - out)
         for i in range(len(weights) - 1, -1, -1):

@@ -46,6 +46,29 @@ class TestSelu:
         out = ad.selu_array(np.array([lo, hi]))
         assert out[0] <= out[1]
 
+    def test_writes_its_result_into_its_argument(self):
+        x = np.array([[-2.0, 0.0], [0.5, 3.0]])
+        want = ad.selu_array(x.copy())
+        out = ad.selu_array(x)
+        assert out is x
+        np.testing.assert_array_equal(x, want)
+
+
+class TestSeluSlope:
+    """``selu_slope`` reads the derivative from the SELU output."""
+
+    def test_exactly_lambda_on_the_positive_branch(self):
+        x = np.array([5e-324, 1e-300, 1e-8, 0.5, 1.0, 10.0, 1e10, 1e300])
+        assert np.all(ad.selu_slope(ad.selu_array(x)) == ad.SELU_LAMBDA)
+
+    def test_lambda_alpha_at_zero(self):
+        assert ad.selu_slope(ad.selu_array(np.zeros(3))).tolist() == [ad.SELU_LAMBDA * ad.SELU_ALPHA] * 3
+
+    def test_matches_the_exponential_on_the_negative_branch(self):
+        x = np.linspace(-800.0, 0.0, 100_001)
+        want = ad.SELU_LAMBDA * ad.SELU_ALPHA * np.exp(x)
+        np.testing.assert_allclose(ad.selu_slope(ad.selu_array(x.copy())), want, rtol=0, atol=1e-15)
+
 
 class TestSoftplus:
     def test_zero(self):
@@ -70,6 +93,15 @@ class TestSoftplus:
         lo, hi = min(x, y), max(x, y)
         out = ad.softplus_array(np.array([lo, hi]))
         assert out[0] <= out[1]
+
+    def test_link_slope_read_from_the_output_is_logistic(self):
+        # a unit weight and zero bias make the head's pre-activation its
+        # input, so the input's gradient under a unit cotangent is the slope
+        a = np.linspace(-700.0, 700.0, 100_001)
+        z = tensor(a[:, None])
+        w, b = parameter([[1.0]]), parameter([0.0])
+        ad.backward(probe(mlp_head(z, [w], [b], "softplus")))
+        np.testing.assert_allclose(z.grad[:, 0], ad.logistic(a), rtol=1e-15, atol=0)
 
 
 def one_layer_head(rng, link, inputs=4, outputs=1):
@@ -148,7 +180,8 @@ class TestBackward:
 
 def _gradcheck_cases():
     """One builder per tape op (the embedding in three field mixes, the
-    shared projection with no and with two encoder layers, each head link);
+    shared projection with no and with two encoder layers, each head link,
+    an encoder layer over 3, 1 and 12 fields);
     each returns (loss closure, params)."""
     rng = np.random.default_rng(12)
     B, de = 5, 4
@@ -231,10 +264,19 @@ def _gradcheck_cases():
         epoch = int(rng.integers(0, 4))
         return (lambda: L.total_loss_tensor(*map(probe, leaves), schedule, epoch)[0]), leaves
 
-    def case_encoder_layer():
-        x = rand(2 * 3, de)
-        build, params = layer(3)
+    def encoder(D):
+        x = rand(2 * D, de)
+        build, params = layer(D)
         return probed(lambda: build(x)), [x, *params]
+
+    def case_encoder_layer():
+        return encoder(3)
+
+    def case_encoder_layer_one_field():
+        return encoder(1)
+
+    def case_encoder_layer_twelve_fields():
+        return encoder(12)
 
     def case_survival():
         grid = TimeGrid(np.array([1.0, 2.0, 3.0]))
@@ -258,6 +300,7 @@ def _gradcheck_cases():
         case_shared_projection_no_layers, case_shared_projection_two_layers,
         case_head_softplus, case_head_logistic, case_head_identity, case_total,
         case_encoder_layer, case_survival, case_mp, case_ls,
+        case_encoder_layer_one_field, case_encoder_layer_twelve_fields,
     ]
     out = []
     for i in range(50):

@@ -248,6 +248,15 @@ class TestMultiHeadAttentionOp:
         fd = fd_gradients(lambda: float((attention(x.data, D, wq, wk, wv)[0] * c).sum()), params)
         assert_grads_match([dx, *np.split(d_w, 3 * H, axis=1)], fd)
 
+    @pytest.mark.parametrize("D", [1, 3, 12])
+    def test_weights_are_the_textbook_softmax_bit_for_bit(self, D):
+        rng = np.random.default_rng(D)
+        x = rng.uniform(-3, 3, size=(5 * D, 8))
+        *_, q, k, _, alpha = _attend(x, D, 2, fuse_heads(*random_heads(rng, 2, de=8, dh=4, scale=2.0)))[1]
+        logits = np.matmul(q, np.swapaxes(k, -1, -2))
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(alpha, e / e.sum(axis=-1, keepdims=True))
+
     def test_maps_rows_lie_on_simplex(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(-5, 5, size=(4 * 7, 4))
