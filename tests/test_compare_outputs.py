@@ -46,14 +46,21 @@ def test_a_tree_matches_itself_and_a_changed_output_is_named(tmp_path):
 
 @pytest.mark.parametrize("a, b, report", [
     ('{"p": [1.0, -2.5], "n": 3, "s": "x"}', '{"p": [1.0, -2.5000000000000004], "n": 3, "s": "x"}',
-     "largest |difference| 4.44e-16 over 3 numbers"),
-    ('{"p": [1.0, NaN], "ok": true}', '{"p": [1.0, NaN], "ok": true}', "largest |difference| 0 over 2 numbers"),
-    ('{"p": [1.0, 2.0]}', '{"p": [1.0, NaN]}', "largest |difference| inf over 2 numbers"),
+     "largest |difference| 4.44e-16 over 3 numbers, relative 1.78e-16"),
+    ('{"p": [1.0, NaN], "ok": true}', '{"p": [1.0, NaN], "ok": true}',
+     "largest |difference| 0 over 2 numbers, relative 0"),
+    ('{"p": [1.0, 2.0]}', '{"p": [1.0, NaN]}', "largest |difference| inf over 2 numbers, relative inf"),
+    # predict-wide's validation loss moves by 1 ulp: large absolutely, tiny relatively
+    ('{"val": [26317.25, 0.0]}', '{"val": [26317.250000000004, 1e-300]}',
+     "largest |difference| 3.64e-12 over 2 numbers, relative 1"),
+    ('{"val": [26317.25]}', '{"val": [26317.250000000004]}',
+     "largest |difference| 3.64e-12 over 1 numbers, relative 1.38e-16"),
     ('{"p": [1.0, 2.0]}', '{"p": [1.0, 2.0, 3.0]}', "structure differs"),
     ('{"p": 1.0, "q": 2.0}', '{"q": 2.0, "p": 1.0}', "structure differs"),
     ('{"p": 1.0, "s": "x"}', '{"p": 1.0, "s": "y"}', "structure differs"),
     ('{"ok": true}', '{"ok": 1}', "structure differs"),
-], ids=["last-bit", "nan-equal", "nan-differs", "length", "key-order", "string", "bool-is-no-number"])
+], ids=["last-bit", "nan-equal", "nan-differs", "ulp-and-zero", "ulp-of-large", "length", "key-order", "string",
+        "bool-is-no-number"])
 def test_difference_walks_json_numbers_in_order(tmp_path, a, b, report):
     (tmp_path / "a.json").write_text(a)
     (tmp_path / "b.json").write_text(b)
@@ -66,6 +73,7 @@ def test_difference_reads_the_numeric_cells_of_a_csv(tmp_path):
     (tmp_path / "b.csv").write_text(header + "0,1.5,0.9\n1,1.5,0.7500000000000001\n")
     (tmp_path / "c.csv").write_text(header.replace("event_1", "event_2") + "0,1.5,0.9\n1,1.5,0.75\n")
     (tmp_path / "d.csv").write_text(header + "0,1.5,0.9\n")
-    assert difference(tmp_path / "a.csv", tmp_path / "b.csv") == "largest |difference| 1.11e-16 over 6 numbers"
+    assert difference(tmp_path / "a.csv", tmp_path / "b.csv") == \
+        "largest |difference| 1.11e-16 over 6 numbers, relative 1.48e-16"
     assert difference(tmp_path / "a.csv", tmp_path / "c.csv") == "structure differs"
     assert difference(tmp_path / "a.csv", tmp_path / "d.csv") == "structure differs"

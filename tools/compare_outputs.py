@@ -12,9 +12,10 @@ training setting of the workload's config (the value is JSON). One line per
 output file gives the workload, seed, file, both digests and whether they
 match. A file that differs gets a second line with the size of the change:
 the largest absolute difference over its numbers (a JSON file's numbers in
-document order, a CSV file's numeric cells), or that the two files differ in
-structure (anything but those numbers, or how many there are). The exit
-status is 1 when any file differs or any command fails.
+document order, a CSV file's numeric cells) and the largest difference
+relative to the larger magnitude of the two values, or that the two files
+differ in structure (anything but those numbers, or how many there are).
+The exit status is 1 when any file differs or any command fails.
 """
 
 import argparse
@@ -100,14 +101,18 @@ def numbers(path):
 
 def difference(a, b):
     """How far output file ``b`` lies from ``a``: the largest absolute
-    difference over their numbers, or that their structure differs."""
+    difference over their numbers and the largest relative to the larger
+    magnitude of each pair, or that their structure differs."""
     (x, rest_a), (y, rest_b) = numbers(a), numbers(b)
     if rest_a != rest_b:
         return "structure differs"
     x, y = np.array(x), np.array(y)
     same = (x == y) | (np.isnan(x) & np.isnan(y))
-    gap = np.where(same, 0.0, np.nan_to_num(np.abs(x - y), nan=np.inf))
-    return f"largest |difference| {gap.max(initial=0.0):.3g} over {len(x)} numbers"
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gap = np.where(same, 0.0, np.nan_to_num(np.abs(x - y), nan=np.inf))
+        relative = np.where(same, 0.0, np.nan_to_num(gap / np.maximum(np.abs(x), np.abs(y)), nan=np.inf))
+    return (f"largest |difference| {gap.max(initial=0.0):.3g} over {len(x)} numbers, "
+            f"relative {relative.max(initial=0.0):.3g}")
 
 
 def main(argv=None):
