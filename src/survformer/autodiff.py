@@ -10,9 +10,8 @@ is one network block or loss with a closed-form vector-Jacobian product,
 built on ``node``: the model's field embedding, encoder layers, shared
 projection and task heads, and the training losses and their annealed
 total. The elementwise array functions here (SELU and its slope, softplus,
-the logistic function) are what those ops compute with; an op reads an
-activation's slope from the activation's output, which it keeps for its
-backward anyway.
+the logistic function) are what those ops compute with; each op reads an
+activation's slope from the activation's output, which it keeps anyway.
 
 Parameters are not on the tape. ``flat_parameters`` makes each one a view
 of one flat data buffer and one flat gradient buffer, and the one op that

@@ -50,7 +50,8 @@ def test_a_tree_matches_itself_and_a_changed_output_is_named(tmp_path):
     ('{"p": [1.0, NaN], "ok": true}', '{"p": [1.0, NaN], "ok": true}',
      "largest |difference| 0 over 2 numbers, relative 0"),
     ('{"p": [1.0, 2.0]}', '{"p": [1.0, NaN]}', "largest |difference| inf over 2 numbers, relative inf"),
-    # predict-wide's validation loss moves by 1 ulp: large absolutely, tiny relatively
+    # a 1-ulp move of a validation loss near 2.6e4 is large absolutely and tiny relatively;
+    # a move off zero is the reverse
     ('{"val": [26317.25, 0.0]}', '{"val": [26317.250000000004, 1e-300]}',
      "largest |difference| 3.64e-12 over 2 numbers, relative 1"),
     ('{"val": [26317.25]}', '{"val": [26317.250000000004]}',
