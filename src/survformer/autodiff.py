@@ -76,7 +76,8 @@ def flat_parameters(arrays):
 def selu_array(x):
     """Scaled exponential linear unit of an array, elementwise, as
     λ·(max(x, 0) + α·expm1(min(x, 0))); one of the two terms is zero. The
-    result is written into ``x``."""
+    result is written into ``x``, which must be a writable float array: numpy
+    raises TypeError for an integer array or a list, ValueError for a read-only one."""
     neg = np.minimum(x, 0.0)
     np.expm1(neg, out=neg)
     neg *= SELU_ALPHA

@@ -154,8 +154,8 @@ def _attend(x, D, H, w):
     BD = len(x)
     q, k, v = (x @ w).reshape(BD // D, D, 3, H, -1).transpose(2, 0, 3, 1, 4)  # each (B, H, D, d_h)
     logits = np.matmul(q, np.swapaxes(k, -1, -2))
-    # the softmax in place; the row max from D - 1 maximums over the field
-    # slices, exact as max(axis=-1) is but far cheaper on rows this short
+    # the softmax in place; the row max from D - 1 maximums over the field slices,
+    # exact as max(axis=-1) is and faster up to ~24 fields at 256 records, not at 48
     top = logits[..., :1].copy()
     for j in range(1, D):
         np.maximum(top, logits[..., j : j + 1], out=top)

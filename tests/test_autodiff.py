@@ -53,6 +53,17 @@ class TestSelu:
         assert out is x
         np.testing.assert_array_equal(x, want)
 
+    def test_rejects_an_argument_it_cannot_write_its_result_into(self):
+        with pytest.raises(TypeError, match="Cannot cast ufunc 'maximum' output"):
+            ad.selu_array(np.array([1, -2]))
+        with pytest.raises(TypeError):
+            ad.selu_array([1.0, -2.0])
+        frozen = np.array([1.0, -2.0])
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            ad.selu_array(frozen)
+        assert frozen.tolist() == [1.0, -2.0]
+
 
 class TestSeluSlope:
     """``selu_slope`` reads the derivative from the SELU output."""
@@ -303,12 +314,12 @@ def _gradcheck_cases():
         case_encoder_layer_one_field, case_encoder_layer_twelve_fields,
     ]
     out = []
-    for i in range(50):
+    for i in range(60):
         out.append(builders[i % len(builders)]())
     return out
 
 
-@pytest.mark.parametrize("case_idx", range(50))
+@pytest.mark.parametrize("case_idx", range(60))
 def test_all_ops_match_finite_differences(case_idx):
     """Every tape op agrees with central differences on random inputs."""
     build, params = _gradcheck_cases()[case_idx]
