@@ -89,9 +89,14 @@ def selu_array(x):
 
 def selu_slope(y):
     """Derivative of ``selu_array`` read from its output ``y``: λ where y > 0
-    (exactly where the pre-activation is), and λα·exp(x) = y + λα elsewhere."""
-    out = y + SELU_LAMBDA * SELU_ALPHA
-    np.putmask(out, y > 0, SELU_LAMBDA)
+    (exactly where the pre-activation is), and λα·exp(x) = y + λα elsewhere.
+
+    Computed without a per-element branch, as min(y, 0) + λα − [y > 0]·(λα − λ):
+    λα − (λα − λ) rounds to λ exactly, so this is the select's value bit for
+    bit. A masked select runs at the branch predictor's mercy on fresh data."""
+    out = np.minimum(y, 0.0)
+    out += SELU_LAMBDA * SELU_ALPHA
+    out -= (y > 0) * (SELU_LAMBDA * SELU_ALPHA - SELU_LAMBDA)
     return out
 
 

@@ -3,15 +3,18 @@ inverse-propensity-weighted competing-events loss, auxiliary task losses,
 and the annealed total.
 
 ``_pch`` is the one implementation of the hazard likelihood term and its
-closed-form gradient, and ``pch_terms`` is its array form; both read each
-duration's bin and elapsed fraction from ``TimeGrid.locate``. The array
-estimators (``pch_loss``, ``event_loss_matrix``, ``ips_loss``,
-``naive_competing_loss``) read its values. On the training tape each loss
-is one op: ``competing_survival_loss`` folds the hazard terms, the IPS
-weights and the sum over heads; ``mp_loss_tensor`` and ``ls_loss_tensor``
-are the auxiliary losses; ``total_loss_tensor`` is the annealed total. The
-indicator-weighted estimators implement the printed formulas exactly; the
-censored cause-specific contributions that every record owes to the heads of
+closed-form gradient, and ``pch_terms`` is its array form; each duration's
+bin and elapsed fraction come from ``TimeGrid.locate``. The array estimators
+(``pch_loss``, ``event_loss_matrix``, ``ips_loss``, ``naive_competing_loss``)
+read its values. On the training tape each loss is one op:
+``competing_survival_loss`` folds the hazard terms of the K stacked event
+heads, in one ``_pch`` pass, with the IPS weights and the sum over heads; it
+reads each record's bin, elapsed fraction, indicators and weights from the
+``SurvivalTargets`` that ``survival_targets`` computes once per fold.
+``mp_loss_tensor`` and ``ls_loss_tensor`` are the auxiliary losses;
+``total_loss_tensor`` is the annealed total. The indicator-weighted
+estimators implement the printed formulas exactly; the censored
+cause-specific contributions that every record owes to the heads of
 unobserved events are added only by ``competing_survival_loss``, which does
 not clip the propensities it inverts: ``PropensityModel.predict`` did.
 """
@@ -159,44 +162,62 @@ def ips_loss(hazards, durations, events, propensities, grid, floor=0.05):
 # --- tape losses (training path) --------------------------------------------
 
 
-def competing_survival_loss(hazard_tensors, grid, durations, events, propensities=None):
+@dataclass
+class SurvivalTargets:
+    """What ``competing_survival_loss`` reads of each of n records for K
+    event heads, computed once per fold by ``survival_targets``;
+    ``targets[idx]`` holds the records ``idx`` picks. Each array is (K, n),
+    one row per head, so a batch's rows flatten to the (K·B,) rows of the
+    stacked hazards."""
+
+    kappa: np.ndarray  # the duration's zero-based bin
+    rho: np.ndarray  # the elapsed fraction of that bin
+    ind: np.ndarray  # 1.0 where the record's event is the head's, else 0.0
+    weight: np.ndarray  # ind / pi + (1 - ind)
+
+    def __getitem__(self, idx):
+        return SurvivalTargets(*(a[:, idx] for a in (self.kappa, self.rho, self.ind, self.weight)))
+
+
+def survival_targets(grid, durations, events, propensities):
+    """The ``SurvivalTargets`` of records with ``durations`` and 1-based
+    ``events`` (0 for censored) on ``grid``, for one head per column of the
+    (n, K) ``propensities``; ones give unit weights. The propensities are
+    inverted as they are, unclipped, and must be strictly positive."""
+    pi = np.asarray(propensities, dtype=np.float64).T
+    if np.any(pi <= 0):
+        raise ValueError("propensities must be strictly positive")
+    ind = (np.asarray(events) == np.arange(1, len(pi) + 1)[:, None]).astype(np.float64)
+    kappa, rho = (np.broadcast_to(a, ind.shape) for a in grid.locate(durations))
+    return SurvivalTargets(kappa, rho, ind, ind / pi + (1.0 - ind))
+
+
+def competing_survival_loss(hazards, targets):
     """Tape survival objective, as one op: IPS-weighted event terms plus the
     censored cumulative-hazard terms every record owes to its unobserved
     heads, normalized together by records times events.
 
-    For head k the indicator ind marks records whose event is k. Because ind
-    is 0 or 1, the ``pch_terms`` values with events=ind, weighted by
-    ind/pi + (1 - ind), hold both the event and the censored parts. With one
+    ``hazards`` is the (K, B, m) Tensor of the K event heads and ``targets``
+    the batch's ``SurvivalTargets``. Head k's indicator ind marks records
+    whose event is k. Because ind is 0 or 1, the ``pch_terms`` values with
+    events=ind, weighted by ind/pi + (1 - ind), hold both the event and the
+    censored parts. All K·B terms come from one ``_pch`` pass; each head's
+    weighted terms are summed, and the K sums added in head order. With one
     event type and unit propensities this is exactly the batch mean of the
-    single-event loss. ``propensities`` is (n, K), inverted unclipped, or
-    None for unit weights.
+    single-event loss.
     """
-    K = len(hazard_tensors)
-    events = np.asarray(events)
-    n = events.shape[0]
-    if propensities is None:
-        pi = np.ones((n, K))
-    else:
-        pi = np.asarray(propensities, dtype=np.float64)
-        if np.any(pi <= 0):
-            raise ValueError("propensities must be strictly positive")
-    kappa, rho = grid.locate(durations)
+    K, n, m = hazards.data.shape
+    terms, vjp = _pch(hazards.data.reshape(K * n, m), targets.kappa.reshape(-1), targets.rho.reshape(-1),
+                      targets.ind.reshape(-1))
     scale = 1.0 / (n * K)
     total = 0.0
-    weights, vjps = [], []
-    for k in range(K):
-        ind = (events == k + 1).astype(np.float64)
-        terms, vjp = _pch(hazard_tensors[k].data, kappa, rho, ind)
-        weights.append(ind / pi[:, k] + (1.0 - ind))
-        vjps.append(vjp)
-        total = total + (weights[-1] * terms).sum()
+    for weighted in targets.weight * terms.reshape(K, n):
+        total = total + weighted.sum()
 
     def back(g):
-        c = g * scale
-        for h, w, vjp in zip(hazard_tensors, weights, vjps):
-            h._accumulate(vjp(c * w))
+        hazards._accumulate(vjp((g * scale * targets.weight).reshape(-1)).reshape(K, n, m))
 
-    return ad.node(total * scale, hazard_tensors, back)
+    return ad.node(total * scale, (hazards,), back)
 
 
 def _mean_op(values, parent, vjp):

@@ -10,9 +10,10 @@ residual projection and a small feed-forward stack, both under SELU. The
 embedding and every layer emit (B·D, d_e) rows, so every parameter product
 is a 2-d matmul. ``shared_projection`` aligns the flattened encoder output,
 concatenated with the raw embeddings, into a shared representation consumed
-by every ``mlp_head``, each with its output link: one hazard head per event
-type (softplus keeps rates positive), a binary any-event head (logistic),
-and a follow-up-time regression head (identity).
+by the task heads, each with its output link: one hazard head per event type
+(softplus keeps rates positive), all K run side by side as one
+``hazard_heads`` op, and two ``mlp_head`` ops, a binary any-event head
+(logistic) and a follow-up-time regression head (identity).
 
 The model's parameters are views of one flat buffer ``data``, their
 gradients views of one flat buffer ``grad``. They are not tape nodes: each
@@ -33,6 +34,7 @@ from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import autodiff as ad
 from .data import CategoricalField, CovariateSchema, NumericalField, TimeGrid, allocate, echo
@@ -139,7 +141,7 @@ class ForwardPass:
     raw: ad.Tensor  # (B·D, d_e) field embeddings
     encoded: ad.Tensor  # (B·D, d_e) encoder output; ``raw`` itself with no layers
     shared: ad.Tensor  # (B, hidden)
-    hazards: list  # per event: (B, m), positive
+    hazards: ad.Tensor  # (K, B, m), positive: event k's hazards are hazards.data[k]
     event_prob: ad.Tensor  # (B,), in (0, 1)
     time_pred: ad.Tensor  # (B,)
     attention: list  # per layer: (B, H, D, D) weights
@@ -215,18 +217,20 @@ def embed_fields(tables, weight, cat, num):
 def encoder_layer(x, D, qkv, wres, ffn):
     """One encoder layer as one tape op over (B·D, d_e) field rows ``x``.
 
-    ``qkv`` holds the 3·H (d_e, d_h) query, key and value weights in the
-    fused weight's column order: every head's wq, then every wk, then every
-    wv. ``t_res = selu(attention(x) @ wres + x)``, the feed-forward stack
-    ``z`` runs ``x`` through the ``ffn`` weights with SELU between them, and
-    the output is ``selu(z + t_res)``. Attention is ``_attend``'s: all heads
-    at once, with unscaled logits. Backward works from the saved SELU
-    outputs, which give each slope. Returns the output Tensor and the
-    (B, H, D, D) attention weights.
+    ``qkv`` is one Tensor holding every head's query, key and value weights
+    in draw order, (H, 3, d_e, d_h): head h's wq, wk and wv are
+    ``qkv.data[h]``. ``t_res = selu(attention(x) @ wres + x)``, the
+    feed-forward stack ``z`` runs ``x`` through the ``ffn`` weights with
+    SELU between them, and the output is ``selu(z + t_res)``. Attention is
+    ``_attend``'s: all heads at once, with unscaled logits, over the fused
+    weight that transposing ``qkv`` gives; backward writes the fused
+    weight's gradient back into ``qkv.grad`` as one strided copy. Backward
+    works from the saved SELU outputs, which give each slope. Returns the
+    output Tensor and the (B, H, D, D) attention weights.
     """
-    params = [*qkv, wres, *ffn]
+    H, _, de, dh = qkv.data.shape
     xd = x.data
-    mixed, saved = _attend(xd, D, len(qkv) // 3, np.concatenate([w.data for w in qkv], axis=1))
+    mixed, saved = _attend(xd, D, H, qkv.data.transpose(2, 1, 0, 3).reshape(de, -1))
     t_res = ad.selu_array(mixed @ wres.data + xd)
     inputs = [xd]  # the input of each FFN matmul; the later ones are SELU outputs
     for w in ffn[:-1]:
@@ -247,7 +251,8 @@ def encoder_layer(x, D, qkv, wres, ffn):
         g_s = g_u * ad.selu_slope(t_res)
         d_wres = mixed.T @ g_s
         d_w, dx_attn = _attend_back(g_s @ wres.data.T, saved)
-        for p, dp in zip(params, [*np.split(d_w, len(qkv), axis=1), d_wres, *reversed(d_ffn)]):
+        qkv.grad[...] = d_w.reshape(de, 3, H, dh).transpose(2, 1, 0, 3)
+        for p, dp in zip([wres, *ffn], [d_wres, *reversed(d_ffn)]):
             p.grad[...] = dp
         # FFN, residual, then attention: the order in which composing the
         # layer from one op per matmul and SELU sums them, so both give the
@@ -278,32 +283,77 @@ def shared_projection(encoded, raw, w):
     return ad.node(out, (encoded, raw), back)
 
 
-def mlp_head(z, weights, biases, link=None, flat=False):
-    """A task head as one tape op: ``z @ w + b`` per layer, ReLU between,
-    then the output ``link``: "softplus", "logistic" or None (identity).
-    ``flat`` drops the last axis of a one-output head."""
+def _mlp(a, weights, biases, link):
+    """A task head's layers on the input array ``a``: ``a @ w + b`` per
+    layer, ReLU between, then the output ``link``: "softplus", "logistic" or
+    None (identity). With (K, fan_in, fan_out) weights and (K, fan_out)
+    biases they are K heads side by side, every product K products of the
+    shapes one head's takes, and the output is (K, B, width). Returns the
+    output and the function that maps its cotangent to ``a``'s, one per
+    head, writing every parameter's gradient view."""
     inputs = []  # the input of each layer; the later ones are ReLU outputs
-    a = z.data
     for i, (w, b) in enumerate(zip(weights, biases)):
         inputs.append(np.maximum(a, 0.0) if i else a)
-        a = inputs[-1] @ w.data + b.data
+        a = np.matmul(inputs[-1], w.data) + b.data[..., None, :]
     out = ad.softplus_array(a) if link == "softplus" else ad.logistic(a) if link == "logistic" else a
 
-    def back(g):
-        g = g.reshape(a.shape)
+    def vjp(g):
         if link == "softplus":
             g = g * -np.expm1(-out)  # logistic(a), read from the output
         elif link == "logistic":
             g = g * out * (1.0 - out)
         for i in range(len(weights) - 1, -1, -1):
-            biases[i].grad[...] = g.sum(axis=0)
-            weights[i].grad[...] = inputs[i].T @ g
-            g = g @ weights[i].data.T
+            biases[i].grad[...] = g.sum(axis=-2)
+            weights[i].grad[...] = np.matmul(np.swapaxes(inputs[i], -1, -2), g)
+            g = np.matmul(g, np.swapaxes(weights[i].data, -1, -2))
             if i:
                 g = g * (inputs[i] > 0)
-        z._accumulate(g)
+        return g
+
+    return out, vjp
+
+
+def mlp_head(z, weights, biases, link=None, flat=False):
+    """A task head as one tape op: ``z @ w + b`` per layer, ReLU between,
+    then the output ``link``: "softplus", "logistic" or None (identity).
+    ``flat`` drops the last axis of a one-output head."""
+    out, vjp = _mlp(z.data, weights, biases, link)
+
+    def back(g):
+        z._accumulate(vjp(g.reshape(out.shape)))
 
     return ad.node(out.reshape(-1) if flat else out, (z,), back)
+
+
+def hazard_heads(z, weights, biases):
+    """The K event hazard heads as one tape op: K softplus ``mlp_head``
+    heads of one shape, each layer's weights one (K, fan_in, fan_out)
+    Tensor and its biases one (K, fan_out) Tensor. Returns the (K, B, m)
+    hazards. Each head's values and gradients are its own ``mlp_head``'s
+    bit for bit; backward sums the K input gradients in head order, as K
+    such ops accumulate them, and hands ``z`` the one sum."""
+    out, vjp = _mlp(z.data, weights, biases, "softplus")
+
+    def back(g):
+        g = vjp(g)
+        z._accumulate(sum(g[1:], g[0]))
+
+    return ad.node(out, (z,), back)
+
+
+def _stacked(views, lead):
+    """One Tensor over parameter views of one shape that sit, in order,
+    equally far apart in the flat buffers: its data and grad are (*lead,
+    *shape) views of those buffers, ``lead`` multiplying to ``len(views)``."""
+
+    def across(arrays):
+        first = arrays[0]
+        step = (arrays[-1].ctypes.data - first.ctypes.data) // max(len(arrays) - 1, 1)
+        return as_strided(first, (len(arrays), *first.shape), (step, *first.strides)).reshape(*lead, *first.shape)
+
+    stacked = ad.Tensor(across([v.data for v in views]))
+    stacked.grad = across([v.grad for v in views])
+    return stacked
 
 
 class SurvivalTransformer:
@@ -311,8 +361,12 @@ class SurvivalTransformer:
     order, to its Tensor; the Tensors are views of the flat buffers ``data``
     and ``grad``. ``embedding``, ``encoder`` (per layer), ``projection`` and
     ``heads`` (event hazards, then mp and ls) hold the same Tensors, grouped
-    as ``forward_batch`` hands them to the block ops. ``_walk`` runs twice:
-    to record and count the layout before the draws, then to group the views."""
+    as the block ops take them. ``_walk`` runs twice: to record and count the
+    layout before the draws, then to group the views. A block's like
+    parameters sit equally far apart in the flat buffers, so each encoder
+    layer's query, key and value weights are one (H, 3, d_e, d_h) Tensor,
+    and ``hazard_heads`` holds the event heads' per-layer weights and biases
+    as (K, ...) Tensors; these are views of the same buffers."""
 
     def __init__(self, config, schema, grid, seed=0):
         if config.time_bins != grid.m:
@@ -337,15 +391,20 @@ class SurvivalTransformer:
         self.data, self.grad, tensors = ad.flat_parameters(arrays)
         self.params = {name: t for (name, _, _), t in zip(layout, tensors)}
         views = iter(tensors)
-        self.embedding, self.encoder, self.projection, self.heads = self._walk(lambda *_: next(views))
+        self.embedding, encoder, self.projection, self.heads = self._walk(lambda *_: next(views))
+        self.encoder = [(_stacked(qkv, (config.heads, 3)), wres, ffn) for qkv, wres, ffn in encoder]
+        weights, biases = zip(*self.heads[:-2])  # per event head
+        self.hazard_heads = tuple([_stacked(layer, (config.n_events,)) for layer in zip(*part)]
+                                  for part in (weights, biases))
 
     def _walk(self, visit):
         """Call ``visit(name, shape, drawn)`` for every parameter in draw
         order, ``drawn`` False for a zero bias; return the results grouped as
         the block ops take them: the embedding's tables and numerical weight
-        (or None), per layer ``encoder_layer``'s qkv (in the fused weight's
-        column order), wres and ffn, the projection weight, and per task head
-        (event hazards, then mp and ls) its weights and biases."""
+        (or None), per layer its query, key and value weights (in draw
+        order: h0's wq, wk, wv, then h1's), wres and ffn, the projection
+        weight, and per task head (event hazards, then mp and ls) its weights
+        and biases."""
         c, schema = self.config, self.schema
         de, hid = c.embed_dim, c.hidden_size
         tables = [visit(f"embed.cat{i}", (f.cardinality + 1, de), True) for i, f in enumerate(schema.categorical)]
@@ -357,7 +416,7 @@ class SurvivalTransformer:
             wres = visit(f"enc{layer}.wres", (de, de), True)
             ffn = [visit(f"enc{layer}.ffn{i}", (hid if i else de, hid if i < c.ffn_depth - 1 else de), True)
                    for i in range(c.ffn_depth)]
-            encoder.append((qkv[0::3] + qkv[1::3] + qkv[2::3], wres, ffn))
+            encoder.append((qkv, wres, ffn))
         projection = visit("sr.w", (2 * schema.d * de, hid), True)
         heads = []
         for prefix, width in chain(((f"cs{k}", c.time_bins) for k in range(c.n_events)), [("mp", 1), ("ls", 1)]):
@@ -386,11 +445,11 @@ class SurvivalTransformer:
                 x, alpha = encoder_layer(x, self.schema.d, *layer)
                 attention.append(alpha)
             t_sr = shared_projection(x, t0, self.projection)
-            *events, mp, ls = self.heads
-            hazards = [mlp_head(t_sr, *head, "softplus") for head in events]
+            hazards = hazard_heads(t_sr, *self.hazard_heads)
+            *_, mp, ls = self.heads
             mp = mlp_head(t_sr, *mp, "logistic", flat=True)
             ls = mlp_head(t_sr, *ls, flat=True)
-        outputs = [(f"event-{k + 1} hazards", h.data) for k, h in enumerate(hazards)]
+        outputs = [(f"event-{k + 1} hazards", h) for k, h in enumerate(hazards.data)]
         outputs += [("any-event probability", mp.data), ("follow-up time", ls.data)]
         outputs += [(f"layer-{layer} attention", alpha) for layer, alpha in enumerate(attention)]
         for name, values in outputs:
@@ -450,8 +509,7 @@ class SurvivalTransformer:
         chunks = []
         for s in range(0, len(num), INFER_CHUNK):
             fp = self.forward_batch(cat[s : s + INFER_CHUNK], num[s : s + INFER_CHUNK])
-            hazards = np.stack([h.data for h in fp.hazards], axis=1)
-            chunks.append((hazards, fp.event_prob.data, fp.time_pred.data))
+            chunks.append((fp.hazards.data.transpose(1, 0, 2), fp.event_prob.data, fp.time_pred.data))
             del fp  # free this chunk's tape before the next one is built
         return tuple(np.concatenate(parts) for parts in zip(*chunks))
 

@@ -127,7 +127,10 @@ def _fit_binary(x, y, l2):
 
 def fit(covariates, events, l2=1e-4, floor=0.05, renormalize=False):
     """Fit one-vs-rest logistic models on observed-event records, with L2
-    penalty ``l2`` on the weights; the model clips at ``floor``.
+    penalty ``l2`` on the weights; the model clips at ``floor``. With two
+    events only event 1's model is fitted: event 2's is its exact negation,
+    the fit that ``_fit_binary`` would make of it, with event 1's iteration
+    count and convergence flag.
 
     ``events`` are 1-based labels (no zeros); every event class in
     1..max(events) must be present. A fit that reaches ``MAX_ITER`` raises
@@ -161,12 +164,18 @@ def fit(covariates, events, l2=1e-4, floor=0.05, renormalize=False):
     offsets = np.zeros(n_events)
     iterations, converged = [], []
     for k in labels:
-        y = (e == k).astype(np.float64)
-        try:
-            weights[k - 1], offsets[k - 1], n_iter, done = _fit_binary(x, y, l2)
-        except ValueError as err:
-            raise ValueError(f"propensity fit for event {k}: {err}; the classes may be "
-                             f"separable, which needs propensity_l2 above 0") from None
+        if n_events == 2 and k == 2:
+            # event 2's labels are 1 - event 1's, which flips ``sign`` in
+            # ``_fit_binary``: each Newton iterate is event 1's negated, and
+            # a zero entry is +0.0 in both, as 0.0 - w keeps it
+            weights[1], offsets[1] = 0.0 - weights[0], 0.0 - offsets[0]
+        else:
+            y = (e == k).astype(np.float64)
+            try:
+                weights[k - 1], offsets[k - 1], n_iter, done = _fit_binary(x, y, l2)
+            except ValueError as err:
+                raise ValueError(f"propensity fit for event {k}: {err}; the classes may be "
+                                 f"separable, which needs propensity_l2 above 0") from None
         iterations.append(n_iter)
         converged.append(done)
     return PropensityModel(weights, offsets, floor, renormalize, tuple(iterations), tuple(converged))

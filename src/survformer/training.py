@@ -5,7 +5,9 @@ only), then runs mini-batch Adam on the annealed multi-task objective with
 early stopping on validation loss; the best-epoch parameter snapshot is
 restored at the end. Training batches and the validation fold share one loss
 function; the validation fold is forwarded in ``INFER_CHUNK``-record chunks,
-as inference is, and its losses are taken once over all records. Evaluation
+as inference is, and its losses are taken once over all records. Each fold's
+survival targets (bins, elapsed fractions, indicators, IPS weights) are
+computed once per fit, and a batch indexes the training fold's. Evaluation
 converts hazards to survival curves and reports time-dependent concordance
 per event at quantile horizons of the evaluated records' event times.
 """
@@ -111,30 +113,29 @@ class TrainHistory:
         return {"best_epoch": self.best_epoch, "epochs": [asdict(e) for e in self.epochs]}
 
 
-def _batch_loss(model, grid, cat, num, t, e, pi, schedule, epoch):
+def _batch_loss(model, cat, num, t, e, targets, schedule, epoch):
     """The annealed total loss of one batch, on the tape, and its breakdown.
     Raises ``ValueError`` as ``_loss`` does."""
     fp = model.forward_batch(cat, num)
-    return _loss(fp.hazards, fp.event_prob, fp.time_pred, grid, t, e, pi, schedule, epoch)
+    return _loss(fp.hazards, fp.event_prob, fp.time_pred, targets, t, e, schedule, epoch)
 
 
-def _validation_loss(model, grid, records, pi, schedule, epoch):
+def _validation_loss(model, records, targets, schedule, epoch):
     """The annealed total loss of ``records`` and its breakdown, from one
     forward in ``INFER_CHUNK`` record chunks: only the head outputs are kept
     and the losses are taken once over all records."""
     hazards, event_prob, time_pred = model.predict_outputs(records.cat, records.num)
-    heads = [ad.Tensor(hazards[:, k]) for k in range(hazards.shape[1])]
-    return _loss(heads, ad.Tensor(event_prob), ad.Tensor(time_pred), grid, records.t, records.e, pi,
-                 schedule, epoch)
+    return _loss(ad.Tensor(hazards.transpose(1, 0, 2)), ad.Tensor(event_prob), ad.Tensor(time_pred), targets,
+                 records.t, records.e, schedule, epoch)
 
 
-def _loss(hazards, event_prob, time_pred, grid, t, e, pi, schedule, epoch):
-    """The annealed total loss of the head outputs (Tensors) for labels ``t``
-    and ``e`` and its breakdown. Raises ``ValueError`` naming the loss
-    (survival, mp, ls or total) that rejects its input or leaves the finite
-    range."""
+def _loss(hazards, event_prob, time_pred, targets, t, e, schedule, epoch):
+    """The annealed total loss of the head outputs (Tensors) for the
+    survival ``targets`` and labels ``t`` and ``e``, and its breakdown.
+    Raises ``ValueError`` naming the loss (survival, mp, ls or total) that
+    rejects its input or leaves the finite range."""
     with np.errstate(all="ignore"):  # checked below, once
-        survival = L.competing_survival_loss(hazards, grid, t, e, propensities=pi)
+        survival = L.competing_survival_loss(hazards, targets)
         mp = L.mp_loss_tensor(event_prob, (e > 0).astype(np.float64))
         ls = L.ls_loss_tensor(time_pred, t)
         total, bd = L.total_loss_tensor(survival, mp, ls, schedule, epoch)
@@ -160,8 +161,7 @@ def train(config, train_records, val_records, schema, grid):
     if ve.max() > n_events:
         raise ValueError(f"validation set has event label {int(ve.max())} unseen in training")
 
-    pi = None
-    val_pi = None
+    pi, val_pi = np.ones((len(t), 1)), np.ones((len(ve), 1))  # unit weights for one event type
     propensity_model = None
     if n_events >= 2:
         observed = e > 0
@@ -174,6 +174,8 @@ def train(config, train_records, val_records, schema, grid):
         )
         pi = propensity_model.predict(design)
         val_pi = propensity_model.predict(prop.design_matrix(schema, vcat, vnum))
+    targets = L.survival_targets(grid, t, e, pi)
+    val_targets = L.survival_targets(grid, val_records.t, ve, val_pi)
 
     model = SurvivalTransformer(
         replace(config.model, time_bins=grid.m, n_events=n_events), schema, grid, seed=config.seed
@@ -194,10 +196,7 @@ def train(config, train_records, val_records, schema, grid):
         for batch_no, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
             try:
-                total, bd = _batch_loss(
-                    model, grid, cat[idx], num[idx], t[idx], e[idx],
-                    None if pi is None else pi[idx], schedule, epoch,
-                )
+                total, bd = _batch_loss(model, cat[idx], num[idx], t[idx], e[idx], targets[idx], schedule, epoch)
             except (ValueError, FloatingPointError) as err:
                 raise TrainingDiverged(f"nonfinite loss at epoch {epoch}, batch {batch_no}: {err}") from err
             ad.backward(total)
@@ -207,7 +206,7 @@ def train(config, train_records, val_records, schema, grid):
         train_bd = L.LossBreakdown(*(sums / n), gamma1=g1, gamma2=g2)
 
         try:
-            val_total, _ = _validation_loss(model, grid, val_records, val_pi, schedule, epoch)
+            val_total, _ = _validation_loss(model, val_records, val_targets, schedule, epoch)
         except (ValueError, FloatingPointError) as err:
             raise TrainingDiverged(f"nonfinite validation loss at epoch {epoch}: {err}") from err
         val_loss = float(val_total.data)

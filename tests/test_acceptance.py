@@ -60,7 +60,7 @@ def test_criterion_1_gradient_correctness():
 
     def build():
         fp = model.forward_batch(cat, num)
-        surv = L.competing_survival_loss(fp.hazards, grid, t, e, propensities=pi)
+        surv = L.competing_survival_loss(fp.hazards, L.survival_targets(grid, t, e, pi))
         mp = L.mp_loss_tensor(fp.event_prob, (e > 0).astype(float))
         ls = L.ls_loss_tensor(fp.time_pred, t)
         total, _ = L.total_loss_tensor(surv, mp, ls, sched, 0)

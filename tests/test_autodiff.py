@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from survformer import autodiff as ad
 from survformer import losses as L
 from survformer.data import TimeGrid
-from survformer.model import embed_fields, encoder_layer, mlp_head, shared_projection
+from survformer.model import embed_fields, encoder_layer, hazard_heads, mlp_head, shared_projection
 
 from oracles import assert_grads_match, fd_gradients, probe
 
@@ -79,6 +79,15 @@ class TestSeluSlope:
         x = np.linspace(-800.0, 0.0, 100_001)
         want = ad.SELU_LAMBDA * ad.SELU_ALPHA * np.exp(x)
         np.testing.assert_allclose(ad.selu_slope(ad.selu_array(x.copy())), want, rtol=0, atol=1e-15)
+
+    def test_is_the_select_bit_for_bit(self):
+        # min(y, 0) + λα − [y > 0]·(λα − λ), against the per-element select it replaces
+        lam, lam_alpha = ad.SELU_LAMBDA, ad.SELU_LAMBDA * ad.SELU_ALPHA
+        rng = np.random.default_rng(20)
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -800.0])
+        for y in [edges, *(rng.standard_normal((256, 16)) * scale for scale in (1.0, 1e-3, 30.0))]:
+            got, want = ad.selu_slope(y), np.where(y > 0, lam, y + lam_alpha)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSoftplus:
@@ -192,7 +201,7 @@ class TestBackward:
 def _gradcheck_cases():
     """One builder per tape op (the embedding in three field mixes, the
     shared projection with no and with two encoder layers, each head link,
-    an encoder layer over 3, 1 and 12 fields);
+    an encoder layer over 3, 1 and 12 fields, the stacked hazard heads);
     each returns (loss closure, params)."""
     rng = np.random.default_rng(12)
     B, de = 5, 4
@@ -217,9 +226,10 @@ def _gradcheck_cases():
         return (lambda: embed_fields(tables, weight, cat, num)), params
 
     def layer(D):
-        wq, wk, wv = ([param(de, 2) for _ in range(2)] for _ in range(3))
+        # every head's wq, then wk, then wv, as drawn for per-head weights
+        qkv = parameter(np.stack([rng.standard_normal((2, de, 2)) for _ in range(3)], axis=1))
         wres, ffn = param(de, de), [param(de, 3), param(3, de)]
-        return (lambda x: encoder_layer(x, D, [*wq, *wk, *wv], wres, ffn)[0]), [*wq, *wk, *wv, wres, *ffn]
+        return (lambda x: encoder_layer(x, D, qkv, wres, ffn)[0]), [qkv, wres, *ffn]
 
     def case_embed_categorical():
         build, params = embedding(2, 0)
@@ -268,6 +278,12 @@ def _gradcheck_cases():
     def case_head_identity():
         return head(None, 1, True)
 
+    def case_hazard_heads():
+        # three stacked softplus heads of two layers
+        z = rand(B, 6)
+        weights, biases = [param(3, 6, 4), param(3, 4, 3)], [param(3, 4), param(3, 3)]
+        return probed(lambda: hazard_heads(z, weights, biases)), [z, *weights, *biases]
+
     def case_total():
         # each part a probe, so the finite differences perturb (1,) leaves
         leaves = [rand(1) for _ in range(3)]
@@ -291,10 +307,10 @@ def _gradcheck_cases():
 
     def case_survival():
         grid = TimeGrid(np.array([1.0, 2.0, 3.0]))
-        hazards = [tensor(rng.uniform(0.2, 2.0, (B, 3))) for _ in range(2)]
+        hazards = tensor(rng.uniform(0.2, 2.0, (2, B, 3)))
         t, e = rng.uniform(0.0, 3.5, B), rng.integers(0, 3, B)
-        pi = rng.uniform(0.2, 0.8, (B, 2))
-        return (lambda: L.competing_survival_loss(hazards, grid, t, e, propensities=pi)), hazards
+        targets = L.survival_targets(grid, t, e, rng.uniform(0.2, 0.8, (B, 2)))
+        return (lambda: L.competing_survival_loss(hazards, targets)), [hazards]
 
     def case_mp():
         prob = tensor(rng.uniform(0.05, 0.95, B))
@@ -311,15 +327,15 @@ def _gradcheck_cases():
         case_shared_projection_no_layers, case_shared_projection_two_layers,
         case_head_softplus, case_head_logistic, case_head_identity, case_total,
         case_encoder_layer, case_survival, case_mp, case_ls,
-        case_encoder_layer_one_field, case_encoder_layer_twelve_fields,
+        case_encoder_layer_one_field, case_encoder_layer_twelve_fields, case_hazard_heads,
     ]
     out = []
-    for i in range(60):
+    for i in range(64):
         out.append(builders[i % len(builders)]())
     return out
 
 
-@pytest.mark.parametrize("case_idx", range(60))
+@pytest.mark.parametrize("case_idx", range(64))
 def test_all_ops_match_finite_differences(case_idx):
     """Every tape op agrees with central differences on random inputs."""
     build, params = _gradcheck_cases()[case_idx]

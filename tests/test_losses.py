@@ -329,8 +329,8 @@ class TestTapeBuilders:
         t = rng.uniform(0.2, 3.0, size=n)
         e = np.array([1, 2, 0, 1, 0, 2])
         pi = rng.uniform(0.2, 0.9, size=(n, K))
-        tensors = [ad.Tensor(hazards[:, k, :]) for k in range(K)]
-        got = L.competing_survival_loss(tensors, grid, t, e, propensities=pi)
+        stacked = ad.Tensor(hazards.transpose(1, 0, 2))
+        got = L.competing_survival_loss(stacked, L.survival_targets(grid, t, e, pi))
 
         want = 0.0
         for i in range(n):
@@ -356,11 +356,12 @@ class TestTapeBuilders:
         t = rng.uniform(0.2, 3.5, size=n)
         pi = rng.uniform(0.2, 1.0, size=(n, K))
         pi /= pi.sum(axis=1, keepdims=True)
-        tensors = [ad.Tensor(hazards[:, k, :]) for k in range(K)]
+        stacked = ad.Tensor(hazards.transpose(1, 0, 2))
         mean = 0.0
         for events in itertools.product(range(1, K + 1), repeat=n):
             chance = math.prod(pi[i, e - 1] for i, e in enumerate(events))
-            mean += chance * float(L.competing_survival_loss(tensors, grid, t, np.array(events), propensities=pi).data)
+            targets = L.survival_targets(grid, t, np.array(events), pi)
+            mean += chance * float(L.competing_survival_loss(stacked, targets).data)
         closed = sum(pch_oracle(hazards[i, k], grid.cuts, t[i], 1)
                      + (1.0 - pi[i, k]) * pch_oracle(hazards[i, k], grid.cuts, t[i], 0)
                      for i in range(n) for k in range(K)) / (n * K)
@@ -370,14 +371,25 @@ class TestTapeBuilders:
         """The clipping floor is the propensity model's; the loss adds none."""
         grid = grid123()
         hazards = np.array([[0.4, 0.7, 1.1], [0.9, 0.3, 0.6]])
-        tensors = [ad.Tensor(hazards), ad.Tensor(hazards[::-1].copy())]
+        stacked = ad.Tensor(np.stack([hazards, hazards[::-1]]))
         t, e = np.array([0.5, 2.5]), np.array([1, 2])
         values = {}
         for p in (0.01, 0.05):
             pi = np.array([[p, 0.5], [0.5, 0.5]])
-            values[p] = float(L.competing_survival_loss(tensors, grid, t, e, propensities=pi).data)
+            values[p] = float(L.competing_survival_loss(stacked, L.survival_targets(grid, t, e, pi)).data)
         event_term = pch_oracle(hazards[0], grid.cuts, t[0], 1)
         assert values[0.01] - values[0.05] == pytest.approx(event_term * (1 / 0.01 - 1 / 0.05) / 4, rel=1e-12)
+
+    def test_targets_reject_a_nonpositive_propensity_and_index_per_record(self):
+        grid = grid123()
+        t, e = np.array([0.5, 2.5, 3.2]), np.array([1, 0, 2])
+        pi = np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])
+        for bad in (0.0, -0.1):
+            with pytest.raises(ValueError, match="propensities must be strictly positive"):
+                L.survival_targets(grid, t, e, np.where(np.arange(6).reshape(3, 2) == 3, bad, pi))
+        whole, part = L.survival_targets(grid, t, e, pi), L.survival_targets(grid, t[[2, 0]], e[[2, 0]], pi[[2, 0]])
+        for name in ("kappa", "rho", "ind", "weight"):
+            assert np.array_equal(getattr(whole[[2, 0]], name), getattr(part, name))
 
     def test_single_event_tape_equals_batch_mean_pch(self):
         grid = grid123()
@@ -386,8 +398,8 @@ class TestTapeBuilders:
         hazards = rng.uniform(0.1, 2.0, size=(n, 1, 3))
         t = rng.uniform(0.2, 3.0, size=n)
         e = np.array([1, 0, 1, 0, 1])
-        tensors = [ad.Tensor(hazards[:, 0, :])]
-        got = float(L.competing_survival_loss(tensors, grid, t, e).data)
+        stacked = ad.Tensor(hazards.transpose(1, 0, 2))
+        got = float(L.competing_survival_loss(stacked, L.survival_targets(grid, t, e, np.ones((n, 1)))).data)
         want = np.mean([pch_oracle(hazards[i, 0], grid.cuts, t[i], e[i]) for i in range(n)])
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -399,14 +411,15 @@ class TestTapeBuilders:
         t = rng.uniform(0.2, 3.0, size=n)
         e = np.array([1, 2, 0, 1])
         pi = rng.uniform(0.3, 0.9, size=(n, K))
-        tensors = [ad.Tensor(hazards[:, k, :]) for k in range(K)]
+        stacked = ad.Tensor(hazards.transpose(1, 0, 2).copy())
+        targets = L.survival_targets(grid, t, e, pi)
 
         def build():
-            return L.competing_survival_loss(tensors, grid, t, e, propensities=pi)
+            return L.competing_survival_loss(stacked, targets)
 
         ad.backward(build())
-        analytic = [p.grad for p in tensors]
-        fd = fd_gradients(lambda: float(build().data), tensors)
+        analytic = [stacked.grad]
+        fd = fd_gradients(lambda: float(build().data), [stacked])
         assert_grads_match(analytic, fd)
 
     @pytest.mark.parametrize("loss", ["mp", "ls"])

@@ -284,12 +284,17 @@ class TestMultiHeadAttentionOp:
 
 
 def random_layer(rng, H, de, depth, hidden, scale=1.0):
-    """Per-head (wq, wk, wv) lists, ``wres`` and the FFN weights of one layer."""
-    wq, wk, wv = random_heads(rng, H, de=de, dh=de // H, scale=scale)
-    (wres,) = parameters([rng.standard_normal((de, de))])
+    """One layer's (H, 3, d_e, d_h) query, key and value weights, ``wres``
+    and the FFN weights."""
+    qkv, wres = parameters([scale * rng.standard_normal((H, 3, de, de // H)), rng.standard_normal((de, de))])
     dims = [de] + [hidden] * (depth - 1) + [de]
     ffn = parameters([rng.standard_normal((a, b)) / np.sqrt(a) for a, b in zip(dims[:-1], dims[1:])])
-    return wq, wk, wv, wres, ffn
+    return qkv, wres, ffn
+
+
+def unstack(qkv):
+    """Per-head (wq, wk, wv) lists of Tensors viewing an (H, 3, d_e, d_h) block."""
+    return [[ad.Tensor(w) for w in qkv.data[:, j]] for j in range(3)]
 
 
 class TestEncoderLayerOp:
@@ -300,10 +305,10 @@ class TestEncoderLayerOp:
         rng = np.random.default_rng(seed)
         de = 8
         x = rng.standard_normal((B * D, de))
-        wq, wk, wv, wres, ffn = random_layer(rng, H, de, depth, hidden=6)
-        out, alpha = encoder_layer(ad.Tensor(x), D, [*wq, *wk, *wv], wres, ffn)
+        qkv, wres, ffn = random_layer(rng, H, de, depth, hidden=6)
+        out, alpha = encoder_layer(ad.Tensor(x), D, qkv, wres, ffn)
         assert out.data.shape == (B * D, de) and alpha.shape == (B, H, D, D)
-        heads = [(q.data, k.data, v.data) for q, k, v in zip(wq, wk, wv)]
+        heads = [tuple(qkv.data[h]) for h in range(H)]
         for b in range(B):
             want, want_alphas = naive_encoder_layer(
                 list(x[b * D:(b + 1) * D]), heads, wres.data, [w.data for w in ffn]
@@ -314,16 +319,24 @@ class TestEncoderLayerOp:
 
     @pytest.mark.parametrize("depth", [1, 3])
     def test_gradients_match_finite_differences(self, depth):
+        self.check_gradients(depth, H=2)
+
+    def test_gradients_of_four_heads_match_finite_differences(self):
+        # each head's block of the query/key/value gradient gets its own columns
+        self.check_gradients(2, H=4)
+
+    @staticmethod
+    def check_gradients(depth, H):
         rng = np.random.default_rng(40 + depth)
-        B, D, H, de = 2, 3, 2, 4
+        B, D, de = 2, 3, 4
         x = ad.Tensor(rng.standard_normal((B * D, de)))
-        wq, wk, wv, wres, ffn = random_layer(rng, H, de, depth, hidden=5)
+        qkv, wres, ffn = random_layer(rng, H, de, depth, hidden=5)
         c = rng.standard_normal((B * D, de))
 
         def build():
-            return probe(encoder_layer(x, D, [*wq, *wk, *wv], wres, ffn)[0], weights=c)
+            return probe(encoder_layer(x, D, qkv, wres, ffn)[0], weights=c)
 
-        params = [x, *wq, *wk, *wv, wres, *ffn]
+        params = [x, qkv, wres, *ffn]
         ad.backward(build())
         analytic = [p.grad for p in params]
         assert_grads_match(analytic, fd_gradients(lambda: float(build().data), params))
@@ -331,9 +344,9 @@ class TestEncoderLayerOp:
     def test_attention_weights_are_multi_head_attentions(self):
         rng = np.random.default_rng(6)
         x = ad.Tensor(rng.standard_normal((3 * 5, 8)))
-        wq, wk, wv, wres, ffn = random_layer(rng, 2, 8, 2, hidden=4)
-        _, alpha = encoder_layer(x, 5, [*wq, *wk, *wv], wres, ffn)
-        assert np.array_equal(alpha, attention(x.data, 5, wq, wk, wv)[1])
+        qkv, wres, ffn = random_layer(rng, 2, 8, 2, hidden=4)
+        _, alpha = encoder_layer(x, 5, qkv, wres, ffn)
+        assert np.array_equal(alpha, attention(x.data, 5, *unstack(qkv))[1])
 
 
 class TestHeadOp:
@@ -365,6 +378,40 @@ class TestHeadOp:
         ad.backward(build())
         analytic = [p.grad for p in params]
         assert_grads_match(analytic, fd_gradients(lambda: float(build().data), params))
+
+
+class TestHazardHeadsOp:
+    @given(st.integers(1, 70), st.integers(1, 3), st.integers(1, 3), st.sampled_from([1, 5, 32]),
+           st.sampled_from([1, 2, 10]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_is_per_head_softplus_heads_bit_for_bit(self, B, K, head_layers, hidden, m, seed):
+        """Outputs, every parameter's gradient view and the input gradient
+        of the stacked op against K ``mlp_head`` ops on the model's
+        per-head views, their backwards run in head order as the tape runs
+        them."""
+        cfg = ModelConfig(embed_dim=4, heads=1, layers=0, hidden_size=hidden, head_layers=head_layers,
+                          time_bins=m, n_events=K)
+        model = SurvivalTransformer(cfg, small_schema(), TimeGrid(np.arange(1.0, m + 1)), seed=seed % 997)
+        rng = np.random.default_rng(seed)
+        z, c = rng.standard_normal((B, hidden)), rng.standard_normal((K, B, m))
+        names = [name for name in model.params if name.startswith("cs")]
+
+        z_heads = ad.Tensor(z)
+        heads = [mlp_head(z_heads, *model.heads[k], "softplus") for k in range(K)]
+        for h, g in zip(heads, c):
+            h._backward(g)
+        want = {name: model.params[name].grad.copy() for name in names}
+
+        model.grad[:] = np.nan
+        z_stacked = ad.Tensor(z)
+        out = M.hazard_heads(z_stacked, *model.hazard_heads)
+        out._backward(c)
+        assert out.data.shape == (K, B, m)
+        for k, h in enumerate(heads):
+            assert np.array_equal(out.data[k], h.data)
+        assert np.array_equal(z_stacked.grad, z_heads.grad)
+        for name in names:
+            assert np.array_equal(model.params[name].grad, want[name]), name
 
 
 class TestEncode:
@@ -463,25 +510,23 @@ class TestHeads:
     def test_zero_head_hazards_are_log_two(self):
         model = self.zeroed_model()
         fp = model.forward_batch(*random_batch(np.random.default_rng(0), 6))
-        for h in fp.hazards:
-            np.testing.assert_allclose(h.data, math.log(2.0), rtol=1e-12)
+        np.testing.assert_allclose(fp.hazards.data, math.log(2.0), rtol=1e-12)
 
     def test_hazard_length_is_bin_count(self):
         model = make_model()
         fp = model.forward_batch(*random_batch(np.random.default_rng(1), 3))
-        assert fp.hazards[1].data.shape == (3, 5)
+        assert fp.hazards.data.shape == (2, 3, 5)
 
     def test_hazards_positive_on_random_inputs(self):
         model = make_model(seed=8)
         fp = model.forward_batch(*random_batch(np.random.default_rng(2), 100))
-        for h in fp.hazards:
-            assert np.all(h.data > 0)
+        assert np.all(fp.hazards.data > 0)
 
     def test_one_hazard_head_per_event(self):
         for n_events in (1, 3):
             model = make_model(n_events=n_events)
             fp = model.forward_batch(*random_batch(np.random.default_rng(5), 2))
-            assert len(fp.hazards) == n_events
+            assert fp.hazards.data.shape == (n_events, 2, 5)
 
     def test_zero_weights_give_neutral_task_outputs(self):
         model = self.zeroed_model()
@@ -522,7 +567,7 @@ class TestPredictHazards:
         model = make_model(seed=17)
         cat, num = random_batch(np.random.default_rng(n), n)
         fp = model.forward_batch(cat, num)
-        want = np.stack([h.data for h in fp.hazards], axis=1)
+        want = fp.hazards.data.transpose(1, 0, 2)
         got = model.predict_hazards(cat, num)
         assert got.shape == (n, 2, 5)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -668,13 +713,29 @@ def test_parameters_follow_the_documented_draw_and_block_groups(overrides, schem
         return None if group is None else [named(g) for g in group]
 
     heads = [f"cs{k}" for k in range(c.n_events)] + ["mp", "ls"]
-    assert named([model.embedding, model.encoder, model.projection, model.heads]) == [
+    encoder = [[wres, ffn] for _, wres, ffn in model.encoder]
+    assert named([model.embedding, encoder, model.projection, model.heads]) == [
         [[f"embed.cat{i}" for i in range(schema.d_c)], "embed.num" if schema.d_n else None],
-        [[[f"enc{layer}.h{h}.{w}" for w in ("wq", "wk", "wv") for h in range(c.heads)], f"enc{layer}.wres",
-          [f"enc{layer}.ffn{i}" for i in range(c.ffn_depth)]] for layer in range(c.layers)],
+        [[f"enc{layer}.wres", [f"enc{layer}.ffn{i}" for i in range(c.ffn_depth)]] for layer in range(c.layers)],
         "sr.w",
         [[[f"{p}.{wb}{i}" for i in range(c.head_layers)] for wb in "wb"] for p in heads],
     ]
+
+    # the stacked groups are views of the flat buffers over the parameters
+    # they stack: with every buffer entry distinct, equal values are the
+    # same entries
+    model.data[:] = np.arange(model.data.size)
+    model.grad[:] = -np.arange(model.grad.size)
+    stacked = [(qkv, [[f"enc{layer}.h{h}.{w}" for w in ("wq", "wk", "wv")] for h in range(c.heads)])
+               for layer, (qkv, _, _) in enumerate(model.encoder)]
+    for part, wb in zip(model.hazard_heads, "wb"):
+        stacked += [(t, [f"cs{k}.{wb}{i}" for k in range(c.n_events)]) for i, t in enumerate(part)]
+    assert len(stacked) == c.layers + 2 * c.head_layers
+    for t, grouped in stacked:
+        assert np.shares_memory(t.data, model.data) and np.shares_memory(t.grad, model.grad)
+        want = [model.params[name] for name in np.ravel(grouped)]
+        assert np.array_equal(t.data.reshape(len(want), -1), [p.data.reshape(-1) for p in want])
+        assert np.array_equal(t.grad.reshape(len(want), -1), [p.grad.reshape(-1) for p in want])
 
 
 def test_forward_rejects_a_nonfinite_output():
@@ -708,7 +769,7 @@ def test_full_model_gradients_match_finite_differences_small():
 
     def build():
         fp = model.forward_batch(cat, num)
-        surv = L.competing_survival_loss(fp.hazards, grid, t, e, propensities=pi)
+        surv = L.competing_survival_loss(fp.hazards, L.survival_targets(grid, t, e, pi))
         mp = L.mp_loss_tensor(fp.event_prob, (e > 0).astype(float))
         ls = L.ls_loss_tensor(fp.time_pred, t)
         total, _ = L.total_loss_tensor(surv, mp, ls, sched, 0)

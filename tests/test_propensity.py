@@ -152,6 +152,19 @@ class TestNewtonFit:
         assert model.converged == (True, True)
         assert np.isfinite(model.weights).all()
 
+    @pytest.mark.parametrize("l2", [0.0, 1e-4])
+    @pytest.mark.parametrize("fixture", ["normal", "onehot", "predict-wide"])
+    def test_two_event_fit_is_two_binary_fits_bit_for_bit(self, fixture, l2):
+        # event 2's model is event 1's negated, never fitted; the one-hot
+        # fixtures' never-set unknown slots give weights of exactly zero
+        x, e = predict_wide_like(n=600, seed=3) if fixture == "predict-wide" else random_fixture(2, fixture == "onehot")
+        model = P.fit(x, e, l2=l2)
+        for k in (1, 2):
+            w, b, n_iter, done = P._fit_binary(x, (e == k).astype(np.float64), l2)
+            assert model.weights[k - 1].tobytes() == w.tobytes()
+            assert model.offsets[k - 1].tobytes() == np.float64(b).tobytes()
+            assert (model.iterations[k - 1], model.converged[k - 1]) == (n_iter, done)
+
     def test_fit_report_stays_out_of_the_checkpoint(self):
         x, e = random_fixture(0, onehot=True)
         model = P.fit(x, e)

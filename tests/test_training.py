@@ -92,13 +92,14 @@ class TestTrain:
         best = history.epochs[history.best_epoch]
         # recompute the validation loss at the restored parameters
         vcat, vnum, vt, ve = val.cat, val.num, val.t, val.e
-        val_pi = None
+        val_pi = np.ones((len(ve), 1))
         if pm is not None:
             from survformer import propensity as P
 
             val_pi = pm.predict(P.design_matrix(schema, vcat, vnum))
         total, _ = T._batch_loss(
-            model, grid, vcat, vnum, vt, ve, val_pi, config.schedule(), history.best_epoch
+            model, vcat, vnum, vt, ve, L.survival_targets(grid, vt, ve, val_pi), config.schedule(),
+            history.best_epoch,
         )
         assert float(total.data) == pytest.approx(best.validation_loss, rel=1e-12)
 
@@ -108,7 +109,7 @@ class TestTrain:
         scripted = [3.0, 2.0, 2.5, 2.6, 2.7, 1.0]  # rises for ``patience`` epochs after epoch 1
         snapshots = []
 
-        def validation_loss(model, grid, records, pi, schedule, epoch):
+        def validation_loss(model, records, targets, schedule, epoch):
             snapshots.append(model.data.copy())  # the parameters after ``epoch``
             return ad.Tensor(scripted[epoch]), None
 
@@ -163,28 +164,28 @@ class TestTrain:
         model = SurvivalTransformer(
             dataclasses.replace(config.model, time_bins=grid.m, n_events=2), schema, grid
         )
-        loss, _ = T._batch_loss(
-            model, grid, rng.integers(0, 3, (B, categorical)), rng.standard_normal((B, 4)),
-            rng.uniform(0.0, 2.0, B), rng.integers(0, 3, B), rng.uniform(0.2, 0.8, (B, 2)),
-            config.schedule(), 0,
-        )
+        cat, num = rng.integers(0, 3, (B, categorical)), rng.standard_normal((B, 4))
+        t, e = rng.uniform(0.0, 2.0, B), rng.integers(0, 3, B)
+        targets = L.survival_targets(grid, t, e, rng.uniform(0.2, 0.8, (B, 2)))
+        loss, _ = T._batch_loss(model, cat, num, t, e, targets, config.schedule(), 0)
         return model, loss
 
-    def test_default_two_event_batch_is_exactly_12_tape_nodes(self):
-        # exactly 12 with or without categorical fields: one op per network
-        # block or loss, so no primitive op can creep back, and no parameter
-        # (36 weight and bias tensors, one more per categorical table)
+    def test_default_two_event_batch_is_exactly_11_tape_nodes(self):
+        # exactly 11 with or without categorical fields: one op per network
+        # block or loss, the two event heads one op, so no primitive op can
+        # creep back, and no parameter (36 weight and bias tensors, one more
+        # per categorical table)
         for categorical in (0, 2):
             model, loss = self.default_batch(categorical)
             tape = ad.GradientTape(loss).nodes
             assert len(model.params) == 36 + categorical
-            assert len(tape) == 12
+            assert len(tape) == 11
             assert not {id(n) for n in tape} & {id(p) for p in model.params.values()}
             assert all(n._backward is not None for n in tape)
             ops = [n._backward.__qualname__.split(".")[0] for n in tape]
             assert sorted(ops) == sorted([
                 "embed_fields", "encoder_layer", "encoder_layer", "shared_projection",
-                "mlp_head", "mlp_head", "mlp_head", "mlp_head",
+                "hazard_heads", "mlp_head", "mlp_head",
                 "competing_survival_loss", "_mean_op", "_mean_op", "total_loss_tensor",
             ])
 
@@ -256,8 +257,9 @@ class TestValidationLoss:
                                     D.synthetic_schema(4), grid, seed=3)
         pi = np.random.default_rng(n).uniform(0.05, 1.0, (n, 2))
         for epoch in (0, 7):
-            total, bd = T._validation_loss(model, grid, records, pi, config.schedule(), epoch)
-            want, want_bd = T._batch_loss(model, grid, records.cat, records.num, records.t, records.e, pi,
+            targets = L.survival_targets(grid, records.t, records.e, pi)
+            total, bd = T._validation_loss(model, records, targets, config.schedule(), epoch)
+            want, want_bd = T._batch_loss(model, records.cat, records.num, records.t, records.e, targets,
                                           config.schedule(), epoch)
             assert float(total.data) == pytest.approx(float(want.data), rel=1e-12, abs=0)
             for part in ("total", "survival", "mp", "ls"):
