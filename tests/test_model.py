@@ -695,8 +695,9 @@ class TestConfigValidation:
 @pytest.mark.parametrize("overrides, schema", LAYOUTS, ids=LAYOUT_IDS)
 def test_parameters_follow_the_documented_draw_and_block_groups(overrides, schema):
     """Names in draw order, shapes and values bit for bit against a replay
-    of the draw, and each block's group holding the parameters its op takes,
-    an encoder layer's query, key and value weights in the fused order."""
+    of the draw, and each block's group holding the parameters its op takes;
+    an encoder layer's query, key and value weights and each event-head
+    layer's weights and biases are stacked views over those parameters."""
     c = ModelConfig(**{"embed_dim": 8, "heads": 2, "time_bins": 5, **overrides})
     model = SurvivalTransformer(c, schema, small_grid(), seed=23)
     want = naive_parameter_draw(c, schema, seed=23)
