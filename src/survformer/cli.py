@@ -78,22 +78,6 @@ def _build_parser():
     return parser
 
 
-def _infer_columns(table, duration_col, event_col, numerical, categorical):
-    """Declared columns, or else every covariate column whose present cells
-    all parse under ``float()`` is numerical and the rest categorical."""
-    if numerical is not None or categorical is not None:
-        nums = [c for c in (numerical or "").split(",") if c]
-        cats = [c for c in (categorical or "").split(",") if c]
-        return D.ColumnSpec(nums, cats, duration_col, event_col)
-    nums, cats = [], []
-    for name in table.header:
-        if name in (duration_col, event_col):
-            continue
-        _, bad = D.parse_floats(table.column(name), table.line, valid=None)
-        (nums if bad is None else cats).append(name)
-    return D.ColumnSpec(nums, cats, duration_col, event_col)
-
-
 def _folds(table, fractions, seed):
     """The table's rows split into folds, each in ``split``'s order."""
     return tuple(table.take(idx) for idx in D.split(range(len(table)), fractions, seed))
@@ -119,10 +103,11 @@ def _cmd_train(args):
         config = dataclasses.replace(config, seed=args.seed)
     fractions = _parse_list("--fractions", args.fractions, "three finite train,validation,test fractions",
                             math.isfinite, count=3)
-    table = D.read_raw_csv(
-        args.data, D.ColumnSpec([], [], args.duration_col, args.event_col)
-    )
-    columns = _infer_columns(table, args.duration_col, args.event_col, args.numerical, args.categorical)
+    # with neither flag, every column but the labels is a covariate of the kind ``read_raw_csv`` infers
+    nums, cats = ([c for c in (flag or "").split(",") if c] for flag in (args.numerical, args.categorical))
+    table = D.read_raw_csv(args.data, D.ColumnSpec(nums, cats, args.duration_col, args.event_col),
+                           infer=args.numerical is None and args.categorical is None)
+    columns = table.columns
     train_table, val_table, _ = _folds(table, fractions, config.seed)
     schema = D.fit_schema(train_table, columns)
     train_records = D.transform_rows(schema, train_table, columns)

@@ -7,12 +7,12 @@ vocabulary indices, with one reserved index for values unseen at fit time.
 Fitting statistics must come from the training fold only; callers that split
 should split the raw table first and fit on the training rows.
 
-A cohort is columnar from ingestion on: ``read_raw_csv`` returns a
-``RawTable`` of cell text, and ``transform_rows`` turns it into ``Records``,
-one array per covariate block and label. A bad cell raises ``SchemaError``
-naming the earliest CSV line among the rows being read, whatever their order;
-``_read_column`` judges cells for both fit and transform. ``TimeGrid.locate``
-is the one time-bin lookup, for the loss and the survival curves alike.
+A cohort is columnar from ingestion on: ``read_raw_csv`` parses a CSV chunk
+by chunk into a ``Table`` of float and code columns, and ``transform_rows``
+turns it into ``Records``, one array per covariate block and label. A bad
+cell raises ``SchemaError`` naming the earliest CSV line among the rows being
+read, whatever their order; ``_read_floats`` judges cells for both fit and
+transform. ``TimeGrid.locate`` is the one time-bin lookup.
 
 The fitted schema is plain dataclasses: a checkpoint stores ``asdict`` of it,
 and ``model.FIELDS`` holds the rules its entries are judged by on loading.
@@ -20,6 +20,7 @@ and ``model.FIELDS`` holds the rules its entries are judged by on loading.
 """
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -46,45 +47,6 @@ def allocate(what, shape, make):
         return make()
     except (MemoryError, ValueError):
         raise ValueError(f"cannot allocate {what} of shape {echo(shape)}") from None
-
-
-def _earliest(line, mask):
-    """Index of the True entry of ``mask`` on the earliest CSV line, or None."""
-    idx = np.flatnonzero(mask)
-    return idx[np.argmin(line[idx])] if idx.size else None
-
-
-def parse_floats(cells, line, valid=np.isfinite, missing=True):
-    """``float()`` of every cell of a text column, NaN where a cell is missing.
-
-    Also returns the index of the bad cell on the earliest CSV line, or None:
-    a cell that ``float()`` rejects, a missing one unless ``missing`` allows
-    it, or one whose value fails the vectorized test ``valid`` (None for no
-    test).
-    """
-    present = cells != MISSING if missing else np.ones(len(cells), dtype=bool)
-    values = np.full(len(cells), np.nan)
-    try:
-        values[present] = cells[present].astype(np.float64)
-    except ValueError:
-        for i in np.argsort(line):
-            if present[i]:
-                try:
-                    values[i] = float(cells[i])
-                except ValueError:
-                    return values, i
-                if valid is not None and not valid(values[i]):
-                    return values, i
-    return values, None if valid is None else _earliest(line, present & ~valid(values))
-
-
-def _factorize(cells):
-    """The sorted distinct values of a text column and each cell's index into
-    them. Hashing first leaves ``np.unique`` only the distinct values to sort."""
-    first = {}
-    seen = np.fromiter((first.setdefault(v, len(first)) for v in cells), np.intp, len(cells))
-    values, rank = np.unique(np.array(list(first), dtype=object), return_inverse=True)
-    return values, rank[seen]
 
 
 @dataclass
@@ -161,37 +123,6 @@ class Records:
 
 
 @dataclass
-class RawTable:
-    """A CSV's data rows as text. ``line`` holds each row's line in the CSV,
-    so errors name it after the rows are split and shuffled."""
-
-    header: list
-    cells: np.ndarray  # (rows, header columns) object array of cell text
-    line: np.ndarray
-    _numbers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __len__(self):
-        return len(self.line)
-
-    def take(self, idx):
-        return RawTable(self.header, self.cells[idx], self.line[idx])
-
-    def numbers(self, name, valid=np.isfinite, missing=True):
-        """``parse_floats`` of a numerical or label column, parsed once:
-        ``fit_schema`` keeps it for ``transform_rows``, which frees it."""
-        if name not in self._numbers:
-            self._numbers[name] = parse_floats(self.column(name), self.line, valid, missing)
-        return self._numbers[name]
-
-    def column(self, name):
-        # the last column of that name, as a dict of the row would hold
-        where = {h: k for k, h in enumerate(self.header)}
-        if name not in where:
-            raise SchemaError(f"column {echo(name)} not found")
-        return self.cells[:, where[name]]
-
-
-@dataclass
 class ColumnSpec:
     """Which CSV columns are covariates and which carry the labels."""
 
@@ -206,92 +137,177 @@ class ColumnSpec:
                 raise ValueError(f"label column {echo(name)} is also declared a covariate")
 
 
-def read_raw_csv(path, columns):
-    """Parse a CSV into a ``RawTable``, validating the declared columns, that
-    there is a data row, that every row has one cell per header column and
-    that ``csv`` can read every line (no cell over its field limit)."""
+READ_CHUNK = 4096  # records parsed at a time
+
+
+@dataclass
+class Table:
+    """A CSV's records as parsed columns; errors name a record by its CSV ``line``."""
+
+    columns: ColumnSpec  # as read, inferred covariates included
+    line: np.ndarray
+    numbers: dict  # numerical or label column -> floats, NaN where missing or unparsable
+    codes: dict  # categorical column -> (its distinct cells, each record's index into them)
+    bad: dict  # numerical or label column -> {line: text} of its bad cells, judged per fold
+
+    def __len__(self):
+        return len(self.line)
+
+    def take(self, idx):
+        idx = np.asarray(idx, dtype=np.intp)
+        codes = {name: (values, c[idx]) for name, (values, c) in self.codes.items()}
+        return Table(self.columns, self.line[idx], {name: a[idx] for name, a in self.numbers.items()}, codes, self.bad)
+
+
+def _chunks(path):
+    """The CSV's header, then (lines, rows) of up to ``READ_CHUNK`` records
+    at a time, skipping blank rows; a row whose cell count is not the
+    header's, or a line ``csv`` cannot read, raises ``SchemaError``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
-            labels = [name for name in (columns.duration, columns.event) if name is not None]
-            for col in [*columns.numerical, *columns.categorical, *labels]:
-                if col not in header:
-                    raise SchemaError(f"column {echo(col)} not found in {path}")
-            rows, lines = [], []
+            yield header
+            lines, rows = [], []
             for cells in reader:
                 if not cells:
                     continue
                 if len(cells) != len(header):
-                    raise SchemaError(
-                        f"{path}: line {reader.line_num} has {len(cells)} cells, the header has {len(header)}"
-                    )
+                    raise SchemaError(f"{path}: line {reader.line_num} has {len(cells)} cells, "
+                                      f"the header has {len(header)}")
                 rows.append(cells)
                 lines.append(reader.line_num)
+                if len(rows) == READ_CHUNK:
+                    yield lines, rows
+                    lines, rows = [], []
         except csv.Error as err:
             raise SchemaError(f"{path}: line {reader.line_num}: {err}") from None
-    if not rows:
+    if rows:
+        yield lines, rows
+
+
+def _parse(cells, kind):
+    """``float()`` of a chunk of a numerical, duration or event column's cells,
+    NaN where missing or rejected; the mask of bad cells (rejected, not finite,
+    a missing or negative label, a non-integral event); and if one was rejected."""
+    cells = np.array(cells, dtype=object)
+    present = cells != MISSING if kind == "numerical" else np.ones(len(cells), dtype=bool)
+    values = np.full(len(cells), np.nan)
+    rejected = False
+    try:
+        values[present] = np.fromiter(map(float, cells[present]), np.float64)
+    except ValueError:
+        for i in np.flatnonzero(present):
+            try:
+                values[i] = float(cells[i])
+            except ValueError:
+                rejected = True
+    # events from 2**53 on are no longer exact integers, nor safe to cast
+    valid = np.isfinite(values) if kind != "event" else (values == np.floor(values)) & (values < 2.0**53)
+    if kind != "numerical":
+        valid &= values >= 0
+    return values, present & ~valid, rejected
+
+
+def _code(cells, index):
+    """Each cell's index in the running dict ``index``, extended by new cells."""
+    for v in dict.fromkeys(cells):  # the distinct cells, in first-seen order
+        index.setdefault(v, len(index))
+    return np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
+
+
+def read_raw_csv(path, columns, infer=False):
+    """Parse a CSV's declared columns into a ``Table``, ``READ_CHUNK`` records
+    at a time: numerical and label cells by ``float()``, categorical ones into
+    running dicts. With ``infer``, each other column but the labels is
+    numerical if ``float()`` takes its present cells, else categorical; one
+    that ``float()`` first rejects after the first chunk re-reads the chunks before."""
+    chunks = _chunks(path)
+    header = next(chunks)
+    # the duration's rule wins if both labels name one column
+    labels = {n: kind for kind, n in (("event", columns.event), ("duration", columns.duration)) if n is not None}
+    for col in [*columns.numerical, *columns.categorical, *reversed(labels)]:
+        if col not in header:
+            raise SchemaError(f"column {echo(col)} not found in {path}")
+    inferred = [h for h in header if h not in {*columns.numerical, *columns.categorical, *labels}] if infer else []
+    where = {h: k for k, h in enumerate(header)}  # a name's last column, as a dict of the row holds
+    kinds = {**dict.fromkeys([*columns.numerical, *inferred], "numerical"), **labels}
+    ids = {name: {} for name in columns.categorical}
+    numbers, codes, bad, lines = {name: [] for name in kinds}, {}, {name: {} for name in kinds}, []
+    for chunk_lines, rows in chunks:
+        cells = list(zip(*rows))
+        for name, kind in list(kinds.items()):
+            values, wrong, rejected = _parse(cells[where[name]], kind)
+            if rejected and name in inferred:  # categorical: its earlier chunks are read again
+                del kinds[name], numbers[name], bad[name]
+                ids[name] = {}
+                earlier = itertools.islice(_chunks(path), 1, len(lines) + 1) if lines else ()
+                codes[name] = [_code([row[where[name]] for row in old], ids[name]) for _, old in earlier]
+                continue
+            numbers[name].append(values)
+            bad[name].update((chunk_lines[i], cells[where[name]][i]) for i in np.flatnonzero(wrong))
+        for name, index in ids.items():
+            codes.setdefault(name, []).append(_code(cells[where[name]], index))
+        lines.append(np.array(chunk_lines, dtype=np.intp))
+    if not lines:
         raise SchemaError(f"{path}: no data rows")
-    cells = np.array(rows, dtype=object).reshape(len(rows), len(header))
-    return RawTable(header, cells, np.array(lines, dtype=np.intp))
+    spec = ColumnSpec([*columns.numerical, *(h for h in inferred if h in kinds)],
+                      [*columns.categorical, *(h for h in inferred if h in ids)], columns.duration, columns.event)
+    numbers = {name: np.concatenate(parts) for name, parts in numbers.items()}
+    codes = {name: (list(ids[name]), np.concatenate(parts)) for name, parts in codes.items()}
+    return Table(spec, np.concatenate(lines), numbers, codes, bad)
 
 
-def _read_column(table, errors, j, kind, name, valid=None):
-    """The values of a numerical column (``valid`` None) or of a label column
-    that ``valid`` tests, from the table's kept parse. The earliest bad cell
-    is appended to ``errors`` as (line, column position ``j``, message);
-    callers raise the ``min`` of them, the earliest line's leftmost bad cell."""
-    cells, line = table.column(name), table.line
-    values, bad = table.numbers(name) if valid is None else table.numbers(name, valid, missing=False)
-    if bad is not None:
-        v = values[bad]
-        problem = ("non-numeric or non-finite" if not np.isfinite(v) else
-                   "non-integral" if kind == "event" and v != np.floor(v) else
-                   "negative" if v < 0 else "out-of-range")
-        subject = "covariate value" if kind == "numerical" else "label"
-        errors.append((line[bad], j, f"bad {subject} at line {line[bad]}: {problem} value "
-                       f"{echo(cells[bad])} in {kind} column {echo(name)}"))
-    return values
+def _column(arrays, name):
+    if name not in arrays:
+        raise SchemaError(f"column {echo(name)} not found")
+    return arrays[name]
 
 
-def _read_labels(table, columns, errors, j):
-    """The duration and event columns that ``columns`` names, judged by
-    ``_read_column`` as column positions ``j`` and ``j + 1``; zeros when it
-    names none."""
-    if (columns.duration, columns.event) == (None, None):
-        return np.zeros(len(table)), np.zeros(len(table))
-    for name in (columns.duration, columns.event):
-        if name not in table.header:
+def _read_floats(table, columns, numerical):
+    """The ``numerical`` columns' values, then the duration and event that
+    ``columns`` names (zeros when it names none). A bad cell raises the
+    ``SchemaError`` of the earliest CSV line that holds one, and on that line
+    of the leftmost: the numerical columns in order, then the labels."""
+    read = [("numerical", name) for name in numerical]
+    if (columns.duration, columns.event) != (None, None):
+        read += [("duration", columns.duration), ("event", columns.event)]
+    parsed, errors = [], []
+    for j, (kind, name) in enumerate(read):
+        if kind != "numerical" and name not in table.numbers:
             raise SchemaError(f"missing label column {echo(name)}")
-    t = _read_column(table, errors, j, "duration", columns.duration, lambda v: np.isfinite(v) & (v >= 0))
-    # labels from 2**53 on are no longer exact integers, nor safe to cast
-    e = _read_column(table, errors, j + 1, "event", columns.event,
-                     lambda v: (v >= 0) & (v == np.floor(v)) & (v < 2.0**53))
-    return t, e
+        values, bad = _column(table.numbers, name), table.bad[name]
+        hit = table.line[np.isin(table.line, list(bad))] if bad else ()
+        if len(hit):
+            line = hit.min()
+            v = values[np.argmax(table.line == line)]
+            problem = ("non-numeric or non-finite" if not np.isfinite(v) else
+                       "non-integral" if kind == "event" and v != np.floor(v) else
+                       "negative" if v < 0 else "out-of-range")
+            subject = "covariate value" if kind == "numerical" else "label"
+            errors.append((line, j, f"bad {subject} at line {line}: {problem} value "
+                           f"{echo(bad[line])} in {kind} column {echo(name)}"))
+        parsed.append(values)
+    if errors:
+        raise SchemaError(min(errors)[2])
+    return parsed[: len(numerical)], *(parsed[len(numerical) :] or [np.zeros(len(table)), np.zeros(len(table))])
 
 
 def fit_schema(table, columns):
     """Fit imputation and encoding statistics on the given (training) rows.
-
     A bad numerical or label cell raises the ``SchemaError`` that
-    ``transform_rows`` gives for it, so the earliest line's is named.
-    """
+    ``transform_rows`` gives for it, so the earliest line's is named."""
     cats = []
     for name in columns.categorical:
-        values, inverse = _factorize(table.column(name))
-        counts = np.bincount(inverse, minlength=len(values))
-        observed = values != MISSING
-        values, counts = values[observed].tolist(), counts[observed]
+        values, codes = _column(table.codes, name)
+        count = dict(zip(values, np.bincount(codes, minlength=len(values)).tolist()))
+        values = sorted(v for v, c in count.items() if c and v != MISSING)
         if not values:
             raise SchemaError(f"categorical column {echo(name)} has no observed values")
-        # the first largest count: ties broken toward the smaller value
-        mode = values[int(np.argmax(counts))]
+        # the first largest count in sorted order: ties broken toward the smaller value
+        mode = max(values, key=count.__getitem__)
         cats.append(CategoricalField(name, {v: i for i, v in enumerate(values)}, mode))
-    errors = []
-    parsed = [_read_column(table, errors, j, "numerical", name) for j, name in enumerate(columns.numerical)]
-    _read_labels(table, columns, errors, len(columns.numerical))
-    if errors:
-        raise SchemaError(min(errors)[2])
+    parsed, _, _ = _read_floats(table, columns, columns.numerical)
     nums = []
     for name, values in zip(columns.numerical, parsed):
         values = values[~np.isnan(values)]
@@ -304,24 +320,17 @@ def fit_schema(table, columns):
 
 def transform_rows(schema, table, columns):
     """Apply a fitted schema to a table; labels are read exactly when
-    ``columns`` names them (durations and events are zero otherwise). A bad
-    cell raises ``SchemaError`` naming the earliest CSV line that holds one,
-    and on that line the leftmost bad cell."""
+    ``columns`` names them. A bad cell raises as ``_read_floats`` says."""
     n = len(table)
-    errors = []
     cat = np.empty((n, schema.d_c), dtype=np.intp)
     for i, f in enumerate(schema.categorical):
-        values, inverse = _factorize(table.column(f.name))
-        codes = [f.vocabulary.get(f.mode if v == MISSING else v, f.unknown_index) for v in values]
-        cat[:, i] = np.asarray(codes, dtype=np.intp)[inverse]
+        values, codes = _column(table.codes, f.name)
+        index = [f.vocabulary.get(f.mode if v == MISSING else v, f.unknown_index) for v in values]
+        cat[:, i] = np.asarray(index, dtype=np.intp)[codes]
+    parsed, t, e = _read_floats(table, columns, [f.name for f in schema.numerical])
     num = np.empty((n, schema.d_n))
-    for j, f in enumerate(schema.numerical):
-        values = _read_column(table, errors, j, "numerical", f.name)
+    for j, (f, values) in enumerate(zip(schema.numerical, parsed)):
         num[:, j] = (np.where(np.isnan(values), f.mean, values) - f.mean) / f.std
-    t, e = _read_labels(table, columns, errors, schema.d_n)
-    table._numbers.clear()
-    if errors:
-        raise SchemaError(min(errors)[2])
     return Records(cat, num, t, e.astype(np.intp), table.line)
 
 
@@ -377,8 +386,7 @@ def build_time_grid(durations, m, scheme="quantile"):
     if scheme == "uniform":
         cuts = allocate("the time_bins grid", (m,), lambda: np.linspace(0.0, hi, m + 1)[1:])
     elif scheme == "quantile":
-        cuts = np.quantile(durations, allocate("the time_bins grid", (m,), lambda: np.arange(1, m + 1) / m))
-        cuts = np.unique(cuts)
+        cuts = np.unique(np.quantile(durations, allocate("the time_bins grid", (m,), lambda: np.arange(1, m + 1) / m)))
         cuts = cuts[cuts > 0]
         if cuts.size < 1:
             raise ValueError("quantile cuts collapsed to nothing; durations too concentrated")
@@ -402,12 +410,8 @@ def split(items, fractions, seed):
     sizes.append(n - sum(sizes))
     if any(s <= 0 for s in sizes):
         raise ValueError(f"fractions {fractions} leave an empty partition for n={n}")
-    parts = []
-    start = 0
-    for s in sizes:
-        parts.append([items[i] for i in order[start : start + s]])
-        start += s
-    return tuple(parts)
+    ends = np.cumsum(sizes)
+    return tuple([items[i] for i in order[end - size : end]] for size, end in zip(sizes, ends))
 
 
 # --- synthetic competing-risks generator -----------------------------------
@@ -467,9 +471,7 @@ def synthesize(spec):
     n_cens = int(round(spec.censoring_rate * spec.n))
     if n_cens:
         censored_idx = rng.choice(spec.n, size=n_cens, replace=False)
-        durations = durations.copy()
         durations[censored_idx] *= rng.uniform(size=n_cens)
-        events = events.copy()
         events[censored_idx] = 0
     # each record's line is the one save_records_csv writes it to
     records = Records(np.empty((spec.n, 0), dtype=np.intp), x, durations, events, np.arange(2, spec.n + 2))
@@ -503,6 +505,4 @@ def save_propensities_csv(path, propensities):
 
 def sidecar_path(csv_path):
     stem, dot, ext = str(csv_path).rpartition(".")
-    if not dot:
-        return f"{csv_path}.propensities.csv"
-    return f"{stem}.propensities.{ext}"
+    return f"{stem}.propensities.{ext}" if dot else f"{csv_path}.propensities.csv"

@@ -176,7 +176,7 @@ class SurvivalTargets:
     weight: np.ndarray  # ind / pi + (1 - ind)
 
     def __getitem__(self, idx):
-        return SurvivalTargets(*(a[:, idx] for a in (self.kappa, self.rho, self.ind, self.weight)))
+        return SurvivalTargets(*(a.take(idx, axis=1) for a in (self.kappa, self.rho, self.ind, self.weight)))
 
 
 def survival_targets(grid, durations, events, propensities):

@@ -818,6 +818,21 @@ class TestCorruptInput:
         line = one_error_line(capsys)
         assert re.search(rf"\bline {index + 2}\b", line) and "numerical column 'x1'" in line, line
 
+    def test_a_bad_cell_in_the_test_fold_lets_train_finish_and_eval_name_it(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(D, "READ_CHUNK", 3)  # the bad cell's chunk also holds training records
+        data, args = synth_args(tmp_path)
+        assert run(args) == 0
+        index = D.split(list(range(150)), (0.6, 0.1, 0.3), 5)[2][0]  # tiny_config's seed
+        rewrite_row(data, index, lambda row: [row[0], "inf", *row[2:]])
+        ckpt = tmp_path / "m.json"
+        assert run(["train", "--data", str(data), "--config", str(tiny_config(tmp_path)),
+                    "--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--data", str(data), "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "metrics.json")]) == 1
+        assert one_error_line(capsys) == (f"error: bad covariate value at line {index + 2}: non-numeric or "
+                                          f"non-finite value 'inf' in numerical column 'x2'")
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_train_names_the_earliest_of_two_bad_cells_whatever_the_split_seed(self, tmp_path, capsys, seed):
         data, args = synth_args(tmp_path)

@@ -1,5 +1,10 @@
 """Ingestion, preprocessing, time grid, splits, and the synthetic generator."""
 
+import csv
+import dataclasses
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,10 +50,14 @@ def load(path, columns):
     return schema, D.transform_rows(schema, table, columns)
 
 
-def table_of(header, rows):
-    """A ``RawTable`` of cell text whose rows sit on CSV lines 2, 3, ..."""
-    cells = np.array(rows, dtype=object).reshape(len(rows), len(header))
-    return D.RawTable(list(header), cells, np.arange(2, len(rows) + 2))
+def table_of(header, rows, columns, **kw):
+    """``read_raw_csv`` of a CSV of ``rows`` under ``header``, written by
+    ``csv``, so a row without a newline in a cell sits on lines 2, 3, ..."""
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "t.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        return D.read_raw_csv(path, columns, **kw)
 
 
 class TestLoadCsv:
@@ -136,7 +145,8 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "d.csv", ["c", "duration", "event"],
                          [["a", 1, 1], ["b", 2, 0]])
         schema, _ = load(path, D.ColumnSpec([], ["c"]))
-        records = D.transform_rows(schema, table_of(["c"], [["zebra"]]), D.ColumnSpec([], ["c"], None, None))
+        columns = D.ColumnSpec([], ["c"], None, None)
+        records = D.transform_rows(schema, table_of(["c"], [["zebra"]], columns), columns)
         assert records.cat[0, 0] == schema.categorical[0].unknown_index == 2
 
     def test_fit_on_train_never_changes_test_labels(self, tmp_path):
@@ -148,10 +158,10 @@ class TestLoadCsv:
         schema = D.fit_schema(table.take(train_idx), columns)
         test_table = table.take(test_idx)
         test_records = D.transform_rows(schema, test_table, columns)
-        for i in range(len(test_table)):
-            assert test_records.t[i] == float(test_table.column("duration")[i])
-            assert test_records.e[i] == int(test_table.column("event")[i])
-            assert test_records.line[i] == test_table.line[i]
+        for i, line in enumerate(test_table.line):
+            v = line - 1  # the row of value v sits on line v + 1
+            assert test_records.t[i] == 10 * v and test_records.e[i] == v % 3
+            assert test_records.line[i] == line
 
 
 def number_cells():
@@ -166,8 +176,8 @@ def number_cells():
 
 @st.composite
 def raw_tables(draw):
-    """(fit table, applied table, columns, row order); the columns name the
-    labels or not, whether or not the tables hold them."""
+    """(header, fit rows, applied rows, columns, row order); the columns name
+    the labels or not, whether or not the header holds them."""
     n_cat, n_num = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     if n_cat + n_num == 0:
         n_num = 1
@@ -187,26 +197,30 @@ def raw_tables(draw):
             out.append(row)
         return out
 
-    fit = table_of(header, rows(draw(st.integers(1, 6)), st.floats(-10, 10).map(repr), True))
-    applied = table_of(header, rows(draw(st.integers(1, 8)), number_cells(), False))
+    fit = rows(draw(st.integers(1, 6)), st.floats(-10, 10).map(repr), True)
+    applied = rows(draw(st.integers(1, 8)), number_cells(), False)
     order = draw(st.permutations(range(len(applied))))
     columns = D.ColumnSpec(nums, cats) if draw(st.booleans()) else D.ColumnSpec(nums, cats, None, None)
-    return fit, applied, columns, order
+    return header, fit, applied, columns, order
 
 
 class TestTransformRowsMatchesPerRowOracle:
     @given(raw_tables())
     @settings(max_examples=300, deadline=None)
     def test_bit_for_bit(self, case):
-        fit, applied, columns, order = case
+        header, fit, applied, columns, order = case
         # the fit rows' labels are drawn as freely as the applied rows'; the
         # schema does not depend on them, so it is fitted from the covariates
-        schema = D.fit_schema(fit, D.ColumnSpec(columns.numerical, columns.categorical, None, None))
-        table = applied.take(list(order))
+        covariates = D.ColumnSpec(columns.numerical, columns.categorical, None, None)
+        schema = D.fit_schema(table_of(header, fit, covariates), covariates)
+        # the applied rows are read with the labels their header holds
+        held = ("duration", "event") if "duration" in header else (None, None)
+        table = table_of(header, applied, D.ColumnSpec(columns.numerical, columns.categorical, *held))
+        table = table.take(list(order))
         labels = columns.duration is not None  # read exactly when named
-        rows = [dict(zip(table.header, cells)) for cells in table.cells.tolist()]
+        rows = [dict(zip(header, applied[i])) for i in order]
         try:
-            if labels and "duration" not in table.header:
+            if labels and "duration" not in header:
                 raise KeyError("duration")
             # errors come from the row on the earliest line, whatever the row order
             for i in np.argsort(table.line):
@@ -242,9 +256,9 @@ class TestBadCellNamed:
         rows = self.rows()
         rows[4][1] = "inf"  # line 6
         rows[9][0] = "oops"  # line 11
-        table = table_of(self.HEADER, rows)
         columns = D.ColumnSpec(["x", "y"], [])
-        schema = D.fit_schema(table_of(self.HEADER, self.rows()), columns)
+        table = table_of(self.HEADER, rows, columns)
+        schema = D.fit_schema(table_of(self.HEADER, self.rows(), columns), columns)
         shuffled = table.take(np.random.default_rng(seed).permutation(len(table)))
         with pytest.raises(D.SchemaError, match=r"line 6: .*'inf' in numerical column 'y'"):
             D.transform_rows(schema, shuffled, columns)
@@ -256,39 +270,109 @@ class TestBadCellNamed:
         rows[3][1], rows[3][3] = "nan", "1.5"  # line 5: y, then event
         rows[7][0] = "nan"  # line 9
         columns = D.ColumnSpec(["x", "y"], [])
-        schema = D.fit_schema(table_of(self.HEADER, self.rows()), columns)
+        schema = D.fit_schema(table_of(self.HEADER, self.rows(), columns), columns)
         with pytest.raises(D.SchemaError, match=r"line 5: .*numerical column 'y'"):
-            D.transform_rows(schema, table_of(self.HEADER, rows).take(np.arange(12)[::-1]), columns)
+            D.transform_rows(schema, table_of(self.HEADER, rows, columns).take(np.arange(12)[::-1]), columns)
         rows[3][1] = "1"
         with pytest.raises(D.SchemaError, match=r"line 5: non-integral value '1.5' in event column"):
-            D.transform_rows(schema, table_of(self.HEADER, rows), columns)
+            D.transform_rows(schema, table_of(self.HEADER, rows, columns), columns)
 
-    def test_fit_and_transform_parse_each_numerical_column_once(self, monkeypatch):
+    def test_the_read_parses_each_cell_once(self, monkeypatch):
         parsed = []
-        parse = D.parse_floats
-        monkeypatch.setattr(D, "parse_floats", lambda cells, *args, **kw: parsed.append(1) or parse(cells, *args, **kw))
-        table = table_of(self.HEADER, self.rows())
+        parse = D._parse
+        monkeypatch.setattr(D, "_parse", lambda cells, *args: parsed.append(len(cells)) or parse(cells, *args))
+        monkeypatch.setattr(D, "READ_CHUNK", 5)
         columns = D.ColumnSpec(["x", "y"], [])
+        table = table_of(self.HEADER, self.rows(), columns)
+        assert parsed == [5] * 8 + [2] * 4  # x, y and the two labels of each chunk of 5, 5 and 2 records
         D.transform_rows(D.fit_schema(table, columns), table, columns)
-        assert len(parsed) == 4  # x and y once each, then the two labels
-        assert not table._numbers  # transform_rows frees the parses
+        assert len(parsed) == 12  # fitting and transforming parse nothing
 
     @pytest.mark.parametrize("event", ["1e20", "9007199254740992"])
     def test_event_label_past_exact_integers_names_its_line(self, event):
         rows = self.rows()
         rows[5][3] = event
         columns = D.ColumnSpec(["x", "y"], [])
-        schema = D.fit_schema(table_of(self.HEADER, self.rows()), columns)
+        schema = D.fit_schema(table_of(self.HEADER, self.rows(), columns), columns)
         with pytest.raises(D.SchemaError, match=rf"line 7: out-of-range value '{event}' in event column"):
-            D.transform_rows(schema, table_of(self.HEADER, rows), columns)
+            D.transform_rows(schema, table_of(self.HEADER, rows, columns), columns)
 
     def test_negative_duration_names_its_line(self):
         rows = self.rows()
         rows[2][2] = "-0.5"
         columns = D.ColumnSpec(["x", "y"], [])
-        schema = D.fit_schema(table_of(self.HEADER, self.rows()), columns)
+        schema = D.fit_schema(table_of(self.HEADER, self.rows(), columns), columns)
         with pytest.raises(D.SchemaError, match=r"line 4: negative value '-0.5' in duration column"):
-            D.transform_rows(schema, table_of(self.HEADER, rows), columns)
+            D.transform_rows(schema, table_of(self.HEADER, rows, columns), columns)
+
+
+class TestChunkedRead:
+    """``read_raw_csv`` parses ``READ_CHUNK`` records at a time; chunks of 2
+    or 3 records read what one chunk does."""
+
+    def outcome(self, rows, infer):
+        """The columns, the training fold's schema, and each fold's records
+        or error line."""
+        declared = D.ColumnSpec([], []) if infer else D.ColumnSpec(METABRIC_STYLE_HEADER[:5],
+                                                                     METABRIC_STYLE_HEADER[5:9])
+        table = table_of(METABRIC_STYLE_HEADER, rows, declared, infer=infer)
+        folds = [table.take(idx) for idx in D.split(range(len(table)), (0.6, 0.1, 0.3), 1)]
+        schema = D.fit_schema(folds[0], table.columns)
+        got = [table.columns, dataclasses.asdict(schema)]
+        for fold in folds:
+            try:
+                records = D.transform_rows(schema, fold, table.columns)
+                got.append([getattr(records, k).tobytes() for k in ("cat", "num", "t", "e", "line")])
+            except D.SchemaError as err:
+                got.append(str(err))
+        return got
+
+    @pytest.mark.parametrize("infer", [False, True], ids=["declared", "inferred"])
+    @pytest.mark.parametrize("chunk", [2, 3])
+    def test_schema_records_and_errors_equal_a_one_chunk_read(self, monkeypatch, chunk, infer):
+        rows = metabric_style_rows(n=13, seed=3)
+        _, validation, test = D.split(range(13), (0.6, 0.1, 0.3), 1)
+        rows[4][0], rows[7][6] = "", ""  # missing cells
+        rows[max(test)][1], rows[min(test)][4] = "inf", "nan"  # the earlier line is named
+        rows[validation[0]][10] = "1.5"
+        want = self.outcome(rows, infer)
+        assert want[3] == (f"bad label at line {validation[0] + 2}: non-integral value '1.5' "
+                           f"in event column 'event'")
+        assert want[4].startswith(f"bad covariate value at line {min(test) + 2}: ")
+        monkeypatch.setattr(D, "READ_CHUNK", chunk)
+        assert self.outcome(rows, infer) == want
+
+    @pytest.mark.parametrize("chunk", [2, 3])
+    def test_a_column_numeric_in_its_first_chunk_and_text_later_is_categorical(self, monkeypatch, chunk):
+        header = ["a", "b", "c", "d", "duration", "event"]
+        # b is text from its first record on, a from record 3, d only in record 8
+        rows = [[str(i) if i < 3 else f"t{i % 2}", "b" if i == 0 else str(i), str(i / 2),
+                 "d" if i == 8 else f"{i}.5", str(i + 1), str(i % 2)] for i in range(9)]
+        want = table_of(header, rows, D.ColumnSpec([], []), infer=True)
+        monkeypatch.setattr(D, "READ_CHUNK", chunk)
+        table = table_of(header, rows, D.ColumnSpec([], []), infer=True)
+        assert table.columns == want.columns == D.ColumnSpec(["c"], ["a", "b", "d"])
+        schema = D.fit_schema(table, table.columns)
+        assert schema == D.fit_schema(want, want.columns)
+        assert list(schema.categorical[0].vocabulary) == ["0", "1", "2", "t0", "t1"]
+        records, expected = (D.transform_rows(schema, t, t.columns) for t in (table, want))
+        for name in ("cat", "num", "t", "e", "line"):
+            assert getattr(records, name).tobytes() == getattr(expected, name).tobytes()
+
+    @pytest.mark.parametrize("chunk", [2, 3])
+    def test_a_cell_holding_a_newline_at_a_chunk_end_keeps_later_lines(self, monkeypatch, chunk):
+        monkeypatch.setattr(D, "READ_CHUNK", chunk)
+        rows = [["a", str(i), str(i + 1), "1"] for i in range(7)]
+        rows[chunk - 1][0] = "two\nlines"  # the first chunk's last record ends a line later
+        rows[5][1] = "oops"
+        columns = D.ColumnSpec(["x"], ["c"])
+        table = table_of(["c", "x", "duration", "event"], rows, columns)
+        lines = [i + 2 + (i >= chunk - 1) for i in range(7)]
+        assert table.line.tolist() == lines
+        with pytest.raises(D.SchemaError, match=rf"^bad covariate value at line {lines[5]}: .* 'oops'"):
+            D.fit_schema(table, columns)
+        schema = D.fit_schema(table.take([0, chunk - 1, 6]), columns)
+        assert schema.categorical[0].vocabulary == {"a": 0, "two\nlines": 1}
 
 
 class TestTimeGrid:

@@ -224,6 +224,17 @@ class TestTrain:
         with pytest.raises(T.TrainingDiverged, match=message):
             T.train(config, folds["train"], folds["validation"], schema, grid)
 
+    @pytest.mark.parametrize("floor", [1.0, 0.05])
+    def test_propensity_floor_one_gives_unit_ips_weights(self, monkeypatch, floor):
+        made, targets = [], L.survival_targets
+        monkeypatch.setattr(L, "survival_targets", lambda *args: made.append(targets(*args)) or made[-1])
+        train, val, _, schema = tiny_dataset()
+        config = tiny_config(max_epochs=1, propensity_floor=floor)
+        T.train(config, train, val, schema, build_grid(train, config))
+        assert len(made) == 2 and all(t.ind.any() for t in made)  # the two folds, each with events
+        # a floor of 1 clips every propensity to 1; the default floor leaves them fitted
+        assert all(np.all(t.weight == 1.0) for t in made) == (floor == 1.0)
+
     def test_empty_sets_rejected(self):
         train, val, _, schema = tiny_dataset()
         config = tiny_config()
