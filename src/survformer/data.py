@@ -132,6 +132,8 @@ class ColumnSpec:
     event: str = "event"
 
     def __post_init__(self):
+        if self.duration is not None and self.duration == self.event:
+            raise ValueError(f"the duration and event labels must name different columns, both name {echo(self.event)}")
         for name in (*self.numerical, *self.categorical):
             if name in (self.duration, self.event):
                 raise ValueError(f"label column {echo(name)} is also declared a covariate")
@@ -186,27 +188,29 @@ def _chunks(path):
         yield lines, rows
 
 
-def _parse(cells, kind):
+def _parse(cells, kind, inferred=False):
     """``float()`` of a chunk of a numerical, duration or event column's cells,
-    NaN where missing or rejected; the mask of bad cells (rejected, not finite,
-    a missing or negative label, a non-integral event); and if one was rejected."""
+    NaN where missing or rejected, and the mask of bad cells (rejected, not
+    finite, a missing or negative label, a non-integral event); None for an
+    ``inferred`` column once ``float()`` rejects a cell, as it is categorical."""
     cells = np.array(cells, dtype=object)
     present = cells != MISSING if kind == "numerical" else np.ones(len(cells), dtype=bool)
     values = np.full(len(cells), np.nan)
-    rejected = False
     try:
         values[present] = np.fromiter(map(float, cells[present]), np.float64)
     except ValueError:
+        if inferred:
+            return None
         for i in np.flatnonzero(present):
             try:
                 values[i] = float(cells[i])
             except ValueError:
-                rejected = True
+                pass
     # events from 2**53 on are no longer exact integers, nor safe to cast
     valid = np.isfinite(values) if kind != "event" else (values == np.floor(values)) & (values < 2.0**53)
     if kind != "numerical":
         valid &= values >= 0
-    return values, present & ~valid, rejected
+    return values, present & ~valid
 
 
 def _code(cells, index):
@@ -224,9 +228,8 @@ def read_raw_csv(path, columns, infer=False):
     that ``float()`` first rejects after the first chunk re-reads the chunks before."""
     chunks = _chunks(path)
     header = next(chunks)
-    # the duration's rule wins if both labels name one column
-    labels = {n: kind for kind, n in (("event", columns.event), ("duration", columns.duration)) if n is not None}
-    for col in [*columns.numerical, *columns.categorical, *reversed(labels)]:
+    labels = {n: kind for kind, n in (("duration", columns.duration), ("event", columns.event)) if n is not None}
+    for col in [*columns.numerical, *columns.categorical, *labels]:
         if col not in header:
             raise SchemaError(f"column {echo(col)} not found in {path}")
     inferred = [h for h in header if h not in {*columns.numerical, *columns.categorical, *labels}] if infer else []
@@ -237,13 +240,14 @@ def read_raw_csv(path, columns, infer=False):
     for chunk_lines, rows in chunks:
         cells = list(zip(*rows))
         for name, kind in list(kinds.items()):
-            values, wrong, rejected = _parse(cells[where[name]], kind)
-            if rejected and name in inferred:  # categorical: its earlier chunks are read again
+            parsed = _parse(cells[where[name]], kind, name in inferred)
+            if parsed is None:  # categorical: its earlier chunks are read again
                 del kinds[name], numbers[name], bad[name]
                 ids[name] = {}
                 earlier = itertools.islice(_chunks(path), 1, len(lines) + 1) if lines else ()
                 codes[name] = [_code([row[where[name]] for row in old], ids[name]) for _, old in earlier]
                 continue
+            values, wrong = parsed
             numbers[name].append(values)
             bad[name].update((chunk_lines[i], cells[where[name]][i]) for i in np.flatnonzero(wrong))
         for name, index in ids.items():

@@ -10,10 +10,10 @@ residual projection and a small feed-forward stack, both under SELU. The
 embedding and every layer emit (B·D, d_e) rows, so every parameter product
 is a 2-d matmul. ``shared_projection`` aligns the flattened encoder output,
 concatenated with the raw embeddings, into a shared representation consumed
-by the task heads, each with its output link: one hazard head per event type
-(softplus keeps rates positive), all K run side by side as one
-``hazard_heads`` op, and two ``mlp_head`` ops, a binary any-event head
-(logistic) and a follow-up-time regression head (identity).
+by three ``mlp_head`` ops, each a stack of task heads under one output link:
+the K event hazard heads side by side (softplus keeps rates positive), then
+a one-head stack each for the binary any-event head (logistic) and the
+follow-up-time regression head (identity).
 
 The model's parameters are views of one flat buffer ``data``, their
 gradients views of one flat buffer ``grad``. They are not tape nodes: each
@@ -283,62 +283,38 @@ def shared_projection(encoded, raw, w):
     return ad.node(out, (encoded, raw), back)
 
 
-def _mlp(a, weights, biases, link):
-    """A task head's layers on the input array ``a``: ``a @ w + b`` per
-    layer, ReLU between, then the output ``link``: "softplus", "logistic" or
-    None (identity). With (K, fan_in, fan_out) weights and (K, fan_out)
-    biases they are K heads side by side, every product K products of the
-    shapes one head's takes, and the output is (K, B, width). Returns the
-    output and the function that maps its cotangent to ``a``'s, one per
-    head, writing every parameter's gradient view."""
+def mlp_head(z, weights, biases, link=None, flat=False):
+    """K task heads of one shape side by side as one tape op: ``z @ w + b``
+    per layer, ReLU between, then the output ``link``: "softplus", "logistic"
+    or None (identity). Each layer's weights are one (K, fan_in, fan_out)
+    Tensor and its biases one (K, fan_out) Tensor, every product K products
+    of the shapes one head's takes, so each head's values and gradients are
+    its own one-head stack's bit for bit. Returns the (K, B, width) outputs;
+    ``flat`` flattens them, for a stack of one one-output head. Backward
+    writes every parameter's gradient view and sums the K input gradients
+    in head order, as K such ops accumulate them, handing ``z`` the one sum."""
+    a = z.data
     inputs = []  # the input of each layer; the later ones are ReLU outputs
     for i, (w, b) in enumerate(zip(weights, biases)):
         inputs.append(np.maximum(a, 0.0) if i else a)
-        a = np.matmul(inputs[-1], w.data) + b.data[..., None, :]
+        a = np.matmul(inputs[-1], w.data) + b.data[:, None, :]
     out = ad.softplus_array(a) if link == "softplus" else ad.logistic(a) if link == "logistic" else a
 
-    def vjp(g):
+    def back(g):
+        g = g.reshape(out.shape)
         if link == "softplus":
             g = g * -np.expm1(-out)  # logistic(a), read from the output
         elif link == "logistic":
             g = g * out * (1.0 - out)
         for i in range(len(weights) - 1, -1, -1):
-            biases[i].grad[...] = g.sum(axis=-2)
+            biases[i].grad[...] = g.sum(axis=1)
             weights[i].grad[...] = np.matmul(np.swapaxes(inputs[i], -1, -2), g)
             g = np.matmul(g, np.swapaxes(weights[i].data, -1, -2))
             if i:
                 g = g * (inputs[i] > 0)
-        return g
-
-    return out, vjp
-
-
-def mlp_head(z, weights, biases, link=None, flat=False):
-    """A task head as one tape op: ``z @ w + b`` per layer, ReLU between,
-    then the output ``link``: "softplus", "logistic" or None (identity).
-    ``flat`` drops the last axis of a one-output head."""
-    out, vjp = _mlp(z.data, weights, biases, link)
-
-    def back(g):
-        z._accumulate(vjp(g.reshape(out.shape)))
-
-    return ad.node(out.reshape(-1) if flat else out, (z,), back)
-
-
-def hazard_heads(z, weights, biases):
-    """The K event hazard heads as one tape op: K softplus ``mlp_head``
-    heads of one shape, each layer's weights one (K, fan_in, fan_out)
-    Tensor and its biases one (K, fan_out) Tensor. Returns the (K, B, m)
-    hazards. Each head's values and gradients are its own ``mlp_head``'s
-    bit for bit; backward sums the K input gradients in head order, as K
-    such ops accumulate them, and hands ``z`` the one sum."""
-    out, vjp = _mlp(z.data, weights, biases, "softplus")
-
-    def back(g):
-        g = vjp(g)
         z._accumulate(sum(g[1:], g[0]))
 
-    return ad.node(out, (z,), back)
+    return ad.node(out.reshape(-1) if flat else out, (z,), back)
 
 
 def _stacked(views, lead):
@@ -360,13 +336,14 @@ class SurvivalTransformer:
     """The full network. ``params`` maps each parameter's name, in draw
     order, to its Tensor; the Tensors are views of the flat buffers ``data``
     and ``grad``. ``embedding``, ``encoder`` (per layer), ``projection`` and
-    ``heads`` (event hazards, then mp and ls) hold the same Tensors, grouped
-    as the block ops take them. ``_walk`` runs twice: to record and count the
-    layout before the draws, then to group the views. A block's like
-    parameters sit equally far apart in the flat buffers, so each encoder
-    layer's query, key and value weights are one (H, 3, d_e, d_h) Tensor,
-    and ``hazard_heads`` holds the event heads' per-layer weights and biases
-    as (K, ...) Tensors; these are views of the same buffers."""
+    ``heads`` (the event hazards, then mp, then ls) hold the same Tensors,
+    grouped as the block ops take them. ``_walk`` runs twice: to record and
+    count the layout before the draws, then to group the views. A block's
+    like parameters sit equally far apart in the flat buffers, so each
+    encoder layer's query, key and value weights are one (H, 3, d_e, d_h)
+    Tensor, and each of the three ``heads`` groups holds its heads' per-layer
+    weights and biases as (K, ...) Tensors, K = n_events for the event heads
+    and 1 for mp and ls; these are views of the same buffers."""
 
     def __init__(self, config, schema, grid, seed=0):
         if config.time_bins != grid.m:
@@ -391,11 +368,11 @@ class SurvivalTransformer:
         self.data, self.grad, tensors = ad.flat_parameters(arrays)
         self.params = {name: t for (name, _, _), t in zip(layout, tensors)}
         views = iter(tensors)
-        self.embedding, encoder, self.projection, self.heads = self._walk(lambda *_: next(views))
+        self.embedding, encoder, self.projection, heads = self._walk(lambda *_: next(views))
         self.encoder = [(_stacked(qkv, (config.heads, 3)), wres, ffn) for qkv, wres, ffn in encoder]
-        weights, biases = zip(*self.heads[:-2])  # per event head
-        self.hazard_heads = tuple([_stacked(layer, (config.n_events,)) for layer in zip(*part)]
-                                  for part in (weights, biases))
+        *events, mp, ls = heads
+        self.heads = [tuple([_stacked(layer, (len(group),)) for layer in zip(*part)] for part in zip(*group))
+                      for group in (events, [mp], [ls])]
 
     def _walk(self, visit):
         """Call ``visit(name, shape, drawn)`` for every parameter in draw
@@ -445,8 +422,8 @@ class SurvivalTransformer:
                 x, alpha = encoder_layer(x, self.schema.d, *layer)
                 attention.append(alpha)
             t_sr = shared_projection(x, t0, self.projection)
-            hazards = hazard_heads(t_sr, *self.hazard_heads)
-            *_, mp, ls = self.heads
+            events, mp, ls = self.heads
+            hazards = mlp_head(t_sr, *events, "softplus")
             mp = mlp_head(t_sr, *mp, "logistic", flat=True)
             ls = mlp_head(t_sr, *ls, flat=True)
         outputs = [(f"event-{k + 1} hazards", h) for k, h in enumerate(hazards.data)]

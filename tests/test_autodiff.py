@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from survformer import autodiff as ad
 from survformer import losses as L
 from survformer.data import TimeGrid
-from survformer.model import embed_fields, encoder_layer, hazard_heads, mlp_head, shared_projection
+from survformer.model import embed_fields, encoder_layer, mlp_head, shared_projection
 
 from oracles import assert_grads_match, fd_gradients, probe
 
@@ -119,15 +119,16 @@ class TestSoftplus:
         # input, so the input's gradient under a unit cotangent is the slope
         a = np.linspace(-700.0, 700.0, 100_001)
         z = tensor(a[:, None])
-        w, b = parameter([[1.0]]), parameter([0.0])
+        w, b = parameter([[[1.0]]]), parameter([[0.0]])
         ad.backward(probe(mlp_head(z, [w], [b], "softplus")))
         np.testing.assert_allclose(z.grad[:, 0], ad.logistic(a), rtol=1e-15, atol=0)
 
 
 def one_layer_head(rng, link, inputs=4, outputs=1):
-    """A fixed (3, inputs) head input and one trainable layer into ``link``."""
+    """A fixed (3, inputs) head input and a one-head stack of one trainable
+    layer into ``link``."""
     z = tensor(rng.standard_normal((3, inputs)))
-    w, b = parameter(rng.standard_normal((inputs, outputs))), parameter(rng.standard_normal(outputs))
+    w, b = parameter(rng.standard_normal((1, inputs, outputs))), parameter(rng.standard_normal((1, outputs)))
     return (lambda: mlp_head(z, [w], [b], link)), [w, b]
 
 
@@ -195,13 +196,13 @@ class TestBackward:
         assert not {id(n) for n in tape.nodes} & {id(w), id(b)}
         w.grad[...], b.grad[...] = np.nan, np.nan
         tape.run()
-        assert np.isfinite(w.grad).all() and np.array_equal(b.grad, [3.0])
+        assert np.isfinite(w.grad).all() and np.array_equal(b.grad, [[3.0]])
 
 
 def _gradcheck_cases():
     """One builder per tape op (the embedding in three field mixes, the
     shared projection with no and with two encoder layers, each head link,
-    an encoder layer over 3, 1 and 12 fields, the stacked hazard heads);
+    an encoder layer over 3, 1 and 12 fields, three stacked hazard heads);
     each returns (loss closure, params)."""
     rng = np.random.default_rng(12)
     B, de = 5, 4
@@ -265,8 +266,9 @@ def _gradcheck_cases():
         return probed(build), [*params, *first_params, *second_params, w]
 
     def head(link, out, flat):
+        # a one-head stack
         z = rand(B, 6)
-        weights, biases = [param(6, 4), param(4, out)], [param(4), param(out)]
+        weights, biases = [param(1, 6, 4), param(1, 4, out)], [param(1, 4), param(1, out)]
         return probed(lambda: mlp_head(z, weights, biases, link, flat)), [z, *weights, *biases]
 
     def case_head_softplus():
@@ -282,7 +284,7 @@ def _gradcheck_cases():
         # three stacked softplus heads of two layers
         z = rand(B, 6)
         weights, biases = [param(3, 6, 4), param(3, 4, 3)], [param(3, 4), param(3, 3)]
-        return probed(lambda: hazard_heads(z, weights, biases)), [z, *weights, *biases]
+        return probed(lambda: mlp_head(z, weights, biases, "softplus")), [z, *weights, *biases]
 
     def case_total():
         # each part a probe, so the finite differences perturb (1,) leaves

@@ -558,6 +558,50 @@ class TestErrorPaths:
         assert err[0].startswith("error:") and "no data rows" in err[0]
 
 
+class TestLabelColumns:
+    """The duration and event labels must name two columns: one column read
+    as both would leak the event into the duration, or the duration into
+    the events, and make the real label column a covariate."""
+
+    @pytest.fixture()
+    def data(self, tmp_path):
+        # durations in [1, 3), so cast to int they are valid event labels
+        rng = np.random.default_rng(3)
+        path = tmp_path / "data.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x1", "x2", "duration", "event"])
+            x, t, e = rng.standard_normal((200, 2)).tolist(), rng.uniform(1, 3, 200).tolist(), rng.integers(0, 3, 200)
+            writer.writerows([*map(repr, row), repr(t_i), e_i] for row, t_i, e_i in zip(x, t, e.tolist()))
+        return path
+
+    @pytest.mark.parametrize("flag, name", [("--event-col", "duration"), ("--duration-col", "event")])
+    def test_train_rejects_one_column_as_both_labels(self, tmp_path, data, capsys, flag, name):
+        ckpt = tmp_path / "m.json"
+        code = run(["train", "--data", str(data), "--config", str(tiny_config(tmp_path)),
+                    "--checkpoint", str(ckpt), flag, name])
+        assert code == 1
+        assert one_error_line(capsys) == (f"error: the duration and event labels must name different columns, "
+                                          f"both name {name!r}")
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("command", [["eval"], ["predict", "--times", "1"]], ids=["eval", "predict"])
+    def test_a_checkpoint_naming_one_column_as_both_labels_is_one_error_line(self, tmp_path, data, capsys,
+                                                                             command):
+        ckpt = tmp_path / "m.json"
+        assert run(["train", "--data", str(data), "--config", str(tiny_config(tmp_path)),
+                    "--checkpoint", str(ckpt)]) == 0
+        payload = json.loads(ckpt.read_text())
+        payload["extra"]["columns"]["event"] = "duration"
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run([*command, "--data", str(data), "--checkpoint", str(ckpt), "--out", str(out)]) == 1
+        assert one_error_line(capsys) == ("error: the duration and event labels must name different columns, "
+                                          "both name 'duration'")
+        assert not out.exists()
+
+
 class TestBadArguments:
     @pytest.fixture()
     def data(self, tmp_path):

@@ -374,6 +374,27 @@ class TestChunkedRead:
         schema = D.fit_schema(table.take([0, chunk - 1, 6]), columns)
         assert schema.categorical[0].vocabulary == {"a": 0, "two\nlines": 1}
 
+    def test_an_inferred_text_column_costs_one_float_call(self, monkeypatch):
+        # ``float()`` rejecting its first cell makes the column categorical;
+        # a declared numerical column still has each cell tried, to name its
+        # bad ones
+        rows = [[f"t{i % 3}", str(i / 2), str(i + 1), str(i % 2)] for i in range(50)]
+        text = {row[0] for row in rows}
+        calls = []
+
+        def counting(cell):
+            calls.append(cell)
+            return float(cell)
+
+        monkeypatch.setattr(D, "float", counting, raising=False)
+        header = ["a", "x", "duration", "event"]
+        assert table_of(header, rows, D.ColumnSpec([], []), infer=True).columns == D.ColumnSpec(["x"], ["a"])
+        assert sum(cell in text for cell in calls) == 1
+        calls.clear()
+        assert table_of(header, rows, D.ColumnSpec(["a", "x"], [])).bad["a"] == {i + 2: row[0]
+                                                                              for i, row in enumerate(rows)}
+        assert sum(cell in text for cell in calls) == len(rows) + 1
+
 
 class TestTimeGrid:
     def test_uniform_equal_width(self):

@@ -351,8 +351,10 @@ class TestEncoderLayerOp:
 
 class TestHeadOp:
     def layers(self, rng, dims):
-        weights = parameters([rng.standard_normal((a, b)) for a, b in zip(dims[:-1], dims[1:])])
-        biases = parameters([rng.standard_normal(b) for b in dims[1:]])
+        """A one-head stack's per-layer (1, fan_in, fan_out) weights and (1,
+        fan_out) biases."""
+        weights = parameters([rng.standard_normal((1, a, b)) for a, b in zip(dims[:-1], dims[1:])])
+        biases = parameters([rng.standard_normal((1, b)) for b in dims[1:]])
         return weights, biases
 
     def test_matches_explicit_layers(self):
@@ -361,15 +363,15 @@ class TestHeadOp:
         weights, biases = self.layers(rng, [4, 6, 3, 2])
         want = z
         for i, (w, b) in enumerate(zip(weights, biases)):
-            want = (np.maximum(want, 0.0) if i else want) @ w.data + b.data
-        np.testing.assert_array_equal(mlp_head(ad.Tensor(z), weights, biases).data, want)
+            want = (np.maximum(want, 0.0) if i else want) @ w.data[0] + b.data[0]
+        np.testing.assert_array_equal(mlp_head(ad.Tensor(z), weights, biases).data, [want])
 
     @pytest.mark.parametrize("dims", [[4, 1], [4, 6, 3, 2]], ids=["one-layer", "three-layers"])
     def test_gradients_match_finite_differences(self, dims):
         rng = np.random.default_rng(len(dims))
         z = ad.Tensor(rng.standard_normal((5, dims[0])))
         weights, biases = self.layers(rng, dims)
-        c = rng.standard_normal((5, dims[-1]))
+        c = rng.standard_normal((1, 5, dims[-1]))
 
         def build():
             return probe(mlp_head(z, weights, biases), weights=c)
@@ -382,13 +384,14 @@ class TestHeadOp:
 
 class TestHazardHeadsOp:
     @given(st.integers(1, 70), st.integers(1, 3), st.integers(1, 3), st.sampled_from([1, 5, 32]),
-           st.sampled_from([1, 2, 10]), st.integers(0, 2**32 - 1))
+           st.sampled_from([1, 2, 10]), st.integers(0, 2**32 - 1), st.sampled_from(["softplus", "logistic", None]))
     @settings(max_examples=60, deadline=None)
-    def test_is_per_head_softplus_heads_bit_for_bit(self, B, K, head_layers, hidden, m, seed):
+    def test_each_head_of_a_stack_is_its_own_one_head_stack_bit_for_bit(self, B, K, head_layers, hidden, m, seed,
+                                                                       link):
         """Outputs, every parameter's gradient view and the input gradient
-        of the stacked op against K ``mlp_head`` ops on the model's
-        per-head views, their backwards run in head order as the tape runs
-        them."""
+        of the event heads' K-stack against K one-head stacks, each over its
+        head's own parameter views, their backwards run in head order as the
+        tape runs them."""
         cfg = ModelConfig(embed_dim=4, heads=1, layers=0, hidden_size=hidden, head_layers=head_layers,
                           time_bins=m, n_events=K)
         model = SurvivalTransformer(cfg, small_schema(), TimeGrid(np.arange(1.0, m + 1)), seed=seed % 997)
@@ -396,19 +399,22 @@ class TestHazardHeadsOp:
         z, c = rng.standard_normal((B, hidden)), rng.standard_normal((K, B, m))
         names = [name for name in model.params if name.startswith("cs")]
 
+        def own(k):  # head k's weights and biases as one-head stacks of its own views
+            return ([M._stacked([model.params[f"cs{k}.{wb}{i}"]], (1,)) for i in range(head_layers)] for wb in "wb")
+
         z_heads = ad.Tensor(z)
-        heads = [mlp_head(z_heads, *model.heads[k], "softplus") for k in range(K)]
+        heads = [mlp_head(z_heads, *own(k), link) for k in range(K)]
         for h, g in zip(heads, c):
             h._backward(g)
         want = {name: model.params[name].grad.copy() for name in names}
 
         model.grad[:] = np.nan
         z_stacked = ad.Tensor(z)
-        out = M.hazard_heads(z_stacked, *model.hazard_heads)
+        out = mlp_head(z_stacked, *model.heads[0], link)
         out._backward(c)
         assert out.data.shape == (K, B, m)
         for k, h in enumerate(heads):
-            assert np.array_equal(out.data[k], h.data)
+            assert np.array_equal(out.data[k], h.data[0])
         assert np.array_equal(z_stacked.grad, z_heads.grad)
         for name in names:
             assert np.array_equal(model.params[name].grad, want[name]), name
@@ -696,8 +702,9 @@ class TestConfigValidation:
 def test_parameters_follow_the_documented_draw_and_block_groups(overrides, schema):
     """Names in draw order, shapes and values bit for bit against a replay
     of the draw, and each block's group holding the parameters its op takes;
-    an encoder layer's query, key and value weights and each event-head
-    layer's weights and biases are stacked views over those parameters."""
+    an encoder layer's query, key and value weights and each head group's
+    per-layer weights and biases (the event heads, then mp, then ls) are
+    stacked views over those parameters."""
     c = ModelConfig(**{"embed_dim": 8, "heads": 2, "time_bins": 5, **overrides})
     model = SurvivalTransformer(c, schema, small_grid(), seed=23)
     want = naive_parameter_draw(c, schema, seed=23)
@@ -713,13 +720,11 @@ def test_parameters_follow_the_documented_draw_and_block_groups(overrides, schem
             return names[id(group)]
         return None if group is None else [named(g) for g in group]
 
-    heads = [f"cs{k}" for k in range(c.n_events)] + ["mp", "ls"]
     encoder = [[wres, ffn] for _, wres, ffn in model.encoder]
-    assert named([model.embedding, encoder, model.projection, model.heads]) == [
+    assert named([model.embedding, encoder, model.projection]) == [
         [[f"embed.cat{i}" for i in range(schema.d_c)], "embed.num" if schema.d_n else None],
         [[f"enc{layer}.wres", [f"enc{layer}.ffn{i}" for i in range(c.ffn_depth)]] for layer in range(c.layers)],
         "sr.w",
-        [[[f"{p}.{wb}{i}" for i in range(c.head_layers)] for wb in "wb"] for p in heads],
     ]
 
     # the stacked groups are views of the flat buffers over the parameters
@@ -729,9 +734,13 @@ def test_parameters_follow_the_documented_draw_and_block_groups(overrides, schem
     model.grad[:] = -np.arange(model.grad.size)
     stacked = [(qkv, [[f"enc{layer}.h{h}.{w}" for w in ("wq", "wk", "wv")] for h in range(c.heads)])
                for layer, (qkv, _, _) in enumerate(model.encoder)]
-    for part, wb in zip(model.hazard_heads, "wb"):
-        stacked += [(t, [f"cs{k}.{wb}{i}" for k in range(c.n_events)]) for i, t in enumerate(part)]
-    assert len(stacked) == c.layers + 2 * c.head_layers
+    # the heads: the event heads, then mp, then ls, each layer's weights and
+    # biases stacked over its heads
+    assert len(model.heads) == 3
+    for group, heads in zip(model.heads, [[f"cs{k}" for k in range(c.n_events)], ["mp"], ["ls"]]):
+        for part, wb in zip(group, "wb"):
+            stacked += [(t, [f"{p}.{wb}{i}" for p in heads]) for i, t in enumerate(part)]
+    assert len(stacked) == c.layers + 6 * c.head_layers
     for t, grouped in stacked:
         assert np.shares_memory(t.data, model.data) and np.shares_memory(t.grad, model.grad)
         want = [model.params[name] for name in np.ravel(grouped)]

@@ -185,7 +185,7 @@ class TestTrain:
             ops = [n._backward.__qualname__.split(".")[0] for n in tape]
             assert sorted(ops) == sorted([
                 "embed_fields", "encoder_layer", "encoder_layer", "shared_projection",
-                "hazard_heads", "mlp_head", "mlp_head",
+                "mlp_head", "mlp_head", "mlp_head",
                 "competing_survival_loss", "_mean_op", "_mean_op", "total_loss_tensor",
             ])
 
