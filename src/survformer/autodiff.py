@@ -6,10 +6,10 @@ so a scalar loss can be differentiated with one topological sweep
 finite differences at 1e-4 relative tolerance are not reliable in 32-bit.
 
 The module defines no arithmetic on Tensors. Every operation on the tape
-is one network block or loss with a closed-form vector-Jacobian product,
-built on ``node``: the model's field embedding, encoder layers, shared
-projection and task heads, and the training losses and their annealed
-total. The elementwise array functions here (SELU and its slope, softplus,
+is one network block (the model's field embedding, encoder layers, shared
+projection and task heads) or a batch's annealed loss, built on ``node``
+with a closed-form vector-Jacobian product that returns one cotangent per
+parent. The elementwise array functions here (SELU and its slope, softplus,
 the logistic function) are what those ops compute with; each op reads an
 activation's slope from the activation's output, which it keeps anyway.
 
@@ -48,7 +48,8 @@ class Tensor:
 
 def node(data, parents, backward_fn):
     """A tape node holding ``data``; ``backward_fn(g)`` receives the gradient
-    of the loss with respect to ``data`` and accumulates into ``parents``."""
+    of the loss with respect to ``data`` and returns one cotangent per
+    parent, in ``parents``' order, for the sweep to accumulate."""
     out = Tensor(data)
     out._parents = tuple(parents)
     out._backward = backward_fn
@@ -151,13 +152,15 @@ class GradientTape:
         return order
 
     def run(self):
-        """Sweep gradients from the loss to every reachable node."""
+        """Sweep gradients from the loss to every reachable node, adding each
+        cotangent a backward returns to its parent's gradient in order."""
         for node in self.nodes:
             node.grad = None
         self.loss.grad = np.ones_like(self.loss.data)
         for node in reversed(self.nodes):
             if node._backward is not None:
-                node._backward(node.grad)
+                for parent, g in zip(node._parents, node._backward(node.grad)):
+                    parent._accumulate(g)
 
 
 def backward(loss):

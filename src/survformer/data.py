@@ -162,10 +162,10 @@ class Table:
 
 
 def _chunks(path):
-    """The CSV's header, then (lines, rows) of up to ``READ_CHUNK`` records
-    at a time, skipping blank rows; a row whose cell count is not the
-    header's, or a line ``csv`` cannot read, raises ``SchemaError``."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """The CSV's header, less a UTF-8 byte-order mark, then (lines, rows) of up
+    to ``READ_CHUNK`` records at a time, skipping blank rows; a row whose cell
+    count is not the header's, or a line ``csv`` cannot read, raises ``SchemaError``."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])

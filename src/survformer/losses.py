@@ -3,27 +3,28 @@ inverse-propensity-weighted competing-events loss, auxiliary task losses,
 and the annealed total.
 
 ``_pch`` is the one implementation of the hazard likelihood term and its
-closed-form gradient, and ``pch_terms`` is its array form; each duration's
-bin and elapsed fraction come from ``TimeGrid.locate``. The array estimators
+closed-form gradient, and ``pch_terms`` is its array form; each duration's bin
+and elapsed fraction come from ``TimeGrid.locate``. The array estimators
 (``pch_loss``, ``event_loss_matrix``, ``ips_loss``, ``naive_competing_loss``)
-read its values. On the training tape each loss is one op:
-``competing_survival_loss`` folds the hazard terms of the K stacked event
-heads, in one ``_pch`` pass, with the IPS weights and the sum over heads; it
-reads each record's bin, elapsed fraction, indicators and weights from the
-``SurvivalTargets`` that ``survival_targets`` computes once per fold.
-``mp_loss_tensor`` and ``ls_loss_tensor`` are the auxiliary losses;
-``total_loss_tensor`` is the annealed total. The indicator-weighted
-estimators implement the printed formulas exactly; the censored
-cause-specific contributions that every record owes to the heads of
-unobserved events are added only by ``competing_survival_loss``, which does
-not clip the propensities it inverts: ``PropensityModel.predict`` did.
+read its values. Each training loss takes head outputs as arrays and returns
+its value and closed-form VJP. ``competing_survival_loss`` folds the hazard
+terms of the K stacked event heads, in one ``_pch`` pass, with the IPS weights
+and the sum over heads; it reads each record's bin, elapsed fraction,
+indicators and weights from the ``SurvivalTargets`` that ``survival_targets``
+computes once per fold. ``mp_loss_tensor`` and ``ls_loss_tensor`` are the
+auxiliary losses; ``total_loss_tensor`` is the annealed total and one VJP,
+which training puts on the tape as one node per batch. The benchmark's tracer
+wraps these four by name, so the last three keep ``_tensor`` names until it
+wraps new ones. The indicator-weighted estimators implement the printed
+formulas exactly; the censored cause-specific contributions that every record
+owes to the heads of unobserved events are added only by
+``competing_survival_loss``, which does not clip the propensities it inverts:
+``PropensityModel.predict`` did.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import autodiff as ad
 
 
 @dataclass
@@ -159,7 +160,7 @@ def ips_loss(hazards, durations, events, propensities, grid, floor=0.05):
     return float((losses[mask] / pi[mask]).sum() / (n * K))
 
 
-# --- tape losses (training path) --------------------------------------------
+# --- training losses: values and closed-form VJPs ----------------------------
 
 
 @dataclass
@@ -193,81 +194,56 @@ def survival_targets(grid, durations, events, propensities):
 
 
 def competing_survival_loss(hazards, targets):
-    """Tape survival objective, as one op: IPS-weighted event terms plus the
-    censored cumulative-hazard terms every record owes to its unobserved
-    heads, normalized together by records times events.
+    """Training survival objective and its VJP: IPS-weighted event terms
+    plus the censored cumulative-hazard terms every record owes to its
+    unobserved heads, normalized together by records times events.
 
-    ``hazards`` is the (K, B, m) Tensor of the K event heads and ``targets``
+    ``hazards`` is the (K, B, m) array of the K event heads and ``targets``
     the batch's ``SurvivalTargets``. Head k's indicator ind marks records
     whose event is k. Because ind is 0 or 1, the ``pch_terms`` values with
     events=ind, weighted by ind/pi + (1 - ind), hold both the event and the
     censored parts. All K·B terms come from one ``_pch`` pass; each head's
     weighted terms are summed, and the K sums added in head order. With one
     event type and unit propensities this is exactly the batch mean of the
-    single-event loss.
+    single-event loss. The VJP returns the (K, B, m) hazard cotangent.
     """
-    K, n, m = hazards.data.shape
-    terms, vjp = _pch(hazards.data.reshape(K * n, m), targets.kappa.reshape(-1), targets.rho.reshape(-1),
+    K, n, m = hazards.shape
+    terms, vjp = _pch(hazards.reshape(K * n, m), targets.kappa.reshape(-1), targets.rho.reshape(-1),
                       targets.ind.reshape(-1))
     scale = 1.0 / (n * K)
     total = 0.0
     for weighted in targets.weight * terms.reshape(K, n):
         total = total + weighted.sum()
-
-    def back(g):
-        hazards._accumulate(vjp((g * scale * targets.weight).reshape(-1)).reshape(K, n, m))
-
-    return ad.node(total * scale, (hazards,), back)
-
-
-def _mean_op(values, parent, vjp):
-    """The mean of the per-record ``values`` as one tape op on ``parent``.
-    ``vjp`` maps the cotangent each value receives, one scalar for all, to
-    ``parent``'s gradient."""
-    scale = 1.0 / values.size
-
-    def back(g):
-        parent._accumulate(vjp(g * scale))
-
-    return ad.node(values.sum() * scale, (parent,), back)
+    return total * scale, lambda g: vjp((g * scale * targets.weight).reshape(-1)).reshape(K, n, m)
 
 
 def mp_loss_tensor(prob, labels):
-    """Mean binary cross-entropy of the any-event head, as one tape op."""
+    """Mean binary cross-entropy of the any-event probabilities ``prob``
+    against 0/1 ``labels``, and its VJP onto ``prob``."""
     d = np.asarray(labels, dtype=np.float64)
-    p = prob.data
-    q = 1.0 - p
-    for x in (p, q):
+    q = 1.0 - prob
+    for x in (prob, q):
         if np.any(x <= 0):
             raise ValueError("mp loss: log requires strictly positive input")
-    return _mean_op(-(d * np.log(p) + (1.0 - d) * np.log(q)), prob,
-                    lambda c: c * (1.0 - d) / q - c * d / p)
+    scale = 1.0 / prob.size
+    return ((-(d * np.log(prob) + (1.0 - d) * np.log(q))).sum() * scale,
+            lambda g: g * scale * (1.0 - d) / q - g * scale * d / prob)
 
 
 def ls_loss_tensor(pred, observed):
-    """Mean squared error of the follow-up-time head over all records, as
-    one tape op."""
-    diff = pred.data - np.asarray(observed, dtype=np.float64)
-    return _mean_op(diff * diff, pred, lambda c: c * diff + c * diff)
+    """Mean squared error of the follow-up-time predictions ``pred`` over
+    all records, and its VJP onto ``pred``."""
+    diff = pred - np.asarray(observed, dtype=np.float64)
+    scale = 1.0 / diff.size
+    return (diff * diff).sum() * scale, lambda g: g * scale * diff + g * scale * diff
 
 
 def total_loss_tensor(survival, mp, ls, schedule, epoch):
-    """The annealed total ``survival + (gamma1*mp + gamma2*ls)`` as one tape
-    op, and the matching numeric breakdown."""
+    """The annealed total ``survival + (gamma1*mp + gamma2*ls)`` of three
+    ``(value, vjp)`` pairs, its breakdown, and its VJP, which maps g to the
+    parts' VJPs at g, g·gamma1 and g·gamma2: the hazard, mp and ls cotangents."""
     g1, g2 = schedule.gammas(epoch)
-    parts = (survival, mp, ls)
-
-    def back(g):
-        for part, grad in zip(parts, (g, g * g1, g * g2)):
-            part._accumulate(grad)
-
-    total = ad.node(survival.data + (mp.data * g1 + ls.data * g2), parts, back)
-    breakdown = LossBreakdown(
-        total=float(total.data),
-        survival=float(survival.data),
-        mp=float(mp.data),
-        ls=float(ls.data),
-        gamma1=g1,
-        gamma2=g2,
-    )
-    return total, breakdown
+    (survival, survival_vjp), (mp, mp_vjp), (ls, ls_vjp) = survival, mp, ls
+    total = survival + (mp * g1 + ls * g2)
+    breakdown = LossBreakdown(float(total), float(survival), float(mp), float(ls), g1, g2)
+    return total, breakdown, lambda g: (survival_vjp(g), mp_vjp(g * g1), ls_vjp(g * g2))

@@ -15,15 +15,15 @@ the K event hazard heads side by side (softplus keeps rates positive), then
 a one-head stack each for the binary any-event head (logistic) and the
 follow-up-time regression head (identity).
 
-The model's parameters are views of one flat buffer ``data``, their
-gradients views of one flat buffer ``grad``. They are not tape nodes: each
-block's backward writes its own parameters' gradients, so one sweep
-rewrites all of ``grad``. One walk over the blocks in draw order names and
-shapes every parameter; it counts them before any is drawn, then hands each
-block its views in the order its op takes them, so ``forward_batch``
-composes the ops without looking a parameter up by name; it checks its
-outputs once. ``encode`` and ``export_attention`` give a record's attention
-maps as the JSON-ready records that ``attention.json`` holds.
+The model's parameters are views of one flat buffer ``data``, their gradients
+views of one flat buffer ``grad``. They are not tape nodes: each block's
+backward writes its parameters' gradients and returns its input cotangents,
+so one sweep rewrites all of ``grad``. One walk over the blocks in draw order
+names and shapes every parameter; it counts them before any is drawn, then
+hands each block its views in the order its op takes them, so
+``forward_batch`` composes the ops without looking a parameter up by name; it
+checks its outputs once. ``encode`` and ``export_attention`` give a record's
+attention maps as the JSON-ready records that ``attention.json`` holds.
 
 ``judge`` checks every config setting and checkpoint entry against its rule.
 """
@@ -210,6 +210,7 @@ def embed_fields(tables, weight, cat, num):
             np.add.at(table.grad, cat[:, i], g[:, i])
         if weight is not None:
             weight.grad[...] = (g[:, d_c:] * num[:, :, None]).sum(axis=0)
+        return ()
 
     return ad.node(out.reshape(-1, out.shape[2]), (), back)
 
@@ -257,7 +258,7 @@ def encoder_layer(x, D, qkv, wres, ffn):
         # FFN, residual, then attention: the order in which composing the
         # layer from one op per matmul and SELU sums them, so both give the
         # same bits
-        x._accumulate(gz + g_s + dx_attn)
+        return (gz + g_s + dx_attn,)
 
     return ad.node(out, (x,), back), saved[-1]
 
@@ -277,8 +278,7 @@ def shared_projection(encoded, raw, w):
         g = g * ad.selu_slope(out)
         w.grad[...] = joined.T @ g
         g = g @ w.data.T
-        for t, part in ((encoded, g[:, :width]), (raw, g[:, width:])):
-            t._accumulate(part.reshape(t.data.shape))
+        return g[:, :width].reshape(encoded.data.shape), g[:, width:].reshape(raw.data.shape)
 
     return ad.node(out, (encoded, raw), back)
 
@@ -292,7 +292,7 @@ def mlp_head(z, weights, biases, link=None, flat=False):
     its own one-head stack's bit for bit. Returns the (K, B, width) outputs;
     ``flat`` flattens them, for a stack of one one-output head. Backward
     writes every parameter's gradient view and sums the K input gradients
-    in head order, as K such ops accumulate them, handing ``z`` the one sum."""
+    in head order, as K such ops' sweep would, returning ``z`` the one sum."""
     a = z.data
     inputs = []  # the input of each layer; the later ones are ReLU outputs
     for i, (w, b) in enumerate(zip(weights, biases)):
@@ -312,7 +312,7 @@ def mlp_head(z, weights, biases, link=None, flat=False):
             g = np.matmul(g, np.swapaxes(weights[i].data, -1, -2))
             if i:
                 g = g * (inputs[i] > 0)
-        z._accumulate(sum(g[1:], g[0]))
+        return (sum(g[1:], g[0]),)
 
     return ad.node(out.reshape(-1) if flat else out, (z,), back)
 

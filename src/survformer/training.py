@@ -4,7 +4,8 @@ Training fits the assignment-propensity model first (competing-events data
 only), then runs mini-batch Adam on the annealed multi-task objective with
 early stopping on validation loss; the best-epoch parameter snapshot is
 restored at the end. Training batches and the validation fold share one loss
-function; the validation fold is forwarded in ``INFER_CHUNK``-record chunks,
+function over the head output arrays; a batch puts its total on the tape as
+one node. The validation fold is forwarded in ``INFER_CHUNK``-record chunks,
 as inference is, and its losses are taken once over all records. Each fold's
 survival targets (bins, elapsed fractions, indicators, IPS weights) are
 computed once per fit, and a batch indexes the training fold's. Evaluation
@@ -114,35 +115,36 @@ class TrainHistory:
 
 
 def _batch_loss(model, cat, num, t, e, targets, schedule, epoch):
-    """The annealed total loss of one batch, on the tape, and its breakdown.
-    Raises ``ValueError`` as ``_loss`` does."""
+    """The annealed total loss of one batch, as one tape node over the head
+    outputs, and its breakdown. Raises ``ValueError`` as ``_loss`` does."""
     fp = model.forward_batch(cat, num)
-    return _loss(fp.hazards, fp.event_prob, fp.time_pred, targets, t, e, schedule, epoch)
+    outputs = (fp.hazards, fp.event_prob, fp.time_pred)
+    total, bd, vjp = _loss(*(o.data for o in outputs), targets, t, e, schedule, epoch)
+    return ad.node(total, outputs, vjp), bd
 
 
 def _validation_loss(model, records, targets, schedule, epoch):
     """The annealed total loss of ``records`` and its breakdown, from one
     forward in ``INFER_CHUNK`` record chunks: only the head outputs are kept
     and the losses are taken once over all records."""
-    hazards, event_prob, time_pred = model.predict_outputs(records.cat, records.num)
-    return _loss(ad.Tensor(hazards.transpose(1, 0, 2)), ad.Tensor(event_prob), ad.Tensor(time_pred), targets,
-                 records.t, records.e, schedule, epoch)
+    hazards, *aux = model.predict_outputs(records.cat, records.num)
+    return _loss(hazards.transpose(1, 0, 2), *aux, targets, records.t, records.e, schedule, epoch)[:2]
 
 
 def _loss(hazards, event_prob, time_pred, targets, t, e, schedule, epoch):
-    """The annealed total loss of the head outputs (Tensors) for the
-    survival ``targets`` and labels ``t`` and ``e``, and its breakdown.
-    Raises ``ValueError`` naming the loss (survival, mp, ls or total) that
-    rejects its input or leaves the finite range."""
+    """The annealed total loss of the head output arrays for the survival
+    ``targets`` and labels ``t`` and ``e``, its breakdown, and its VJP onto
+    the three outputs. Raises ``ValueError`` naming the loss (survival, mp,
+    ls or total) that rejects its input or leaves the finite range."""
     with np.errstate(all="ignore"):  # checked below, once
         survival = L.competing_survival_loss(hazards, targets)
         mp = L.mp_loss_tensor(event_prob, (e > 0).astype(np.float64))
         ls = L.ls_loss_tensor(time_pred, t)
-        total, bd = L.total_loss_tensor(survival, mp, ls, schedule, epoch)
+        total, bd, vjp = L.total_loss_tensor(survival, mp, ls, schedule, epoch)
     for name in ("survival", "mp", "ls", "total"):
         if not np.isfinite(getattr(bd, name)):
             raise ValueError(f"{name} loss is {getattr(bd, name)}")
-    return total, bd
+    return total, bd, vjp
 
 
 def train(config, train_records, val_records, schema, grid):
@@ -209,7 +211,7 @@ def train(config, train_records, val_records, schema, grid):
             val_total, _ = _validation_loss(model, val_records, val_targets, schedule, epoch)
         except (ValueError, FloatingPointError) as err:
             raise TrainingDiverged(f"nonfinite validation loss at epoch {epoch}: {err}") from err
-        val_loss = float(val_total.data)
+        val_loss = float(val_total)
         history.epochs.append(EpochRecord(epoch, train_bd, val_loss, g1, g2))
 
         if val_loss < best_val:

@@ -16,8 +16,16 @@ SELU_LAMBDA = 1.0507009873554804934193349852946
 SELU_ALPHA = 1.6732632423543772848170429916717
 
 
-def fd_gradients(loss_fn, tensors, step=1e-6):
-    """Central finite differences of a scalar closure w.r.t. tensor data."""
+def fd_gradients(loss_fn, tensors, step=1e-5):
+    """Finite differences of a scalar closure w.r.t. tensor data: central
+    differences at steps h and 2h, Richardson-extrapolated,
+    (8·(f(x+h) − f(x−h)) − (f(x+2h) − f(x−2h))) / 12h, whose truncation
+    error is O(h⁴). Their roundoff is about ε·|f|/h, so h grows with the
+    fifth root of the loss, h = step·max(1, |f(x)|)^(1/5), which balances the
+    two; the default keeps both far inside ``assert_grads_match``'s
+    tolerance, with steps small enough that x ± 2h seldom crosses a SELU or
+    ReLU kink."""
+    h = step * max(1.0, abs(loss_fn())) ** 0.2
     grads = []
     for p in tensors:
         p.data = np.ascontiguousarray(p.data)  # reshape below must be a view
@@ -25,35 +33,36 @@ def fd_gradients(loss_fn, tensors, step=1e-6):
         g = np.empty_like(flat)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
-            up = loss_fn()
-            flat[i] = orig - step
-            down = loss_fn()
+            f = {}
+            for k in (1, -1, 2, -2):
+                flat[i] = orig + k * h
+                f[k] = loss_fn()
             flat[i] = orig
-            g[i] = (up - down) / (2.0 * step)
+            g[i] = (8.0 * (f[1] - f[-1]) - (f[2] - f[-2])) / (12.0 * h)
         grads.append(g.reshape(p.data.shape))
     return grads
 
 
 def assert_grads_match(analytic, numeric, rtol=1e-4, atol=1e-8):
-    """Relative 1e-4 agreement; atol absorbs finite-difference roundoff."""
+    """Agreement to |a − f| ≤ atol + rtol·|f| at every entry; a failure
+    reports the worst error as a fraction of that tolerance."""
+    worst = max(float(np.max(np.abs(a - f) / (atol + rtol * np.abs(f)), initial=0.0))
+                for a, f in zip(analytic, numeric))
     for a, f in zip(analytic, numeric):
-        np.testing.assert_allclose(a, f, rtol=rtol, atol=atol)
+        np.testing.assert_allclose(a, f, rtol=rtol, atol=atol, err_msg=f"worst error {worst:.3g} of the tolerance")
 
 
 def probe(*tensors, weights=None):
     """The scalar ``sum(weights * t)`` summed over ``tensors``, as one tape op.
 
     ``weights`` is a fixed array shaped like every tensor (ones by default).
-    Backward hands the one array ``g * weights`` to every parent, so a
+    Backward returns the one array ``g * weights`` once per parent, so a
     parent listed twice receives it twice.
     """
     c = np.ones_like(tensors[0].data) if weights is None else np.asarray(weights, dtype=np.float64)
 
     def back(g):
-        grad = g * c
-        for t in tensors:
-            t._accumulate(grad)
+        return (g * c,) * len(tensors)
 
     return ad.node(sum((t.data * c).sum() for t in tensors), tensors, back)
 

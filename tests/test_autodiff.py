@@ -199,6 +199,13 @@ class TestBackward:
         assert np.isfinite(w.grad).all() and np.array_equal(b.grad, [[3.0]])
 
 
+def loss_node(loss, leaf, target):
+    """``loss`` of ``leaf``'s data against ``target`` as one tape node over
+    ``leaf``, from the loss's value and VJP."""
+    value, vjp = loss(leaf.data, target)
+    return ad.node(value, (leaf,), lambda g: (vjp(g),))
+
+
 def _gradcheck_cases():
     """One builder per tape op (the embedding in three field mixes, the
     shared projection with no and with two encoder layers, each head link,
@@ -287,11 +294,17 @@ def _gradcheck_cases():
         return probed(lambda: mlp_head(z, weights, biases, "softplus")), [z, *weights, *biases]
 
     def case_total():
-        # each part a probe, so the finite differences perturb (1,) leaves
+        # each part the value of a (1,) leaf, which the finite differences perturb
         leaves = [rand(1) for _ in range(3)]
         schedule = L.AnnealSchedule(initial=tuple(rng.uniform(0.1, 2.0, 2)), horizon=4)
         epoch = int(rng.integers(0, 4))
-        return (lambda: L.total_loss_tensor(*map(probe, leaves), schedule, epoch)[0]), leaves
+
+        def build():
+            parts = [(leaf.data[0], lambda g: g * np.ones(1)) for leaf in leaves]
+            total, _, vjp = L.total_loss_tensor(*parts, schedule, epoch)
+            return ad.node(total, leaves, vjp)
+
+        return build, leaves
 
     def encoder(D):
         x = rand(2 * D, de)
@@ -312,17 +325,17 @@ def _gradcheck_cases():
         hazards = tensor(rng.uniform(0.2, 2.0, (2, B, 3)))
         t, e = rng.uniform(0.0, 3.5, B), rng.integers(0, 3, B)
         targets = L.survival_targets(grid, t, e, rng.uniform(0.2, 0.8, (B, 2)))
-        return (lambda: L.competing_survival_loss(hazards, targets)), [hazards]
+        return (lambda: loss_node(L.competing_survival_loss, hazards, targets)), [hazards]
 
     def case_mp():
         prob = tensor(rng.uniform(0.05, 0.95, B))
         labels = (rng.uniform(size=B) > 0.5).astype(float)
-        return (lambda: L.mp_loss_tensor(prob, labels)), [prob]
+        return (lambda: loss_node(L.mp_loss_tensor, prob, labels)), [prob]
 
     def case_ls():
         pred = rand(B)
         observed = rng.standard_normal(B)
-        return (lambda: L.ls_loss_tensor(pred, observed)), [pred]
+        return (lambda: loss_node(L.ls_loss_tensor, pred, observed)), [pred]
 
     builders = [
         case_embed_categorical, case_embed_numerical, case_embed_both,

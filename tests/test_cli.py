@@ -602,6 +602,53 @@ class TestLabelColumns:
         assert not out.exists()
 
 
+class TestByteOrderMark:
+    """A CSV saved with a UTF-8 byte-order mark (Excel's "CSV UTF-8") reads
+    as the same file without it: the mark is not part of the first header
+    name."""
+
+    @pytest.fixture()
+    def plain(self, tmp_path):
+        data, args = synth_args(tmp_path, n=300)
+        assert run(args) == 0
+        return data
+
+    @staticmethod
+    def copies(tmp_path, plain, first):
+        """The synth file with column ``first`` moved to the front, without
+        and with a byte-order mark."""
+        with open(plain, newline="") as fh:
+            rows = list(csv.reader(fh))
+        j = rows[0].index(first)
+        lines = "".join(",".join([row[j], *row[:j], *row[j + 1:]]) + "\r\n" for row in rows)
+        paths = tmp_path / f"{first}_plain.csv", tmp_path / f"{first}_bom.csv"
+        paths[0].write_bytes(lines.encode())
+        paths[1].write_bytes(b"\xef\xbb\xbf" + lines.encode())
+        return paths
+
+    @pytest.mark.parametrize("first", ["x1", "duration"])
+    def test_train_writes_the_checkpoint_of_the_file_without_the_mark(self, tmp_path, plain, first):
+        checkpoints = []
+        for data in self.copies(tmp_path, plain, first):
+            checkpoints.append(tmp_path / f"{data.stem}.json")
+            assert run(["train", "--data", str(data), "--config", str(tiny_config(tmp_path)),
+                        "--checkpoint", str(checkpoints[-1])]) == 0
+        assert read_bytes(checkpoints[0]) == read_bytes(checkpoints[1])
+        assert json.loads(checkpoints[1].read_text())["extra"]["columns"]["numerical"] == ["x1", "x2", "x3"]
+
+    def test_eval_and_predict_read_a_file_with_the_mark(self, tmp_path, plain):
+        ckpt = tmp_path / "model.json"
+        assert run(["train", "--data", str(plain), "--config", str(tiny_config(tmp_path)),
+                    "--checkpoint", str(ckpt)]) == 0
+        for command in (["eval"], ["predict", "--times", "0.5,1"]):
+            outputs = []
+            for data in self.copies(tmp_path, plain, "x1"):
+                outputs.append(tmp_path / f"{command[0]}_{data.stem}")
+                assert run([*command, "--data", str(data), "--checkpoint", str(ckpt),
+                            "--out", str(outputs[-1])]) == 0
+            assert read_bytes(outputs[0]) == read_bytes(outputs[1])
+
+
 class TestBadArguments:
     @pytest.fixture()
     def data(self, tmp_path):

@@ -1,5 +1,6 @@
-"""``tools/compare_outputs.py``: a smoke test on one shrunken workload, and
-its report of how far a differing file's numbers moved."""
+"""``tools/compare_outputs.py``: a smoke test on one shrunken workload, at
+its own and at other event counts, and its report of how far a differing
+file's numbers moved."""
 
 import shutil
 import subprocess
@@ -16,8 +17,8 @@ from compare_outputs import difference  # noqa: E402
 FLAGS = ["--workloads", "fit-2k", "--n", "300", "--set", "max_epochs=2"]
 
 
-def compare(other):
-    return subprocess.run([sys.executable, str(ROOT / "tools" / "compare_outputs.py"), str(other), *FLAGS],
+def compare(other, *flags):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "compare_outputs.py"), str(other), *FLAGS, *flags],
                           capture_output=True, text=True)
 
 
@@ -42,6 +43,18 @@ def test_a_tree_matches_itself_and_a_changed_output_is_named(tmp_path):
     sizes = [line for line in changed.stdout.splitlines() if " largest |difference| " in line]
     assert len(sizes) == len(differing) and all(" attention.json: largest |difference| 0 over " in line
                                                 for line in sizes), changed.stdout
+
+
+def test_events_draws_the_workload_with_that_many_event_types():
+    # one event type takes the unit-weight path, three the general propensity fit
+    checkpoints = set()
+    for flags in ([], ["--events", "1"], ["--events", "3"]):
+        same = compare(ROOT / "src", *flags)
+        assert same.returncode == 0, same.stdout + same.stderr
+        lines = same.stdout.splitlines()
+        assert len(lines) == 7 and all(line.endswith(" same") for line in lines[:-1]), lines
+        checkpoints.add(lines[0].split()[-2])
+    assert len(checkpoints) == 3
 
 
 @pytest.mark.parametrize("a, b, report", [

@@ -778,12 +778,13 @@ def test_full_model_gradients_match_finite_differences_small():
     sched = L.AnnealSchedule(horizon=5)
 
     def build():
+        # as a training batch: one node over the head outputs carries the annealed total
         fp = model.forward_batch(cat, num)
-        surv = L.competing_survival_loss(fp.hazards, L.survival_targets(grid, t, e, pi))
-        mp = L.mp_loss_tensor(fp.event_prob, (e > 0).astype(float))
-        ls = L.ls_loss_tensor(fp.time_pred, t)
-        total, _ = L.total_loss_tensor(surv, mp, ls, sched, 0)
-        return total
+        surv = L.competing_survival_loss(fp.hazards.data, L.survival_targets(grid, t, e, pi))
+        mp = L.mp_loss_tensor(fp.event_prob.data, (e > 0).astype(float))
+        ls = L.ls_loss_tensor(fp.time_pred.data, t)
+        total, _, vjp = L.total_loss_tensor(surv, mp, ls, sched, 0)
+        return ad.node(total, (fp.hazards, fp.event_prob, fp.time_pred), vjp)
 
     ad.backward(build())
     params = list(model.params.values())

@@ -111,7 +111,7 @@ class TestTrain:
 
         def validation_loss(model, records, targets, schedule, epoch):
             snapshots.append(model.data.copy())  # the parameters after ``epoch``
-            return ad.Tensor(scripted[epoch]), None
+            return scripted[epoch], None
 
         monkeypatch.setattr(T, "_validation_loss", validation_loss)
         model, history, _ = T.train(config, train, val, schema, build_grid(train, config))
@@ -170,23 +170,23 @@ class TestTrain:
         loss, _ = T._batch_loss(model, cat, num, t, e, targets, config.schedule(), 0)
         return model, loss
 
-    def test_default_two_event_batch_is_exactly_11_tape_nodes(self):
-        # exactly 11 with or without categorical fields: one op per network
-        # block or loss, the two event heads one op, so no primitive op can
-        # creep back, and no parameter (36 weight and bias tensors, one more
-        # per categorical table)
+    def test_default_two_event_batch_is_exactly_8_tape_nodes(self):
+        # exactly 8 with or without categorical fields: one op per network
+        # block, the two event heads one op, and one node for the annealed
+        # loss, so no primitive op can creep back, and no parameter (36
+        # weight and bias tensors, one more per categorical table)
         for categorical in (0, 2):
             model, loss = self.default_batch(categorical)
             tape = ad.GradientTape(loss).nodes
             assert len(model.params) == 36 + categorical
-            assert len(tape) == 11
+            assert len(tape) == 8
             assert not {id(n) for n in tape} & {id(p) for p in model.params.values()}
             assert all(n._backward is not None for n in tape)
             ops = [n._backward.__qualname__.split(".")[0] for n in tape]
             assert sorted(ops) == sorted([
                 "embed_fields", "encoder_layer", "encoder_layer", "shared_projection",
                 "mlp_head", "mlp_head", "mlp_head",
-                "competing_survival_loss", "_mean_op", "_mean_op", "total_loss_tensor",
+                "total_loss_tensor",
             ])
 
     @pytest.mark.parametrize("categorical", [0, 2])
@@ -272,7 +272,7 @@ class TestValidationLoss:
             total, bd = T._validation_loss(model, records, targets, config.schedule(), epoch)
             want, want_bd = T._batch_loss(model, records.cat, records.num, records.t, records.e, targets,
                                           config.schedule(), epoch)
-            assert float(total.data) == pytest.approx(float(want.data), rel=1e-12, abs=0)
+            assert float(total) == pytest.approx(float(want.data), rel=1e-12, abs=0)
             for part in ("total", "survival", "mp", "ls"):
                 assert getattr(bd, part) == pytest.approx(getattr(want_bd, part), rel=1e-12, abs=0)
 

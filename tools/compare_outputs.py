@@ -2,20 +2,21 @@
 
     python tools/compare_outputs.py OTHER_SRC --seeds 11 1 2 3
     python tools/compare_outputs.py ../parent/src --workloads fit-2k --set layers=0
+    python tools/compare_outputs.py ../parent/src --events 1
 
 For each perfbench workload and seed, the workload's CSV is drawn by
-``perfbench/workloads.py`` (``--n`` shrinks it) and the CLI runs ``train``,
-``eval`` on the test fold and on ``--fold all``, ``predict`` and
-``attention`` on it, once with this checkout's ``src`` and once with
-``OTHER_SRC``, each in its own directory. ``--set key=value`` overrides one
-training setting of the workload's config (the value is JSON). One line per
-output file gives the workload, seed, file, both digests and whether they
-match. A file that differs gets a second line with the size of the change:
-the largest absolute difference over its numbers (a JSON file's numbers in
-document order, a CSV file's numeric cells) and the largest difference
-relative to the larger magnitude of the two values, or that the two files
-differ in structure (anything but those numbers, or how many there are).
-The exit status is 1 when any file differs or any command fails.
+``perfbench/workloads.py`` (``--n`` resizes it, ``--events K`` draws it with K
+event types) and the CLI runs ``train``, ``eval`` on the test fold and on
+``--fold all``, ``predict`` and ``attention`` on it, once with this checkout's
+``src`` and once with ``OTHER_SRC``, each in its own directory.
+``--set key=value`` overrides one training setting of the workload's config
+(the value is JSON). One line per output file gives the workload, seed, file,
+both digests and whether they match. A file that differs gets a second line
+with the size of the change: the largest absolute difference over its numbers
+(a JSON file's numbers in document order, a CSV file's numeric cells) and the
+largest difference relative to the larger magnitude of the two values, or that
+the two files differ in structure (anything but those numbers, or how many
+there are). The exit status is 1 when any file differs or any command fails.
 """
 
 import argparse
@@ -121,6 +122,8 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", default=[11])
     parser.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS), default=list(WORKLOADS))
     parser.add_argument("--n", type=int, default=None, help="records per workload (default: its own)")
+    parser.add_argument("--events", type=int, default=None, metavar="K",
+                        help="event types per workload (default: its own)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one training setting; the value is JSON")
     args = parser.parse_args(argv)
@@ -128,13 +131,12 @@ def main(argv=None):
     for item in args.set:
         key, _, value = item.partition("=")
         overrides[key] = json.loads(value)
+    drawn = {key: value for key, value in (("n", args.n), ("events", args.events)) if value is not None}
     sides = {"this": ROOT / "src", "other": args.other.resolve()}
     differ = False
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         for name in args.workloads:
-            workload = WORKLOADS[name]
-            if args.n is not None:
-                workload = dataclasses.replace(workload, n=args.n)
+            workload = dataclasses.replace(WORKLOADS[name], **drawn)
             for seed in args.seeds:
                 header, rows, times = generate(workload, seed)
                 digests = {}
