@@ -5,21 +5,19 @@ so a scalar loss can be differentiated with one topological sweep
 (``backward``). All arithmetic is 64-bit; gradient checks against central
 finite differences at 1e-4 relative tolerance are not reliable in 32-bit.
 
-The module defines no arithmetic on Tensors. Every operation on the tape
-is one network block (the model's field embedding, encoder layers, shared
-projection and task heads) or a batch's annealed loss, built on ``node``
-with a closed-form vector-Jacobian product that returns one cotangent per
-parent. The elementwise array functions here (SELU and its slope, softplus,
-the logistic function) are what those ops compute with; each op reads an
-activation's slope from the activation's output, which it keeps anyway.
+The module defines no arithmetic on Tensors. A training batch's tape is one
+``node``, the annealed loss, whose VJP hands the head outputs' cotangents to
+the network's own, ``model.ForwardPass.backward``; the benchmark's tracer
+counts Tensors and tape nodes through these classes. The elementwise array
+functions here (SELU and its slope, softplus, the logistic function) are what
+the network's blocks compute with, each reading an activation's slope from
+the activation's output, which it keeps anyway.
 
 Parameters are not on the tape. ``flat_parameters`` makes each one a view
-of one flat data buffer and one flat gradient buffer, and the one op that
-reads a parameter writes its whole gradient view on every sweep. Between
-nodes a gradient is never written in place: a node's first gradient is
-stored as handed over, and one array may be handed to several nodes. The
-graph is rebuilt on every forward pass; only an optimizer changes parameter
-data, between tapes. Values are not checked here.
+of one flat data buffer and one flat gradient buffer, and the one block
+that reads a parameter writes its whole gradient view on every sweep. A
+node's first gradient is stored as handed over and never written in place,
+as one array may be handed to several nodes. Values are not checked here.
 """
 
 import numpy as np

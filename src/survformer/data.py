@@ -21,6 +21,7 @@ and ``model.FIELDS`` holds the rules its entries are judged by on loading.
 
 import csv
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +39,16 @@ def echo(value):
     """``repr(value)`` for an error message, cut to at most 120 characters."""
     text = repr(value)
     return text if len(text) <= 120 else text[:117] + "..."
+
+
+def read_json(path, what):
+    """The JSON value in the file at ``path``, less a UTF-8 byte-order mark;
+    one ValueError names ``what`` (its role) and ``path`` if it is not UTF-8 JSON."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ValueError(f"{what} {path} is not UTF-8 JSON: {err}") from None
 
 
 def allocate(what, shape, make):

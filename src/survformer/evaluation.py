@@ -25,16 +25,14 @@ class UndefinedMetricError(ValueError):
 
 
 def survival_matrix(hazard_matrix, grid, times):
-    """Survival curves: (n, m) hazards -> (n, T) survival at ``times``.
+    """Survival curves: (..., m) hazards -> (..., T) survival at ``times``.
 
     A time past the last cut holds the survival at the grid end.
     """
     hazard_matrix = np.asarray(hazard_matrix, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
     k0, r = grid.locate(times)
-    cum = np.concatenate([np.zeros((hazard_matrix.shape[0], 1)), np.cumsum(hazard_matrix, axis=1)], axis=1)
-    chaz = cum[:, k0] + hazard_matrix[:, k0] * r[None, :]
-    return np.exp(-chaz)
+    cum = np.concatenate([np.zeros((*hazard_matrix.shape[:-1], 1)), np.cumsum(hazard_matrix, axis=-1)], axis=-1)
+    return np.exp(-(cum[..., k0] + hazard_matrix[..., k0] * r))
 
 
 @dataclass

@@ -1,29 +1,29 @@
 """Attention encoder over tabular covariates with survival task heads.
 
-The network is a fixed stack of blocks, each one tape op with a closed-form
-backward. ``embed_fields`` turns each covariate into one embedding vector:
+The network is a fixed stack of blocks, each a function of arrays that
+returns its value and a closed-form VJP. ``embed_fields`` embeds each covariate:
 categorical fields look up a per-field table (one extra row reserved for
 unseen values), numerical fields scale a learned direction by the
-standardized value. Stacked ``encoder_layer`` ops mix the field embeddings:
+standardized value. Stacked ``encoder_layer`` blocks mix the embeddings:
 each attends with all heads at once and passes the attended output through a
 residual projection and a small feed-forward stack, both under SELU. The
 embedding and every layer emit (B·D, d_e) rows, so every parameter product
 is a 2-d matmul. ``shared_projection`` aligns the flattened encoder output,
 concatenated with the raw embeddings, into a shared representation consumed
-by three ``mlp_head`` ops, each a stack of task heads under one output link:
+by three ``mlp_head`` blocks, each a stack of task heads under one link:
 the K event hazard heads side by side (softplus keeps rates positive), then
 a one-head stack each for the binary any-event head (logistic) and the
 follow-up-time regression head (identity).
 
 The model's parameters are views of one flat buffer ``data``, their gradients
-views of one flat buffer ``grad``. They are not tape nodes: each block's
-backward writes its parameters' gradients and returns its input cotangents,
-so one sweep rewrites all of ``grad``. One walk over the blocks in draw order
-names and shapes every parameter; it counts them before any is drawn, then
-hands each block its views in the order its op takes them, so
-``forward_batch`` composes the ops without looking a parameter up by name; it
-checks its outputs once. ``encode`` and ``export_attention`` give a record's
-attention maps as the JSON-ready records that ``attention.json`` holds.
+views of one flat buffer ``grad``. Each block's VJP writes its parameters'
+gradients and returns its input cotangents; ``ForwardPass.backward`` runs
+them in reverse, rewriting all of ``grad``. One walk over the blocks in draw
+order names and shapes every parameter; it counts them before any is drawn,
+then hands each block its views in the order it takes them, so
+``forward_batch`` composes the blocks without looking a parameter up by name;
+it checks its outputs once. ``encode`` and ``export_attention`` give a
+record's attention maps as the JSON-ready records that ``attention.json`` holds.
 
 ``judge`` checks every config setting and checkpoint entry against its rule.
 """
@@ -37,12 +37,12 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import autodiff as ad
-from .data import CategoricalField, CovariateSchema, NumericalField, TimeGrid, allocate, echo
+from .data import CategoricalField, CovariateSchema, NumericalField, TimeGrid, allocate, echo, read_json
 
 CHECKPOINT_FORMAT = "survformer-checkpoint-v1"
 
-# Records per inference or validation forward. Each chunk's tape is freed
-# before the next is built, so the memory of inference and of training's
+# Records per inference or validation forward. Each chunk's activations are
+# freed before the next forward, so the memory of inference and of training's
 # validation loss does not grow with the number of records.
 INFER_CHUNK = 256
 
@@ -136,15 +136,27 @@ class ModelConfig:
 
 @dataclass
 class ForwardPass:
-    """Tape tensors of one batched forward run, plus attention snapshots."""
+    """Arrays of one batched forward run and its attention; ``backward`` is the network's VJP."""
 
-    raw: ad.Tensor  # (B·D, d_e) field embeddings
-    encoded: ad.Tensor  # (B·D, d_e) encoder output; ``raw`` itself with no layers
-    shared: ad.Tensor  # (B, hidden)
-    hazards: ad.Tensor  # (K, B, m), positive: event k's hazards are hazards.data[k]
-    event_prob: ad.Tensor  # (B,), in (0, 1)
-    time_pred: ad.Tensor  # (B,)
+    raw: np.ndarray  # (B·D, d_e) field embeddings
+    encoded: np.ndarray  # (B·D, d_e) encoder output; ``raw`` itself with no layers
+    shared: np.ndarray  # (B, hidden)
+    hazards: np.ndarray  # (K, B, m), positive: event k's hazards are hazards[k]
+    event_prob: np.ndarray  # (B,), in (0, 1)
+    time_pred: np.ndarray  # (B,)
     attention: list  # per layer: (B, H, D, D) weights
+    _vjps: tuple = field(repr=False)  # the embedding's, the layers', the projection's, the three heads'
+
+    def backward(self, g_hazards, g_prob, g_time):
+        """Write every parameter's gradient view from the hazard, any-event
+        and follow-up-time cotangents, summing the heads' as ``(events + mp)
+        + ls`` and the embedding's as ``g_raw + g_enc``, as a tape of the
+        blocks sums them. Returns ``()``: the covariates are data."""
+        embed, layers, projection, (events, mp, ls) = self._vjps
+        g_enc, g_raw = projection((events(g_hazards) + mp(g_prob.reshape(1, -1, 1))) + ls(g_time.reshape(1, -1, 1)))
+        for vjp in reversed(layers):
+            g_enc = vjp(g_enc)
+        return embed(g_raw + g_enc)
 
 
 def _attend(x, D, H, w):
@@ -188,13 +200,13 @@ def _attend_back(g, saved):
 
 
 def embed_fields(tables, weight, cat, num):
-    """The field embedding as one tape op: (B·D, d_e) rows, each record's D
-    field rows contiguous, categorical fields first.
+    """The field embedding, (B·D, d_e) rows, each record's D field rows
+    contiguous, categorical fields first, and its VJP.
 
     Categorical field i looks up row ``cat[:, i]`` of ``tables[i]``;
     numerical field j scales row j of ``weight`` ((d_n, d_e), None when
-    there is no numerical field) by ``num[:, j]``. Backward scatter-adds
-    into the looked-up rows of each table's gradient view.
+    there is no numerical field) by ``num[:, j]``. The VJP scatter-adds into
+    the looked-up rows of each table's gradient view; it returns ``()``.
     """
     d_c = len(tables)
     out = np.empty((len(num), d_c + num.shape[1], (tables or [weight])[0].data.shape[1]))
@@ -212,11 +224,11 @@ def embed_fields(tables, weight, cat, num):
             weight.grad[...] = (g[:, d_c:] * num[:, :, None]).sum(axis=0)
         return ()
 
-    return ad.node(out.reshape(-1, out.shape[2]), (), back)
+    return out.reshape(-1, out.shape[2]), back
 
 
 def encoder_layer(x, D, qkv, wres, ffn):
-    """One encoder layer as one tape op over (B·D, d_e) field rows ``x``.
+    """One encoder layer over (B·D, d_e) field rows ``x``.
 
     ``qkv`` is one Tensor holding every head's query, key and value weights
     in draw order, (H, 3, d_e, d_h): head h's wq, wk and wv are
@@ -224,16 +236,15 @@ def encoder_layer(x, D, qkv, wres, ffn):
     feed-forward stack ``z`` runs ``x`` through the ``ffn`` weights with
     SELU between them, and the output is ``selu(z + t_res)``. Attention is
     ``_attend``'s: all heads at once, with unscaled logits, over the fused
-    weight that transposing ``qkv`` gives; backward writes the fused
-    weight's gradient back into ``qkv.grad`` as one strided copy. Backward
-    works from the saved SELU outputs, which give each slope. Returns the
-    output Tensor and the (B, H, D, D) attention weights.
+    weight that transposing ``qkv`` gives. Returns the (B·D, d_e) output,
+    its VJP and the (B, H, D, D) attention weights. The VJP works from the
+    saved SELU outputs, which give each slope, writes the fused weight's
+    gradient into ``qkv.grad`` as one strided copy and returns ``x``'s.
     """
     H, _, de, dh = qkv.data.shape
-    xd = x.data
-    mixed, saved = _attend(xd, D, H, qkv.data.transpose(2, 1, 0, 3).reshape(de, -1))
-    t_res = ad.selu_array(mixed @ wres.data + xd)
-    inputs = [xd]  # the input of each FFN matmul; the later ones are SELU outputs
+    mixed, saved = _attend(x, D, H, qkv.data.transpose(2, 1, 0, 3).reshape(de, -1))
+    t_res = ad.selu_array(mixed @ wres.data + x)
+    inputs = [x]  # the input of each FFN matmul; the later ones are SELU outputs
     for w in ffn[:-1]:
         inputs.append(ad.selu_array(inputs[-1] @ w.data))
     out = inputs[-1] @ ffn[-1].data
@@ -258,50 +269,48 @@ def encoder_layer(x, D, qkv, wres, ffn):
         # FFN, residual, then attention: the order in which composing the
         # layer from one op per matmul and SELU sums them, so both give the
         # same bits
-        return (gz + g_s + dx_attn,)
+        return gz + g_s + dx_attn
 
-    return ad.node(out, (x,), back), saved[-1]
+    return out, back, saved[-1]
 
 
 def shared_projection(encoded, raw, w):
-    """The shared representation as one tape op: ``selu([encoded | raw] @ w)``.
+    """The shared representation ``selu([encoded | raw] @ w)`` and its VJP,
+    which writes ``w``'s gradient view and returns ``encoded``'s and ``raw``'s.
 
     ``encoded`` and ``raw`` are the (B·D, d_e) encoder output and field
     embeddings, each flattened to one row per record; with no encoder layers
-    they are one Tensor. ``w`` is (2·D·d_e, hidden).
+    they are one array. ``w`` is (2·D·d_e, hidden).
     """
     width = w.data.shape[0] // 2
-    joined = np.concatenate([encoded.data.reshape(-1, width), raw.data.reshape(-1, width)], axis=1)
+    joined = np.concatenate([encoded.reshape(-1, width), raw.reshape(-1, width)], axis=1)
     out = ad.selu_array(joined @ w.data)
 
     def back(g):
         g = g * ad.selu_slope(out)
         w.grad[...] = joined.T @ g
         g = g @ w.data.T
-        return g[:, :width].reshape(encoded.data.shape), g[:, width:].reshape(raw.data.shape)
+        return g[:, :width].reshape(encoded.shape), g[:, width:].reshape(raw.shape)
 
-    return ad.node(out, (encoded, raw), back)
+    return out, back
 
 
-def mlp_head(z, weights, biases, link=None, flat=False):
-    """K task heads of one shape side by side as one tape op: ``z @ w + b``
-    per layer, ReLU between, then the output ``link``: "softplus", "logistic"
-    or None (identity). Each layer's weights are one (K, fan_in, fan_out)
-    Tensor and its biases one (K, fan_out) Tensor, every product K products
-    of the shapes one head's takes, so each head's values and gradients are
-    its own one-head stack's bit for bit. Returns the (K, B, width) outputs;
-    ``flat`` flattens them, for a stack of one one-output head. Backward
-    writes every parameter's gradient view and sums the K input gradients
-    in head order, as K such ops' sweep would, returning ``z`` the one sum."""
-    a = z.data
+def mlp_head(z, weights, biases, link=None):
+    """K task heads of one shape side by side on the (B, fan_in) ``z``:
+    ``z @ w + b`` per layer, ReLU between, then the output ``link``:
+    "softplus", "logistic" or None (identity). Each layer's weights are one
+    (K, fan_in, fan_out) Tensor and its biases one (K, fan_out) Tensor, every
+    product K products of the shapes one head's takes, so each head's values
+    and gradients are its own one-head stack's bit for bit. Returns the (K,
+    B, width) outputs and their VJP, which writes every parameter's gradient
+    view and returns ``z``'s cotangent, the K heads' summed in head order."""
     inputs = []  # the input of each layer; the later ones are ReLU outputs
     for i, (w, b) in enumerate(zip(weights, biases)):
-        inputs.append(np.maximum(a, 0.0) if i else a)
-        a = np.matmul(inputs[-1], w.data) + b.data[:, None, :]
-    out = ad.softplus_array(a) if link == "softplus" else ad.logistic(a) if link == "logistic" else a
+        inputs.append(np.maximum(z, 0.0) if i else z)
+        z = np.matmul(inputs[-1], w.data) + b.data[:, None, :]
+    out = ad.softplus_array(z) if link == "softplus" else ad.logistic(z) if link == "logistic" else z
 
     def back(g):
-        g = g.reshape(out.shape)
         if link == "softplus":
             g = g * -np.expm1(-out)  # logistic(a), read from the output
         elif link == "logistic":
@@ -312,9 +321,9 @@ def mlp_head(z, weights, biases, link=None, flat=False):
             g = np.matmul(g, np.swapaxes(weights[i].data, -1, -2))
             if i:
                 g = g * (inputs[i] > 0)
-        return (sum(g[1:], g[0]),)
+        return sum(g[1:], g[0])
 
-    return ad.node(out.reshape(-1) if flat else out, (z,), back)
+    return out, back
 
 
 def _stacked(views, lead):
@@ -408,31 +417,30 @@ class SurvivalTransformer:
     # --- batched forward (training path) ----------------------------------
 
     def forward_batch(self, cat_idx, num_vals):
-        """The network on a batch, as tape ops. Raises ValueError naming the
-        first output, in hazard, any-event, follow-up-time and attention
-        order, that holds a non-finite value."""
+        """The network on a batch, as a ``ForwardPass``. Raises ValueError
+        naming the first output, in hazard, any-event, follow-up-time and
+        attention order, that holds a non-finite value."""
         cat_idx = np.asarray(cat_idx, dtype=np.intp)
         num_vals = np.asarray(num_vals, dtype=np.float64)
         # an overflow anywhere reaches an output, where the check below names it
         with np.errstate(all="ignore"):
-            t0 = embed_fields(*self.embedding, cat_idx, num_vals)
-            x = t0
-            attention = []
+            raw, embed_vjp = embed_fields(*self.embedding, cat_idx, num_vals)
+            x, layer_vjps, attention = raw, [], []
             for layer in self.encoder:
-                x, alpha = encoder_layer(x, self.schema.d, *layer)
+                x, vjp, alpha = encoder_layer(x, self.schema.d, *layer)
+                layer_vjps.append(vjp)
                 attention.append(alpha)
-            t_sr = shared_projection(x, t0, self.projection)
-            events, mp, ls = self.heads
-            hazards = mlp_head(t_sr, *events, "softplus")
-            mp = mlp_head(t_sr, *mp, "logistic", flat=True)
-            ls = mlp_head(t_sr, *ls, flat=True)
-        outputs = [(f"event-{k + 1} hazards", h) for k, h in enumerate(hazards.data)]
-        outputs += [("any-event probability", mp.data), ("follow-up time", ls.data)]
+            shared, projection_vjp = shared_projection(x, raw, self.projection)
+            (hazards, events_vjp), (mp, mp_vjp), (ls, ls_vjp) = (
+                mlp_head(shared, *group, link) for group, link in zip(self.heads, ("softplus", "logistic", None)))
+        outputs = [(f"event-{k + 1} hazards", h) for k, h in enumerate(hazards)]
+        outputs += [("any-event probability", mp), ("follow-up time", ls)]
         outputs += [(f"layer-{layer} attention", alpha) for layer, alpha in enumerate(attention)]
         for name, values in outputs:
             if not np.isfinite(values).all():
                 raise ValueError(f"non-finite network output: {name}")
-        return ForwardPass(t0, x, t_sr, hazards, mp, ls, attention)
+        return ForwardPass(raw, x, shared, hazards, mp.reshape(-1), ls.reshape(-1), attention,
+                           (embed_vjp, layer_vjps, projection_vjp, (events_vjp, mp_vjp, ls_vjp)))
 
     # --- checked inference views ------------------------------------------
 
@@ -462,7 +470,7 @@ class SurvivalTransformer:
 
     def embed(self, cat, num):
         """Per-field embedding matrix (D, d_e) for one record's rows."""
-        return self.forward_batch(*self._row(cat, num)).raw.data
+        return self.forward_batch(*self._row(cat, num)).raw
 
     def encode(self, cat, num):
         """Flattened encoder output and the record's attention maps, in layer
@@ -473,7 +481,7 @@ class SurvivalTransformer:
         fp = self.forward_batch(*self._row(cat, num))
         maps = [{"layer": layer, "head": h, "labels": self.schema.field_names, "weights": alpha[0, h].tolist()}
                 for layer, alpha in enumerate(fp.attention) for h in range(alpha.shape[1])]
-        return fp.encoded.data.reshape(-1), maps
+        return fp.encoded.reshape(-1), maps
 
     def predict_outputs(self, cat, num):
         """Forward (n, d_c) indices and (n, d_n) values in chunks of
@@ -486,8 +494,8 @@ class SurvivalTransformer:
         chunks = []
         for s in range(0, len(num), INFER_CHUNK):
             fp = self.forward_batch(cat[s : s + INFER_CHUNK], num[s : s + INFER_CHUNK])
-            chunks.append((fp.hazards.data.transpose(1, 0, 2), fp.event_prob.data, fp.time_pred.data))
-            del fp  # free this chunk's tape before the next one is built
+            chunks.append((fp.hazards.transpose(1, 0, 2), fp.event_prob, fp.time_pred))
+            del fp  # free this chunk's saved activations before the next forward
         return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
     def predict_hazards(self, cat, num):
@@ -523,8 +531,7 @@ def load_checkpoint(path):
     names the first entry that breaks its rule. ``extra`` is returned
     unjudged: its records are the commands' to judge.
     """
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path, "checkpoint")
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format in {path}")
     for key, rule in SECTIONS.items():

@@ -4,16 +4,16 @@ Training fits the assignment-propensity model first (competing-events data
 only), then runs mini-batch Adam on the annealed multi-task objective with
 early stopping on validation loss; the best-epoch parameter snapshot is
 restored at the end. Training batches and the validation fold share one loss
-function over the head output arrays; a batch puts its total on the tape as
-one node. The validation fold is forwarded in ``INFER_CHUNK``-record chunks,
-as inference is, and its losses are taken once over all records. Each fold's
-survival targets (bins, elapsed fractions, indicators, IPS weights) are
-computed once per fit, and a batch indexes the training fold's. Evaluation
-converts hazards to survival curves and reports time-dependent concordance
-per event at quantile horizons of the evaluated records' event times.
+function over the head output arrays; a batch's tape is its total, one node
+whose VJP runs the network's. The validation fold is forwarded in
+``INFER_CHUNK``-record chunks, as inference is, and its losses are taken once
+over all records. Each fold's survival targets (bins, elapsed fractions,
+indicators, IPS weights) are computed once per fit, and a batch indexes the
+training fold's. Evaluation converts hazards to survival curves and reports
+time-dependent concordance per event at quantile horizons of the evaluated
+records' event times.
 """
 
-import json
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -28,7 +28,7 @@ from .evaluation import (
     quantile_horizons,
     survival_matrix,
 )
-from .data import echo
+from .data import echo, read_json
 from .model import BOOL, FLOAT, INT, NONNEGATIVE, OBJECT, POSITIVE, check_settings, judge, setting
 from .model import ModelConfig, SurvivalTransformer
 from .optim import Adam
@@ -92,8 +92,7 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path, "config"))
 
 
 @dataclass
@@ -115,12 +114,12 @@ class TrainHistory:
 
 
 def _batch_loss(model, cat, num, t, e, targets, schedule, epoch):
-    """The annealed total loss of one batch, as one tape node over the head
-    outputs, and its breakdown. Raises ``ValueError`` as ``_loss`` does."""
+    """One batch's annealed total loss, as one tape node whose VJP runs
+    ``ForwardPass.backward`` on the loss's head-output cotangents, and its
+    breakdown. Raises ``ValueError`` as ``_loss`` does."""
     fp = model.forward_batch(cat, num)
-    outputs = (fp.hazards, fp.event_prob, fp.time_pred)
-    total, bd, vjp = _loss(*(o.data for o in outputs), targets, t, e, schedule, epoch)
-    return ad.node(total, outputs, vjp), bd
+    total, bd, vjp = _loss(fp.hazards, fp.event_prob, fp.time_pred, targets, t, e, schedule, epoch)
+    return ad.node(total, (), lambda g: fp.backward(*vjp(g))), bd
 
 
 def _validation_loss(model, records, targets, schedule, epoch):
@@ -231,13 +230,7 @@ def train(config, train_records, val_records, schema, grid):
 
 def predict(model, records, times):
     """Survival values for each record, event, and query time: (n, K, T)."""
-    times = np.asarray(times, dtype=np.float64)
-    hazards = model.predict_hazards(records.cat, records.num)  # (n, K, m)
-    n, K, _ = hazards.shape
-    out = np.empty((n, K, times.size))
-    for k in range(K):
-        out[:, k, :] = survival_matrix(hazards[:, k, :], model.grid, times)
-    return out
+    return survival_matrix(model.predict_hazards(records.cat, records.num), model.grid, times)
 
 
 def evaluate(model, test_records, censoring, quantiles=(0.25, 0.5, 0.75)):

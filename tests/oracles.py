@@ -2,8 +2,11 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, direct formulas) and shares no code with the package internals it
-verifies. The one exception is ``probe``, a scalar tape op built on the
-tape's own ``node`` so that tests can differentiate any op's output.
+verifies. The exceptions are built on the tape's own ``node``: ``probe``, a
+scalar tape op that lets tests differentiate any op's output,
+``block_node``, which puts one block's value and VJP on the tape, and
+``network_tape``, the network's blocks wired as tape nodes, against which
+``ForwardPass.backward`` is held.
 """
 
 import math
@@ -11,6 +14,7 @@ import math
 import numpy as np
 
 from survformer import autodiff as ad
+from survformer.model import embed_fields, encoder_layer, mlp_head, shared_projection
 
 SELU_LAMBDA = 1.0507009873554804934193349852946
 SELU_ALPHA = 1.6732632423543772848170429916717
@@ -65,6 +69,47 @@ def probe(*tensors, weights=None):
         return (g * c,) * len(tensors)
 
     return ad.node(sum((t.data * c).sum() for t in tensors), tensors, back)
+
+
+def block_node(value, vjp, *inputs):
+    """A block's ``value`` as one tape node over the Tensors ``inputs``, its
+    backward the block's ``vjp``: one cotangent, or a tuple of them, in
+    ``inputs``' order."""
+
+    def back(g):
+        cotangents = vjp(g)
+        return cotangents if isinstance(cotangents, tuple) else (cotangents,)
+
+    return ad.node(value, inputs, back)
+
+
+def network_tape(model, cat, num):
+    """``model``'s blocks on a batch as tape nodes, each one ``block_node``
+    over the nodes whose values it reads: the embedding, the encoder layers
+    in order, the shared projection over (encoder output, embedding), and
+    the event, mp and ls heads over the projection. Returns the embedding,
+    encoder-output and projection nodes and the three head nodes; the
+    sweep's summation order is the tape's, not the model's."""
+    raw = block_node(*embed_fields(*model.embedding, cat, num))
+    encoded = raw
+    for layer in model.encoder:
+        value, vjp, _ = encoder_layer(encoded.data, model.schema.d, *layer)
+        encoded = block_node(value, vjp, encoded)
+    shared = block_node(*shared_projection(encoded.data, raw.data, model.projection), encoded, raw)
+    heads = [block_node(*mlp_head(shared.data, *group, link), shared)
+             for group, link in zip(model.heads, ("softplus", "logistic", None))]
+    return raw, encoded, shared, heads
+
+
+def tape_network_grad(model, cat, num, g_hazards, g_prob, g_time):
+    """``model.grad`` after one sweep of ``network_tape`` from a root node
+    that hands the (K, B, m) hazard and (B,) any-event and follow-up-time
+    cotangents to the three heads."""
+    *_, heads = network_tape(model, cat, num)
+    B = len(g_prob)
+    cotangents = (g_hazards, np.reshape(g_prob, (1, B, 1)), np.reshape(g_time, (1, B, 1)))
+    ad.backward(ad.node(0.0, heads, lambda g: cotangents))
+    return model.grad.copy()
 
 
 def pch_oracle(hazards, cuts, t, e):

@@ -58,13 +58,14 @@ def test_criterion_1_gradient_correctness():
     sched = L.AnnealSchedule(horizon=10)
 
     def build():
-        # as a training batch: one node over the head outputs carries the annealed total
+        # as a training batch: one node carries the annealed total, and its
+        # VJP hands the head-output cotangents to the network's
         fp = model.forward_batch(cat, num)
-        surv = L.competing_survival_loss(fp.hazards.data, L.survival_targets(grid, t, e, pi))
-        mp = L.mp_loss_tensor(fp.event_prob.data, (e > 0).astype(float))
-        ls = L.ls_loss_tensor(fp.time_pred.data, t)
+        surv = L.competing_survival_loss(fp.hazards, L.survival_targets(grid, t, e, pi))
+        mp = L.mp_loss_tensor(fp.event_prob, (e > 0).astype(float))
+        ls = L.ls_loss_tensor(fp.time_pred, t)
         total, _, vjp = L.total_loss_tensor(surv, mp, ls, sched, 0)
-        return ad.node(total, (fp.hazards, fp.event_prob, fp.time_pred), vjp)
+        return ad.node(total, (), lambda g: fp.backward(*vjp(g)))
 
     ad.backward(build())
     numeric = fd_gradients(lambda: float(build().data), list(model.params.values()))

@@ -1,5 +1,6 @@
-"""Differentiation engine: the backward sweep, the array functions the tape
-ops compute with, and finite-difference checks of every tape op."""
+"""Differentiation engine: the backward sweep, the array functions the
+blocks compute with, and finite-difference checks of every block's and
+loss's VJP, each put on the tape as one node."""
 
 import math
 
@@ -13,7 +14,7 @@ from survformer import losses as L
 from survformer.data import TimeGrid
 from survformer.model import embed_fields, encoder_layer, mlp_head, shared_projection
 
-from oracles import assert_grads_match, fd_gradients, probe
+from oracles import assert_grads_match, block_node, fd_gradients, probe
 
 
 def tensor(values):
@@ -120,7 +121,7 @@ class TestSoftplus:
         a = np.linspace(-700.0, 700.0, 100_001)
         z = tensor(a[:, None])
         w, b = parameter([[[1.0]]]), parameter([[0.0]])
-        ad.backward(probe(mlp_head(z, [w], [b], "softplus")))
+        ad.backward(probe(block_node(*mlp_head(z.data, [w], [b], "softplus"), z)))
         np.testing.assert_allclose(z.grad[:, 0], ad.logistic(a), rtol=1e-15, atol=0)
 
 
@@ -129,7 +130,7 @@ def one_layer_head(rng, link, inputs=4, outputs=1):
     layer into ``link``."""
     z = tensor(rng.standard_normal((3, inputs)))
     w, b = parameter(rng.standard_normal((1, inputs, outputs))), parameter(rng.standard_normal((1, outputs)))
-    return (lambda: mlp_head(z, [w], [b], link)), [w, b]
+    return (lambda: block_node(*mlp_head(z.data, [w], [b], link), z)), [w, b]
 
 
 class TestBackward:
@@ -207,10 +208,11 @@ def loss_node(loss, leaf, target):
 
 
 def _gradcheck_cases():
-    """One builder per tape op (the embedding in three field mixes, the
-    shared projection with no and with two encoder layers, each head link,
-    an encoder layer over 3, 1 and 12 fields, three stacked hazard heads);
-    each returns (loss closure, params)."""
+    """One builder per block or loss (the embedding in three field mixes,
+    the shared projection with no and with two encoder layers, each head
+    link, an encoder layer over 3, 1 and 12 fields, three stacked hazard
+    heads), each block's or loss's value and VJP one tape node over its leaf
+    or block-node inputs; each returns (loss closure, params)."""
     rng = np.random.default_rng(12)
     B, de = 5, 4
 
@@ -231,13 +233,13 @@ def _gradcheck_cases():
         cat = rng.integers(0, 3, size=(B, d_c))
         num = rng.standard_normal((B, d_n))
         params = tables + ([weight] if d_n else [])
-        return (lambda: embed_fields(tables, weight, cat, num)), params
+        return (lambda: block_node(*embed_fields(tables, weight, cat, num))), params
 
     def layer(D):
         # every head's wq, then wk, then wv, as drawn for per-head weights
         qkv = parameter(np.stack([rng.standard_normal((2, de, 2)) for _ in range(3)], axis=1))
         wres, ffn = param(de, de), [param(de, 3), param(3, de)]
-        return (lambda x: encoder_layer(x, D, qkv, wres, ffn)[0]), [qkv, wres, *ffn]
+        return (lambda x: block_node(*encoder_layer(x.data, D, qkv, wres, ffn)[:2], x)), [qkv, wres, *ffn]
 
     def case_embed_categorical():
         build, params = embedding(2, 0)
@@ -257,7 +259,7 @@ def _gradcheck_cases():
 
         def build():
             raw = embed()
-            return shared_projection(raw, raw, w)
+            return block_node(*shared_projection(raw.data, raw.data, w), raw, raw)
 
         return probed(build), [*params, w]
 
@@ -268,30 +270,31 @@ def _gradcheck_cases():
 
         def build():
             raw = embed()
-            return shared_projection(second(first(raw)), raw, w)
+            encoded = second(first(raw))
+            return block_node(*shared_projection(encoded.data, raw.data, w), encoded, raw)
 
         return probed(build), [*params, *first_params, *second_params, w]
 
-    def head(link, out, flat):
+    def head(link, out):
         # a one-head stack
         z = rand(B, 6)
         weights, biases = [param(1, 6, 4), param(1, 4, out)], [param(1, 4), param(1, out)]
-        return probed(lambda: mlp_head(z, weights, biases, link, flat)), [z, *weights, *biases]
+        return probed(lambda: block_node(*mlp_head(z.data, weights, biases, link), z)), [z, *weights, *biases]
 
     def case_head_softplus():
-        return head("softplus", 3, False)
+        return head("softplus", 3)
 
     def case_head_logistic():
-        return head("logistic", 1, True)
+        return head("logistic", 1)
 
     def case_head_identity():
-        return head(None, 1, True)
+        return head(None, 1)
 
     def case_hazard_heads():
         # three stacked softplus heads of two layers
         z = rand(B, 6)
         weights, biases = [param(3, 6, 4), param(3, 4, 3)], [param(3, 4), param(3, 3)]
-        return probed(lambda: mlp_head(z, weights, biases, "softplus")), [z, *weights, *biases]
+        return probed(lambda: block_node(*mlp_head(z.data, weights, biases, "softplus"), z)), [z, *weights, *biases]
 
     def case_total():
         # each part the value of a (1,) leaf, which the finite differences perturb
@@ -352,7 +355,8 @@ def _gradcheck_cases():
 
 @pytest.mark.parametrize("case_idx", range(64))
 def test_all_ops_match_finite_differences(case_idx):
-    """Every tape op agrees with central differences on random inputs."""
+    """Every block's and loss's VJP agrees with central differences on
+    random inputs."""
     build, params = _gradcheck_cases()[case_idx]
     ad.backward(build())
     analytic = [p.grad for p in params]

@@ -648,6 +648,46 @@ class TestByteOrderMark:
                             "--out", str(outputs[-1])]) == 0
             assert read_bytes(outputs[0]) == read_bytes(outputs[1])
 
+    def test_a_config_with_the_mark_trains_to_the_checkpoint_of_the_config_without(self, tmp_path, plain):
+        config = tiny_config(tmp_path)
+        marked = tmp_path / "bom_config.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        checkpoints = [tmp_path / "plain.json", tmp_path / "bom.json"]
+        for path, ckpt in zip((config, marked), checkpoints):
+            assert run(["train", "--data", str(plain), "--config", str(path), "--checkpoint", str(ckpt)]) == 0
+        assert read_bytes(checkpoints[0]) == read_bytes(checkpoints[1])
+
+    def test_a_checkpoint_with_the_mark_evaluates_and_predicts_as_the_checkpoint_without(self, tmp_path, plain):
+        ckpt, marked = tmp_path / "model.json", tmp_path / "bom_model.json"
+        assert run(["train", "--data", str(plain), "--config", str(tiny_config(tmp_path)),
+                    "--checkpoint", str(ckpt)]) == 0
+        marked.write_bytes(b"\xef\xbb\xbf" + ckpt.read_bytes())
+        for command in (["eval"], ["predict", "--times", "0.5,1"]):
+            outputs = []
+            for path in (ckpt, marked):
+                outputs.append(tmp_path / f"{command[0]}_{path.stem}")
+                assert run([*command, "--data", str(plain), "--checkpoint", str(path),
+                            "--out", str(outputs[-1])]) == 0
+            assert read_bytes(outputs[0]) == read_bytes(outputs[1])
+
+    @pytest.mark.parametrize("role", ["config", "checkpoint"])
+    @pytest.mark.parametrize("content, problem", [
+        (b"x1,x2\n1,2\n", "Expecting value: line 1 column 1"),
+        (b'{"max_epochs": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["csv", "not-utf8"])
+    def test_a_file_that_is_not_utf8_json_is_one_error_line_naming_it(self, tmp_path, plain, capsys, role,
+                                                                      content, problem):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        if role == "config":
+            argv = ["train", "--data", str(plain), "--config", str(bad), "--checkpoint", str(tmp_path / "m.json")]
+        else:
+            argv = ["eval", "--data", str(plain), "--checkpoint", str(bad), "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert run(argv) == 1
+        line = one_error_line(capsys)
+        assert line.startswith(f"error: {role} {bad} is not UTF-8 JSON: {problem}"), line
+
 
 class TestBadArguments:
     @pytest.fixture()

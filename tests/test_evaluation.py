@@ -85,6 +85,20 @@ class TestSurvivalFromHazards:
                 want = math.exp(-pch_oracle(hazards[i], grid.cuts, t, 0))
                 assert mat[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("n, K", [(1, 1), (5, 3), (768, 2)])
+    def test_records_by_events_form_is_each_events_slice_bit_for_bit(self, n, K):
+        """(n, K, m) hazards give (n, K, T) curves, event k's the (n, T)
+        curves of the (n, m) slice ``hazards[:, k]``, times past the last cut
+        included."""
+        grid = TimeGrid(np.array([0.5, 1.0, 2.5, 4.0]))
+        rng = np.random.default_rng(n)
+        hazards = rng.uniform(0.01, 2.0, size=(n, K, grid.m))
+        times = np.concatenate([[0.0, 4.0, 9.0], rng.uniform(0.0, 5.0, 6)])
+        mat = E.survival_matrix(hazards, grid, times)
+        assert mat.shape == (n, K, len(times))
+        for k in range(K):
+            assert mat[:, k].tobytes() == E.survival_matrix(hazards[:, k], grid, times).tobytes()
+
 
 class TestKmCensoring:
     def test_no_censoring_gives_identity(self):

@@ -33,14 +33,17 @@ from survformer.model import (
 
 from oracles import (
     assert_grads_match,
+    block_node,
     fd_gradients,
     naive_attention,
     naive_attention_vjp,
     naive_encode,
     naive_encoder_layer,
     naive_parameter_draw,
+    network_tape,
     probe,
     selu_ref,
+    tape_network_grad,
 )
 
 
@@ -306,14 +309,14 @@ class TestEncoderLayerOp:
         de = 8
         x = rng.standard_normal((B * D, de))
         qkv, wres, ffn = random_layer(rng, H, de, depth, hidden=6)
-        out, alpha = encoder_layer(ad.Tensor(x), D, qkv, wres, ffn)
-        assert out.data.shape == (B * D, de) and alpha.shape == (B, H, D, D)
+        out, _, alpha = encoder_layer(x, D, qkv, wres, ffn)
+        assert out.shape == (B * D, de) and alpha.shape == (B, H, D, D)
         heads = [tuple(qkv.data[h]) for h in range(H)]
         for b in range(B):
             want, want_alphas = naive_encoder_layer(
                 list(x[b * D:(b + 1) * D]), heads, wres.data, [w.data for w in ffn]
             )
-            np.testing.assert_allclose(out.data[b * D:(b + 1) * D], want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(out[b * D:(b + 1) * D], want, rtol=1e-12, atol=1e-12)
             for h in range(H):
                 np.testing.assert_allclose(alpha[b, h], want_alphas[h], rtol=1e-12, atol=1e-12)
 
@@ -334,7 +337,7 @@ class TestEncoderLayerOp:
         c = rng.standard_normal((B * D, de))
 
         def build():
-            return probe(encoder_layer(x, D, qkv, wres, ffn)[0], weights=c)
+            return probe(block_node(*encoder_layer(x.data, D, qkv, wres, ffn)[:2], x), weights=c)
 
         params = [x, qkv, wres, *ffn]
         ad.backward(build())
@@ -343,10 +346,10 @@ class TestEncoderLayerOp:
 
     def test_attention_weights_are_multi_head_attentions(self):
         rng = np.random.default_rng(6)
-        x = ad.Tensor(rng.standard_normal((3 * 5, 8)))
+        x = rng.standard_normal((3 * 5, 8))
         qkv, wres, ffn = random_layer(rng, 2, 8, 2, hidden=4)
-        _, alpha = encoder_layer(x, 5, qkv, wres, ffn)
-        assert np.array_equal(alpha, attention(x.data, 5, *unstack(qkv))[1])
+        _, _, alpha = encoder_layer(x, 5, qkv, wres, ffn)
+        assert np.array_equal(alpha, attention(x, 5, *unstack(qkv))[1])
 
 
 class TestHeadOp:
@@ -364,7 +367,7 @@ class TestHeadOp:
         want = z
         for i, (w, b) in enumerate(zip(weights, biases)):
             want = (np.maximum(want, 0.0) if i else want) @ w.data[0] + b.data[0]
-        np.testing.assert_array_equal(mlp_head(ad.Tensor(z), weights, biases).data, [want])
+        np.testing.assert_array_equal(mlp_head(z, weights, biases)[0], [want])
 
     @pytest.mark.parametrize("dims", [[4, 1], [4, 6, 3, 2]], ids=["one-layer", "three-layers"])
     def test_gradients_match_finite_differences(self, dims):
@@ -374,7 +377,7 @@ class TestHeadOp:
         c = rng.standard_normal((1, 5, dims[-1]))
 
         def build():
-            return probe(mlp_head(z, weights, biases), weights=c)
+            return probe(block_node(*mlp_head(z.data, weights, biases), z), weights=c)
 
         params = [z, *weights, *biases]
         ad.backward(build())
@@ -390,8 +393,8 @@ class TestHazardHeadsOp:
                                                                        link):
         """Outputs, every parameter's gradient view and the input gradient
         of the event heads' K-stack against K one-head stacks, each over its
-        head's own parameter views, their backwards run in head order as the
-        tape runs them."""
+        head's own parameter views, their VJPs run and their input
+        cotangents summed in head order."""
         cfg = ModelConfig(embed_dim=4, heads=1, layers=0, hidden_size=hidden, head_layers=head_layers,
                           time_bins=m, n_events=K)
         model = SurvivalTransformer(cfg, small_schema(), TimeGrid(np.arange(1.0, m + 1)), seed=seed % 997)
@@ -402,20 +405,18 @@ class TestHazardHeadsOp:
         def own(k):  # head k's weights and biases as one-head stacks of its own views
             return ([M._stacked([model.params[f"cs{k}.{wb}{i}"]], (1,)) for i in range(head_layers)] for wb in "wb")
 
-        z_heads = ad.Tensor(z)
-        heads = [mlp_head(z_heads, *own(k), link) for k in range(K)]
-        for h, g in zip(heads, c):
-            h._backward(g)
+        heads = [mlp_head(z, *own(k), link) for k in range(K)]
+        g_heads = [vjp(g[None]) for (_, vjp), g in zip(heads, c)]
+        want_z = sum(g_heads[1:], g_heads[0])
         want = {name: model.params[name].grad.copy() for name in names}
 
         model.grad[:] = np.nan
-        z_stacked = ad.Tensor(z)
-        out = mlp_head(z_stacked, *model.heads[0], link)
-        out._backward(c)
-        assert out.data.shape == (K, B, m)
-        for k, h in enumerate(heads):
-            assert np.array_equal(out.data[k], h.data[0])
-        assert np.array_equal(z_stacked.grad, z_heads.grad)
+        out, vjp = mlp_head(z, *model.heads[0], link)
+        g_z = vjp(c)
+        assert out.shape == (K, B, m)
+        for k, (h, _) in enumerate(heads):
+            assert np.array_equal(out[k], h[0])
+        assert np.array_equal(g_z, want_z)
         for name in names:
             assert np.array_equal(model.params[name].grad, want[name]), name
 
@@ -461,8 +462,8 @@ class TestEncode:
         num = rec[1][None, :]
 
         def build():
-            fp = model.forward_batch(cat, num)
-            return probe(fp.encoded)
+            _, encoded, _, _ = network_tape(model, cat, num)
+            return probe(encoded)
 
         model.grad[:] = np.nan
         ad.backward(build())
@@ -486,23 +487,23 @@ class TestSharedRepresentation:
         model.params["sr.w"].data[:] = 0.0
         rec = record()
         fp = model.forward_batch(rec[0][None, :], rec[1][None, :])
-        np.testing.assert_array_equal(fp.shared.data, np.zeros((1, 16)))
+        np.testing.assert_array_equal(fp.shared, np.zeros((1, 16)))
 
     def test_width_is_hidden_size(self):
         model = make_model(hidden_size=16)
         fp = model.forward_batch(*random_batch(np.random.default_rng(0), 3))
-        assert fp.shared.data.shape == (3, 16)
+        assert fp.shared.shape == (3, 16)
 
     def test_argument_order_matters_for_random_weights(self):
         model = make_model(seed=13)
         fp = model.forward_batch(*random_batch(np.random.default_rng(1), 4))
-        encoded = fp.encoded.data.reshape(4, -1)
-        raw = fp.raw.data.reshape(4, -1)
+        encoded = fp.encoded.reshape(4, -1)
+        raw = fp.raw.reshape(4, -1)
         w = model.params["sr.w"].data
         want = selu_ref(np.concatenate([encoded, raw], axis=1) @ w)
-        np.testing.assert_allclose(fp.shared.data, want, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(fp.shared, want, rtol=1e-12, atol=1e-15)
         swapped = selu_ref(np.concatenate([raw, encoded], axis=1) @ w)
-        assert not np.allclose(fp.shared.data, swapped)
+        assert not np.allclose(fp.shared, swapped)
 
 
 class TestHeads:
@@ -516,34 +517,34 @@ class TestHeads:
     def test_zero_head_hazards_are_log_two(self):
         model = self.zeroed_model()
         fp = model.forward_batch(*random_batch(np.random.default_rng(0), 6))
-        np.testing.assert_allclose(fp.hazards.data, math.log(2.0), rtol=1e-12)
+        np.testing.assert_allclose(fp.hazards, math.log(2.0), rtol=1e-12)
 
     def test_hazard_length_is_bin_count(self):
         model = make_model()
         fp = model.forward_batch(*random_batch(np.random.default_rng(1), 3))
-        assert fp.hazards.data.shape == (2, 3, 5)
+        assert fp.hazards.shape == (2, 3, 5)
 
     def test_hazards_positive_on_random_inputs(self):
         model = make_model(seed=8)
         fp = model.forward_batch(*random_batch(np.random.default_rng(2), 100))
-        assert np.all(fp.hazards.data > 0)
+        assert np.all(fp.hazards > 0)
 
     def test_one_hazard_head_per_event(self):
         for n_events in (1, 3):
             model = make_model(n_events=n_events)
             fp = model.forward_batch(*random_batch(np.random.default_rng(5), 2))
-            assert fp.hazards.data.shape == (n_events, 2, 5)
+            assert fp.hazards.shape == (n_events, 2, 5)
 
     def test_zero_weights_give_neutral_task_outputs(self):
         model = self.zeroed_model()
         fp = model.forward_batch(*random_batch(np.random.default_rng(3), 6))
-        np.testing.assert_array_equal(fp.event_prob.data, 0.5)
-        np.testing.assert_array_equal(fp.time_pred.data, 0.0)
+        np.testing.assert_array_equal(fp.event_prob, 0.5)
+        np.testing.assert_array_equal(fp.time_pred, 0.0)
 
     def test_event_probability_strictly_inside_unit_interval(self):
         model = make_model(seed=6)
         fp = model.forward_batch(*random_batch(np.random.default_rng(4), 50))
-        assert np.all((fp.event_prob.data > 0.0) & (fp.event_prob.data < 1.0))
+        assert np.all((fp.event_prob > 0.0) & (fp.event_prob < 1.0))
 
 
 
@@ -573,7 +574,7 @@ class TestPredictHazards:
         model = make_model(seed=17)
         cat, num = random_batch(np.random.default_rng(n), n)
         fp = model.forward_batch(cat, num)
-        want = fp.hazards.data.transpose(1, 0, 2)
+        want = fp.hazards.transpose(1, 0, 2)
         got = model.predict_hazards(cat, num)
         assert got.shape == (n, 2, 5)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -748,6 +749,23 @@ def test_parameters_follow_the_documented_draw_and_block_groups(overrides, schem
         assert np.array_equal(t.grad.reshape(len(want), -1), [p.grad.reshape(-1) for p in want])
 
 
+@pytest.mark.parametrize("layers", [0, 1, 2])
+@pytest.mark.parametrize("n_events", [1, 3])
+@pytest.mark.parametrize("head_layers", [1, 2])
+def test_network_backward_is_its_blocks_on_the_tape_bit_for_bit(layers, n_events, head_layers):
+    """``ForwardPass.backward`` writes every entry of ``model.grad`` as the
+    blocks' VJPs wired as tape nodes do, under the same head cotangents, on
+    categorical and numerical fields; it returns no input cotangent."""
+    model = make_model(seed=layers, layers=layers, n_events=n_events, head_layers=head_layers)
+    rng = np.random.default_rng(10 * layers + n_events + head_layers)
+    cat, num = random_batch(rng, 7)
+    cotangents = rng.standard_normal((n_events, 7, 5)), rng.standard_normal(7), rng.standard_normal(7)
+    want = tape_network_grad(model, cat, num, *cotangents)
+    model.grad[:] = np.nan
+    assert model.forward_batch(cat, num).backward(*cotangents) == ()
+    assert np.array_equal(model.grad, want)
+
+
 def test_forward_rejects_a_nonfinite_output():
     """Each forward checks its outputs once, so an infinite covariate is
     refused, with no numpy warning, instead of handed on as NaN hazards."""
@@ -778,13 +796,14 @@ def test_full_model_gradients_match_finite_differences_small():
     sched = L.AnnealSchedule(horizon=5)
 
     def build():
-        # as a training batch: one node over the head outputs carries the annealed total
+        # as a training batch: one node carries the annealed total, and its
+        # VJP hands the head-output cotangents to the network's
         fp = model.forward_batch(cat, num)
-        surv = L.competing_survival_loss(fp.hazards.data, L.survival_targets(grid, t, e, pi))
-        mp = L.mp_loss_tensor(fp.event_prob.data, (e > 0).astype(float))
-        ls = L.ls_loss_tensor(fp.time_pred.data, t)
+        surv = L.competing_survival_loss(fp.hazards, L.survival_targets(grid, t, e, pi))
+        mp = L.mp_loss_tensor(fp.event_prob, (e > 0).astype(float))
+        ls = L.ls_loss_tensor(fp.time_pred, t)
         total, _, vjp = L.total_loss_tensor(surv, mp, ls, sched, 0)
-        return ad.node(total, (fp.hazards, fp.event_prob, fp.time_pred), vjp)
+        return ad.node(total, (), lambda g: fp.backward(*vjp(g)))
 
     ad.backward(build())
     params = list(model.params.values())

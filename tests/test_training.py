@@ -170,24 +170,17 @@ class TestTrain:
         loss, _ = T._batch_loss(model, cat, num, t, e, targets, config.schedule(), 0)
         return model, loss
 
-    def test_default_two_event_batch_is_exactly_8_tape_nodes(self):
-        # exactly 8 with or without categorical fields: one op per network
-        # block, the two event heads one op, and one node for the annealed
-        # loss, so no primitive op can creep back, and no parameter (36
-        # weight and bias tensors, one more per categorical table)
+    def test_default_two_event_batch_is_exactly_1_tape_node(self):
+        # exactly 1 with or without categorical fields: the annealed loss,
+        # whose VJP runs the network's, so no block, activation or
+        # parameter (36 weight and bias tensors, one more per categorical
+        # table) is a node
         for categorical in (0, 2):
             model, loss = self.default_batch(categorical)
             tape = ad.GradientTape(loss).nodes
             assert len(model.params) == 36 + categorical
-            assert len(tape) == 8
-            assert not {id(n) for n in tape} & {id(p) for p in model.params.values()}
-            assert all(n._backward is not None for n in tape)
-            ops = [n._backward.__qualname__.split(".")[0] for n in tape]
-            assert sorted(ops) == sorted([
-                "embed_fields", "encoder_layer", "encoder_layer", "shared_projection",
-                "mlp_head", "mlp_head", "mlp_head",
-                "total_loss_tensor",
-            ])
+            assert tape == [loss] and loss._parents == ()
+            assert loss._backward.__qualname__ == "_batch_loss.<locals>.<lambda>"
 
     @pytest.mark.parametrize("categorical", [0, 2])
     def test_one_backward_rewrites_the_whole_gradient_buffer(self, categorical):
@@ -275,6 +268,22 @@ class TestValidationLoss:
             assert float(total) == pytest.approx(float(want.data), rel=1e-12, abs=0)
             for part in ("total", "survival", "mp", "ls"):
                 assert getattr(bd, part) == pytest.approx(getattr(want_bd, part), rel=1e-12, abs=0)
+
+    def test_validation_and_inference_build_no_tensor(self, monkeypatch):
+        records = synth_fold(INFER_CHUNK + 1, seed=1)
+        config = T.TrainConfig()
+        grid = D.build_time_grid(records.t, 6, "quantile")
+        model = SurvivalTransformer(dataclasses.replace(config.model, time_bins=grid.m, n_events=2),
+                                    D.synthetic_schema(4), grid, seed=3)
+        targets = L.survival_targets(grid, records.t, records.e, np.ones((len(records), 2)))
+        built, init = [], ad.Tensor.__init__
+        monkeypatch.setattr(ad.Tensor, "__init__", lambda self, data: built.append(1) or init(self, data))
+        T._validation_loss(model, records, targets, config.schedule(), 0)
+        model.predict_outputs(records.cat, records.num)
+        idx = np.arange(8)
+        T._batch_loss(model, records.cat[idx], records.num[idx], records.t[idx], records.e[idx], targets[idx],
+                      config.schedule(), 0)
+        assert len(built) == 1  # the training batch's loss node, the only Tensor of the three
 
     def test_train_peak_memory_does_not_grow_with_the_validation_fold(self):
         train = synth_fold(128, seed=0)
