@@ -43,12 +43,12 @@ def echo(value):
 
 def read_json(path, what):
     """The JSON value in the file at ``path``, less a UTF-8 byte-order mark;
-    one ValueError names ``what`` (its role) and ``path`` if it is not UTF-8 JSON."""
+    one ValueError names ``what`` (its role) and ``path`` if it cannot be."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise ValueError(f"{what} {path} is not UTF-8 JSON: {err}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:  # the last, for deep nesting
+        raise ValueError(f"{what} {path} cannot be read as UTF-8 JSON: {err}") from None
 
 
 def allocate(what, shape, make):

@@ -674,9 +674,10 @@ class TestByteOrderMark:
     @pytest.mark.parametrize("content, problem", [
         (b"x1,x2\n1,2\n", "Expecting value: line 1 column 1"),
         (b'{"max_epochs": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
-    ], ids=["csv", "not-utf8"])
-    def test_a_file_that_is_not_utf8_json_is_one_error_line_naming_it(self, tmp_path, plain, capsys, role,
-                                                                      content, problem):
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["csv", "not-utf8", "too-deep"])
+    def test_a_file_that_cannot_be_read_as_utf8_json_is_one_error_line_naming_it(self, tmp_path, plain, capsys,
+                                                                                 role, content, problem):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
         if role == "config":
@@ -686,7 +687,7 @@ class TestByteOrderMark:
         capsys.readouterr()
         assert run(argv) == 1
         line = one_error_line(capsys)
-        assert line.startswith(f"error: {role} {bad} is not UTF-8 JSON: {problem}"), line
+        assert line.startswith(f"error: {role} {bad} cannot be read as UTF-8 JSON: {problem}"), line
 
 
 class TestBadArguments:
