@@ -20,7 +20,7 @@ from .data import (
     transform_rows,
 )
 from .evaluation import ctd, km_censoring, quantile_horizons, survival_matrix
-from .losses import AnnealSchedule, LossBreakdown, ips_loss, naive_competing_loss, pch_loss
+from .losses import AnnealSchedule, LossBreakdown
 from .model import ModelConfig, SurvivalTransformer, load_checkpoint, save_checkpoint
 from .optim import Adam
 from .propensity import PropensityModel
@@ -46,11 +46,8 @@ __all__ = [
     "ctd",
     "evaluate",
     "fit_schema",
-    "ips_loss",
     "km_censoring",
     "load_checkpoint",
-    "naive_competing_loss",
-    "pch_loss",
     "predict",
     "quantile_horizons",
     "read_raw_csv",

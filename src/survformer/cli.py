@@ -218,12 +218,11 @@ def _cmd_predict(args):
     # Python float's repr (``%r``); "\0" stands for the record number. The
     # values become Python floats one chunk of records at a time.
     body = "".join(f"\0,{t!r}" + ",%r" * K + "\n" for t in times.tolist())
-    values = curves.transpose(0, 2, 1).reshape(n, nt * K)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         header = ["record", "time"] + [f"survival_event_{k + 1}" for k in range(K)]
         fh.write(",".join(header) + "\n")
         for s in range(0, n, INFER_CHUNK):
-            rows = enumerate(values[s : s + INFER_CHUNK].tolist(), s)
+            rows = enumerate(curves[s : s + INFER_CHUNK].transpose(0, 2, 1).reshape(-1, nt * K).tolist(), s)
             fh.writelines(body.replace("\0", str(i)) % tuple(row) for i, row in rows)
     print(f"wrote {args.out} ({n} records x {nt} times x {K} events)")
     return 0

@@ -2,24 +2,21 @@
 inverse-propensity-weighted competing-events loss, auxiliary task losses,
 and the annealed total.
 
-``_pch`` is the one implementation of the hazard likelihood term and its
-closed-form gradient, and ``pch_terms`` is its array form; each duration's bin
-and elapsed fraction come from ``TimeGrid.locate``. The array estimators
-(``pch_loss``, ``event_loss_matrix``, ``ips_loss``, ``naive_competing_loss``)
-read its values. Each training loss takes head outputs as arrays and returns
-its value and closed-form VJP. ``competing_survival_loss`` folds the hazard
-terms of the K stacked event heads, in one ``_pch`` pass, with the IPS weights
-and the sum over heads; it reads each record's bin, elapsed fraction,
-indicators and weights from the ``SurvivalTargets`` that ``survival_targets``
-computes once per fold. ``mp_loss_tensor`` and ``ls_loss_tensor`` are the
-auxiliary losses; ``total_loss_tensor`` is the annealed total and one VJP,
-which training puts on the tape as one node per batch. The benchmark's tracer
-wraps these four by name, so the last three keep ``_tensor`` names until it
-wraps new ones. The indicator-weighted estimators implement the printed
-formulas exactly; the censored cause-specific contributions that every record
-owes to the heads of unobserved events are added only by
-``competing_survival_loss``, which does not clip the propensities it inverts:
-``PropensityModel.predict`` did.
+``pch_terms`` is the one implementation of the hazard likelihood term and
+its closed-form gradient; each duration's bin and elapsed fraction come from
+``TimeGrid.locate``. Each training loss takes head outputs as arrays and
+returns its value and closed-form VJP. ``competing_survival_loss`` folds the
+hazard terms of the K stacked event heads, in one ``pch_terms`` pass, with the
+IPS weights and the sum over heads; it reads each record's bin, elapsed
+fraction, indicators and weights from the ``SurvivalTargets`` that
+``survival_targets`` computes once per fold. It adds the censored
+cause-specific contributions that every record owes to the heads of
+unobserved events, and it does not clip the propensities it inverts:
+``PropensityModel.predict`` did. ``mp_loss_tensor`` and ``ls_loss_tensor``
+are the auxiliary losses; ``total_loss_tensor`` is the annealed total and one
+VJP, which training puts on the tape as one node per batch. The benchmark's
+tracer wraps these four by name, so the last three keep ``_tensor`` names
+until it wraps new ones.
 """
 
 from dataclasses import dataclass
@@ -59,9 +56,19 @@ class AnnealSchedule:
 # --- the piecewise-constant-hazard term -------------------------------------
 
 
-def _pch(h, kappa, rho, events):
-    """Values of ``pch_terms`` for the (B, m) hazard array ``h``, and the
-    function that maps a (B,) cotangent to the (B, m) hazard gradient."""
+def pch_terms(h, kappa, rho, events):
+    """Per-record piecewise-constant-hazard loss terms and their VJP.
+
+    ``h`` is a (B, m) array of per-bin hazards; ``kappa`` and ``rho`` are the
+    (B,) zero-based bins holding the durations and their elapsed fractions,
+    as ``TimeGrid.locate`` gives them; ``events`` is (B,), 1.0 where the
+    record's event is observed for this head and 0.0 for a censored
+    contribution. Returns the (B,) terms -e*log(h[kappa]) + h[kappa]*rho +
+    sum of the bins before kappa, and the function that maps a (B,) cotangent
+    g to the (B, m) hazard gradient: g on every earlier bin and
+    g*rho - e*g/h[kappa] on bin kappa. The hazard in each record's bin must
+    be strictly positive.
+    """
     events = np.asarray(events, dtype=np.float64)
     rows = np.arange(h.shape[0])
     h_at = h[rows, kappa]
@@ -76,88 +83,6 @@ def _pch(h, kappa, rho, events):
         return grad
 
     return -events * np.log(h_at) + h_at * rho + prior, vjp
-
-
-def pch_terms(hazards, grid, durations, events):
-    """Per-record piecewise-constant-hazard loss terms and their VJP.
-
-    ``hazards`` is a (B, m) array of positive per-bin hazards; ``events`` is
-    (B,), 1.0 where the record's event is observed for this head and 0.0 for
-    a censored contribution. Returns the (B,) terms
-    -e*log(h[kappa]) + h[kappa]*rho + sum of the bins before kappa, with kappa
-    the bin holding the duration and rho its elapsed fraction (durations past
-    the last cut fall in the last bin), and the function that maps a (B,)
-    cotangent g to the (B, m) hazard gradient: g on every earlier bin and
-    g*rho - e*g/h[kappa] on bin kappa.
-    """
-    return _pch(np.asarray(hazards, dtype=np.float64), *grid.locate(durations), events)
-
-
-# --- array-level estimators -------------------------------------------------
-
-
-def pch_loss(hazards, t, e, grid):
-    """Piecewise-constant-hazard negative log likelihood for one record.
-
-    -e*log(hazard of t's bin) + that hazard*fraction elapsed + sum of fully
-    elapsed bins.
-    """
-    hazards = np.asarray(hazards, dtype=np.float64)
-    if hazards.ndim != 1 or hazards.size != grid.m:
-        raise ValueError(f"expected {grid.m} hazards, got shape {hazards.shape}")
-    if np.any(hazards <= 0):
-        raise ValueError("hazards must be strictly positive")
-    if e not in (0, 1):
-        raise ValueError("event indicator must be 0 or 1")
-    terms, _ = pch_terms(hazards[None, :], grid, np.array([t]), np.array([e]))
-    return float(terms[0])
-
-
-def event_loss_matrix(hazards, durations, grid):
-    """Counterfactual per-(record, event) losses: event k observed at t_i.
-
-    ``hazards`` is (n, K, m); the result is (n, K). These are the terms the
-    indicator-weighted estimators select among, and the ones averaged by the
-    oracle risk that ignores which event actually occurred.
-    """
-    hazards = np.asarray(hazards, dtype=np.float64)
-    n, K, _ = hazards.shape
-    out = np.empty((n, K))
-    for k in range(K):
-        out[:, k] = pch_terms(hazards[:, k, :], grid, durations, np.ones(n))[0]
-    return out
-
-
-def naive_competing_loss(hazards, durations, events, grid):
-    """Observed-event average: sum of selected losses over the event count."""
-    losses = event_loss_matrix(hazards, durations, grid)
-    events = np.asarray(events)
-    n, K = losses.shape
-    mask = events[:, None] == np.arange(1, K + 1)[None, :]
-    n_events = int(mask.sum())
-    if n_events == 0:
-        raise ValueError("no observed events in batch; the naive loss is undefined")
-    return float(losses[mask].sum() / n_events)
-
-
-def ips_loss(hazards, durations, events, propensities, grid, floor=0.05):
-    """Inverse-propensity-weighted loss, normalized by records times events.
-
-    Censored records contribute no indicator term. Propensities at or below
-    zero are rejected; values below the clipping floor are clipped before
-    inversion to bound the weight variance.
-    """
-    losses = event_loss_matrix(hazards, durations, grid)
-    events = np.asarray(events)
-    pi = np.asarray(propensities, dtype=np.float64)
-    if pi.shape != losses.shape:
-        raise ValueError(f"propensities shape {pi.shape} does not match (n, K)={losses.shape}")
-    if np.any(pi <= 0):
-        raise ValueError("propensities must be strictly positive")
-    pi = np.maximum(pi, floor)
-    n, K = losses.shape
-    mask = events[:, None] == np.arange(1, K + 1)[None, :]
-    return float((losses[mask] / pi[mask]).sum() / (n * K))
 
 
 # --- training losses: values and closed-form VJPs ----------------------------
@@ -202,13 +127,13 @@ def competing_survival_loss(hazards, targets):
     the batch's ``SurvivalTargets``. Head k's indicator ind marks records
     whose event is k. Because ind is 0 or 1, the ``pch_terms`` values with
     events=ind, weighted by ind/pi + (1 - ind), hold both the event and the
-    censored parts. All K·B terms come from one ``_pch`` pass; each head's
+    censored parts. All K·B terms come from one ``pch_terms`` pass; each head's
     weighted terms are summed, and the K sums added in head order. With one
     event type and unit propensities this is exactly the batch mean of the
     single-event loss. The VJP returns the (K, B, m) hazard cotangent.
     """
     K, n, m = hazards.shape
-    terms, vjp = _pch(hazards.reshape(K * n, m), targets.kappa.reshape(-1), targets.rho.reshape(-1),
+    terms, vjp = pch_terms(hazards.reshape(K * n, m), targets.kappa.reshape(-1), targets.rho.reshape(-1),
                       targets.ind.reshape(-1))
     scale = 1.0 / (n * K)
     total = 0.0

@@ -22,8 +22,8 @@ them in reverse, rewriting all of ``grad``. One walk over the blocks in draw
 order names and shapes every parameter; it counts them before any is drawn,
 then hands each block its views in the order it takes them, so
 ``forward_batch`` composes the blocks without looking a parameter up by name;
-it checks its outputs once. ``encode`` and ``export_attention`` give a
-record's attention maps as the JSON-ready records that ``attention.json`` holds.
+it checks its outputs once. ``export_attention`` gives a record's attention
+maps as the JSON-ready records that ``attention.json`` holds.
 
 ``judge`` checks every config setting and checkpoint entry against its rule.
 """
@@ -464,25 +464,6 @@ class SurvivalTransformer:
             )
         return cat, num
 
-    def _row(self, cat, num):
-        """One record's checked ``cat`` and ``num`` rows as a batch of one."""
-        return self._covariates(np.reshape(cat, (1, -1)), np.reshape(num, (1, -1)))
-
-    def embed(self, cat, num):
-        """Per-field embedding matrix (D, d_e) for one record's rows."""
-        return self.forward_batch(*self._row(cat, num)).raw
-
-    def encode(self, cat, num):
-        """Flattened encoder output and the record's attention maps, in layer
-        then head order, each the JSON-ready record ``{"layer", "head",
-        "labels", "weights"}`` that ``attention.json`` holds: ``weights`` is
-        the (D, D) field-by-field matrix as lists, ``labels`` the schema's
-        field names."""
-        fp = self.forward_batch(*self._row(cat, num))
-        maps = [{"layer": layer, "head": h, "labels": self.schema.field_names, "weights": alpha[0, h].tolist()}
-                for layer, alpha in enumerate(fp.attention) for h in range(alpha.shape[1])]
-        return fp.encoded.reshape(-1), maps
-
     def predict_outputs(self, cat, num):
         """Forward (n, d_c) indices and (n, d_n) values in chunks of
         ``INFER_CHUNK`` records; returns the head outputs as arrays: (n,
@@ -503,8 +484,14 @@ class SurvivalTransformer:
         return self.predict_outputs(cat, num)[0]
 
     def export_attention(self, cat, num):
-        """The attention maps of ``encode`` for one record."""
-        return self.encode(cat, num)[1]
+        """One record's attention maps, in layer then head order, each the
+        JSON-ready record ``{"layer", "head", "labels", "weights"}`` that
+        ``attention.json`` holds: ``weights`` is the (D, D) field-by-field
+        matrix as lists, ``labels`` the schema's field names. ``cat`` and
+        ``num`` are the record's index and value rows."""
+        fp = self.forward_batch(*self._covariates(np.reshape(cat, (1, -1)), np.reshape(num, (1, -1))))
+        return [{"layer": layer, "head": h, "labels": self.schema.field_names, "weights": alpha[0, h].tolist()}
+                for layer, alpha in enumerate(fp.attention) for h in range(alpha.shape[1])]
 
 
 def save_checkpoint(path, model, extra=None):

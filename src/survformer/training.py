@@ -30,7 +30,7 @@ from .evaluation import (
 )
 from .data import echo, read_json
 from .model import BOOL, FLOAT, INT, NONNEGATIVE, OBJECT, POSITIVE, check_settings, judge, setting
-from .model import ModelConfig, SurvivalTransformer
+from .model import INFER_CHUNK, ModelConfig, SurvivalTransformer
 from .optim import Adam
 
 
@@ -229,8 +229,14 @@ def train(config, train_records, val_records, schema, grid):
 
 
 def predict(model, records, times):
-    """Survival values for each record, event, and query time: (n, K, T)."""
-    return survival_matrix(model.predict_hazards(records.cat, records.num), model.grid, times)
+    """Survival values for each record, event, and query time: (n, K, T).
+    They are computed ``INFER_CHUNK`` records at a time into the result, so
+    only the hazards and the result are sized by the number of records."""
+    hazards = model.predict_hazards(records.cat, records.num)
+    curves = np.empty((*hazards.shape[:2], *np.shape(times)))
+    for s in range(0, len(hazards), INFER_CHUNK):
+        curves[s : s + INFER_CHUNK] = survival_matrix(hazards[s : s + INFER_CHUNK], model.grid, times)
+    return curves
 
 
 def evaluate(model, test_records, censoring, quantiles=(0.25, 0.5, 0.75)):

@@ -129,6 +129,30 @@ def pch_oracle(hazards, cuts, t, e):
         left = right
 
 
+def event_loss_matrix(hazards, durations, cuts):
+    """Counterfactual per-(record, event) losses, event k observed at t_i:
+    ``pch_oracle`` of each record's (n, K, m) ``hazards`` row, record by
+    record and event by event. The result is (n, K)."""
+    return np.array([[pch_oracle(h, cuts, t, 1) for h in row] for row, t in zip(hazards, durations)])
+
+
+def naive_competing_loss(losses, events):
+    """The printed observed-event average: the (n, K) ``losses`` of each
+    record's own event (1-based; 0 is censored), summed and divided by the
+    number of observed events."""
+    observed = [losses[i, e - 1] for i, e in enumerate(events) if e > 0]
+    return sum(observed) / len(observed)
+
+
+def ips_loss(losses, events, propensities):
+    """The printed inverse-propensity-weighted loss: each observed event's
+    loss over its (n, K) ``propensities`` entry, summed and divided by
+    records times events. Censored records contribute nothing, and nothing
+    is clipped."""
+    n, K = losses.shape
+    return sum(losses[i, e - 1] / propensities[i, e - 1] for i, e in enumerate(events) if e > 0) / (n * K)
+
+
 def selu_ref(x):
     x = np.asarray(x, dtype=np.float64)
     return SELU_LAMBDA * np.where(x > 0, x, SELU_ALPHA * np.expm1(np.minimum(x, 0.0)))

@@ -26,7 +26,7 @@ from survformer.data import (
 from survformer.evaluation import km_censoring, survival_matrix
 from survformer.model import ModelConfig, SurvivalTransformer
 
-from oracles import ctd_oracle, fd_gradients, naive_encode
+from oracles import ctd_oracle, event_loss_matrix, fd_gradients, naive_competing_loss, naive_encode
 
 
 def report(number, name, passed, detail=""):
@@ -97,17 +97,22 @@ def test_criterion_2_ips_unbiasedness():
     hazards = np.empty((n, n_events, m))
     hazards[:, 0, :] = np.exp(0.9 * x[:, [0]]) * base
     hazards[:, 1, :] = np.exp(-0.9 * x[:, [0]]) * base
-    oracle_risk = L.event_loss_matrix(hazards, t, grid).sum() / (n * n_events)
-    assert truth.min() > 1e-3  # the tiny floor below never actually clips
+    losses = event_loss_matrix(hazards, t, grid.cuts)
+    oracle_risk = losses.sum() / (n * n_events)
+    assert truth.min() > 1e-3  # the true propensities, inverted unclipped, weigh below 1000
 
+    # the IPS side is the training loss with its censored part weighted out:
+    # ind * (ind / pi + 1 - ind) = ind / pi, the printed estimator's weight
+    stacked = hazards.transpose(1, 0, 2)
     rng = np.random.default_rng(99)
     draws = 10_000
     ips_sum = 0.0
     naive_sum = 0.0
     for _ in range(draws):
         e = 1 + (rng.uniform(size=n) > truth[:, 0]).astype(int)
-        ips_sum += L.ips_loss(hazards, t, e, truth, grid, floor=1e-9)
-        naive_sum += L.naive_competing_loss(hazards, t, e, grid)
+        tg = L.survival_targets(grid, t, e, truth)
+        ips_sum += float(L.competing_survival_loss(stacked, dataclasses.replace(tg, weight=tg.ind * tg.weight))[0])
+        naive_sum += naive_competing_loss(losses, e)
     ips_dev = abs(ips_sum / draws - oracle_risk) / oracle_risk
     naive_dev = abs(naive_sum / draws - oracle_risk) / oracle_risk
     elapsed = time.time() - start
@@ -159,7 +164,7 @@ def test_criterion_4_encoder_matches_naive_loop():
         model = SurvivalTransformer(cfg, schema, grid, seed=trial)
         cat = np.array([rng.integers(0, 4)], dtype=np.intp)  # includes the unseen row
         num = rng.standard_normal(2)
-        got, _ = model.encode(cat, num)
+        got = model.forward_batch(cat[None, :], num[None, :]).encoded.reshape(-1)
         worst = max(worst, float(np.abs(got - naive_encode(model, cat, num)).max()))
     ok = worst < 1e-10
     report(4, "encoder oracle equivalence", ok, f"[max deviation {worst:.2e}]")

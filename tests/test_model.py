@@ -82,33 +82,39 @@ def record(cat=(1, 2), num=(0.3, -0.7)):
     return np.array(cat, dtype=np.intp), np.array(num, dtype=np.float64)
 
 
+def one_row(model, rec):
+    """``forward_batch`` on one record's rows as a batch of one."""
+    cat, num = rec
+    return model.forward_batch(cat[None, :], num[None, :])
+
+
 class TestEmbed:
     def test_zero_numerical_value_gives_zero_vector(self):
         model = make_model()
-        emb = model.embed(*record(num=(0.0, 1.0)))
+        emb = one_row(model, record(num=(0.0, 1.0))).raw
         np.testing.assert_array_equal(emb[2], np.zeros(8))  # field order: cat, cat, num, num
 
     def test_linearity_in_numerical_value(self):
         model = make_model()
-        one = model.embed(*record(num=(1.0, 0.0)))
-        two = model.embed(*record(num=(2.0, 0.0)))
+        one = one_row(model, record(num=(1.0, 0.0))).raw
+        two = one_row(model, record(num=(2.0, 0.0))).raw
         np.testing.assert_allclose(two[2], 2.0 * one[2], rtol=1e-12)
 
     def test_categorical_lookup_is_independent_of_other_fields(self):
         model = make_model()
-        a = model.embed(*record(cat=(1, 0), num=(5.0, 5.0)))
-        b = model.embed(*record(cat=(1, 2), num=(-3.0, 0.1)))
+        a = one_row(model, record(cat=(1, 0), num=(5.0, 5.0))).raw
+        b = one_row(model, record(cat=(1, 2), num=(-3.0, 0.1))).raw
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[0], model.params["embed.cat0"].data[1])
 
     def test_schema_mismatch_rejected(self):
         model = make_model()
         with pytest.raises(ValueError, match="covariates"):
-            model.embed(np.array([1], dtype=np.intp), np.array([0.1, 0.2]))
+            model.export_attention(np.array([1], dtype=np.intp), np.array([0.1, 0.2]))
 
     def test_unknown_index_within_range_accepted(self):
         model = make_model()
-        emb = model.embed(*record(cat=(2, 3)))  # reserved rows
+        emb = one_row(model, record(cat=(2, 3))).raw  # reserved rows
         assert emb.shape == (4, 8)
 
 
@@ -132,7 +138,7 @@ def attention(x, D, wq, wk, wv):
 
 def attend(model, rec, layer=0):
     """The layer's attention on one record's embeddings."""
-    t0 = model.embed(*rec)
+    t0 = one_row(model, rec).raw
     return attention(t0, t0.shape[0], *layer_weights(model, layer))
 
 
@@ -154,7 +160,7 @@ class TestAttention:
         rec = record()
         mixed, alpha = attend(model, rec)
         np.testing.assert_allclose(alpha[0, 0], 0.25, atol=1e-15)
-        expected = np.mean(model.embed(*rec) @ model.params["enc0.h0.wv"].data, axis=0)
+        expected = np.mean(one_row(model, rec).raw @ model.params["enc0.h0.wv"].data, axis=0)
         for j in range(4):
             np.testing.assert_allclose(mixed[j], expected, rtol=1e-12)
 
@@ -167,14 +173,14 @@ class TestAttention:
         mixed, alpha = attend(model, rec)
         np.testing.assert_allclose(alpha[0, 0], [[1.0]], atol=1e-15)
         np.testing.assert_allclose(
-            mixed[0], model.embed(*rec)[0] @ model.params["enc0.h0.wv"].data, rtol=1e-12
+            mixed[0], one_row(model, rec).raw[0] @ model.params["enc0.h0.wv"].data, rtol=1e-12
         )
 
     def test_matches_naive_loop_on_random_instance(self):
         model = make_model(heads=2, layers=1, seed=5)
         rec = record(cat=(0, 1), num=(0.9, -1.2))
         mixed, alpha = attend(model, rec)
-        t0 = list(model.embed(*rec))
+        t0 = list(one_row(model, rec).raw)
         outs = []
         for h, (wq, wk, wv) in enumerate(zip(*layer_weights(model))):
             want_out, want_alpha = naive_attention(t0, wq.data, wk.data, wv.data)
@@ -425,23 +431,23 @@ class TestEncode:
     def test_no_layers_returns_raw_embeddings(self):
         model = make_model(layers=0)
         rec = record()
-        flat, maps = model.encode(*rec)
-        np.testing.assert_array_equal(flat, model.embed(*rec).reshape(-1))
-        assert maps == []
+        fp = one_row(model, rec)
+        np.testing.assert_array_equal(fp.encoded.reshape(-1), fp.raw.reshape(-1))
+        assert model.export_attention(*rec) == []
 
     def test_zero_weights_finite_with_contract_shape(self):
         model = make_model()
         for name, p in model.params.items():
             if name.startswith("enc"):
                 p.data[:] = 0.0
-        flat, _ = model.encode(*record())
+        flat = one_row(model, record()).encoded.reshape(-1)
         assert flat.shape == (4 * 8,)
         assert np.all(np.isfinite(flat))
 
     def test_deterministic(self):
         model = make_model(seed=9)
-        a, _ = model.encode(*record())
-        b, _ = model.encode(*record())
+        a = one_row(model, record()).encoded.reshape(-1)
+        b = one_row(model, record()).encoded.reshape(-1)
         assert np.array_equal(a, b)
 
     def test_matches_naive_loop_oracle(self):
@@ -452,7 +458,7 @@ class TestEncode:
             model = SurvivalTransformer(cfg, small_schema(), small_grid(), seed=trial)
             rec = record(cat=(rng.integers(0, 3), rng.integers(0, 4)),
                          num=tuple(rng.standard_normal(2)))
-            got, _ = model.encode(*rec)
+            got = one_row(model, rec).encoded.reshape(-1)
             np.testing.assert_allclose(got, naive_encode(model, *rec), atol=1e-10)
 
     def test_gradients_reach_every_layer_weight(self):

@@ -11,7 +11,7 @@ from survformer import autodiff as ad
 from survformer import data as D
 from survformer import losses as L
 from survformer import training as T
-from survformer.model import INFER_CHUNK, SurvivalTransformer
+from survformer.model import INFER_CHUNK, ModelConfig, SurvivalTransformer
 
 
 def tiny_dataset(n=80, n_events=2, censoring=0.2, seed=0):
@@ -327,6 +327,21 @@ class TestPredict:
         model, test = self.fitted()
         curves = T.predict(model, test.take(np.arange(7)), np.array([0.0, 1.0, 2.0]))
         assert curves.shape == (7, model.config.n_events, 3)
+
+    def test_peak_memory_is_the_hazards_and_the_curves(self):
+        records = synth_fold(20_000, seed=2)
+        config = ModelConfig(embed_dim=8, heads=2, layers=1, hidden_size=8, time_bins=10, n_events=2)
+        model = SurvivalTransformer(config, D.synthetic_schema(4), D.TimeGrid(np.arange(1.0, 11.0)), seed=0)
+        times = np.linspace(0.0, 12.0, 20)
+        tracemalloc.start()
+        try:
+            curves = T.predict(model, records, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        hazard_bytes = curves.size // len(times) * model.grid.m * 8
+        # survival over all records at once holds several (n, K, T) temporaries
+        assert peak <= 1.25 * (hazard_bytes + curves.nbytes), (peak, hazard_bytes, curves.nbytes)
 
 
 class TestEvaluate:
