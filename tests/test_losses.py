@@ -230,6 +230,12 @@ class TestIpsLoss:
         with_censored = ips_part(hazards, t, np.array([1, 0, 0]), np.full((3, 2), 0.5), grid)
         assert with_censored == pytest.approx(base / 3.0, rel=1e-12)
 
+    def test_nonpositive_propensity_rejected(self):
+        grid = grid123()
+        for pi in ([[0.0, 1.0]], [[-0.2, 1.0]]):  # the observed event's own propensity
+            with pytest.raises(ValueError, match="positive"):
+                ips_part(np.ones((1, 2, 3)), np.array([1.0]), np.array([1]), np.array(pi), grid)
+
     def test_monte_carlo_mean_recovers_oracle_risk(self):
         """Compact unbiasedness check; the acceptance suite runs the full one."""
         grid = grid123()
