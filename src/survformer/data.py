@@ -92,7 +92,8 @@ class CovariateSchema:
     def __post_init__(self):
         names = self.field_names
         if len(set(names)) != len(names):
-            raise SchemaError("covariate field names must be unique")
+            repeated = next(name for i, name in enumerate(names) if name in names[:i])
+            raise SchemaError(f"covariate field names must be unique, got {echo(repeated)} more than once")
         if self.d < 1:
             raise SchemaError("schema needs at least one covariate field")
 
@@ -383,12 +384,25 @@ class TimeGrid:
         return self.cuts.tolist()
 
 
+def linear_quantile(values, q):
+    """``np.quantile(values, q)`` by its default (linear) method, bit for bit, without
+    the bare ``np.unique`` that imports ``numpy.ma``; interpolated as numpy's ``_lerp``."""
+    values, q = np.sort(values, axis=None), np.asarray(q, dtype=np.float64)
+    if not ((q >= 0) & (q <= 1)).all():
+        raise ValueError("Quantiles must be in the range [0, 1]")
+    at = (values.size - 1) * q
+    lo = np.where(at >= values.size - 1, -1, np.floor(at)).astype(np.intp)  # -1: the last value, as numpy takes it
+    t = at - lo
+    a, b = values[lo], values[np.where(lo < 0, -1, lo + 1)]
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+
+
 def build_time_grid(durations, m, scheme="quantile"):
     """Discretize training durations into m bins.
 
-    ``quantile`` places cuts at empirical duration quantiles j/m (duplicates
-    merged); ``uniform`` places equal-width cuts on (0, max]. The last cut is
-    always the maximum training duration.
+    ``quantile`` places cuts at the ``linear_quantile``s j/m of the durations,
+    merged as ``np.unique`` merges them; ``uniform`` places equal-width cuts
+    on (0, max]. The last cut is always the maximum training duration.
     """
     durations = np.asarray(durations, dtype=np.float64)
     if m < 2:
@@ -401,8 +415,8 @@ def build_time_grid(durations, m, scheme="quantile"):
     if scheme == "uniform":
         cuts = allocate("the time_bins grid", (m,), lambda: np.linspace(0.0, hi, m + 1)[1:])
     elif scheme == "quantile":
-        cuts = np.unique(np.quantile(durations, allocate("the time_bins grid", (m,), lambda: np.arange(1, m + 1) / m)))
-        cuts = cuts[cuts > 0]
+        cuts = np.sort(linear_quantile(durations, allocate("the time_bins grid", (m,), lambda: np.arange(1, m + 1) / m)))
+        cuts = cuts[(cuts > 0) & np.append(True, cuts[1:] != cuts[:-1])]
         if cuts.size < 1:
             raise ValueError("quantile cuts collapsed to nothing; durations too concentrated")
         cuts[-1] = hi

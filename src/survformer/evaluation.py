@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .data import linear_quantile
 
 
 class UndefinedMetricError(ValueError):
@@ -72,11 +73,11 @@ def km_censoring(durations, events):
 
 
 def quantile_horizons(event_durations, quantiles):
-    """Empirical quantiles of the uncensored duration distribution."""
+    """Empirical quantiles of the uncensored durations, by ``data.linear_quantile``."""
     event_durations = np.asarray(event_durations, dtype=np.float64)
     if event_durations.size == 0:
         raise ValueError("no uncensored durations to take quantiles of")
-    return np.quantile(event_durations, np.asarray(quantiles, dtype=np.float64))
+    return linear_quantile(event_durations, quantiles)
 
 
 def ctd(surv_at_tau, durations, events, tau, event_k, censoring):

@@ -352,9 +352,10 @@ class SurvivalTransformer:
     encoder layer's query, key and value weights are one (H, 3, d_e, d_h)
     Tensor, and each of the three ``heads`` groups holds its heads' per-layer
     weights and biases as (K, ...) Tensors, K = n_events for the event heads
-    and 1 for mp and ls; these are views of the same buffers."""
+    and 1 for mp and ls; these are views of the same buffers. ``load(layout)``,
+    if given, returns the arrays in place of the draws once the count is judged."""
 
-    def __init__(self, config, schema, grid, seed=0):
+    def __init__(self, config, schema, grid, seed=0, load=None):
         if config.time_bins != grid.m:
             raise ValueError(f"config.time_bins={echo(config.time_bins)} but grid has m={grid.m}")
         self.config, self.schema, self.grid = config, schema, grid
@@ -368,13 +369,14 @@ class SurvivalTransformer:
             layout.append((name, shape, drawn))
 
         self._walk(record)
-        rng = np.random.default_rng(seed)
-        arrays = []
-        for name, shape, drawn in layout:
-            bound = np.sqrt(6.0 / sum(shape))  # a drawn weight's shape is (fan_in, fan_out)
-            arrays.append(allocate(f"parameter {name}", shape,
-                                   lambda: rng.uniform(-bound, bound, size=shape) if drawn else np.zeros(shape)))
-        self.data, self.grad, tensors = ad.flat_parameters(arrays)
+        if load is None:
+            rng = np.random.default_rng(seed)
+            arrays = []
+            for name, shape, drawn in layout:
+                bound = np.sqrt(6.0 / sum(shape))  # a drawn weight's shape is (fan_in, fan_out)
+                arrays.append(allocate(f"parameter {name}", shape,
+                                       lambda: rng.uniform(-bound, bound, size=shape) if drawn else np.zeros(shape)))
+        self.data, self.grad, tensors = ad.flat_parameters(arrays if load is None else load(layout))
         self.params = {name: t for (name, _, _), t in zip(layout, tensors)}
         views = iter(tensors)
         self.embedding, encoder, self.projection, heads = self._walk(lambda *_: next(views))
@@ -512,11 +514,12 @@ def load_checkpoint(path):
     """Rebuild a model from ``save_checkpoint`` output; returns (model, extra).
 
     The payload must hold the ``SECTIONS`` and exactly the rebuilt model's
-    parameters, each with its shape, which are written into the model's
-    parameter views. Each schema field record keeps its rules in ``FIELDS``,
-    and every grid and parameter entry must be a finite number; ``judge``
-    names the first entry that breaks its rule. ``extra`` is returned
-    unjudged: its records are the commands' to judge.
+    parameters, each with its shape; they fill the flat buffer, undrawn. The
+    first error is of too many arrays, then an absent parameter (draw order),
+    then a bad entry, unknown name or wrong shape (checkpoint order). Each
+    schema field record keeps its rules in ``FIELDS``, and every grid and
+    parameter entry must be a finite number; ``judge`` names the first entry
+    that breaks its rule. ``extra`` is returned unjudged, for the commands.
     """
     payload = read_json(path, "checkpoint")
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
@@ -540,15 +543,18 @@ def load_checkpoint(path):
     schema = CovariateSchema([CategoricalField(*map(f.get, FIELDS["categorical"])) for f in records["categorical"]],
                              [NumericalField(*map(f.get, FIELDS["numerical"])) for f in records["numerical"]])
     grid = TimeGrid(numbers(payload["grid"], "every grid entry"))
-    model = SurvivalTransformer(config, schema, grid, seed=0)
-    params = payload["params"]
-    absent = [name for name in model.params if name not in params]
-    if absent:
-        more = f" and {len(absent) - 1} more" if len(absent) > 1 else ""
-        judge(ABSENT, FLOAT, f"parameters {absent[0]}{more}", path)
-    for name, values in params.items():
-        arr = numbers(values, f"every entry of parameter {echo(name)}")
-        if name not in model.params or model.params[name].data.shape != arr.shape:
-            raise ValueError(f"checkpoint parameter {echo(name)} does not fit the rebuilt model")
-        model.params[name].data[...] = arr
-    return model, payload.get("extra", {})
+
+    def judged(layout):  # (name, shape, drawn) in draw order
+        shapes = {name: shape for name, shape, _ in layout}
+        absent = [name for name in shapes if name not in payload["params"]]
+        if absent:
+            more = f" and {len(absent) - 1} more" if len(absent) > 1 else ""
+            judge(ABSENT, FLOAT, f"parameters {absent[0]}{more}", path)
+        arrays = {}
+        for name, values in payload["params"].items():
+            arr = arrays[name] = numbers(values, f"every entry of parameter {echo(name)}")
+            if shapes.get(name) != arr.shape:
+                raise ValueError(f"checkpoint parameter {echo(name)} does not fit the rebuilt model")
+        return [arrays[name] for name in shapes]
+
+    return SurvivalTransformer(config, schema, grid, load=judged), payload.get("extra", {})

@@ -145,25 +145,24 @@ def fit(covariates, events, l2=1e-4, floor=0.05, renormalize=False):
     n_events = int(e.max())
     if n_events < 2:
         raise ValueError("propensity fitting needs two or more event classes")
-    labels = np.arange(1, n_events + 1)
-    absent = np.setdiff1d(labels, e)
-    if absent.size:
-        raise ValueError(f"event class {absent[0]} absent from the fitting data")
+    held = np.bincount(e, minlength=n_events + 1)[1:] > 0  # no bare ``np.unique``, which imports numpy.ma
+    if not held.all():
+        raise ValueError(f"event class {held.argmin() + 1} absent from the fitting data")
     if l2 == 0:
         # Without a penalty, the weight of a 0/1 column set only on records of
         # one event, or only on records of the others, grows without end.
         ones = x == 1
         for j in np.flatnonzero((ones | (x == 0)).all(axis=0) & ones.any(axis=0)):
-            held = np.unique(e[ones[:, j]])
-            if held.size < n_events:
-                which, k = ("every", held[0]) if held.size == 1 else ("no", np.setdiff1d(labels, held)[0])
+            held = np.bincount(e[ones[:, j]], minlength=n_events + 1)[1:] > 0
+            if not held.all():
+                which, k = ("every", held.argmax() + 1) if held.sum() == 1 else ("no", held.argmin() + 1)
                 raise ValueError(f"propensity fit: {which} record with design column {j} set holds "
                                  f"event {k}, so the fit has no finite optimum; "
                                  f"propensity_l2 must be above 0")
     weights = np.zeros((n_events, x.shape[1]))
     offsets = np.zeros(n_events)
     iterations, converged = [], []
-    for k in labels:
+    for k in range(1, n_events + 1):
         if n_events == 2 and k == 2:
             # event 2's labels are 1 - event 1's, which flips ``sign`` in
             # ``_fit_binary``: each Newton iterate is event 1's negated, and

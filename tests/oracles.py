@@ -448,3 +448,19 @@ def transform_row_oracle(schema, columns, row, line, labels=True):
             else:
                 e = int(value)
     return cat, num, t, e
+
+
+def quantile_oracle(values, q):
+    """numpy's own linear quantile, the reference the package's
+    ``linear_quantile`` must match bit for bit."""
+    return np.quantile(np.asarray(values, dtype=np.float64), np.asarray(q, dtype=np.float64))
+
+
+def quantile_cuts_oracle(durations, m):
+    """The quantile grid's cuts by numpy's formula: the distinct positive
+    quantiles j/m, j = 1..m, with the last replaced by the largest duration."""
+    durations = np.asarray(durations, dtype=np.float64)
+    cuts = np.unique(np.quantile(durations, np.arange(1, m + 1) / m))
+    cuts = cuts[cuts > 0]
+    cuts[-1] = durations.max()
+    return cuts

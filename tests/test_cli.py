@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -791,7 +795,17 @@ class TestBadArguments:
     def test_covariate_declared_twice_is_one_error_line(self, tmp_path, data, capsys):
         capsys.readouterr()
         assert self.train(tmp_path, data, "--numerical", "x1", "--categorical", "x1") == 1
-        assert one_error_line(capsys) == "error: covariate field names must be unique"
+        assert one_error_line(capsys) == "error: covariate field names must be unique, got 'x1' more than once"
+
+    def test_header_naming_a_covariate_twice_is_one_error_line(self, tmp_path, data, capsys):
+        with open(data, newline="") as fh:
+            rows = list(csv.reader(fh))
+        twice = tmp_path / "twice.csv"
+        with open(twice, "w", newline="") as fh:
+            csv.writer(fh).writerows([["x2", *row] if i == 0 else [row[0], *row] for i, row in enumerate(rows)])
+        capsys.readouterr()
+        assert self.train(tmp_path, twice) == 1
+        assert one_error_line(capsys) == "error: covariate field names must be unique, got 'x2' more than once"
 
     def test_negative_seed_flag_is_one_error_line(self, tmp_path, data, capsys):
         capsys.readouterr()
@@ -1022,3 +1036,52 @@ class TestCorruptInput:
         assert code == 1
         line = one_error_line(capsys)
         assert f"line 7 has {width} cells, the header has 5" in line and str(data) in line
+
+
+# Runs one command as ``survformer`` does and prints its exit code and which
+# of numpy's ``ma`` and ``random`` modules the process imported.
+CHILD = """import json, sys
+from survformer.cli import run
+code = run(sys.argv[1:])
+print(json.dumps([code, sorted({'numpy.ma', 'numpy.random'} & set(sys.modules))]))
+"""
+
+
+class TestImportedModules:
+    """Each command runs in a fresh process, so a numpy module it imports
+    costs every run. No command imports ``numpy.ma``; only those that split
+    records (``train``, ``eval`` of one fold) or draw parameters (``train``)
+    import ``numpy.random``."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        # a categorical column, so that a propensity_l2 = 0 train judges the
+        # one-hot design columns for separation
+        root = tmp_path_factory.mktemp("imports")
+        data, args = synth_args(root, n=300)
+        assert run(args) == 0
+        with open(data, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows([row + (["g"] if i == 0 else ["abc"[i % 3]]) for i, row in enumerate(rows)])
+        for name, l2 in (("config.json", 1e-4), ("config-l2-0.json", 0.0)):
+            (root / name).write_text(json.dumps({**json.loads(tiny_config(root).read_text()), "propensity_l2": l2}))
+        assert run(["train", "--data", str(data), "--config", str(root / "config.json"),
+                    "--checkpoint", str(root / "m.json")]) == 0
+        return root
+
+    @pytest.mark.parametrize("argv, imports", [
+        (["train", "--config=config.json", "--checkpoint=t.json"], ["numpy.random"]),
+        (["train", "--config=config-l2-0.json", "--checkpoint=t0.json"], ["numpy.random"]),
+        (["eval", "--checkpoint=m.json", "--out=metrics.json"], ["numpy.random"]),
+        (["eval", "--checkpoint=m.json", "--fold=all", "--out=all.json"], []),
+        (["predict", "--checkpoint=m.json", "--times=0.5,1", "--out=curves.csv"], []),
+        (["attention", "--checkpoint=m.json", "--row=2", "--out=attention.json"], []),
+    ], ids=["train", "train-l2-0", "eval", "eval-all", "predict", "attention"])
+    def test_a_command_imports_only_the_numpy_modules_it_uses(self, files, argv, imports):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", CHILD, *argv, "--data=data.csv"], cwd=files, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, imports], done.stdout

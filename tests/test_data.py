@@ -7,12 +7,12 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from survformer import data as D
 
-from oracles import transform_row_oracle
+from oracles import quantile_cuts_oracle, quantile_oracle, transform_row_oracle
 
 
 def write_csv(path, header, rows):
@@ -429,6 +429,44 @@ class TestTimeGrid:
             grid = D.build_time_grid(durations, 10, scheme)
             assert grid.cuts[-1] == durations.max()
             assert np.all(np.diff(grid.cuts) > 0)
+
+
+@st.composite
+def tied_durations(draw):
+    """1 to 3,000 nonnegative values at a scale from 1e-8 to 1e8, drawn from
+    a pool of distinct values as small as one, so that ties are common; with
+    a zero among them or not."""
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.exponential(10.0 ** draw(st.floats(-8, 8)), size=draw(st.integers(1, n)))
+    if draw(st.booleans()):
+        pool[0] = 0.0
+    return pool[rng.integers(0, pool.size, size=n)], rng
+
+
+class TestLinearQuantile:
+    """``linear_quantile`` against ``np.quantile``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_durations(), st.integers(2, 60))
+    def test_equals_numpys_linear_quantile(self, drawn, m):
+        values, rng = drawn
+        q = np.concatenate([[0.0, 1.0], rng.uniform(size=20), np.arange(1, m + 1) / m])
+        before = values.copy()
+        assert np.array_equal(D.linear_quantile(values, q), quantile_oracle(values, q))
+        assert np.array_equal(values, before)  # the input is not sorted in place
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_durations(), st.integers(2, 60))
+    def test_quantile_grid_cuts_are_numpys_unique_quantiles(self, drawn, m):
+        values, _ = drawn
+        assume(values.min() < values.max())
+        assert np.array_equal(D.build_time_grid(values, m).cuts, quantile_cuts_oracle(values, m))
+
+    @pytest.mark.parametrize("q", [-0.25, 1.5, np.nan])
+    def test_quantile_outside_zero_one_rejected(self, q):
+        with pytest.raises(ValueError, match=r"range \[0, 1\]"):
+            D.linear_quantile(np.arange(4.0), [0.5, q])
 
 
 class TestKappaRho:

@@ -677,6 +677,49 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="malformed config"):
             load_checkpoint(path)
 
+    @staticmethod
+    def params_edit(*edits):
+        """A payload edit that applies ``edits`` to its params in turn; each
+        returns the new params or None to keep the old, edited in place."""
+        def edit(payload):
+            for step in edits:
+                payload["params"] = step(payload["params"]) or payload["params"]
+        return edit
+
+    @pytest.mark.parametrize("edits, says", [
+        ((lambda p: p.__delitem__("cs1.b0"), lambda p: p["embed.num"][0].__setitem__(0, "x")),
+         "lacks parameters cs1.b0"),
+        ((lambda p: p["embed.num"][0].__setitem__(0, "x"), lambda p: p.update({"sr.w": [[0.0]]})),
+         "every entry of parameter 'embed.num' must be a finite number, got 'x'"),
+        ((lambda p: p.update({"embed.num": [[0.0]]}), lambda p: p["sr.w"][0].__setitem__(0, None)),
+         "checkpoint parameter 'embed.num' does not fit the rebuilt model"),
+        ((lambda p: {"bogus": [0.0], **p}, lambda p: p["sr.w"][0].__setitem__(0, None)),
+         "checkpoint parameter 'bogus' does not fit the rebuilt model"),
+        ((lambda p: {"bogus": [0.0, "y"], **p},), "every entry of parameter 'bogus' must be a finite number, got 'y'"),
+    ], ids=["absent-before-bad-entry", "bad-entry-before-wrong-shape", "wrong-shape-before-bad-entry",
+            "unknown-name-before-bad-entry", "unknown-name-with-bad-entry"])
+    def test_parameter_errors_keep_their_precedence(self, tmp_path, edits, says):
+        # the absent parameter is named first; then, in the checkpoint's
+        # order, an entry's values are judged before its name and shape
+        path = self.edited_checkpoint(tmp_path, self.params_edit(*edits))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value).endswith(says), str(err.value)
+
+    def test_parameter_array_count_comes_before_an_absent_parameter(self, tmp_path, monkeypatch):
+        path = self.edited_checkpoint(tmp_path, lambda p: p["params"].pop("cs1.b0"))
+        monkeypatch.setattr(M, "MAX_PARAMETERS", len(make_model().params) - 1)
+        with pytest.raises(ValueError, match="asks for more than"):
+            load_checkpoint(path)
+
+    def test_loading_draws_no_parameter(self, tmp_path, monkeypatch):
+        model, path = make_model(seed=5), tmp_path / "ckpt.json"
+        save_checkpoint(path, model)
+        monkeypatch.setattr(np.random, "default_rng", None)  # a draw would raise TypeError
+        loaded, _ = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.data, model.data)
+        assert not loaded.grad.any()
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("heads", [0, -1])
