@@ -1064,9 +1064,9 @@ class TestImportedModules:
             rows = list(csv.reader(fh))
         with open(data, "w", newline="") as fh:
             csv.writer(fh).writerows([row + (["g"] if i == 0 else ["abc"[i % 3]]) for i, row in enumerate(rows)])
-        for name, l2 in (("config.json", 1e-4), ("config-l2-0.json", 0.0)):
-            (root / name).write_text(json.dumps({**json.loads(tiny_config(root).read_text()), "propensity_l2": l2}))
-        assert run(["train", "--data", str(data), "--config", str(root / "config.json"),
+        config = tiny_config(root)  # root / "config.json"
+        (root / "config-l2-0.json").write_text(json.dumps({**json.loads(config.read_text()), "propensity_l2": 0}))
+        assert run(["train", "--data", str(data), "--config", str(config),
                     "--checkpoint", str(root / "m.json")]) == 0
         return root
 
