@@ -5,7 +5,6 @@ censoring-weighted time-dependent concordance."""
 
 __version__ = "0.1.0"
 
-from .autodiff import Tensor, backward
 from .data import (
     ColumnSpec,
     CovariateSchema,
@@ -37,11 +36,9 @@ __all__ = [
     "Records",
     "SurvivalTransformer",
     "SyntheticSpec",
-    "Tensor",
     "TimeGrid",
     "TrainConfig",
     "TrainHistory",
-    "backward",
     "build_time_grid",
     "ctd",
     "evaluate",

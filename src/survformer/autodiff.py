@@ -1,23 +1,19 @@
-"""Reverse-mode automatic differentiation over dense float64 numpy arrays.
+"""Parameters, the loss node and the activations, in dense float64 numpy.
 
-A ``Tensor`` wraps an ndarray and remembers the operation that produced it,
-so a scalar loss can be differentiated with one topological sweep
-(``backward``). All arithmetic is 64-bit; gradient checks against central
-finite differences at 1e-4 relative tolerance are not reliable in 32-bit.
+A ``Tensor`` is an array ``data`` beside its gradient ``grad``. The model's
+parameters are Tensors viewing one flat data buffer and one flat gradient
+buffer (``flat_parameters``); the one block that reads a parameter writes
+its whole gradient view on every backward pass. A training batch's loss is
+the only other Tensor: its ``backward`` hands the head outputs' cotangents
+to the network's VJP, ``model.ForwardPass.backward``, and ``backward(loss)``
+calls it once from a unit gradient. There is no graph to sweep; the
+benchmark's tracer counts Tensors and tape nodes through these classes.
+Gradient checks against finite differences at 1e-4 relative tolerance need
+the 64-bit arithmetic.
 
-The module defines no arithmetic on Tensors. A training batch's tape is one
-``node``, the annealed loss, whose VJP hands the head outputs' cotangents to
-the network's own, ``model.ForwardPass.backward``; the benchmark's tracer
-counts Tensors and tape nodes through these classes. The elementwise array
-functions here (SELU and its slope, softplus, the logistic function) are what
-the network's blocks compute with, each reading an activation's slope from
-the activation's output, which it keeps anyway.
-
-Parameters are not on the tape. ``flat_parameters`` makes each one a view
-of one flat data buffer and one flat gradient buffer, and the one block
-that reads a parameter writes its whole gradient view on every sweep. A
-node's first gradient is stored as handed over and never written in place,
-as one array may be handed to several nodes. Values are not checked here.
+Each elementwise function (SELU and its slope, softplus, the logistic
+function) lets a block read an activation's slope from the activation's
+output, which it keeps anyway. Values are not checked here.
 """
 
 import numpy as np
@@ -28,30 +24,15 @@ SELU_ALPHA = 1.6732632423543772848170429916717
 
 
 class Tensor:
-    """A node in the computation graph: value, gradient slot, provenance."""
+    """An array and its gradient. ``backward``, given for a loss, maps the
+    loss's gradient onto whatever the loss was computed from."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_backward")
 
-    def __init__(self, data):
+    def __init__(self, data, grad=None, backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self._parents = ()
-        self._backward = None
-
-    def _accumulate(self, g):
-        # The first write stores ``g`` itself and later ones allocate: a
-        # backward may hand one array to several parents, so none is mutated.
-        self.grad = g if self.grad is None else self.grad + g
-
-
-def node(data, parents, backward_fn):
-    """A tape node holding ``data``; ``backward_fn(g)`` receives the gradient
-    of the loss with respect to ``data`` and returns one cotangent per
-    parent, in ``parents``' order, for the sweep to accumulate."""
-    out = Tensor(data)
-    out._parents = tuple(parents)
-    out._backward = backward_fn
-    return out
+        self.grad = grad
+        self._backward = backward
 
 
 def flat_parameters(arrays):
@@ -64,8 +45,7 @@ def flat_parameters(arrays):
     ends = np.cumsum([np.size(a) for a in arrays])
     tensors = []
     for a, d, g in zip(arrays, np.split(data, ends[:-1]), np.split(grad, ends[:-1])):
-        tensors.append(Tensor(d.reshape(np.shape(a))))
-        tensors[-1].grad = g.reshape(np.shape(a))
+        tensors.append(Tensor(d.reshape(np.shape(a)), g.reshape(np.shape(a))))
     return data, grad, tensors
 
 
@@ -115,54 +95,24 @@ def logistic(x):
     return out
 
 
-# --- backward sweep -------------------------------------------------------
+# --- backward pass --------------------------------------------------------
 
 
 class GradientTape:
-    """Topologically ordered record of the operations below one loss node.
-
-    Construction walks the graph once; ``run`` resets the gradients of every
-    reachable node and performs the reverse sweep, so repeated runs from the
-    same forward state produce identical gradients. Parameters are not
-    nodes: the ops write their gradient views.
-    """
+    """The nodes of one backward pass: only its scalar loss, whose
+    ``backward`` runs every VJP beneath it."""
 
     def __init__(self, loss):
         if loss.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-        self.loss = loss
-        self.nodes = self._topo_order(loss)
-
-    @staticmethod
-    def _topo_order(root):
-        """Depth-first post-order from ``root``, parents taken last first."""
-        order = []
-        visited = {root}
-        stack = [(root, reversed(root._parents))]
-        while stack:
-            for parent in stack[-1][1]:
-                if parent not in visited:
-                    visited.add(parent)
-                    stack.append((parent, reversed(parent._parents)))
-                    break
-            else:
-                order.append(stack.pop()[0])
-        return order
-
-    def run(self):
-        """Sweep gradients from the loss to every reachable node, adding each
-        cotangent a backward returns to its parent's gradient in order."""
-        for node in self.nodes:
-            node.grad = None
-        self.loss.grad = np.ones_like(self.loss.data)
-        for node in reversed(self.nodes):
-            if node._backward is not None:
-                for parent, g in zip(node._parents, node._backward(node.grad)):
-                    parent._accumulate(g)
+        self.nodes = [loss]
 
 
 def backward(loss):
-    """Reverse-mode sweep from a scalar loss: every op below it writes the
-    gradient views of its parameters, and every leaf Tensor below it gets
-    ``.grad``."""
-    GradientTape(loss).run()
+    """Run a scalar loss's VJP once from a unit gradient. It writes the whole
+    gradient view of every parameter below the loss, so repeated runs from
+    one forward state write identical gradients."""
+    GradientTape(loss)
+    loss.grad = np.ones_like(loss.data)
+    if loss._backward is not None:
+        loss._backward(loss.grad)

@@ -87,6 +87,8 @@ def _cmd_synth(args):
     for flag, value in (("--n", args.n), ("--events", args.events), ("--dim", args.dim)):
         if value < 1:
             raise ValueError(f"{flag} must be a positive count, got {D.echo(value)}")
+    if not 0.0 <= args.censoring < 1.0:
+        raise ValueError(f"--censoring must be a rate in [0, 1), got {D.echo(args.censoring)}")
     spec = D.default_synthetic_spec(
         args.n, dim=args.dim, n_events=args.events, censoring_rate=args.censoring, seed=args.seed
     )

@@ -43,19 +43,19 @@ class CensoringEstimate:
     times: np.ndarray  # sorted distinct censoring times
     values: np.ndarray  # G after each time
 
+    def __post_init__(self):
+        self._steps = np.concatenate([[1.0], self.values])  # G before the first time, then after each
+
     def evaluate(self, t):
         """Right-continuous step value G(t)."""
-        t = np.asarray(t, dtype=np.float64)
-        idx = np.searchsorted(self.times, t, side="right")
-        padded = np.concatenate([[1.0], self.values])
-        return padded[idx]
+        return self._step(t, "right")
 
     def evaluate_left(self, t):
         """Left limit G(t-): the value just before t."""
-        t = np.asarray(t, dtype=np.float64)
-        idx = np.searchsorted(self.times, t, side="left")
-        padded = np.concatenate([[1.0], self.values])
-        return padded[idx]
+        return self._step(t, "left")
+
+    def _step(self, t, side):
+        return self._steps[np.searchsorted(self.times, np.asarray(t, dtype=np.float64), side=side)]
 
 
 def km_censoring(durations, events):

@@ -14,7 +14,7 @@ cause-specific contributions that every record owes to the heads of
 unobserved events, and it does not clip the propensities it inverts:
 ``PropensityModel.predict`` did. ``mp_loss_tensor`` and ``ls_loss_tensor``
 are the auxiliary losses; ``total_loss_tensor`` is the annealed total and one
-VJP, which training puts on the tape as one node per batch. The benchmark's
+VJP, which training wraps as each batch's loss Tensor. The benchmark's
 tracer wraps these four by name, so the last three keep ``_tensor`` names
 until it wraps new ones.
 """

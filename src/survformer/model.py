@@ -150,8 +150,8 @@ class ForwardPass:
     def backward(self, g_hazards, g_prob, g_time):
         """Write every parameter's gradient view from the hazard, any-event
         and follow-up-time cotangents, summing the heads' as ``(events + mp)
-        + ls`` and the embedding's as ``g_raw + g_enc``, as a tape of the
-        blocks sums them. Returns ``()``: the covariates are data."""
+        + ls`` and the embedding's as ``g_raw + g_enc``. Returns ``()``: the
+        covariates are data."""
         embed, layers, projection, (events, mp, ls) = self._vjps
         g_enc, g_raw = projection((events(g_hazards) + mp(g_prob.reshape(1, -1, 1))) + ls(g_time.reshape(1, -1, 1)))
         for vjp in reversed(layers):
@@ -336,9 +336,7 @@ def _stacked(views, lead):
         step = (arrays[-1].ctypes.data - first.ctypes.data) // max(len(arrays) - 1, 1)
         return as_strided(first, (len(arrays), *first.shape), (step, *first.strides)).reshape(*lead, *first.shape)
 
-    stacked = ad.Tensor(across([v.data for v in views]))
-    stacked.grad = across([v.grad for v in views])
-    return stacked
+    return ad.Tensor(across([v.data for v in views]), across([v.grad for v in views]))
 
 
 class SurvivalTransformer:

@@ -125,6 +125,16 @@ def _fit_binary(x, y, l2):
     raise ValueError(f"no convergence in {MAX_ITER} Newton iterations")
 
 
+def absent_class(labels):
+    """The smallest event class in 1..max(labels) that no label holds, or 0,
+    found by sorting: a count per class takes memory in the largest label,
+    and a bare ``np.unique`` imports numpy.ma."""
+    s = np.sort(labels[labels > 0])
+    before = np.concatenate([[0], s[:-1]])  # each label's predecessor, 0 for the first
+    gap = np.flatnonzero(s - before > 1)
+    return int(before[gap[0]]) + 1 if gap.size else 0
+
+
 def fit(covariates, events, l2=1e-4, floor=0.05, renormalize=False):
     """Fit one-vs-rest logistic models on observed-event records, with L2
     penalty ``l2`` on the weights; the model clips at ``floor``. With two
@@ -145,9 +155,8 @@ def fit(covariates, events, l2=1e-4, floor=0.05, renormalize=False):
     n_events = int(e.max())
     if n_events < 2:
         raise ValueError("propensity fitting needs two or more event classes")
-    held = np.bincount(e, minlength=n_events + 1)[1:] > 0  # no bare ``np.unique``, which imports numpy.ma
-    if not held.all():
-        raise ValueError(f"event class {held.argmin() + 1} absent from the fitting data")
+    if absent := absent_class(e):
+        raise ValueError(f"event class {absent} absent from the fitting data")
     if l2 == 0:
         # Without a penalty, the weight of a 0/1 column set only on records of
         # one event, or only on records of the others, grows without end.

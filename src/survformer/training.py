@@ -4,8 +4,8 @@ Training fits the assignment-propensity model first (competing-events data
 only), then runs mini-batch Adam on the annealed multi-task objective with
 early stopping on validation loss; the best-epoch parameter snapshot is
 restored at the end. Training batches and the validation fold share one loss
-function over the head output arrays; a batch's tape is its total, one node
-whose VJP runs the network's. The validation fold is forwarded in
+function over the head output arrays; a batch's loss is one Tensor whose
+backward runs the network's VJP. The validation fold is forwarded in
 ``INFER_CHUNK``-record chunks, as inference is, and its losses are taken once
 over all records. Each fold's survival targets (bins, elapsed fractions,
 indicators, IPS weights) are computed once per fit, and a batch indexes the
@@ -114,12 +114,12 @@ class TrainHistory:
 
 
 def _batch_loss(model, cat, num, t, e, targets, schedule, epoch):
-    """One batch's annealed total loss, as one tape node whose VJP runs
+    """One batch's annealed total loss, as a Tensor whose backward runs
     ``ForwardPass.backward`` on the loss's head-output cotangents, and its
     breakdown. Raises ``ValueError`` as ``_loss`` does."""
     fp = model.forward_batch(cat, num)
     total, bd, vjp = _loss(fp.hazards, fp.event_prob, fp.time_pred, targets, t, e, schedule, epoch)
-    return ad.node(total, (), lambda g: fp.backward(*vjp(g))), bd
+    return ad.Tensor(total, backward=lambda g: fp.backward(*vjp(g))), bd
 
 
 def _validation_loss(model, records, targets, schedule, epoch):
@@ -150,8 +150,9 @@ def train(config, train_records, val_records, schema, grid):
     """Fit a model; returns it with the per-epoch history.
 
     The schema and grid must have been fitted on the training fold. The
-    number of competing events is taken from the training labels; with a
-    single event type the survival term reduces to the plain batch-mean
+    number of competing events is the largest training label, and each
+    event from 1 to it must have a training record; with a single event
+    type the survival term reduces to the plain batch-mean
     piecewise-constant-hazard loss and no propensity model is fitted.
     """
     if not len(train_records) or not len(val_records):
@@ -159,6 +160,9 @@ def train(config, train_records, val_records, schema, grid):
     cat, num, t, e = train_records.cat, train_records.num, train_records.t, train_records.e
     vcat, vnum, ve = val_records.cat, val_records.num, val_records.e
     n_events = max(int(e.max()), 1)
+    if absent := prop.absent_class(e):  # before anything is sized by n_events
+        raise ValueError(f"event label {n_events} at line {train_records.line[e == n_events].min()} asks for "
+                         f"{n_events} event types, but no training record has event {absent}")
     if ve.max() > n_events:
         raise ValueError(f"validation set has event label {int(ve.max())} unseen in training")
 

@@ -2,27 +2,25 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, direct formulas) and shares no code with the package internals it
-verifies. The exceptions are built on the tape's own ``node``: ``probe``, a
-scalar tape op that lets tests differentiate any op's output,
-``block_node``, which puts one block's value and VJP on the tape, and
-``network_tape``, the network's blocks wired as tape nodes, against which
-``ForwardPass.backward`` is held.
+verifies. The exception is ``chained_network_grad``, the network's blocks
+and their VJPs chained by hand, against which ``ForwardPass.backward`` is
+held bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from survformer import autodiff as ad
 from survformer.model import embed_fields, encoder_layer, mlp_head, shared_projection
 
 SELU_LAMBDA = 1.0507009873554804934193349852946
 SELU_ALPHA = 1.6732632423543772848170429916717
 
 
-def fd_gradients(loss_fn, tensors, step=1e-5):
-    """Finite differences of a scalar closure w.r.t. tensor data: central
-    differences at steps h and 2h, Richardson-extrapolated,
+def fd_gradients(loss_fn, arrays, step=1e-5):
+    """Finite differences of a scalar closure w.r.t. ``arrays``, which it
+    perturbs in place, one entry at a time: central differences at steps h
+    and 2h, Richardson-extrapolated,
     (8·(f(x+h) − f(x−h)) − (f(x+2h) − f(x−2h))) / 12h, whose truncation
     error is O(h⁴). Their roundoff is about ε·|f|/h, so h grows with the
     fifth root of the loss, h = step·max(1, |f(x)|)^(1/5), which balances the
@@ -31,19 +29,17 @@ def fd_gradients(loss_fn, tensors, step=1e-5):
     ReLU kink."""
     h = step * max(1.0, abs(loss_fn())) ** 0.2
     grads = []
-    for p in tensors:
-        p.data = np.ascontiguousarray(p.data)  # reshape below must be a view
-        flat = p.data.reshape(-1)
-        g = np.empty_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
+    for a in arrays:
+        g = np.empty(a.shape)
+        for i in np.ndindex(a.shape):
+            orig = a[i]
             f = {}
             for k in (1, -1, 2, -2):
-                flat[i] = orig + k * h
+                a[i] = orig + k * h
                 f[k] = loss_fn()
-            flat[i] = orig
+            a[i] = orig
             g[i] = (8.0 * (f[1] - f[-1]) - (f[2] - f[-2])) / (12.0 * h)
-        grads.append(g.reshape(p.data.shape))
+        grads.append(g)
     return grads
 
 
@@ -56,59 +52,26 @@ def assert_grads_match(analytic, numeric, rtol=1e-4, atol=1e-8):
         np.testing.assert_allclose(a, f, rtol=rtol, atol=atol, err_msg=f"worst error {worst:.3g} of the tolerance")
 
 
-def probe(*tensors, weights=None):
-    """The scalar ``sum(weights * t)`` summed over ``tensors``, as one tape op.
-
-    ``weights`` is a fixed array shaped like every tensor (ones by default).
-    Backward returns the one array ``g * weights`` once per parent, so a
-    parent listed twice receives it twice.
-    """
-    c = np.ones_like(tensors[0].data) if weights is None else np.asarray(weights, dtype=np.float64)
-
-    def back(g):
-        return (g * c,) * len(tensors)
-
-    return ad.node(sum((t.data * c).sum() for t in tensors), tensors, back)
-
-
-def block_node(value, vjp, *inputs):
-    """A block's ``value`` as one tape node over the Tensors ``inputs``, its
-    backward the block's ``vjp``: one cotangent, or a tuple of them, in
-    ``inputs``' order."""
-
-    def back(g):
-        cotangents = vjp(g)
-        return cotangents if isinstance(cotangents, tuple) else (cotangents,)
-
-    return ad.node(value, inputs, back)
-
-
-def network_tape(model, cat, num):
-    """``model``'s blocks on a batch as tape nodes, each one ``block_node``
-    over the nodes whose values it reads: the embedding, the encoder layers
-    in order, the shared projection over (encoder output, embedding), and
-    the event, mp and ls heads over the projection. Returns the embedding,
-    encoder-output and projection nodes and the three head nodes; the
-    sweep's summation order is the tape's, not the model's."""
-    raw = block_node(*embed_fields(*model.embedding, cat, num))
-    encoded = raw
+def chained_network_grad(model, cat, num, g_hazards, g_prob, g_time):
+    """``model.grad`` after its blocks' VJPs on a batch, chained by hand from
+    the (K, B, m) hazard and (B,) any-event and follow-up-time cotangents.
+    The heads' input cotangents sum as ``(events + mp) + ls``, the encoder
+    layers run last to first, and the embedding's cotangent sums the
+    projection's share of it first, as ``g_raw + g_enc``."""
+    raw, embed_vjp = embed_fields(*model.embedding, cat, num)
+    encoded, layer_vjps = raw, []
     for layer in model.encoder:
-        value, vjp, _ = encoder_layer(encoded.data, model.schema.d, *layer)
-        encoded = block_node(value, vjp, encoded)
-    shared = block_node(*shared_projection(encoded.data, raw.data, model.projection), encoded, raw)
-    heads = [block_node(*mlp_head(shared.data, *group, link), shared)
-             for group, link in zip(model.heads, ("softplus", "logistic", None))]
-    return raw, encoded, shared, heads
-
-
-def tape_network_grad(model, cat, num, g_hazards, g_prob, g_time):
-    """``model.grad`` after one sweep of ``network_tape`` from a root node
-    that hands the (K, B, m) hazard and (B,) any-event and follow-up-time
-    cotangents to the three heads."""
-    *_, heads = network_tape(model, cat, num)
+        encoded, vjp, _ = encoder_layer(encoded, model.schema.d, *layer)
+        layer_vjps.append(vjp)
+    shared, projection_vjp = shared_projection(encoded, raw, model.projection)
+    heads = [mlp_head(shared, *group, link)[1] for group, link in zip(model.heads, ("softplus", "logistic", None))]
     B = len(g_prob)
-    cotangents = (g_hazards, np.reshape(g_prob, (1, B, 1)), np.reshape(g_time, (1, B, 1)))
-    ad.backward(ad.node(0.0, heads, lambda g: cotangents))
+    cotangents = g_hazards, np.reshape(g_prob, (1, B, 1)), np.reshape(g_time, (1, B, 1))
+    events, mp, ls = (vjp(g) for vjp, g in zip(heads, cotangents))
+    g_enc, g_raw = projection_vjp((events + mp) + ls)
+    for vjp in reversed(layer_vjps):
+        g_enc = vjp(g_enc)
+    embed_vjp(g_raw + g_enc)
     return model.grad.copy()
 
 

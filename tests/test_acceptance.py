@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from survformer import autodiff as ad
 from survformer import data as D
 from survformer import losses as L
 from survformer import training as T
@@ -57,18 +56,18 @@ def test_criterion_1_gradient_correctness():
     pi = rng.uniform(0.2, 0.8, size=(4, 2))
     sched = L.AnnealSchedule(horizon=10)
 
-    def build():
-        # as a training batch: one node carries the annealed total, and its
-        # VJP hands the head-output cotangents to the network's
+    def forward():
+        # as a training batch: the annealed total, and its VJP, which hands
+        # the head-output cotangents to the network's
         fp = model.forward_batch(cat, num)
         surv = L.competing_survival_loss(fp.hazards, L.survival_targets(grid, t, e, pi))
         mp = L.mp_loss_tensor(fp.event_prob, (e > 0).astype(float))
         ls = L.ls_loss_tensor(fp.time_pred, t)
         total, _, vjp = L.total_loss_tensor(surv, mp, ls, sched, 0)
-        return ad.node(total, (), lambda g: fp.backward(*vjp(g)))
+        return float(total), lambda: fp.backward(*vjp(1.0))
 
-    ad.backward(build())
-    numeric = fd_gradients(lambda: float(build().data), list(model.params.values()))
+    forward()[1]()
+    numeric = fd_gradients(lambda: forward()[0], [p.data for p in model.params.values()])
     ratios = {}  # per parameter, its worst error over its tolerance; NaN counts as infinite
     for (name, p), fd in zip(model.params.items(), numeric):
         tol = 1e-4 * np.maximum(np.abs(p.grad), np.abs(fd)) + 1e-8

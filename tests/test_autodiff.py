@@ -1,6 +1,6 @@
-"""Differentiation engine: the backward sweep, the array functions the
-blocks compute with, and finite-difference checks of every block's and
-loss's VJP, each put on the tape as one node."""
+"""Differentiation engine: the loss node's backward pass, the array
+functions the blocks compute with, and finite-difference checks of every
+block's and loss's VJP, each called on its own."""
 
 import math
 
@@ -14,12 +14,7 @@ from survformer import losses as L
 from survformer.data import TimeGrid
 from survformer.model import embed_fields, encoder_layer, mlp_head, shared_projection
 
-from oracles import assert_grads_match, block_node, fd_gradients, probe
-
-
-def tensor(values):
-    """A leaf Tensor: an op input that is not a parameter."""
-    return ad.Tensor(np.asarray(values, dtype=np.float64))
+from oracles import assert_grads_match, fd_gradients
 
 
 def parameter(values):
@@ -119,49 +114,31 @@ class TestSoftplus:
         # a unit weight and zero bias make the head's pre-activation its
         # input, so the input's gradient under a unit cotangent is the slope
         a = np.linspace(-700.0, 700.0, 100_001)
-        z = tensor(a[:, None])
         w, b = parameter([[[1.0]]]), parameter([[0.0]])
-        ad.backward(probe(block_node(*mlp_head(z.data, [w], [b], "softplus"), z)))
-        np.testing.assert_allclose(z.grad[:, 0], ad.logistic(a), rtol=1e-15, atol=0)
+        out, vjp = mlp_head(a[:, None], [w], [b], "softplus")
+        np.testing.assert_allclose(vjp(np.ones_like(out))[:, 0], ad.logistic(a), rtol=1e-15, atol=0)
 
 
 def one_layer_head(rng, link, inputs=4, outputs=1):
     """A fixed (3, inputs) head input and a one-head stack of one trainable
-    layer into ``link``."""
-    z = tensor(rng.standard_normal((3, inputs)))
+    layer into ``link``: the head's (output, VJP) closure and its parameters."""
+    z = rng.standard_normal((3, inputs))
     w, b = parameter(rng.standard_normal((1, inputs, outputs))), parameter(rng.standard_normal((1, outputs)))
-    return (lambda: block_node(*mlp_head(z.data, [w], [b], link), z)), [w, b]
+    return (lambda: mlp_head(z, [w], [b], link)), [w, b]
 
 
 class TestBackward:
-    def test_sum_gives_ones(self):
-        p = tensor(np.arange(6.0).reshape(2, 3))
-        ad.backward(probe(p))
-        np.testing.assert_array_equal(p.grad, np.ones((2, 3)))
-
     def test_scalar_chain_matches_finite_difference(self):
         head, params = one_layer_head(np.random.default_rng(3), "softplus")
-
-        def build():
-            return probe(head())
-
-        ad.backward(build())
-        assert_grads_match([p.grad for p in params], fd_gradients(lambda: float(build().data), params))
-
-    def test_disjoint_losses_add(self):
-        rng = np.random.default_rng(4)
-        head_a, (a1, _) = one_layer_head(rng, "logistic")
-        head_b, (b1, _) = one_layer_head(rng, "softplus")
-        ad.backward(probe(probe(head_a()), probe(head_b())))
-        both = a1.grad.copy(), b1.grad.copy()  # the views are rewritten below
-        ad.backward(probe(head_a()))
-        ad.backward(probe(head_b()))
-        np.testing.assert_array_equal(both[0], a1.grad)
-        np.testing.assert_array_equal(both[1], b1.grad)
+        out, vjp = head()
+        vjp(np.ones_like(out))
+        fd = fd_gradients(lambda: float(head()[0].sum()), [p.data for p in params])
+        assert_grads_match([p.grad for p in params], fd)
 
     def test_repeated_backward_is_bitwise_identical(self):
         head, (w, _) = one_layer_head(np.random.default_rng(5), "logistic", outputs=2)
-        loss = probe(head())
+        out, vjp = head()
+        loss = ad.Tensor(out.sum(), backward=lambda g: vjp(g * np.ones_like(out)))
         ad.backward(loss)
         first = w.grad.copy()
         ad.backward(loss)
@@ -169,62 +146,40 @@ class TestBackward:
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ValueError, match="scalar"):
-            ad.backward(tensor([1.0, 2.0]))
-
-    def test_reused_operand_accumulates(self):
-        a = tensor([3.0])
-        ad.backward(probe(a, a, weights=[3.0]))
-        np.testing.assert_allclose(a.grad, [6.0], rtol=1e-12)
-
-    @pytest.mark.parametrize("shared_first", [True, False])
-    def test_gradient_handed_to_two_parents_is_never_mutated(self, shared_first):
-        # the first probe hands one gradient array to p and q; p then takes
-        # a second contribution, which must not write into the array q holds
-        p, q = tensor([1.0, 2.0]), tensor([3.0, 4.0])
-        both = probe(p, q)
-        scaled = probe(p, weights=[5.0, -7.0])
-        ad.backward(probe(both, scaled) if shared_first else probe(scaled, both))
-        np.testing.assert_array_equal(q.grad, [1.0, 1.0])
-        np.testing.assert_array_equal(p.grad, [6.0, -6.0])
-
-    def test_gradient_tape_holds_no_parameters(self):
-        # the tape is the leaf input, the head op and the probe; the head's
-        # parameters are not nodes, yet the sweep writes their gradient views
-        head, (w, b) = one_layer_head(np.random.default_rng(6), None)
-        loss = probe(head())
-        tape = ad.GradientTape(loss)
-        assert len(tape.nodes) == 3 and tape.nodes[-1] is loss
-        assert not {id(n) for n in tape.nodes} & {id(w), id(b)}
-        w.grad[...], b.grad[...] = np.nan, np.nan
-        tape.run()
-        assert np.isfinite(w.grad).all() and np.array_equal(b.grad, [[3.0]])
-
-
-def loss_node(loss, leaf, target):
-    """``loss`` of ``leaf``'s data against ``target`` as one tape node over
-    ``leaf``, from the loss's value and VJP."""
-    value, vjp = loss(leaf.data, target)
-    return ad.node(value, (leaf,), lambda g: (vjp(g),))
+            ad.backward(ad.Tensor([1.0, 2.0]))
 
 
 def _gradcheck_cases():
-    """One builder per block or loss (the embedding in three field mixes,
-    the shared projection with no and with two encoder layers, each head
-    link, an encoder layer over 3, 1 and 12 fields, three stacked hazard
-    heads), each block's or loss's value and VJP one tape node over its leaf
-    or block-node inputs; each returns (loss closure, params)."""
+    """One case per block or loss (the embedding in three field mixes, the
+    shared projection with no and with two encoder layers chained by hand,
+    each head link, an encoder layer over 3, 1 and 12 fields, three stacked
+    hazard heads), each (forward, arrays): ``forward()`` gives the case's
+    scalar loss and a closure that runs its VJPs and returns the analytic
+    gradient of each array, the input cotangents the VJPs return, then the
+    parameters' gradient views; ``arrays`` are what finite differences
+    perturb, the inputs and then the parameters' data."""
     rng = np.random.default_rng(12)
     B, de = 5, 4
 
     def rand(*shape):
-        return tensor(rng.standard_normal(shape))
+        return rng.standard_normal(shape)
 
     def param(*shape):
         return parameter(rng.standard_normal(shape))
 
-    def probed(build):
-        c = rng.standard_normal(build().data.shape)
-        return lambda: probe(build(), weights=c)
+    def probed(block, params, inputs=()):
+        # ``block()`` gives an output and a VJP returning the input
+        # cotangents as a list; the loss is sum(c · output) for fixed weights c
+        c = rng.standard_normal(block()[0].shape)
+
+        def forward():
+            out, vjp = block()
+            return float((out * c).sum()), lambda: [*vjp(c), *(p.grad for p in params)]
+
+        return forward, [*inputs, *(p.data for p in params)]
+
+    def one_input(value, vjp):
+        return value, lambda g: [vjp(g)]
 
     def embedding(d_c, d_n):
         # three rows per table, so five records repeat some looked-up rows
@@ -233,53 +188,63 @@ def _gradcheck_cases():
         cat = rng.integers(0, 3, size=(B, d_c))
         num = rng.standard_normal((B, d_n))
         params = tables + ([weight] if d_n else [])
-        return (lambda: block_node(*embed_fields(tables, weight, cat, num))), params
+        return (lambda: embed_fields(tables, weight, cat, num)), params
 
     def layer(D):
         # every head's wq, then wk, then wv, as drawn for per-head weights
         qkv = parameter(np.stack([rng.standard_normal((2, de, 2)) for _ in range(3)], axis=1))
         wres, ffn = param(de, de), [param(de, 3), param(3, de)]
-        return (lambda x: block_node(*encoder_layer(x.data, D, qkv, wres, ffn)[:2], x)), [qkv, wres, *ffn]
+        return (lambda x: encoder_layer(x, D, qkv, wres, ffn)[:2]), [qkv, wres, *ffn]
 
     def case_embed_categorical():
-        build, params = embedding(2, 0)
-        return probed(build), params
+        return probed(*embedding(2, 0))
 
     def case_embed_numerical():
-        build, params = embedding(0, 3)
-        return probed(build), params
+        return probed(*embedding(0, 3))
 
     def case_embed_both():
-        build, params = embedding(2, 2)
-        return probed(build), params
+        return probed(*embedding(2, 2))
 
     def case_shared_projection_no_layers():
         embed, params = embedding(1, 2)
         w = param(2 * 3 * de, 5)
 
-        def build():
-            raw = embed()
-            return block_node(*shared_projection(raw.data, raw.data, w), raw, raw)
+        def block():
+            raw, embed_vjp = embed()
+            out, vjp = shared_projection(raw, raw, w)
 
-        return probed(build), [*params, w]
+            def back(g):
+                g_enc, g_raw = vjp(g)
+                return embed_vjp(g_enc + g_raw)
+
+            return out, back
+
+        return probed(block, [*params, w])
 
     def case_shared_projection_two_layers():
         embed, params = embedding(1, 2)
         (first, first_params), (second, second_params) = layer(3), layer(3)
         w = param(2 * 3 * de, 5)
 
-        def build():
-            raw = embed()
-            encoded = second(first(raw))
-            return block_node(*shared_projection(encoded.data, raw.data, w), encoded, raw)
+        def block():
+            raw, embed_vjp = embed()
+            hidden, first_vjp = first(raw)
+            encoded, second_vjp = second(hidden)
+            out, vjp = shared_projection(encoded, raw, w)
 
-        return probed(build), [*params, *first_params, *second_params, w]
+            def back(g):
+                g_enc, g_raw = vjp(g)
+                return embed_vjp(g_raw + first_vjp(second_vjp(g_enc)))
+
+            return out, back
+
+        return probed(block, [*params, *first_params, *second_params, w])
 
     def head(link, out):
         # a one-head stack
         z = rand(B, 6)
         weights, biases = [param(1, 6, 4), param(1, 4, out)], [param(1, 4), param(1, out)]
-        return probed(lambda: block_node(*mlp_head(z.data, weights, biases, link), z)), [z, *weights, *biases]
+        return probed(lambda: one_input(*mlp_head(z, weights, biases, link)), [*weights, *biases], [z])
 
     def case_head_softplus():
         return head("softplus", 3)
@@ -294,25 +259,24 @@ def _gradcheck_cases():
         # three stacked softplus heads of two layers
         z = rand(B, 6)
         weights, biases = [param(3, 6, 4), param(3, 4, 3)], [param(3, 4), param(3, 3)]
-        return probed(lambda: block_node(*mlp_head(z.data, weights, biases, "softplus"), z)), [z, *weights, *biases]
+        return probed(lambda: one_input(*mlp_head(z, weights, biases, "softplus")), [*weights, *biases], [z])
 
     def case_total():
-        # each part the value of a (1,) leaf, which the finite differences perturb
-        leaves = [rand(1) for _ in range(3)]
+        # each part the value of a (1,) input, which the finite differences perturb
+        parts = [rand(1) for _ in range(3)]
         schedule = L.AnnealSchedule(initial=tuple(rng.uniform(0.1, 2.0, 2)), horizon=4)
         epoch = int(rng.integers(0, 4))
 
-        def build():
-            parts = [(leaf.data[0], lambda g: g * np.ones(1)) for leaf in leaves]
-            total, _, vjp = L.total_loss_tensor(*parts, schedule, epoch)
-            return ad.node(total, leaves, vjp)
+        def forward():
+            total, _, vjp = L.total_loss_tensor(*((x[0], lambda g: g * np.ones(1)) for x in parts), schedule, epoch)
+            return float(total), lambda: list(vjp(1.0))
 
-        return build, leaves
+        return forward, parts
 
     def encoder(D):
         x = rand(2 * D, de)
         build, params = layer(D)
-        return probed(lambda: build(x)), [x, *params]
+        return probed(lambda: one_input(*build(x)), params, [x])
 
     def case_encoder_layer():
         return encoder(3)
@@ -323,22 +287,29 @@ def _gradcheck_cases():
     def case_encoder_layer_twelve_fields():
         return encoder(12)
 
+    def loss_case(loss, x, target):
+        def forward():
+            value, vjp = loss(x, target)
+            return float(value), lambda: [vjp(1.0)]
+
+        return forward, [x]
+
     def case_survival():
         grid = TimeGrid(np.array([1.0, 2.0, 3.0]))
-        hazards = tensor(rng.uniform(0.2, 2.0, (2, B, 3)))
+        hazards = rng.uniform(0.2, 2.0, (2, B, 3))
         t, e = rng.uniform(0.0, 3.5, B), rng.integers(0, 3, B)
         targets = L.survival_targets(grid, t, e, rng.uniform(0.2, 0.8, (B, 2)))
-        return (lambda: loss_node(L.competing_survival_loss, hazards, targets)), [hazards]
+        return loss_case(L.competing_survival_loss, hazards, targets)
 
     def case_mp():
-        prob = tensor(rng.uniform(0.05, 0.95, B))
+        prob = rng.uniform(0.05, 0.95, B)
         labels = (rng.uniform(size=B) > 0.5).astype(float)
-        return (lambda: loss_node(L.mp_loss_tensor, prob, labels)), [prob]
+        return loss_case(L.mp_loss_tensor, prob, labels)
 
     def case_ls():
         pred = rand(B)
         observed = rng.standard_normal(B)
-        return (lambda: loss_node(L.ls_loss_tensor, pred, observed)), [pred]
+        return loss_case(L.ls_loss_tensor, pred, observed)
 
     builders = [
         case_embed_categorical, case_embed_numerical, case_embed_both,
@@ -357,8 +328,6 @@ def _gradcheck_cases():
 def test_all_ops_match_finite_differences(case_idx):
     """Every block's and loss's VJP agrees with central differences on
     random inputs."""
-    build, params = _gradcheck_cases()[case_idx]
-    ad.backward(build())
-    analytic = [p.grad for p in params]
-    fd = fd_gradients(lambda: float(build().data), params)
-    assert_grads_match(analytic, fd)
+    forward, arrays = _gradcheck_cases()[case_idx]
+    analytic = forward()[1]()
+    assert_grads_match(analytic, fd_gradients(lambda: forward()[0], arrays))

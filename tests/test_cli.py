@@ -912,6 +912,31 @@ class TestBadArguments:
         assert flag in one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["1.5", "nan", "-0.1"])
+    def test_synth_censoring_outside_zero_one_names_the_flag_and_value(self, tmp_path, capsys, value):
+        out, args = synth_args(tmp_path)
+        args[args.index("--censoring") + 1] = value
+        capsys.readouterr()
+        assert run(args) == 1
+        assert one_error_line(capsys) == f"error: --censoring must be a rate in [0, 1), got {float(value)!r}"
+        assert not out.exists()
+
+    def test_huge_event_label_is_one_error_line_naming_it(self, tmp_path, capsys):
+        # every 7th of the first 59 records labelled 1e12: the labels claim
+        # 1e12 event types, of which the training fold holds events 1 and 2
+        data, args = synth_args(tmp_path, n=300)
+        assert run(args) == 0
+        relabelled = range(0, 59, 7)
+        for i in relabelled:
+            rewrite_row(data, i, lambda row: row[:-1] + ["1000000000000"])
+        train_rows = D.split(range(300), (0.6, 0.1, 0.3), 5)[0]  # the fractions and seed ``train`` uses
+        line = min(i + 2 for i in relabelled if i in train_rows)
+        capsys.readouterr()
+        assert self.train(tmp_path, data) == 1
+        assert one_error_line(capsys) == (f"error: event label 1000000000000 at line {line} asks for "
+                                          f"1000000000000 event types, but no training record has event 3")
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("flag, names, label", [
         ("--numerical", "duration,x1", "duration"),
         ("--categorical", "event", "event"),

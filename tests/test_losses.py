@@ -4,7 +4,6 @@ import itertools
 import math
 import warnings
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -113,8 +112,8 @@ class TestPchTerms:
             want = pch_oracle(hazards[i], grid.cuts, t[i], e[i])
             assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-        h = SimpleNamespace(data=hazards.copy())  # a holder whose data the differences perturb
-        fd = fd_gradients(lambda: float((g * L.pch_terms(h.data, *grid.locate(t), e)[0]).sum()), [h])
+        h = hazards.copy()  # the differences perturb this copy
+        fd = fd_gradients(lambda: float((g * L.pch_terms(h, *grid.locate(t), e)[0]).sum()), [h])
         # atol covers the roundoff of a loss near 100 divided by the step
         assert_grads_match([vjp(g)], fd, atol=1e-7)
 
@@ -420,27 +419,27 @@ class TestTapeBuilders:
         t = rng.uniform(0.2, 3.0, size=n)
         e = np.array([1, 2, 0, 1])
         pi = rng.uniform(0.3, 0.9, size=(n, K))
-        stacked = SimpleNamespace(data=hazards.transpose(1, 0, 2).copy())  # a holder whose data the differences perturb
+        stacked = hazards.transpose(1, 0, 2).copy()  # the differences perturb this copy
         targets = L.survival_targets(grid, t, e, pi)
-        _, vjp = L.competing_survival_loss(stacked.data, targets)
+        _, vjp = L.competing_survival_loss(stacked, targets)
         analytic = [vjp(1.0)]
-        fd = fd_gradients(lambda: float(L.competing_survival_loss(stacked.data, targets)[0]), [stacked])
+        fd = fd_gradients(lambda: float(L.competing_survival_loss(stacked, targets)[0]), [stacked])
         assert_grads_match(analytic, fd)
 
     @pytest.mark.parametrize("loss", ["mp", "ls"])
     def test_aux_tape_gradients_match_finite_differences(self, loss):
         rng = np.random.default_rng(11)
         if loss == "mp":
-            x = SimpleNamespace(data=rng.uniform(0.05, 0.95, size=7))
+            x = rng.uniform(0.05, 0.95, size=7)
             target = (rng.uniform(size=7) > 0.5).astype(float)
             fn = L.mp_loss_tensor
         else:
-            x = SimpleNamespace(data=rng.standard_normal(7))
+            x = rng.standard_normal(7)
             target = rng.standard_normal(7)
             fn = L.ls_loss_tensor
 
-        _, vjp = fn(x.data, target)
-        assert_grads_match([vjp(1.7)], fd_gradients(lambda: 1.7 * float(fn(x.data, target)[0]), [x]))
+        _, vjp = fn(x, target)
+        assert_grads_match([vjp(1.7)], fd_gradients(lambda: 1.7 * float(fn(x, target)[0]), [x]))
 
     def test_mp_ls_tensor_values_match_numeric(self):
         rng = np.random.default_rng(10)

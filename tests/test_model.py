@@ -25,6 +25,7 @@ from survformer.model import (
     SurvivalTransformer,
     _attend,
     _attend_back,
+    embed_fields,
     encoder_layer,
     load_checkpoint,
     mlp_head,
@@ -33,17 +34,14 @@ from survformer.model import (
 
 from oracles import (
     assert_grads_match,
-    block_node,
+    chained_network_grad,
     fd_gradients,
     naive_attention,
     naive_attention_vjp,
     naive_encode,
     naive_encoder_layer,
     naive_parameter_draw,
-    network_tape,
-    probe,
     selu_ref,
-    tape_network_grad,
 )
 
 
@@ -249,12 +247,12 @@ class TestMultiHeadAttentionOp:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(31)
         B, D, H = 2, 3, 2
-        x = ad.Tensor(rng.standard_normal((B * D, 4)))
+        x = rng.standard_normal((B * D, 4))
         wq, wk, wv = random_heads(rng, H)
         c = rng.standard_normal((B * D, 2 * H))
-        d_w, dx = _attend_back(c, _attend(x.data, D, H, fuse_heads(wq, wk, wv))[1])
-        params = [x, *wq, *wk, *wv]
-        fd = fd_gradients(lambda: float((attention(x.data, D, wq, wk, wv)[0] * c).sum()), params)
+        d_w, dx = _attend_back(c, _attend(x, D, H, fuse_heads(wq, wk, wv))[1])
+        fd = fd_gradients(lambda: float((attention(x, D, wq, wk, wv)[0] * c).sum()),
+                          [x, *(w.data for w in wq + wk + wv)])
         assert_grads_match([dx, *np.split(d_w, 3 * H, axis=1)], fd)
 
     @pytest.mark.parametrize("D", [1, 3, 12])
@@ -338,17 +336,14 @@ class TestEncoderLayerOp:
     def check_gradients(depth, H):
         rng = np.random.default_rng(40 + depth)
         B, D, de = 2, 3, 4
-        x = ad.Tensor(rng.standard_normal((B * D, de)))
+        x = rng.standard_normal((B * D, de))
         qkv, wres, ffn = random_layer(rng, H, de, depth, hidden=5)
         c = rng.standard_normal((B * D, de))
-
-        def build():
-            return probe(block_node(*encoder_layer(x.data, D, qkv, wres, ffn)[:2], x), weights=c)
-
-        params = [x, qkv, wres, *ffn]
-        ad.backward(build())
-        analytic = [p.grad for p in params]
-        assert_grads_match(analytic, fd_gradients(lambda: float(build().data), params))
+        params = [qkv, wres, *ffn]
+        analytic = [encoder_layer(x, D, qkv, wres, ffn)[1](c), *(p.grad for p in params)]
+        fd = fd_gradients(lambda: float((encoder_layer(x, D, qkv, wres, ffn)[0] * c).sum()),
+                          [x, *(p.data for p in params)])
+        assert_grads_match(analytic, fd)
 
     def test_attention_weights_are_multi_head_attentions(self):
         rng = np.random.default_rng(6)
@@ -378,17 +373,13 @@ class TestHeadOp:
     @pytest.mark.parametrize("dims", [[4, 1], [4, 6, 3, 2]], ids=["one-layer", "three-layers"])
     def test_gradients_match_finite_differences(self, dims):
         rng = np.random.default_rng(len(dims))
-        z = ad.Tensor(rng.standard_normal((5, dims[0])))
+        z = rng.standard_normal((5, dims[0]))
         weights, biases = self.layers(rng, dims)
         c = rng.standard_normal((1, 5, dims[-1]))
-
-        def build():
-            return probe(block_node(*mlp_head(z.data, weights, biases), z), weights=c)
-
-        params = [z, *weights, *biases]
-        ad.backward(build())
-        analytic = [p.grad for p in params]
-        assert_grads_match(analytic, fd_gradients(lambda: float(build().data), params))
+        params = [*weights, *biases]
+        analytic = [mlp_head(z, weights, biases)[1](c), *(p.grad for p in params)]
+        fd = fd_gradients(lambda: float((mlp_head(z, weights, biases)[0] * c).sum()), [z, *(p.data for p in params)])
+        assert_grads_match(analytic, fd)
 
 
 class TestHazardHeadsOp:
@@ -467,16 +458,23 @@ class TestEncode:
         cat = rec[0][None, :]
         num = rec[1][None, :]
 
-        def build():
-            _, encoded, _, _ = network_tape(model, cat, num)
-            return probe(encoded)
+        def encode():
+            # the encoder layers over the embedding, and their VJPs chained last to first
+            encoded, vjps = embed_fields(*model.embedding, cat, num)[0], []
+            for layer in model.encoder:
+                encoded, vjp, _ = encoder_layer(encoded, model.schema.d, *layer)
+                vjps.append(vjp)
+            return encoded, vjps
 
         model.grad[:] = np.nan
-        ad.backward(build())
+        encoded, vjps = encode()
+        g = np.ones_like(encoded)
+        for vjp in reversed(vjps):
+            g = vjp(g)
         enc_params = [p for n, p in model.params.items() if n.startswith("enc")]
         analytic = [p.grad for p in enc_params]
         assert all(np.isfinite(g).all() for g in analytic)
-        fd = fd_gradients(lambda: float(build().data), enc_params)
+        fd = fd_gradients(lambda: float(encode()[0].sum()), [p.data for p in enc_params])
         assert_grads_match(analytic, fd)
 
 
@@ -803,13 +801,14 @@ def test_parameters_follow_the_documented_draw_and_block_groups(overrides, schem
 @pytest.mark.parametrize("head_layers", [1, 2])
 def test_network_backward_is_its_blocks_on_the_tape_bit_for_bit(layers, n_events, head_layers):
     """``ForwardPass.backward`` writes every entry of ``model.grad`` as the
-    blocks' VJPs wired as tape nodes do, under the same head cotangents, on
-    categorical and numerical fields; it returns no input cotangent."""
+    blocks' VJPs chained by hand in a tape's summation order do, under the
+    same head cotangents, on categorical and numerical fields; it returns no
+    input cotangent."""
     model = make_model(seed=layers, layers=layers, n_events=n_events, head_layers=head_layers)
     rng = np.random.default_rng(10 * layers + n_events + head_layers)
     cat, num = random_batch(rng, 7)
     cotangents = rng.standard_normal((n_events, 7, 5)), rng.standard_normal(7), rng.standard_normal(7)
-    want = tape_network_grad(model, cat, num, *cotangents)
+    want = chained_network_grad(model, cat, num, *cotangents)
     model.grad[:] = np.nan
     assert model.forward_batch(cat, num).backward(*cotangents) == ()
     assert np.array_equal(model.grad, want)
@@ -844,18 +843,18 @@ def test_full_model_gradients_match_finite_differences_small():
     pi = np.full((2, 2), 0.5)
     sched = L.AnnealSchedule(horizon=5)
 
-    def build():
-        # as a training batch: one node carries the annealed total, and its
-        # VJP hands the head-output cotangents to the network's
+    def forward():
+        # as a training batch: the annealed total, and its VJP, which hands
+        # the head-output cotangents to the network's
         fp = model.forward_batch(cat, num)
         surv = L.competing_survival_loss(fp.hazards, L.survival_targets(grid, t, e, pi))
         mp = L.mp_loss_tensor(fp.event_prob, (e > 0).astype(float))
         ls = L.ls_loss_tensor(fp.time_pred, t)
         total, _, vjp = L.total_loss_tensor(surv, mp, ls, sched, 0)
-        return ad.node(total, (), lambda g: fp.backward(*vjp(g)))
+        return float(total), lambda: fp.backward(*vjp(1.0))
 
-    ad.backward(build())
+    forward()[1]()
     params = list(model.params.values())
     analytic = [p.grad for p in params]
-    fd = fd_gradients(lambda: float(build().data), params)
+    fd = fd_gradients(lambda: forward()[0], [p.data for p in params])
     assert_grads_match(analytic, fd)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survformer import data as D
 from survformer import propensity as P
@@ -76,6 +78,14 @@ class TestFit:
         e = np.array([2] * 10)  # class 1 missing
         with pytest.raises(ValueError, match="class 1"):
             P.fit(x, e)
+
+    @given(st.lists(st.one_of(st.integers(0, 6), st.integers(0, 2**53 - 1)), max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_absent_class_is_the_first_unlabelled_event(self, labels):
+        held, k = set(labels), 1
+        while k in held:
+            k += 1
+        assert P.absent_class(np.array(labels, dtype=np.intp)) == (k if k < max(labels, default=0) else 0)
 
     def test_single_event_class_rejected(self):
         with pytest.raises(ValueError, match="two or more event classes"):
