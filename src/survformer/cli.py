@@ -4,6 +4,7 @@ byte-identical under a fixed seed.
 """
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import math
@@ -89,10 +90,16 @@ def _cmd_synth(args):
             raise ValueError(f"{flag} must be a positive count, got {D.echo(value)}")
     if not 0.0 <= args.censoring < 1.0:
         raise ValueError(f"--censoring must be a rate in [0, 1), got {D.echo(args.censoring)}")
-    spec = D.default_synthetic_spec(
-        args.n, dim=args.dim, n_events=args.events, censoring_rate=args.censoring, seed=args.seed
-    )
-    records, propensities = D.synthesize(spec)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {D.echo(args.seed)}")
+    try:  # the arrays are sized by the three counts, so a refusal names all three
+        spec = D.default_synthetic_spec(
+            args.n, dim=args.dim, n_events=args.events, censoring_rate=args.censoring, seed=args.seed
+        )
+        records, propensities = D.synthesize(spec)
+    except (MemoryError, ValueError):
+        raise ValueError(f"cannot allocate --n {args.n} records with --events {args.events} "
+                         f"and --dim {args.dim}") from None
     D.save_records_csv(args.out, records)
     D.save_propensities_csv(D.sidecar_path(args.out), propensities)
     print(f"wrote {args.out} and {D.sidecar_path(args.out)} ({args.n} records)")
@@ -262,7 +269,34 @@ def run(argv=None):
         return 1
 
 
+# glibc hands the freed top of its heap back to the kernel once it passes
+# 128 KiB, so every training batch and 256-record inference chunk faults its
+# temporaries' pages in again, as often as where unrelated allocations happen
+# to sit decides. Keeping up to 64 MiB of freed top mapped lets the next batch
+# or chunk reuse those pages. Setting the pad also freezes glibc's dynamic
+# mmap threshold wherever it stands, which would leave every array above it
+# mapped and faulted anew on each use, so the threshold is pinned at 32 MiB,
+# the ceiling the dynamic one climbs to on 64-bit builds (32-bit ones refuse
+# it). Only the command-line entry sets them: ``run`` and the package leave
+# the host process's allocator alone.
+M_TOP_PAD, M_MMAP_THRESHOLD = -2, -3
+HEAP_TOP_PAD = 64 << 20
+MMAP_THRESHOLD = 32 << 20
+
+
+def keep_freed_heap():
+    """Set glibc's mmap threshold and heap top pad; False where libc has no
+    ``mallopt`` (macOS, Windows) or refuses the threshold, and nothing
+    changes."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1 and mallopt(M_TOP_PAD, HEAP_TOP_PAD) == 1
+
+
 def main():
+    keep_freed_heap()
     sys.exit(run())
 
 

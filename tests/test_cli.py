@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from survformer import cli
 from survformer import data as D
 from survformer import training as T
 from survformer.cli import run
@@ -921,6 +922,26 @@ class TestBadArguments:
         assert one_error_line(capsys) == f"error: --censoring must be a rate in [0, 1), got {float(value)!r}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "1000000000000"), ("--events", "1000000000000"), ("--dim", "100000000000"),
+    ])
+    def test_synth_count_too_large_to_allocate_names_the_flag_and_value(self, tmp_path, capsys, flag, value):
+        # the first array sized by each needs terabytes, so none is allocated
+        out, args = synth_args(tmp_path)
+        args[args.index(flag) + 1] = value
+        capsys.readouterr()
+        assert run(args) == 1
+        line = one_error_line(capsys)
+        assert line.startswith("error: cannot allocate --n ") and f"{flag} {value}" in line, line
+        assert not out.exists()
+
+    def test_synth_negative_seed_names_the_flag_and_value(self, tmp_path, capsys):
+        out, args = synth_args(tmp_path, seed=-1)
+        capsys.readouterr()
+        assert run(args) == 1
+        assert one_error_line(capsys) == "error: --seed must be nonnegative, got -1"
+        assert not out.exists()
+
     def test_huge_event_label_is_one_error_line_naming_it(self, tmp_path, capsys):
         # every 7th of the first 59 records labelled 1e12: the labels claim
         # 1e12 event types, of which the training fold holds events 1 and 2
@@ -1110,3 +1131,64 @@ class TestImportedModules:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == [0, imports], done.stdout
+
+
+HEAP_CHILD = """import json, resource, sys
+import numpy as np
+from survformer.cli import keep_freed_heap, run
+size = int(sys.argv[1])
+if sys.argv[2] == "entry" and not keep_freed_heap():
+    print(json.dumps(None))
+    sys.exit()
+if sys.argv[2] == "run":
+    assert run(sys.argv[3:]) == 0
+
+def minor_faults_of_a_round():  # about 8 MiB as arrays of `size` float64s
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(size) for _ in range(1024 * 1024 // size)]
+    del arrays
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+print(json.dumps([minor_faults_of_a_round(), minor_faults_of_a_round()]))
+"""
+
+# 64 KiB arrays sit below glibc's default mmap threshold, 1 MiB arrays above it
+ARRAY_SIZES = pytest.mark.parametrize("size", [8192, 131072], ids=["64KiB", "1MiB"])
+
+
+class TestHeapTopPad:
+    """The command-line entry keeps glibc's freed heap top mapped, so a
+    batch's or chunk's temporaries reuse the pages the last one faulted in,
+    small arrays and large ones alike; ``run`` leaves the host process's
+    allocator as it found it."""
+
+    def rounds(self, *argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", HEAP_CHILD, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="resource is POSIX only")
+    @ARRAY_SIZES
+    def test_the_entry_setting_keeps_freed_pages_for_the_next_round(self, size):
+        faults = self.rounds(str(size), "entry")
+        if faults is None:
+            pytest.skip("libc has no mallopt")
+        first, second = faults
+        assert first > 1000 and second < first / 10, faults
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="resource is POSIX only")
+    @ARRAY_SIZES
+    def test_run_leaves_the_allocator_alone(self, tmp_path, size):
+        first, second = self.rounds(str(size), "run", "synth", "--n", "20", "--out", str(tmp_path / "data.csv"))
+        assert first > 1000 and second > first / 2, (first, second)
+
+    def test_main_applies_the_setting_before_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "keep_freed_heap", lambda: calls.append("keep_freed_heap"))
+        monkeypatch.setattr(cli, "run", lambda argv=None: calls.append("run") or 0)
+        with pytest.raises(SystemExit) as stop:
+            cli.main()
+        assert stop.value.code == 0 and calls == ["keep_freed_heap", "run"]

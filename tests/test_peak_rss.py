@@ -1,5 +1,6 @@
 """``tools/peak_rss.py``: one command in-process, its exit code passed
-through and a last stdout line of JSON with the process's own peak."""
+through and a last stdout line of JSON with the process's own peak and
+minor page faults."""
 
 import json
 import os
@@ -37,6 +38,7 @@ def test_a_good_command_reports_its_exit_code_time_and_peak(data, tmp_path):
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["argv"] == argv and report["exit"] == 0
     assert report["seconds"] > 0 and report["vmhwm_mb"] > 10  # numpy alone holds more
+    assert isinstance(report["minflt"], int) and report["minflt"] > 1000  # importing numpy alone faults more pages
     assert (tmp_path / "m.json").exists()
 
 
@@ -45,4 +47,4 @@ def test_a_failing_command_passes_its_exit_code_through(data, tmp_path):
     assert done.returncode == 1
     assert done.stderr.strip() == f"error: column 'nope' not found in {data}"
     report = json.loads(done.stdout.splitlines()[-1])
-    assert report["exit"] == 1 and report["vmhwm_mb"] > 0
+    assert report["exit"] == 1 and report["vmhwm_mb"] > 0 and report["minflt"] > 0
