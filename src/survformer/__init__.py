@@ -18,8 +18,8 @@ from .data import (
     synthesize,
     transform_rows,
 )
-from .evaluation import ctd, km_censoring, quantile_horizons, survival_matrix
-from .losses import AnnealSchedule, LossBreakdown
+from .evaluation import ctd, km_censoring, survival_matrix
+from .losses import LossBreakdown
 from .model import ModelConfig, SurvivalTransformer, load_checkpoint, save_checkpoint
 from .optim import Adam
 from .propensity import PropensityModel
@@ -27,7 +27,6 @@ from .training import TrainConfig, TrainHistory, evaluate, predict, train
 
 __all__ = [
     "Adam",
-    "AnnealSchedule",
     "ColumnSpec",
     "CovariateSchema",
     "LossBreakdown",
@@ -46,7 +45,6 @@ __all__ = [
     "km_censoring",
     "load_checkpoint",
     "predict",
-    "quantile_horizons",
     "read_raw_csv",
     "save_checkpoint",
     "split",

@@ -125,12 +125,7 @@ def _cmd_train(args):
     model, history, propensity_model = T.train(config, train_records, val_records, schema, grid)
     censoring = T.fit_censoring(train_records)
     extra = {
-        "columns": {
-            "numerical": columns.numerical,
-            "categorical": columns.categorical,
-            "duration": columns.duration,
-            "event": columns.event,
-        },
+        "columns": dataclasses.asdict(columns),
         "split": {"fractions": fractions, "seed": config.seed},
         "censoring": {"times": censoring.times.tolist(), "values": censoring.values.tolist()},
         "propensity": propensity_model.to_dict() if propensity_model else None,

@@ -380,9 +380,6 @@ class TimeGrid:
         frac = (np.minimum(t, self.cuts[-1]) - left) / (self.cuts[idx] - left)
         return idx, np.clip(frac, 0.0, 1.0)
 
-    def to_list(self):
-        return self.cuts.tolist()
-
 
 def linear_quantile(values, q):
     """``np.quantile(values, q)`` by its default (linear) method, bit for bit, without

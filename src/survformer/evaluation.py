@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import linear_quantile
 
 
 class UndefinedMetricError(ValueError):
@@ -70,14 +69,6 @@ def km_censoring(durations, events):
     # records still under observation at u: durations >= u
     at_risk = durations.size - np.searchsorted(np.sort(durations), distinct, side="left")
     return CensoringEstimate(distinct, np.cumprod(1.0 - d / at_risk))
-
-
-def quantile_horizons(event_durations, quantiles):
-    """Empirical quantiles of the uncensored durations, by ``data.linear_quantile``."""
-    event_durations = np.asarray(event_durations, dtype=np.float64)
-    if event_durations.size == 0:
-        raise ValueError("no uncensored durations to take quantiles of")
-    return linear_quantile(event_durations, quantiles)
 
 
 def ctd(surv_at_tau, durations, events, tau, event_k, censoring):

@@ -1,6 +1,6 @@
 """Training objectives: piecewise-constant-hazard likelihood terms, the
 inverse-propensity-weighted competing-events loss, auxiliary task losses,
-and the annealed total.
+and their weighted total.
 
 ``pch_terms`` is the one implementation of the hazard likelihood term and
 its closed-form gradient; each duration's bin and elapsed fraction come from
@@ -13,10 +13,11 @@ fraction, indicators and weights from the ``SurvivalTargets`` that
 cause-specific contributions that every record owes to the heads of
 unobserved events, and it does not clip the propensities it inverts:
 ``PropensityModel.predict`` did. ``mp_loss_tensor`` and ``ls_loss_tensor``
-are the auxiliary losses; ``total_loss_tensor`` is the annealed total and one
-VJP, which training wraps as each batch's loss Tensor. The benchmark's
-tracer wraps these four by name, so the last three keep ``_tensor`` names
-until it wraps new ones.
+are the auxiliary losses; ``total_loss_tensor`` weights them by the epoch's
+``(gamma1, gamma2)``, which ``TrainConfig.gammas`` anneals, and returns the
+total and one VJP, which training wraps as each batch's loss Tensor. The
+benchmark's tracer wraps these four by name, so the last three keep
+``_tensor`` names until it wraps new ones.
 """
 
 from dataclasses import dataclass
@@ -34,23 +35,6 @@ class LossBreakdown:
     ls: float
     gamma1: float
     gamma2: float
-
-
-@dataclass
-class AnnealSchedule:
-    """Auxiliary-task weights: both ramp linearly from the initial values
-    down to zero over ``horizon`` epochs."""
-
-    initial: tuple = (1.0, 1.0)
-    horizon: int = 1
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("anneal horizon must be at least 1")
-
-    def gammas(self, epoch):
-        frac = max(0.0, 1.0 - epoch / self.horizon)
-        return (self.initial[0] * frac, self.initial[1] * frac)
 
 
 # --- the piecewise-constant-hazard term -------------------------------------
@@ -163,11 +147,12 @@ def ls_loss_tensor(pred, observed):
     return (diff * diff).sum() * scale, lambda g: g * scale * diff + g * scale * diff
 
 
-def total_loss_tensor(survival, mp, ls, schedule, epoch):
-    """The annealed total ``survival + (gamma1*mp + gamma2*ls)`` of three
-    ``(value, vjp)`` pairs, its breakdown, and its VJP, which maps g to the
-    parts' VJPs at g, g·gamma1 and g·gamma2: the hazard, mp and ls cotangents."""
-    g1, g2 = schedule.gammas(epoch)
+def total_loss_tensor(survival, mp, ls, gammas):
+    """The total ``survival + (gamma1*mp + gamma2*ls)`` of three ``(value,
+    vjp)`` pairs at the weights ``gammas = (gamma1, gamma2)``, its breakdown,
+    and its VJP, which maps g to the parts' VJPs at g, g·gamma1 and g·gamma2:
+    the hazard, mp and ls cotangents."""
+    g1, g2 = gammas
     (survival, survival_vjp), (mp, mp_vjp), (ls, ls_vjp) = survival, mp, ls
     total = survival + (mp * g1 + ls * g2)
     breakdown = LossBreakdown(float(total), float(survival), float(mp), float(ls), g1, g2)

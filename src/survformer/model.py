@@ -468,14 +468,19 @@ class SurvivalTransformer:
         """Forward (n, d_c) indices and (n, d_n) values in chunks of
         ``INFER_CHUNK`` records; returns the head outputs as arrays: (n,
         n_events, m) hazards, (n,) any-event probabilities and (n,)
-        follow-up times."""
+        follow-up times. A short last chunk is filled to ``INFER_CHUNK`` rows
+        with copies of its last record, whose outputs are dropped, so every
+        forward has one shape and a record's outputs do not depend on how
+        many records follow it."""
         cat, num = self._covariates(cat, num)
-        if not len(num):
+        n = len(num)
+        if not n:
             raise ValueError("no records to forward")
         chunks = []
-        for s in range(0, len(num), INFER_CHUNK):
-            fp = self.forward_batch(cat[s : s + INFER_CHUNK], num[s : s + INFER_CHUNK])
-            chunks.append((fp.hazards.transpose(1, 0, 2), fp.event_prob, fp.time_pred))
+        for s in range(0, n, INFER_CHUNK):
+            rows = np.minimum(np.arange(s, s + INFER_CHUNK), n - 1)
+            fp = self.forward_batch(cat[rows], num[rows])
+            chunks.append((fp.hazards.transpose(1, 0, 2)[: n - s], fp.event_prob[: n - s], fp.time_pred[: n - s]))
             del fp  # free this chunk's saved activations before the next forward
         return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
@@ -500,7 +505,7 @@ def save_checkpoint(path, model, extra=None):
         "format": CHECKPOINT_FORMAT,
         "config": asdict(model.config),
         "schema": asdict(model.schema),
-        "grid": model.grid.to_list(),
+        "grid": model.grid.cuts.tolist(),
         "params": {name: t.data.tolist() for name, t in model.params.items()},
         "extra": extra or {},
     }

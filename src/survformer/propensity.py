@@ -60,15 +60,6 @@ class PropensityModel:
             "renormalize": self.renormalize,
         }
 
-    @classmethod
-    def from_dict(cls, payload):
-        return cls(
-            np.asarray(payload["weights"], dtype=np.float64),
-            np.asarray(payload["offsets"], dtype=np.float64),
-            payload["floor"],
-            payload["renormalize"],
-        )
-
 
 # Newton iterations allowed per one-vs-rest fit. A penalized fit converges in
 # a dozen or fewer; at l2 = 0 separable classes push the weights out forever.
@@ -144,9 +135,10 @@ def fit(covariates, events, l2=1e-4, floor=0.05, renormalize=False):
 
     ``events`` are 1-based labels (no zeros); every event class in
     1..max(events) must be present. A fit that reaches ``MAX_ITER`` raises
-    ``ValueError`` naming its event. At ``l2 = 0``, a 0/1 column set only on
-    records of one event, or only on records of the others, raises
-    ``ValueError`` naming the column and the event before any fit.
+    ``ValueError`` naming its event, and at ``l2 = 0`` separability as the
+    likely cause. At ``l2 = 0``, a 0/1 column set only on records of one
+    event, or only on records of the others, raises ``ValueError`` naming
+    the column and the event before any fit.
     """
     x = np.asarray(covariates, dtype=np.float64)
     e = np.asarray(events)
@@ -181,9 +173,9 @@ def fit(covariates, events, l2=1e-4, floor=0.05, renormalize=False):
             y = (e == k).astype(np.float64)
             try:
                 weights[k - 1], offsets[k - 1], n_iter, done = _fit_binary(x, y, l2)
-            except ValueError as err:
-                raise ValueError(f"propensity fit for event {k}: {err}; the classes may be "
-                                 f"separable, which needs propensity_l2 above 0") from None
+            except ValueError as err:  # a penalized objective has an optimum even on separable classes
+                hint = "; the classes may be separable, which needs propensity_l2 above 0" if l2 == 0 else ""
+                raise ValueError(f"propensity fit for event {k}: {err}{hint}") from None
         iterations.append(n_iter)
         converged.append(done)
     return PropensityModel(weights, offsets, floor, renormalize, tuple(iterations), tuple(converged))

@@ -21,14 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as L
 from . import propensity as prop
-from .evaluation import (
-    UndefinedMetricError,
-    ctd,
-    km_censoring,
-    quantile_horizons,
-    survival_matrix,
-)
-from .data import echo, read_json
+from .evaluation import UndefinedMetricError, ctd, km_censoring, survival_matrix
+from .data import echo, linear_quantile, read_json
 from .model import BOOL, FLOAT, INT, NONNEGATIVE, OBJECT, POSITIVE, check_settings, judge, setting
 from .model import INFER_CHUNK, ModelConfig, SurvivalTransformer
 from .optim import Adam
@@ -48,7 +42,9 @@ PAIR = ("a list of two finite numbers", lambda v: isinstance(v, (list, tuple)) a
 class TrainConfig:
     """Training settings and the network's shape (``model``; training sets its
     ``n_events``). The flat JSON form (``to_dict``, ``from_dict``) lists the
-    model's fields, less ``n_events``, in place of ``model``."""
+    model's fields, less ``n_events``, in place of ``model``. ``gammas``
+    gives each epoch's auxiliary-loss weights from ``gamma_initial`` and
+    ``anneal_horizon``."""
 
     learning_rate: float = setting(FLOAT, NONNEGATIVE, default=1e-3)
     weight_decay: float = setting(FLOAT, NONNEGATIVE, default=1e-4)
@@ -70,9 +66,13 @@ class TrainConfig:
         check_settings(self)
         self.gamma_initial = tuple(self.gamma_initial)
 
-    def schedule(self):
+    def gammas(self, epoch):
+        """The auxiliary-loss weights ``(gamma1, gamma2)`` at ``epoch``: each falls
+        linearly from ``gamma_initial`` to zero at ``anneal_horizon`` (0 means
+        ``max_epochs - 1``, at least 1) and stays zero after it."""
         horizon = self.anneal_horizon if self.anneal_horizon > 0 else max(1, self.max_epochs - 1)
-        return L.AnnealSchedule(initial=self.gamma_initial, horizon=horizon)
+        frac = max(0.0, 1.0 - epoch / horizon)
+        return (self.gamma_initial[0] * frac, self.gamma_initial[1] * frac)
 
     def to_dict(self):
         flat = {}
@@ -113,33 +113,36 @@ class TrainHistory:
         return {"best_epoch": self.best_epoch, "epochs": [asdict(e) for e in self.epochs]}
 
 
-def _batch_loss(model, cat, num, t, e, targets, schedule, epoch):
-    """One batch's annealed total loss, as a Tensor whose backward runs
-    ``ForwardPass.backward`` on the loss's head-output cotangents, and its
-    breakdown. Raises ``ValueError`` as ``_loss`` does."""
+def _batch_loss(model, cat, num, t, e, targets, gammas):
+    """One batch's total loss at the auxiliary weights ``gammas``, as a
+    Tensor whose backward runs ``ForwardPass.backward`` on the loss's
+    head-output cotangents, and its breakdown. Raises ``ValueError`` as
+    ``_loss`` does."""
     fp = model.forward_batch(cat, num)
-    total, bd, vjp = _loss(fp.hazards, fp.event_prob, fp.time_pred, targets, t, e, schedule, epoch)
+    total, bd, vjp = _loss(fp.hazards, fp.event_prob, fp.time_pred, targets, t, e, gammas)
     return ad.Tensor(total, backward=lambda g: fp.backward(*vjp(g))), bd
 
 
-def _validation_loss(model, records, targets, schedule, epoch):
-    """The annealed total loss of ``records`` and its breakdown, from one
-    forward in ``INFER_CHUNK`` record chunks: only the head outputs are kept
-    and the losses are taken once over all records."""
+def _validation_loss(model, records, targets, gammas):
+    """The total loss of ``records`` at the auxiliary weights ``gammas`` and
+    its breakdown, from one forward in ``INFER_CHUNK`` record chunks: only
+    the head outputs are kept and the losses are taken once over all
+    records."""
     hazards, *aux = model.predict_outputs(records.cat, records.num)
-    return _loss(hazards.transpose(1, 0, 2), *aux, targets, records.t, records.e, schedule, epoch)[:2]
+    return _loss(hazards.transpose(1, 0, 2), *aux, targets, records.t, records.e, gammas)[:2]
 
 
-def _loss(hazards, event_prob, time_pred, targets, t, e, schedule, epoch):
-    """The annealed total loss of the head output arrays for the survival
-    ``targets`` and labels ``t`` and ``e``, its breakdown, and its VJP onto
-    the three outputs. Raises ``ValueError`` naming the loss (survival, mp,
-    ls or total) that rejects its input or leaves the finite range."""
+def _loss(hazards, event_prob, time_pred, targets, t, e, gammas):
+    """The total loss of the head output arrays at the auxiliary weights
+    ``gammas`` for the survival ``targets`` and labels ``t`` and ``e``, its
+    breakdown, and its VJP onto the three outputs. Raises ``ValueError``
+    naming the loss (survival, mp, ls or total) that rejects its input or
+    leaves the finite range."""
     with np.errstate(all="ignore"):  # checked below, once
         survival = L.competing_survival_loss(hazards, targets)
         mp = L.mp_loss_tensor(event_prob, (e > 0).astype(np.float64))
         ls = L.ls_loss_tensor(time_pred, t)
-        total, bd, vjp = L.total_loss_tensor(survival, mp, ls, schedule, epoch)
+        total, bd, vjp = L.total_loss_tensor(survival, mp, ls, gammas)
     for name in ("survival", "mp", "ls", "total"):
         if not np.isfinite(getattr(bd, name)):
             raise ValueError(f"{name} loss is {getattr(bd, name)}")
@@ -186,7 +189,6 @@ def train(config, train_records, val_records, schema, grid):
         replace(config.model, time_bins=grid.m, n_events=n_events), schema, grid, seed=config.seed
     )
     optimizer = Adam(model.data, model.grad, lr=config.learning_rate, weight_decay=config.weight_decay)
-    schedule = config.schedule()
     rng = np.random.default_rng(config.seed)
 
     history = TrainHistory()
@@ -196,26 +198,26 @@ def train(config, train_records, val_records, schema, grid):
     n = len(train_records)
 
     for epoch in range(config.max_epochs):
+        gammas = config.gammas(epoch)
         order = rng.permutation(n)
         sums = np.zeros(4)  # total, survival, mp, ls weighted by batch size
         for batch_no, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
             try:
-                total, bd = _batch_loss(model, cat[idx], num[idx], t[idx], e[idx], targets[idx], schedule, epoch)
+                total, bd = _batch_loss(model, cat[idx], num[idx], t[idx], e[idx], targets[idx], gammas)
             except (ValueError, FloatingPointError) as err:
                 raise TrainingDiverged(f"nonfinite loss at epoch {epoch}, batch {batch_no}: {err}") from err
             ad.backward(total)
             optimizer.step()
             sums += len(idx) * np.array([bd.total, bd.survival, bd.mp, bd.ls])
-        g1, g2 = schedule.gammas(epoch)
-        train_bd = L.LossBreakdown(*(sums / n), gamma1=g1, gamma2=g2)
+        train_bd = L.LossBreakdown(*(sums / n), *gammas)
 
         try:
-            val_total, _ = _validation_loss(model, val_records, val_targets, schedule, epoch)
+            val_total, _ = _validation_loss(model, val_records, val_targets, gammas)
         except (ValueError, FloatingPointError) as err:
             raise TrainingDiverged(f"nonfinite validation loss at epoch {epoch}: {err}") from err
         val_loss = float(val_total)
-        history.epochs.append(EpochRecord(epoch, train_bd, val_loss, g1, g2))
+        history.epochs.append(EpochRecord(epoch, train_bd, val_loss, *gammas))
 
         if val_loss < best_val:
             best_val = val_loss
@@ -256,7 +258,7 @@ def evaluate(model, test_records, censoring, quantiles=(0.25, 0.5, 0.75)):
         event_durations = t[e == k]
         if event_durations.size == 0:
             raise UndefinedMetricError(f"no event-{k} records in the evaluated set")
-        horizons = quantile_horizons(event_durations, quantiles)
+        horizons = linear_quantile(event_durations, quantiles)
         block = {"event": k, "horizons": []}
         surv = survival_matrix(hazards[:, k - 1, :], model.grid, horizons)  # (n, horizons)
         for j, (q, tau) in enumerate(zip(quantiles, horizons)):

@@ -264,11 +264,11 @@ def _gradcheck_cases():
     def case_total():
         # each part the value of a (1,) input, which the finite differences perturb
         parts = [rand(1) for _ in range(3)]
-        schedule = L.AnnealSchedule(initial=tuple(rng.uniform(0.1, 2.0, 2)), horizon=4)
-        epoch = int(rng.integers(0, 4))
+        initial, epoch = rng.uniform(0.1, 2.0, 2), int(rng.integers(0, 4))
+        gammas = tuple(initial * max(0.0, 1.0 - epoch / 4))  # as an anneal horizon of 4 weights them
 
         def forward():
-            total, _, vjp = L.total_loss_tensor(*((x[0], lambda g: g * np.ones(1)) for x in parts), schedule, epoch)
+            total, _, vjp = L.total_loss_tensor(*((x[0], lambda g: g * np.ones(1)) for x in parts), gammas)
             return float(total), lambda: list(vjp(1.0))
 
         return forward, parts

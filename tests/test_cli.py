@@ -510,6 +510,28 @@ class TestCurvesFile:
                 lines.append(",".join([str(i), repr(float(times[ti]))] + cells))
         assert read_bytes(curves) == ("\n".join(lines) + "\n").encode()
 
+    def test_a_records_rows_do_not_depend_on_the_records_after_it(self, tmp_path, monkeypatch):
+        # the benchmark's predict-wide file at seed 11, trained with its
+        # config: records 1-300 end in a 44-record chunk and records 2-300 in
+        # a 43-record one, and every record the two share keeps its bytes
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import WORKLOADS, generate, write_csv
+
+        workload = WORKLOADS["predict-wide"]
+        header, rows, times = generate(workload, 11)
+        data, config, ckpt = tmp_path / "data.csv", tmp_path / "config.json", tmp_path / "model.json"
+        write_csv(data, header, rows)
+        config.write_text(json.dumps(workload.config))
+        assert run(["train", "--data", str(data), "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        curves = []
+        for name, part in (("from1", rows[:300]), ("from2", rows[1:300])):
+            write_csv(tmp_path / f"{name}.csv", header, part)
+            out = tmp_path / f"{name}_curves.csv"
+            assert run(["predict", "--data", str(tmp_path / f"{name}.csv"), "--checkpoint", str(ckpt),
+                        "--times", ",".join(map(repr, times)), "--out", str(out)]) == 0
+            curves.append([line.split(",", 1)[1] for line in out.read_text().splitlines()[1:]])
+        assert curves[0][len(times):] == curves[1]  # one row per time for each record
+
 
 class TestErrorPaths:
     def test_missing_required_flag_exits_nonzero_with_usage(self, capsys):

@@ -463,6 +463,13 @@ class TestLinearQuantile:
         assume(values.min() < values.max())
         assert np.array_equal(D.build_time_grid(values, m).cuts, quantile_cuts_oracle(values, m))
 
+    def test_median_of_uniform_integers(self):
+        assert D.linear_quantile(np.arange(1.0, 101.0), [0.5])[0] == 50.5
+
+    def test_extremes_are_the_smallest_and_largest_values(self):
+        durations = np.array([3.0, 9.0, 1.0, 7.0])
+        assert D.linear_quantile(durations, [0.0, 1.0]).tolist() == [1.0, 9.0]
+
     @pytest.mark.parametrize("q", [-0.25, 1.5, np.nan])
     def test_quantile_outside_zero_one_rejected(self, q):
         with pytest.raises(ValueError, match=r"range \[0, 1\]"):

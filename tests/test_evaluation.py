@@ -151,23 +151,6 @@ class TestKmCensoring:
         assert np.all(np.diff(values) <= 1e-15)
 
 
-class TestQuantileHorizons:
-    def test_median_of_uniform_integers(self):
-        durations = np.arange(1.0, 101.0)
-        got = E.quantile_horizons(durations, [0.5])
-        np.testing.assert_allclose(got, np.quantile(durations, [0.5]))
-        assert got[0] == pytest.approx(50.5, rel=1e-12)
-
-    def test_extremes(self):
-        durations = np.array([3.0, 9.0, 1.0, 7.0])
-        assert E.quantile_horizons(durations, [0.0])[0] == 1.0
-        assert E.quantile_horizons(durations, [1.0])[0] == 9.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="quantiles"):
-            E.quantile_horizons(np.array([]), [0.5])
-
-
 def no_censoring_estimate():
     return E.km_censoring(np.array([1.0]), np.array([1]))
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from survformer import losses as L
 from survformer.data import TimeGrid
+from survformer.training import TrainConfig
 
 from oracles import (
     assert_grads_match,
@@ -299,31 +300,29 @@ def scalars(*values):
 
 class TestTotalLoss:
     def test_zero_gammas_leave_survival_term(self):
-        sched = L.AnnealSchedule(initial=(0.0, 0.0))
-        bd = L.total_loss_tensor(*scalars(1.7, 0.4, 0.9), sched, 0)[1]
+        bd = L.total_loss_tensor(*scalars(1.7, 0.4, 0.9), (0.0, 0.0))[1]
         assert bd.total == 1.7
 
     def test_initial_gammas_are_one(self):
-        sched = L.AnnealSchedule(horizon=10)
-        assert sched.gammas(0) == (1.0, 1.0)
+        assert TrainConfig(anneal_horizon=10).gammas(0) == (1.0, 1.0)
 
     def test_linear_schedule_hits_zero_at_horizon(self):
-        sched = L.AnnealSchedule(horizon=10)
-        assert sched.gammas(10) == (0.0, 0.0)
-        assert sched.gammas(15) == (0.0, 0.0)
+        config = TrainConfig(anneal_horizon=10)
+        assert config.gammas(10) == (0.0, 0.0)
+        assert config.gammas(15) == (0.0, 0.0)
 
     def test_gammas_nonincreasing_and_nonnegative(self):
-        sched = L.AnnealSchedule(horizon=7)
-        values = [sched.gammas(e) for e in range(12)]
+        config = TrainConfig(anneal_horizon=7)
+        values = [config.gammas(e) for e in range(12)]
         for (a1, a2), (b1, b2) in zip(values, values[1:]):
             assert b1 <= a1 and b2 <= a2
             assert b1 >= 0 and b2 >= 0
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(6)
-        sched = L.AnnealSchedule(horizon=9)
+        config = TrainConfig(anneal_horizon=9)
         for epoch in range(12):
-            bd = L.total_loss_tensor(*scalars(*rng.uniform(0.1, 3.0, size=3)), sched, epoch)[1]
+            bd = L.total_loss_tensor(*scalars(*rng.uniform(0.1, 3.0, size=3)), config.gammas(epoch))[1]
             assert abs(bd.total - (bd.survival + bd.gamma1 * bd.mp + bd.gamma2 * bd.ls)) < 1e-10
 
 
@@ -452,8 +451,7 @@ class TestTapeBuilders:
         assert tape_ls(pred, obs) == pytest.approx(np.mean((pred - obs) ** 2), rel=1e-12)
 
     def test_total_tensor_breakdown_identity(self):
-        sched = L.AnnealSchedule(horizon=4)
-        total, bd, vjp = L.total_loss_tensor(*scalars(1.5, 0.3, 2.0), sched, 1)
+        total, bd, vjp = L.total_loss_tensor(*scalars(1.5, 0.3, 2.0), TrainConfig(anneal_horizon=4).gammas(1))
         assert abs(bd.total - (bd.survival + bd.gamma1 * bd.mp + bd.gamma2 * bd.ls)) < 1e-10
         assert float(total) == bd.total
         # the parts' cotangents are the total's, scaled by 1, gamma1 and gamma2

@@ -17,6 +17,7 @@ from survformer.data import (
     CovariateSchema,
     NumericalField,
     TimeGrid,
+    synthetic_schema,
 )
 from survformer import model as M
 from survformer.model import (
@@ -583,6 +584,15 @@ class TestPredictHazards:
         assert got.shape == (n, 2, 5)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    def test_a_records_bytes_do_not_depend_on_the_records_after_it(self):
+        # BLAS may round the last rows of a 43-row matmul differently from
+        # those of a 44-row one, so every chunk must be forwarded at one shape
+        model = SurvivalTransformer(ModelConfig(n_events=2), synthetic_schema(8), TimeGrid(np.arange(1.0, 11.0)))
+        rng = np.random.default_rng(0)
+        cat, num = np.zeros((INFER_CHUNK + 44, 0), dtype=np.intp), rng.standard_normal((INFER_CHUNK + 44, 8))
+        short = model.predict_hazards(cat[:-1], num[:-1])
+        assert short.tobytes() == model.predict_hazards(cat, num)[:-1].tobytes()
+
     def test_peak_memory_does_not_grow_with_record_count(self):
         model = make_model()
         peaks = []
@@ -634,7 +644,7 @@ class TestCheckpoint:
             model.predict_hazards(cat, num), loaded.predict_hazards(cat, num)
         )
         assert loaded.config == model.config
-        assert loaded.grid.to_list() == model.grid.to_list()
+        assert loaded.grid.cuts.tobytes() == model.grid.cuts.tobytes()
         # loading writes into the parameter views, so the flat buffer holds
         # the saved parameters in draw order
         np.testing.assert_array_equal(loaded.data, model.data)
@@ -841,7 +851,6 @@ def test_full_model_gradients_match_finite_differences_small():
     t = np.array([0.7, 2.5])
     e = np.array([1, 2])
     pi = np.full((2, 2), 0.5)
-    sched = L.AnnealSchedule(horizon=5)
 
     def forward():
         # as a training batch: the annealed total, and its VJP, which hands
@@ -850,7 +859,7 @@ def test_full_model_gradients_match_finite_differences_small():
         surv = L.competing_survival_loss(fp.hazards, L.survival_targets(grid, t, e, pi))
         mp = L.mp_loss_tensor(fp.event_prob, (e > 0).astype(float))
         ls = L.ls_loss_tensor(fp.time_pred, t)
-        total, _, vjp = L.total_loss_tensor(surv, mp, ls, sched, 0)
+        total, _, vjp = L.total_loss_tensor(surv, mp, ls, (1.0, 1.0))
         return float(total), lambda: fp.backward(*vjp(1.0))
 
     forward()[1]()

@@ -101,8 +101,8 @@ class TestTrain:
 
             val_pi = pm.predict(P.design_matrix(schema, vcat, vnum))
         total, _ = T._batch_loss(
-            model, vcat, vnum, vt, ve, L.survival_targets(grid, vt, ve, val_pi), config.schedule(),
-            history.best_epoch,
+            model, vcat, vnum, vt, ve, L.survival_targets(grid, vt, ve, val_pi),
+            config.gammas(history.best_epoch),
         )
         assert float(total.data) == pytest.approx(best.validation_loss, rel=1e-12)
 
@@ -112,9 +112,9 @@ class TestTrain:
         scripted = [3.0, 2.0, 2.5, 2.6, 2.7, 1.0]  # rises for ``patience`` epochs after epoch 1
         snapshots = []
 
-        def validation_loss(model, records, targets, schedule, epoch):
-            snapshots.append(model.data.copy())  # the parameters after ``epoch``
-            return scripted[epoch], None
+        def validation_loss(model, records, targets, gammas):
+            snapshots.append(model.data.copy())  # the parameters after the epoch
+            return scripted[len(snapshots) - 1], None
 
         monkeypatch.setattr(T, "_validation_loss", validation_loss)
         model, history, _ = T.train(config, train, val, schema, build_grid(train, config))
@@ -177,6 +177,11 @@ class TestTrain:
         metrics = tracer.layer_metrics(traced.spans)
         assert metrics["training.batches"] == len(history.epochs) * math.ceil(len(train) / config.batch_size) == 6
         assert metrics["autodiff.tape_nodes_per_batch"] == 1.0
+        # each wrapped loss opens one span per batch and one per epoch's validation
+        for name in ("competing_survival_loss", "mp_loss_tensor", "ls_loss_tensor", "total_loss_tensor"):
+            opened = sum(s.name == f"losses.{name}" for s in traced.spans)
+            assert opened == metrics["training.batches"] + len(history.epochs), name
+        assert metrics["losses.survival_s"] > 0 and metrics["losses.aux_s"] > 0
 
     @staticmethod
     def default_batch(categorical, seed=0):
@@ -195,7 +200,7 @@ class TestTrain:
         cat, num = rng.integers(0, 3, (B, categorical)), rng.standard_normal((B, 4))
         t, e = rng.uniform(0.0, 2.0, B), rng.integers(0, 3, B)
         targets = L.survival_targets(grid, t, e, rng.uniform(0.2, 0.8, (B, 2)))
-        loss, _ = T._batch_loss(model, cat, num, t, e, targets, config.schedule(), 0)
+        loss, _ = T._batch_loss(model, cat, num, t, e, targets, config.gammas(0))
         return model, loss
 
     def test_default_two_event_batch_is_exactly_1_tape_node(self):
@@ -290,9 +295,9 @@ class TestValidationLoss:
         pi = np.random.default_rng(n).uniform(0.05, 1.0, (n, 2))
         for epoch in (0, 7):
             targets = L.survival_targets(grid, records.t, records.e, pi)
-            total, bd = T._validation_loss(model, records, targets, config.schedule(), epoch)
+            total, bd = T._validation_loss(model, records, targets, config.gammas(epoch))
             want, want_bd = T._batch_loss(model, records.cat, records.num, records.t, records.e, targets,
-                                          config.schedule(), epoch)
+                                          config.gammas(epoch))
             assert float(total) == pytest.approx(float(want.data), rel=1e-12, abs=0)
             for part in ("total", "survival", "mp", "ls"):
                 assert getattr(bd, part) == pytest.approx(getattr(want_bd, part), rel=1e-12, abs=0)
@@ -306,11 +311,11 @@ class TestValidationLoss:
         targets = L.survival_targets(grid, records.t, records.e, np.ones((len(records), 2)))
         built, init = [], ad.Tensor.__init__
         monkeypatch.setattr(ad.Tensor, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
-        T._validation_loss(model, records, targets, config.schedule(), 0)
+        T._validation_loss(model, records, targets, config.gammas(0))
         model.predict_outputs(records.cat, records.num)
         idx = np.arange(8)
         T._batch_loss(model, records.cat[idx], records.num[idx], records.t[idx], records.e[idx], targets[idx],
-                      config.schedule(), 0)
+                      config.gammas(0))
         assert len(built) == 1  # the training batch's loss node, the only Tensor of the three
 
     def test_train_peak_memory_does_not_grow_with_the_validation_fold(self):
@@ -393,6 +398,15 @@ class TestEvaluate:
             for h in block["horizons"]:
                 assert 0.0 <= h["ctd"] <= 1.0 and h["pairs"] > 0
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_event_without_records_is_undefined_and_named(self, k):
+        train, val, test, schema = tiny_dataset(n=200, seed=8)
+        config = tiny_config(max_epochs=1, seed=8)
+        model, _, _ = T.train(config, train, val, schema, build_grid(train, config))
+        fold = test.take(np.flatnonzero(test.e != k))
+        with pytest.raises(T.UndefinedMetricError, match=f"^no event-{k} records in the evaluated set$"):
+            T.evaluate(model, fold, T.fit_censoring(train))
+
 
 class TestTrainConfig:
     def test_minimal_json_config_is_valid(self, tmp_path):
@@ -425,6 +439,5 @@ class TestTrainConfig:
 
     def test_anneal_schedule_ends_at_zero_by_default(self):
         config = T.TrainConfig(max_epochs=20)
-        sched = config.schedule()
-        assert sched.gammas(0) == (1.0, 1.0)
-        assert sched.gammas(19) == (0.0, 0.0)
+        assert config.gammas(0) == (1.0, 1.0)
+        assert config.gammas(19) == (0.0, 0.0)
