@@ -237,15 +237,18 @@ def read_raw_csv(path, columns, infer=False):
     at a time: numerical and label cells by ``float()``, categorical ones into
     running dicts. With ``infer``, each other column but the labels is
     numerical if ``float()`` takes its present cells, else categorical; one
-    that ``float()`` first rejects after the first chunk re-reads the chunks before."""
+    that ``float()`` first rejects after the first chunk re-reads the chunks before.
+    A column it reads must be named once in the header."""
     chunks = _chunks(path)
     header = next(chunks)
     labels = {n: kind for kind, n in (("duration", columns.duration), ("event", columns.event)) if n is not None}
-    for col in [*columns.numerical, *columns.categorical, *labels]:
+    inferred = [h for h in header if h not in {*columns.numerical, *columns.categorical, *labels}] if infer else []
+    for col in [*columns.numerical, *columns.categorical, *labels, *inferred]:
         if col not in header:
             raise SchemaError(f"column {echo(col)} not found in {path}")
-    inferred = [h for h in header if h not in {*columns.numerical, *columns.categorical, *labels}] if infer else []
-    where = {h: k for k, h in enumerate(header)}  # a name's last column, as a dict of the row holds
+        if header.count(col) > 1:
+            raise SchemaError(f"column {echo(col)} appears more than once in the header of {path}")
+    where = {h: k for k, h in enumerate(header)}
     kinds = {**dict.fromkeys([*columns.numerical, *inferred], "numerical"), **labels}
     ids = {name: {} for name in columns.categorical}
     numbers, codes, bad, lines = {name: [] for name in kinds}, {}, {name: {} for name in kinds}, []

@@ -45,16 +45,9 @@ class CensoringEstimate:
     def __post_init__(self):
         self._steps = np.concatenate([[1.0], self.values])  # G before the first time, then after each
 
-    def evaluate(self, t):
-        """Right-continuous step value G(t)."""
-        return self._step(t, "right")
-
     def evaluate_left(self, t):
         """Left limit G(t-): the value just before t."""
-        return self._step(t, "left")
-
-    def _step(self, t, side):
-        return self._steps[np.searchsorted(self.times, np.asarray(t, dtype=np.float64), side=side)]
+        return self._steps[np.searchsorted(self.times, np.asarray(t, dtype=np.float64), side="left")]
 
 
 def km_censoring(durations, events):

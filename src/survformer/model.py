@@ -10,10 +10,10 @@ residual projection and a small feed-forward stack, both under SELU. The
 embedding and every layer emit (B·D, d_e) rows, so every parameter product
 is a 2-d matmul. ``shared_projection`` aligns the flattened encoder output,
 concatenated with the raw embeddings, into a shared representation consumed
-by three ``mlp_head`` blocks, each a stack of task heads under one link:
-the K event hazard heads side by side (softplus keeps rates positive), then
-a one-head stack each for the binary any-event head (logistic) and the
-follow-up-time regression head (identity).
+by two ``mlp_head`` stacks of link-free task heads: the K event hazard heads
+side by side, then the any-event and follow-up-time heads. ``forward_batch``
+puts the hazards under softplus, which keeps them positive, and the any-event
+output under the logistic; the follow-up time is a regression output.
 
 The model's parameters are views of one flat buffer ``data``, their gradients
 views of one flat buffer ``grad``. Each block's VJP writes its parameters'
@@ -145,15 +145,17 @@ class ForwardPass:
     event_prob: np.ndarray  # (B,), in (0, 1)
     time_pred: np.ndarray  # (B,)
     attention: list  # per layer: (B, H, D, D) weights
-    _vjps: tuple = field(repr=False)  # the embedding's, the layers', the projection's, the three heads'
+    _vjps: tuple = field(repr=False)  # the embedding's, the layers', the projection's, the two head stacks'
 
     def backward(self, g_hazards, g_prob, g_time):
         """Write every parameter's gradient view from the hazard, any-event
-        and follow-up-time cotangents, summing the heads' as ``(events + mp)
-        + ls`` and the embedding's as ``g_raw + g_enc``. Returns ``()``: the
-        covariates are data."""
-        embed, layers, projection, (events, mp, ls) = self._vjps
-        g_enc, g_raw = projection((events(g_hazards) + mp(g_prob.reshape(1, -1, 1))) + ls(g_time.reshape(1, -1, 1)))
+        and follow-up-time cotangents, each link's slope read from its output,
+        summing the heads' as ``(events + mp) + ls``, the event heads' in head
+        order, and the embedding's as ``g_raw + g_enc``. Returns ``()``."""
+        embed, layers, projection, (events, aux) = self._vjps
+        events = events(g_hazards * -np.expm1(-self.hazards))  # softplus' slope, logistic(a), from its output
+        aux = aux(np.stack([g_prob * self.event_prob * (1.0 - self.event_prob), g_time])[:, :, None])
+        g_enc, g_raw = projection(sum(aux, sum(events[1:], events[0])))
         for vjp in reversed(layers):
             g_enc = vjp(g_enc)
         return embed(g_raw + g_enc)
@@ -295,35 +297,30 @@ def shared_projection(encoded, raw, w):
     return out, back
 
 
-def mlp_head(z, weights, biases, link=None):
+def mlp_head(z, weights, biases):
     """K task heads of one shape side by side on the (B, fan_in) ``z``:
-    ``z @ w + b`` per layer, ReLU between, then the output ``link``:
-    "softplus", "logistic" or None (identity). Each layer's weights are one
-    (K, fan_in, fan_out) Tensor and its biases one (K, fan_out) Tensor, every
-    product K products of the shapes one head's takes, so each head's values
-    and gradients are its own one-head stack's bit for bit. Returns the (K,
-    B, width) outputs and their VJP, which writes every parameter's gradient
-    view and returns ``z``'s cotangent, the K heads' summed in head order."""
+    ``z @ w + b`` per layer, ReLU between, and no output link. Each layer's
+    weights are one (K, fan_in, fan_out) Tensor and its biases one (K,
+    fan_out) Tensor, every product K products of the shapes one head's
+    takes, so each head's values and gradients are its own one-head stack's
+    bit for bit. Returns the (K, B, width) outputs and their VJP, which
+    writes every parameter's gradient view and returns the K heads' (K, B,
+    fan_in) cotangents of ``z``."""
     inputs = []  # the input of each layer; the later ones are ReLU outputs
     for i, (w, b) in enumerate(zip(weights, biases)):
         inputs.append(np.maximum(z, 0.0) if i else z)
         z = np.matmul(inputs[-1], w.data) + b.data[:, None, :]
-    out = ad.softplus_array(z) if link == "softplus" else ad.logistic(z) if link == "logistic" else z
 
     def back(g):
-        if link == "softplus":
-            g = g * -np.expm1(-out)  # logistic(a), read from the output
-        elif link == "logistic":
-            g = g * out * (1.0 - out)
         for i in range(len(weights) - 1, -1, -1):
             biases[i].grad[...] = g.sum(axis=1)
             weights[i].grad[...] = np.matmul(np.swapaxes(inputs[i], -1, -2), g)
             g = np.matmul(g, np.swapaxes(weights[i].data, -1, -2))
             if i:
                 g = g * (inputs[i] > 0)
-        return sum(g[1:], g[0])
+        return g
 
-    return out, back
+    return z, back
 
 
 def _stacked(views, lead):
@@ -343,14 +340,14 @@ class SurvivalTransformer:
     """The full network. ``params`` maps each parameter's name, in draw
     order, to its Tensor; the Tensors are views of the flat buffers ``data``
     and ``grad``. ``embedding``, ``encoder`` (per layer), ``projection`` and
-    ``heads`` (the event hazards, then mp, then ls) hold the same Tensors,
+    ``heads`` (the event hazards, then mp and ls) hold the same Tensors,
     grouped as the block ops take them. ``_walk`` runs twice: to record and
     count the layout before the draws, then to group the views. A block's
     like parameters sit equally far apart in the flat buffers, so each
     encoder layer's query, key and value weights are one (H, 3, d_e, d_h)
-    Tensor, and each of the three ``heads`` groups holds its heads' per-layer
+    Tensor, and each of the two ``heads`` groups holds its heads' per-layer
     weights and biases as (K, ...) Tensors, K = n_events for the event heads
-    and 1 for mp and ls; these are views of the same buffers. ``load(layout)``,
+    and 2 for mp and ls; these are views of the same buffers. ``load(layout)``,
     if given, returns the arrays in place of the draws once the count is judged."""
 
     def __init__(self, config, schema, grid, seed=0, load=None):
@@ -381,7 +378,7 @@ class SurvivalTransformer:
         self.encoder = [(_stacked(qkv, (config.heads, 3)), wres, ffn) for qkv, wres, ffn in encoder]
         *events, mp, ls = heads
         self.heads = [tuple([_stacked(layer, (len(group),)) for layer in zip(*part)] for part in zip(*group))
-                      for group in (events, [mp], [ls])]
+                      for group in (events, [mp, ls])]
 
     def _walk(self, visit):
         """Call ``visit(name, shape, drawn)`` for every parameter in draw
@@ -431,16 +428,16 @@ class SurvivalTransformer:
                 layer_vjps.append(vjp)
                 attention.append(alpha)
             shared, projection_vjp = shared_projection(x, raw, self.projection)
-            (hazards, events_vjp), (mp, mp_vjp), (ls, ls_vjp) = (
-                mlp_head(shared, *group, link) for group, link in zip(self.heads, ("softplus", "logistic", None)))
+            (hazards, events_vjp), (aux, aux_vjp) = (mlp_head(shared, *group) for group in self.heads)
+            hazards, mp, ls = ad.softplus_array(hazards), ad.logistic(aux[0, :, 0]), aux[1, :, 0]
         outputs = [(f"event-{k + 1} hazards", h) for k, h in enumerate(hazards)]
         outputs += [("any-event probability", mp), ("follow-up time", ls)]
         outputs += [(f"layer-{layer} attention", alpha) for layer, alpha in enumerate(attention)]
         for name, values in outputs:
             if not np.isfinite(values).all():
                 raise ValueError(f"non-finite network output: {name}")
-        return ForwardPass(raw, x, shared, hazards, mp.reshape(-1), ls.reshape(-1), attention,
-                           (embed_vjp, layer_vjps, projection_vjp, (events_vjp, mp_vjp, ls_vjp)))
+        return ForwardPass(raw, x, shared, hazards, mp, ls, attention,
+                           (embed_vjp, layer_vjps, projection_vjp, (events_vjp, aux_vjp)))
 
     # --- checked inference views ------------------------------------------
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from survformer import autodiff as ad
 from survformer.model import embed_fields, encoder_layer, mlp_head, shared_projection
 
 SELU_LAMBDA = 1.0507009873554804934193349852946
@@ -55,7 +56,8 @@ def assert_grads_match(analytic, numeric, rtol=1e-4, atol=1e-8):
 def chained_network_grad(model, cat, num, g_hazards, g_prob, g_time):
     """``model.grad`` after its blocks' VJPs on a batch, chained by hand from
     the (K, B, m) hazard and (B,) any-event and follow-up-time cotangents.
-    The heads' input cotangents sum as ``(events + mp) + ls``, the encoder
+    The softplus and logistic slopes are read from the links' outputs, the
+    heads' input cotangents sum as ``(events + mp) + ls``, the encoder
     layers run last to first, and the embedding's cotangent sums the
     projection's share of it first, as ``g_raw + g_enc``."""
     raw, embed_vjp = embed_fields(*model.embedding, cat, num)
@@ -64,10 +66,11 @@ def chained_network_grad(model, cat, num, g_hazards, g_prob, g_time):
         encoded, vjp, _ = encoder_layer(encoded, model.schema.d, *layer)
         layer_vjps.append(vjp)
     shared, projection_vjp = shared_projection(encoded, raw, model.projection)
-    heads = [mlp_head(shared, *group, link)[1] for group, link in zip(model.heads, ("softplus", "logistic", None))]
-    B = len(g_prob)
-    cotangents = g_hazards, np.reshape(g_prob, (1, B, 1)), np.reshape(g_time, (1, B, 1))
-    events, mp, ls = (vjp(g) for vjp, g in zip(heads, cotangents))
+    (hazards, events_vjp), (aux, aux_vjp) = (mlp_head(shared, *group) for group in model.heads)
+    hazards, prob = ad.softplus_array(hazards), ad.logistic(aux[0, :, 0])
+    events = events_vjp(g_hazards * -np.expm1(-hazards))
+    mp, ls = aux_vjp(np.stack([g_prob * prob * (1.0 - prob), g_time])[:, :, None])
+    events = sum(events[1:], events[0])  # in head order
     g_enc, g_raw = projection_vjp((events + mp) + ls)
     for vjp in reversed(layer_vjps):
         g_enc = vjp(g_enc)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from survformer import autodiff as ad
 from survformer import losses as L
 from survformer.data import TimeGrid
-from survformer.model import embed_fields, encoder_layer, mlp_head, shared_projection
+from survformer.model import ForwardPass, embed_fields, encoder_layer, mlp_head, shared_projection
 
 from oracles import assert_grads_match, fd_gradients
 
@@ -111,32 +111,43 @@ class TestSoftplus:
         assert out[0] <= out[1]
 
     def test_link_slope_read_from_the_output_is_logistic(self):
-        # a unit weight and zero bias make the head's pre-activation its
-        # input, so the input's gradient under a unit cotangent is the slope
+        # ``ForwardPass.backward`` over hazards softplus(a), with head VJPs
+        # that hand their cotangents on and zero any-event and follow-up-time
+        # cotangents: the projection gets the slope under a unit cotangent
         a = np.linspace(-700.0, 700.0, 100_001)
-        w, b = parameter([[[1.0]]]), parameter([[0.0]])
-        out, vjp = mlp_head(a[:, None], [w], [b], "softplus")
-        np.testing.assert_allclose(vjp(np.ones_like(out))[:, 0], ad.logistic(a), rtol=1e-15, atol=0)
+        got = []
+        fp = ForwardPass(None, None, None, ad.softplus_array(a)[None, :, None], np.full(a.size, 0.5),
+                         np.zeros(a.size), [], (lambda g: (), [], lambda g: got.append(g) or (0.0, 0.0),
+                                                (lambda g: g, lambda g: g)))
+        fp.backward(np.ones((1, a.size, 1)), np.zeros(a.size), np.zeros(a.size))
+        np.testing.assert_allclose(got[0][:, 0], ad.logistic(a), rtol=1e-15, atol=0)
 
 
-def one_layer_head(rng, link, inputs=4, outputs=1):
+def one_layer_head(rng, link, slope, inputs=4, outputs=1):
     """A fixed (3, inputs) head input and a one-head stack of one trainable
-    layer into ``link``: the head's (output, VJP) closure and its parameters."""
+    layer under ``link``, whose derivative ``slope`` reads from the link's
+    output: the head's (output, VJP) closure and its parameters."""
     z = rng.standard_normal((3, inputs))
     w, b = parameter(rng.standard_normal((1, inputs, outputs))), parameter(rng.standard_normal((1, outputs)))
-    return (lambda: mlp_head(z, [w], [b], link)), [w, b]
+
+    def head():
+        a, vjp = mlp_head(z, [w], [b])
+        out = link(a)
+        return out, lambda g: vjp(g * slope(out))
+
+    return head, [w, b]
 
 
 class TestBackward:
     def test_scalar_chain_matches_finite_difference(self):
-        head, params = one_layer_head(np.random.default_rng(3), "softplus")
+        head, params = one_layer_head(np.random.default_rng(3), ad.softplus_array, lambda h: -np.expm1(-h))
         out, vjp = head()
         vjp(np.ones_like(out))
         fd = fd_gradients(lambda: float(head()[0].sum()), [p.data for p in params])
         assert_grads_match([p.grad for p in params], fd)
 
     def test_repeated_backward_is_bitwise_identical(self):
-        head, (w, _) = one_layer_head(np.random.default_rng(5), "logistic", outputs=2)
+        head, (w, _) = one_layer_head(np.random.default_rng(5), ad.logistic, lambda p: p * (1.0 - p), outputs=2)
         out, vjp = head()
         loss = ad.Tensor(out.sum(), backward=lambda g: vjp(g * np.ones_like(out)))
         ad.backward(loss)
@@ -152,12 +163,12 @@ class TestBackward:
 def _gradcheck_cases():
     """One case per block or loss (the embedding in three field mixes, the
     shared projection with no and with two encoder layers chained by hand,
-    each head link, an encoder layer over 3, 1 and 12 fields, three stacked
-    hazard heads), each (forward, arrays): ``forward()`` gives the case's
-    scalar loss and a closure that runs its VJPs and returns the analytic
-    gradient of each array, the input cotangents the VJPs return, then the
-    parameters' gradient views; ``arrays`` are what finite differences
-    perturb, the inputs and then the parameters' data."""
+    a head under each link, an encoder layer over 3, 1 and 12 fields, three
+    stacked softplus hazard heads), each (forward, arrays): ``forward()``
+    gives the case's scalar loss and a closure that runs its VJPs and
+    returns the analytic gradient of each array, the input cotangents the
+    VJPs return, then the parameters' gradient views; ``arrays`` are what
+    finite differences perturb, the inputs and then the parameters' data."""
     rng = np.random.default_rng(12)
     B, de = 5, 4
 
@@ -180,6 +191,15 @@ def _gradcheck_cases():
 
     def one_input(value, vjp):
         return value, lambda g: [vjp(g)]
+
+    def linked(z, weights, biases, link, slope):
+        # a head stack under ``link``, its slope read from the output; the
+        # input cotangent is the heads' summed
+        a, vjp = mlp_head(z, weights, biases)
+        out = link(a)
+        return out, lambda g: [vjp(g * slope(out)).sum(axis=0)]
+
+    softplus = ad.softplus_array, lambda h: -np.expm1(-h)
 
     def embedding(d_c, d_n):
         # three rows per table, so five records repeat some looked-up rows
@@ -244,22 +264,22 @@ def _gradcheck_cases():
         # a one-head stack
         z = rand(B, 6)
         weights, biases = [param(1, 6, 4), param(1, 4, out)], [param(1, 4), param(1, out)]
-        return probed(lambda: one_input(*mlp_head(z, weights, biases, link)), [*weights, *biases], [z])
+        return probed(lambda: linked(z, weights, biases, *link), [*weights, *biases], [z])
 
     def case_head_softplus():
-        return head("softplus", 3)
+        return head(softplus, 3)
 
     def case_head_logistic():
-        return head("logistic", 1)
+        return head((ad.logistic, lambda p: p * (1.0 - p)), 1)
 
     def case_head_identity():
-        return head(None, 1)
+        return head((lambda a: a, lambda a: 1.0), 1)
 
     def case_hazard_heads():
         # three stacked softplus heads of two layers
         z = rand(B, 6)
         weights, biases = [param(3, 6, 4), param(3, 4, 3)], [param(3, 4), param(3, 3)]
-        return probed(lambda: one_input(*mlp_head(z, weights, biases, "softplus")), [*weights, *biases], [z])
+        return probed(lambda: linked(z, weights, biases, *softplus), [*weights, *biases], [z])
 
     def case_total():
         # each part the value of a (1,) input, which the finite differences perturb

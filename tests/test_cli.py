@@ -75,6 +75,17 @@ def config_file(payload):
     return argv
 
 
+def with_copy_first(path, column, out):
+    """The CSV at ``path`` written to ``out`` with a second ``column`` put
+    first, its cells those of ``column`` in reverse row order."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    cells = [row[header.index(column)] for row in reversed(rows)]
+    with open(out, "w", newline="") as fh:
+        csv.writer(fh).writerows([[column, *header], *([cell, *row] for cell, row in zip(cells, rows))])
+    return out
+
+
 def one_error_line(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
@@ -533,6 +544,61 @@ class TestCurvesFile:
         assert curves[0][len(times):] == curves[1]  # one row per time for each record
 
 
+class TestInvariances:
+    """Changes to a CSV that must leave ``train``'s params, ``eval``'s metrics
+    and ``predict``'s curves byte for byte as they are, with the covariates
+    declared by flag (ROADMAP item 17)."""
+
+    FLAGS = ["--numerical", "x1,x2,x3", "--categorical", "grade"]
+    NUMERICAL = ("x1", "x2", "x3")
+
+    @pytest.fixture(scope="class")
+    def table(self, tmp_path_factory):
+        """A synth file's header and rows with a categorical column ``grade``
+        added and a few empty x1 and grade cells."""
+        data, args = synth_args(tmp_path_factory.mktemp("synth"))
+        assert run(args) == 0
+        with open(data, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        grades = np.random.default_rng(0).choice(["a", "b", "c"], len(rows))
+        return [*header, "grade"], [[x1 if i % 17 else "", *rest, grade if i % 13 else ""]
+                                    for i, ((x1, *rest), grade) in enumerate(zip(rows, grades))]
+
+    def outputs(self, tmp_path, header, rows):
+        """The params, metrics and curves of ``train``, ``eval`` and ``predict`` on the CSV of ``rows``."""
+        data, ckpt, metrics, curves = (tmp_path / name for name in ("data.csv", "m.json", "metrics.json", "c.csv"))
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        assert run(["train", "--data", str(data), "--config", str(tiny_config(tmp_path)), "--checkpoint", str(ckpt),
+                    *self.FLAGS]) == 0
+        assert run(["eval", "--data", str(data), "--checkpoint", str(ckpt), "--out", str(metrics)]) == 0
+        assert run(["predict", "--data", str(data), "--checkpoint", str(ckpt), "--times", "0.1,0.5,2.0",
+                    "--out", str(curves)]) == 0
+        return json.dumps(json.loads(ckpt.read_text())["params"]), read_bytes(metrics), read_bytes(curves)
+
+    @pytest.fixture(scope="class")
+    def baseline(self, tmp_path_factory, table):
+        return self.outputs(tmp_path_factory.mktemp("baseline"), *table)
+
+    @pytest.mark.parametrize("k", [10, -10])
+    def test_numerical_columns_scaled_by_a_power_of_two(self, tmp_path, table, baseline, k):
+        header, rows = table
+        scaled = [header.index(name) for name in self.NUMERICAL]
+        rows = [[repr(float(cell) * 2.0**k) if j in scaled and cell else cell for j, cell in enumerate(row)]
+                for row in rows]
+        assert self.outputs(tmp_path, header, rows) == baseline
+
+    def test_columns_reordered(self, tmp_path, table, baseline):
+        header, rows = table
+        assert self.outputs(tmp_path, header[::-1], [row[::-1] for row in rows]) == baseline
+
+    def test_categorical_levels_renamed_with_a_common_prefix(self, tmp_path, table, baseline):
+        header, rows = table
+        at = header.index("grade")
+        rows = [[f"level {cell}" if j == at and cell else cell for j, cell in enumerate(row)] for row in rows]
+        assert self.outputs(tmp_path, header, rows) == baseline
+
+
 class TestErrorPaths:
     def test_missing_required_flag_exits_nonzero_with_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -828,7 +894,34 @@ class TestBadArguments:
             csv.writer(fh).writerows([["x2", *row] if i == 0 else [row[0], *row] for i, row in enumerate(rows)])
         capsys.readouterr()
         assert self.train(tmp_path, twice) == 1
-        assert one_error_line(capsys) == "error: covariate field names must be unique, got 'x2' more than once"
+        assert one_error_line(capsys) == f"error: column 'x2' appears more than once in the header of {twice}"
+
+    @pytest.mark.parametrize("column, flags", [("duration", ()), ("x1", ("--numerical", "x1,x3"))],
+                             ids=["label", "declared-covariate"])
+    def test_header_repeating_a_column_train_reads_is_one_error_line(self, tmp_path, data, capsys, column, flags):
+        twice = with_copy_first(data, column, tmp_path / "twice.csv")
+        capsys.readouterr()
+        assert self.train(tmp_path, twice, *flags) == 1
+        assert one_error_line(capsys) == f"error: column {column!r} appears more than once in the header of {twice}"
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("command, flags", [("eval", ()), ("predict", ("--times", "0.5")), ("attention", ())],
+                             ids=["eval", "predict", "attention"])
+    @pytest.mark.parametrize("column", ["x2", "event"])
+    def test_header_repeating_a_checkpoint_column_is_one_error_line(self, tmp_path, data, capsys, command, flags,
+                                                                    column):
+        # ``predict`` and ``attention`` read no label, so a second event column is theirs to ignore
+        assert self.train(tmp_path, data) == 0
+        twice = with_copy_first(data, column, tmp_path / "twice.csv")
+        capsys.readouterr()
+        code = run([command, "--data", str(twice), "--checkpoint", str(tmp_path / "m.json"),
+                    "--out", str(tmp_path / "out"), *flags])
+        if column == "event" and command != "eval":
+            assert code == 0
+        else:
+            assert code == 1
+            assert one_error_line(capsys) == f"error: column {column!r} appears more than once in the header of {twice}"
+            assert not (tmp_path / "out").exists()
 
     def test_negative_seed_flag_is_one_error_line(self, tmp_path, data, capsys):
         capsys.readouterr()

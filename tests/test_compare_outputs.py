@@ -46,15 +46,20 @@ def test_a_tree_matches_itself_and_a_changed_output_is_named(tmp_path):
 
 
 def test_events_draws_the_workload_with_that_many_event_types():
-    # one event type takes the unit-weight path, three the general propensity fit
-    checkpoints = set()
-    for flags in ([], ["--events", "1"], ["--events", "3"]):
-        same = compare(ROOT / "src", *flags)
-        assert same.returncode == 0, same.stdout + same.stderr
-        lines = same.stdout.splitlines()
-        assert len(lines) == 7 and all(line.endswith(" same") for line in lines[:-1]), lines
-        checkpoints.add(lines[0].split()[-2])
-    assert len(checkpoints) == 3
+    # one event type takes the unit-weight path, three the general propensity
+    # fit; one command runs the workload's own count and both others
+    same = compare(ROOT / "src", "--events", "own", "1", "3")
+    assert same.returncode == 0, same.stdout + same.stderr
+    lines = same.stdout.splitlines()
+    assert len(lines) == 19 and all(line.endswith(" same") for line in lines[:-1]), lines
+    assert lines[-1] == "all outputs identical"
+    checkpoints = lines[:-1:6]  # each pipeline's first output line
+    assert [line.split(" model.json: ")[0] for line in checkpoints] == [
+        "fit-2k seed 11", "fit-2k events 1 seed 11", "fit-2k events 3 seed 11"]
+    assert len({line.split()[-2] for line in checkpoints}) == 3
+    # a count given alone draws the file it draws in a list
+    alone = compare(ROOT / "src", "--events", "3")
+    assert alone.returncode == 0 and alone.stdout.splitlines()[0] == checkpoints[2], alone.stdout
 
 
 @pytest.mark.parametrize("a, b, report", [

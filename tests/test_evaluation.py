@@ -103,20 +103,21 @@ class TestSurvivalFromHazards:
 class TestKmCensoring:
     def test_no_censoring_gives_identity(self):
         est = E.km_censoring(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 2]))
+        assert est.times.size == est.values.size == 0
         for t in (0.0, 1.5, 5.0):
-            assert est.evaluate(t) == 1.0
             assert est.evaluate_left(t) == 1.0
 
     def test_all_censored_at_same_time_drop_to_zero(self):
         est = E.km_censoring(np.array([5.0, 5.0]), np.array([0, 0]))
-        assert est.evaluate(5.0) == 0.0
-        assert est.evaluate(4.9) == 1.0
+        assert est.times.tolist() == [5.0] and est.values.tolist() == [0.0]
+        assert est.evaluate_left(4.9) == 1.0
         assert est.evaluate_left(5.0) == 1.0
+        assert est.evaluate_left(5.1) == 0.0
 
     def test_one_of_two_censored_gives_half(self):
         est = E.km_censoring(np.array([2.0, 3.0]), np.array([0, 1]))
-        assert est.evaluate(2.0) == 0.5
-        assert est.evaluate(10.0) == 0.5
+        assert est.times.tolist() == [2.0] and est.values.tolist() == [0.5]
+        assert est.evaluate_left(10.0) == 0.5
         assert est.evaluate_left(2.0) == 1.0
 
     def test_matches_hand_product_limit_on_small_instances(self):
@@ -146,9 +147,10 @@ class TestKmCensoring:
         events = rng.integers(0, 2, size=40)
         est = E.km_censoring(durations, events)
         ts = np.linspace(0.0, 11.0, 50)
-        values = est.evaluate(ts)
+        values = est.evaluate_left(ts)
         assert values[0] == 1.0
         assert np.all(np.diff(values) <= 1e-15)
+        assert np.all(np.diff(est.values) <= 1e-15) and est.values[0] <= 1.0
 
 
 def no_censoring_estimate():

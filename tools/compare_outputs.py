@@ -2,27 +2,30 @@
 
     python tools/compare_outputs.py OTHER_SRC --seeds 11 1 2 3
     python tools/compare_outputs.py ../parent/src --workloads fit-2k --set layers=0
-    python tools/compare_outputs.py ../parent/src --events 1
+    python tools/compare_outputs.py ../parent/src --events own 1 3
 
-For each perfbench workload and seed, the workload's CSV is drawn by
-``perfbench/workloads.py`` (``--n`` resizes it, ``--events K`` draws it with K
-event types) and the CLI runs ``train``, ``eval`` on the test fold and on
-``--fold all``, ``predict`` and ``attention`` on it, once with this checkout's
-``src`` and once with ``OTHER_SRC``, each in its own directory.
-``--set key=value`` overrides one training setting of the workload's config
-(the value is JSON). One line per output file gives the workload, seed, file,
-both digests and whether they match. A file that differs gets a second line
-with the size of the change: the largest absolute difference over its numbers
-(a JSON file's numbers in document order, a CSV file's numeric cells) and the
-largest difference relative to the larger magnitude of the two values, or that
-the two files differ in structure (anything but those numbers, or how many
-there are). The exit status is 1 when any file differs or any command fails.
+For each perfbench workload, event count and seed, the workload's CSV is drawn
+by ``perfbench/workloads.py`` (``--n`` resizes it; ``--events`` lists the event
+counts to draw it with, ``own`` being the workload's, the default) and the CLI
+runs ``train``, ``eval`` on the test fold and on ``--fold all``, ``predict``
+and ``attention`` on it, once with this checkout's ``src`` and once with
+``OTHER_SRC``, each in its own directory. ``--set key=value`` overrides one
+training setting of the workload's config (the value is JSON). One line per
+output file gives the workload, the event count unless it is the workload's
+own, the seed, the file, both digests and whether they match. A file that
+differs gets a second line with the size of the change: the largest absolute
+difference over its numbers (a JSON file's numbers in document order, a CSV
+file's numeric cells) and the largest difference relative to the larger
+magnitude of the two values, or that the two files differ in structure
+(anything but those numbers, or how many there are). The exit status is 1
+when any file differs or any command fails.
 """
 
 import argparse
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -38,6 +41,11 @@ from workloads import WORKLOADS, generate, write_csv  # noqa: E402
 
 OUTPUTS = ("model.json", "model.json.history.json", "metrics.json", "metrics_all.json", "curves.csv",
            "attention.json")
+
+
+def event_count(text):
+    """An ``--events`` entry: a number of event types, or None for ``own``."""
+    return None if text == "own" else int(text)
 
 
 def commands(times):
@@ -122,8 +130,8 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", default=[11])
     parser.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS), default=list(WORKLOADS))
     parser.add_argument("--n", type=int, default=None, help="records per workload (default: its own)")
-    parser.add_argument("--events", type=int, default=None, metavar="K",
-                        help="event types per workload (default: its own)")
+    parser.add_argument("--events", type=event_count, nargs="+", default=[None], metavar="K",
+                        help="event type counts to draw each workload with; own is its own (default: own)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one training setting; the value is JSON")
     args = parser.parse_args(argv)
@@ -131,32 +139,31 @@ def main(argv=None):
     for item in args.set:
         key, _, value = item.partition("=")
         overrides[key] = json.loads(value)
-    drawn = {key: value for key, value in (("n", args.n), ("events", args.events)) if value is not None}
     sides = {"this": ROOT / "src", "other": args.other.resolve()}
     differ = False
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
-        for name in args.workloads:
+        for name, events, seed in itertools.product(args.workloads, args.events, args.seeds):
+            drawn = {key: value for key, value in (("n", args.n), ("events", events)) if value is not None}
             workload = dataclasses.replace(WORKLOADS[name], **drawn)
-            for seed in args.seeds:
-                header, rows, times = generate(workload, seed)
-                digests = {}
-                for side, src in sides.items():
-                    workdir = Path(tmp, name, str(seed), side)
-                    workdir.mkdir(parents=True)
-                    write_csv(workdir / "data.csv", header, rows)
-                    (workdir / "config.json").write_text(json.dumps({**workload.config, **overrides}))
-                    failure = run_pipeline(src, workdir, times)
-                    if failure:
-                        print(f"{name} seed {seed}: {failure}")
-                        differ = True
-                    digests[side] = [digest(workdir / out) for out in OUTPUTS]
-                for out, a, b in zip(OUTPUTS, digests["this"], digests["other"]):
-                    same = a == b and a != "absent"
-                    differ |= not same
-                    print(f"{name} seed {seed} {out}: {a} {b} {'same' if same else 'DIFFERENT'}")
-                    if not same and "absent" not in (a, b):
-                        paths = [Path(tmp, name, str(seed), side, out) for side in sides]
-                        print(f"{name} seed {seed} {out}: {difference(*paths)}")
+            label = f"{name}{'' if events is None else f' events {events}'} seed {seed}"
+            run = Path(tmp, name, str(events), str(seed))
+            header, rows, times = generate(workload, seed)
+            digests = {}
+            for side, src in sides.items():
+                (run / side).mkdir(parents=True)
+                write_csv(run / side / "data.csv", header, rows)
+                (run / side / "config.json").write_text(json.dumps({**workload.config, **overrides}))
+                failure = run_pipeline(src, run / side, times)
+                if failure:
+                    print(f"{label}: {failure}")
+                    differ = True
+                digests[side] = [digest(run / side / out) for out in OUTPUTS]
+            for out, a, b in zip(OUTPUTS, digests["this"], digests["other"]):
+                same = a == b and a != "absent"
+                differ |= not same
+                print(f"{label} {out}: {a} {b} {'same' if same else 'DIFFERENT'}")
+                if not same and "absent" not in (a, b):
+                    print(f"{label} {out}: {difference(*(run / side / out for side in sides))}")
     print("outputs differ" if differ else "all outputs identical")
     return 1 if differ else 0
 
