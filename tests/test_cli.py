@@ -1199,20 +1199,34 @@ class TestCorruptInput:
         assert f"line 7 has {width} cells, the header has 5" in line and str(data) in line
 
 
-# Runs one command as ``survformer`` does and prints its exit code and which
-# of numpy's ``ma`` and ``random`` modules the process imported.
+# Runs one command line as ``survformer`` does and prints its exit code
+# (argparse's, if it stops) and every numpy and survformer module the
+# process imported.
 CHILD = """import json, sys
 from survformer.cli import run
-code = run(sys.argv[1:])
-print(json.dumps([code, sorted({'numpy.ma', 'numpy.random'} & set(sys.modules))]))
+try:
+    code = run(sys.argv[1:])
+except SystemExit as stop:
+    code = stop.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'survformer'))]))
 """
+
+
+def run_child(argv, cwd=None):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return json.loads(done.stdout.splitlines()[-1]) if done.stdout else None, done
 
 
 class TestImportedModules:
     """Each command runs in a fresh process, so a numpy module it imports
     costs every run. No command imports ``numpy.ma``; only those that split
     records (``train``, ``eval`` of one fold) or draw parameters (``train``)
-    import ``numpy.random``."""
+    import ``numpy.random``. Help and usage errors stop before any command
+    loads: they import no numpy and no survformer module but the package
+    and its command-line entry."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -1240,12 +1254,24 @@ class TestImportedModules:
         (["attention", "--checkpoint=m.json", "--row=2", "--out=attention.json"], []),
     ], ids=["train", "train-l2-0", "eval", "eval-all", "predict", "attention"])
     def test_a_command_imports_only_the_numpy_modules_it_uses(self, files, argv, imports):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", CHILD, *argv, "--data=data.csv"], cwd=files, env=env,
-                              capture_output=True, text=True, timeout=120)
+        result, done = run_child([*argv, "--data=data.csv"], cwd=files)
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == [0, imports], done.stdout
+        code, loaded = result
+        assert [code, sorted({"numpy.ma", "numpy.random"} & set(loaded))] == [0, imports], done.stdout
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        (["synth", "--help"], 0),
+        (["train", "--help"], 0),
+        (["eval", "--help"], 0),
+        (["predict", "--help"], 0),
+        (["attention", "--help"], 0),
+        (["train"], 2),  # no --data
+    ], ids=["help", "synth-help", "train-help", "eval-help", "predict-help", "attention-help", "train-no-data"])
+    def test_help_and_usage_errors_load_no_numpy(self, argv, code):
+        result, done = run_child(argv)
+        assert done.returncode == 0, done.stderr
+        assert result == [code, ["survformer", "survformer.cli"]], done.stdout
 
 
 HEAP_CHILD = """import json, resource, sys

@@ -31,10 +31,10 @@ def test_a_tree_matches_itself_and_a_changed_output_is_named(tmp_path):
 
     # a copy whose attention.json is indented differently
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    cli = tmp_path / "src" / "survformer" / "cli.py"
-    text = cli.read_text()
+    commands = tmp_path / "src" / "survformer" / "commands.py"
+    text = commands.read_text()
     assert text.count("indent=2") == 3
-    cli.write_text(text.replace('"maps": maps}, fh, indent=2)', '"maps": maps}, fh, indent=1)'))
+    commands.write_text(text.replace('"maps": maps}, fh, indent=2)', '"maps": maps}, fh, indent=1)'))
     changed = compare(tmp_path / "src")
     assert changed.returncode == 1
     differing = [line for line in changed.stdout.splitlines() if line.endswith("DIFFERENT")]
